@@ -16,7 +16,7 @@ from .homology import HomologyProfile, homology
 from .lattice import SubgroupLattice, SubgroupRef, enumerate_subgroups
 from .poset import GPoset, OrderComplex, order_complex
 from .report import emit_report
-from .runner import VerificationPlan, exit_status, run, run_inclusions
+from .runner import VerificationPlan, exit_status, run
 from .tables import (EdgeResult, EdgeSpec, verify_counterexamples,
                      verify_inclusion_chains, verify_table_edges)
 
@@ -33,7 +33,7 @@ __all__ = [
     "collection_context", "contractibility_verdict", "emit_report",
     "enumerate_subgroups", "exit_status", "fixed_point_equivalence_scan",
     "homology", "load_group", "order_complex", "parse_group_text", "run",
-    "run_inclusions", "verify_certificate", "verify_counterexamples",
+    "verify_certificate", "verify_counterexamples",
     "verify_inclusion_chains", "verify_inclusion_equivalence",
     "verify_table_edges",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .cache import cache_dir_from_env
@@ -84,6 +85,12 @@ def main(argv=None) -> int:
         strict=args.strict)
 
     try:
+        plan.validate()
+    except ValueError as exc:
+        print(f"sclab: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+    try:
         report = run(plan)
         payload = emit_report(report, args.format)
     except ParseError as exc:
@@ -98,14 +105,17 @@ def main(argv=None) -> int:
     except PrimeDoesNotDivide as exc:
         print(f"sclab: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"sclab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"sclab: {exc}", file=sys.stderr)
         return EXIT_IO
     except SclabError as exc:
         print(f"sclab: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # any other exception is a fault in the engine; it must not surface
+        # as Python's exit status 1, which here means a MISMATCH was found
+        traceback.print_exc()
+        print(f"sclab: internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
     if args.report is not None:

@@ -15,6 +15,7 @@ cut each classical collection down to its "distinguished" part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConditionNotSatisfied, PrimeDoesNotDivide
 from .lattice import SubgroupLattice, SubgroupRef, p_part, p_core_of_group
@@ -31,7 +32,7 @@ class Collection:
     prime: int
     members: tuple[SubgroupRef, ...]  # sorted by lattice index
 
-    @property
+    @cached_property
     def member_indices(self) -> frozenset[int]:
         return frozenset(m.index for m in self.members)
 
@@ -71,6 +72,9 @@ class CollectionContext:
         self._collections: dict[str, Collection] = {}
         self._conditions: dict[str, ConditionReport] = {}
         self._principal: dict[int, bool] = {}
+        # homology profile of each nerve the table checks compare, keyed by
+        # (poset labels, simplex cap); filled by the tables module
+        self.nerve_homology: dict = {}
 
     # ----- central-type elements -------------------------------------------
 
@@ -315,20 +319,3 @@ def collection_context(lattice: SubgroupLattice, p: int) -> CollectionContext:
         cache[p] = CollectionContext(lattice, p)
     return cache[p]
 
-
-# Spec-shaped conveniences ----------------------------------------------------
-
-def compute_E0(lattice: SubgroupLattice, p: int) -> frozenset[int]:
-    return collection_context(lattice, p).E0
-
-
-def compute_E1(lattice: SubgroupLattice, p: int) -> frozenset[int]:
-    return collection_context(lattice, p).E1
-
-
-def build_collection(lattice: SubgroupLattice, p: int, kind: str) -> Collection:
-    return collection_context(lattice, p).collection(kind)
-
-
-def check_condition(lattice: SubgroupLattice, p: int, which: str) -> ConditionReport:
-    return collection_context(lattice, p).condition(which)

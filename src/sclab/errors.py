@@ -72,3 +72,8 @@ class NotASubposet(SclabError):
 class ConditionNotSatisfied(SclabError):
     """An operation whose precondition is a group-theoretic condition was called
     on a group where the condition fails."""
+
+
+class InternalInconsistency(SclabError):
+    """A consistency check on the engine's own results failed; this is a
+    fault in the engine, not a property of the input."""

@@ -167,13 +167,5 @@ def fundamental_group_trivial(complex_: OrderComplex,
     ngens, relators = pres
     if ngens == 0:
         return True
-    alive, rels = simplify_presentation(ngens, relators, max_passes, max_total)
-    if not alive:
-        return True
-    used = {abs(x) for r in rels for x in r}
-    if alive - used:
-        # a surviving free generator: abelianizes onto Z, so not trivial;
-        # callers only reach here with trivial H1, making this unreachable,
-        # and None keeps the checker honest if that assumption breaks
-        return None
-    return None
+    alive, _ = simplify_presentation(ngens, relators, max_passes, max_total)
+    return True if not alive else None

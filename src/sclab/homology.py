@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
+from .errors import InternalInconsistency
 from .poset import OrderComplex
 
 
@@ -167,7 +167,9 @@ def _check_dd_zero(complex_: OrderComplex, k: int,
     for j in range(len(upper[0])):
         col = [row[j] for row in upper]
         out = [sum(lrow[i] * col[i] for i in range(len(col))) for lrow in lower]
-        assert not any(out), f"boundary of boundary nonzero in dim {k}"
+        if any(out):
+            raise InternalInconsistency(
+                f"boundary of boundary nonzero in dim {k}")
 
 
 @dataclass(frozen=True)
@@ -212,8 +214,9 @@ def homology(complex_: OrderComplex) -> HomologyProfile:
     for k, mat in boundaries.items():
         snf[k] = smith_normal_form(mat) if mat else []
         q_rank = rank_over_rationals(mat) if mat else 0
-        assert len(snf[k]) == q_rank, \
-            f"integer and rational ranks disagree for boundary {k}"
+        if len(snf[k]) != q_rank:
+            raise InternalInconsistency(
+                f"integer and rational ranks disagree for boundary {k}")
     betti: list[int] = []
     torsion: list[tuple[int, ...]] = []
     for k in range(dim + 1):
@@ -224,6 +227,7 @@ def homology(complex_: OrderComplex) -> HomologyProfile:
         torsion.append(tuple(d for d in snf.get(k + 1, []) if d > 1))
     nb, nt = HomologyProfile._normalize(betti, torsion)
     chi = complex_.euler_characteristic()
-    assert chi == 1 + sum((-1) ** i * b for i, b in enumerate(betti)), \
-        "Euler characteristic disagrees with Betti numbers"
+    if chi != 1 + sum((-1) ** i * b for i, b in enumerate(betti)):
+        raise InternalInconsistency(
+            "Euler characteristic disagrees with Betti numbers")
     return HomologyProfile(nb, nt, chi)

@@ -232,19 +232,6 @@ class OrderComplex:
                     store.setdefault(k, set()).add(face)
         return cls({k: sorted(v) for k, v in store.items()}, name=name)
 
-    def maximal_simplex_lines(self) -> str:
-        """One maximal simplex per line, vertex labels space-separated."""
-        all_faces = set()
-        for k in sorted(self.simplices, reverse=True):
-            for s in self.simplices[k]:
-                all_faces.update(combinations(s, len(s) - 1))
-        out = []
-        for k in sorted(self.simplices):
-            for s in self.simplices[k]:
-                if s not in all_faces:
-                    out.append(" ".join(str(v) for v in s))
-        return "\n".join(out) + ("\n" if out else "")
-
 
 def order_complex(poset: GPoset, max_simplices: int = DEFAULT_SIMPLEX_CAP,
                   name: str = "") -> OrderComplex:

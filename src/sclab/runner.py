@@ -138,13 +138,6 @@ def run(plan: VerificationPlan) -> dict:
     return report
 
 
-def run_inclusions(plan: VerificationPlan) -> dict:
-    """Convenience wrapper: the plan's suite forced to the inclusion chains."""
-    return run(VerificationPlan(plan.group, plan.prime, "inclusions",
-                                plan.max_order, plan.max_simplices,
-                                plan.cache_dir, plan.strict))
-
-
 def _iter_edges(report: dict):
     for section in report["suites"].values():
         yield from section.get("edges", ())

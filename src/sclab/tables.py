@@ -259,9 +259,21 @@ def _squash(outcome: str) -> str:
     return {PASS: CERTIFIED, FAIL: MISMATCH, INCONCLUSIVE: INCONCLUSIVE}[outcome]
 
 
-def _homology_crosscheck(left: GPoset, right: GPoset, max_simplices):
-    pl = homology(order_complex(left, max_simplices))
-    pr = homology(order_complex(right, max_simplices))
+def _compare_nerves(ctx, left: GPoset, right: GPoset, max_simplices) -> dict:
+    """Homology profiles of the two posets' nerves and whether they agree.
+
+    Each profile is kept in ctx.nerve_homology under the poset's labels and
+    the simplex cap, so the tables and the counterexample suite compute it
+    once per (lattice, p); a SizeCap propagates and stores nothing."""
+    memo = ctx.nerve_homology
+
+    def profile(poset):
+        key = (poset.labels, max_simplices)
+        if key not in memo:
+            memo[key] = homology(order_complex(poset, max_simplices))
+        return memo[key]
+
+    pl, pr = profile(left), profile(right)
     return {"left": pl.to_json(), "right": pr.to_json(), "agree": pl == pr}
 
 
@@ -301,7 +313,7 @@ def _check_solid(ctx, spec, posets, max_simplices) -> EdgeResult:
     status = _squash(res.outcome)
     detail["inclusion"] = res.to_json()
     if status == CERTIFIED:
-        cross = _homology_crosscheck(left, right, max_simplices)
+        cross = _compare_nerves(ctx, left, right, max_simplices)
         detail["homology"] = cross
         if not cross["agree"]:
             status = MISMATCH
@@ -330,7 +342,7 @@ def _check_by_centralizer(ctx, spec, left, right, detail,
     status = _squash(worst)
     detail["per_centralizer"] = rows
     if status == CERTIFIED:
-        cross = _homology_crosscheck(left, right, max_simplices)
+        cross = _compare_nerves(ctx, left, right, max_simplices)
         detail["homology"] = cross
         if not cross["agree"]:
             status = MISMATCH
@@ -397,12 +409,9 @@ def _dotted_avatars(ctx, spec, posets, h):
 def _check_dotted(ctx, spec, posets, max_simplices) -> EdgeResult:
     lat = ctx.lattice
     left1, right1 = _dotted_avatars(ctx, spec, posets, lat.trivial)
-    pl = homology(order_complex(left1, max_simplices))
-    pr = homology(order_complex(right1, max_simplices))
-    agree = pl == pr
-    detail = {"h1_homology": {"left": pl.to_json(), "right": pr.to_json(),
-                              "agree": agree}}
-    status = HOMOLOGY_CONSISTENT if agree else MISMATCH
+    h1 = _compare_nerves(ctx, left1, right1, max_simplices)
+    detail = {"h1_homology": h1}
+    status = HOMOLOGY_CONSISTENT if h1["agree"] else MISMATCH
     if spec.counterexample and is_dihedral8(lat.group) and ctx.p == 2:
         token, expect_left, expect_right = spec.counterexample
         h = _d8_subgroup(lat, token)

@@ -6,10 +6,14 @@ regenerate it.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import sclab
 from sclab.cli import (
     EXIT_CAP,
     EXIT_INTERNAL,
@@ -167,10 +171,12 @@ def test_parser_defaults():
 
 
 def test_module_entry_point():
+    # the child finds the package where this process found it
+    src = Path(sclab.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "sclab.cli", "verify", "--group", "builtin:D8",
          "--prime", "2", "--suite", "inclusions"],
-        capture_output=True)
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["chain_violations"] == 0
 
@@ -180,3 +186,15 @@ def test_exit_code_constants_are_distinct():
              EXIT_IO, EXIT_INTERNAL}
     assert len(codes) == 6
     assert not codes & {0, 1, 2}
+
+
+@pytest.mark.parametrize("fault", [AssertionError("forced"),
+                                   ValueError("forced")])
+def test_internal_faults_exit_internal(monkeypatch, capfd, fault):
+    def broken_run(plan):
+        raise fault
+
+    monkeypatch.setattr("sclab.cli.run", broken_run)
+    rc = verify("--group", "builtin:D8", "--prime", "2")
+    assert rc == EXIT_INTERNAL
+    assert "internal error" in capfd.readouterr().err

@@ -2,9 +2,7 @@ import pytest
 
 import _naive as naive
 from _suite import SMALL_SUITE, lattice_of
-from sclab.collections import (CONDITIONS, KINDS, build_collection,
-                               check_condition, collection_context,
-                               compute_E0, compute_E1)
+from sclab.collections import CONDITIONS, KINDS, collection_context
 from sclab.errors import ConditionNotSatisfied, PrimeDoesNotDivide
 
 
@@ -152,11 +150,11 @@ def test_prime_must_divide():
         collection_context(lattice_of("D8"), 3)
 
 
-def test_module_level_conveniences():
-    lat = lattice_of("Q8")
-    assert compute_E0(lat, 2) == compute_E1(lat, 2)
-    assert len(build_collection(lat, 2, "S")) == 5
-    assert check_condition(lat, 2, "M").holds
+def test_context_facts_on_q8():
+    ctx = collection_context(lattice_of("Q8"), 2)
+    assert ctx.E0 == ctx.E1
+    assert len(ctx.collection("S")) == 5
+    assert ctx.condition("M").holds
 
 
 def test_context_is_memoized():

@@ -5,10 +5,17 @@ space) exercise the Smith normal form path; everything else pins the
 reduced-homology conventions.
 """
 
+import importlib
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import sclab
+from sclab.errors import InternalInconsistency
 from sclab.homology import (
     HomologyProfile,
     boundary_matrix,
@@ -199,3 +206,42 @@ def test_euler_characteristic_matches_alternating_sum():
     for facets in ([(0, 1), (1, 2), (0, 2)], RP2_FACETS, DUNCE_FACETS):
         cx = complex_of(facets)
         assert homology(cx).euler_characteristic == cx.euler_characteristic()
+
+
+# ------------------------------------------------------ consistency checks
+
+_FORCED_RANK_DISAGREEMENT = """
+import importlib
+
+from sclab.errors import InternalInconsistency
+from sclab.poset import OrderComplex
+
+# the package re-exports the function homology under the submodule's name
+h = importlib.import_module("sclab.homology")
+true_rank = h.rank_over_rationals
+h.rank_over_rationals = lambda matrix: true_rank(matrix) + 1
+circle = OrderComplex.from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
+try:
+    h.homology(circle)
+except InternalInconsistency:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_rank_disagreement_raises(monkeypatch):
+    true_rank = rank_over_rationals
+    monkeypatch.setattr(importlib.import_module("sclab.homology"),
+                        "rank_over_rationals",
+                        lambda matrix: true_rank(matrix) + 1)
+    with pytest.raises(InternalInconsistency):
+        homology(complex_of([(0, 1), (1, 2), (0, 2)]))
+
+
+def test_rank_disagreement_raises_under_optimize():
+    src = Path(sclab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-c",
+                           _FORCED_RANK_DISAGREEMENT],
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -148,8 +148,3 @@ def test_from_maximal_simplices():
     cx = OrderComplex.from_maximal_simplices([(0, 1, 2), (2, 3)])
     assert cx.counts() == (4, 4, 1)
     assert not cx.is_empty()
-
-
-def test_maximal_simplex_lines_deterministic():
-    cx = OrderComplex.from_maximal_simplices([(2, 3), (0, 1, 2)])
-    assert cx.maximal_simplex_lines() == "2 3\n0 1 2\n"

@@ -23,7 +23,6 @@ from sclab.runner import (
     VerificationPlan,
     exit_status,
     run,
-    run_inclusions,
     summarize,
 )
 
@@ -136,8 +135,8 @@ def test_single_suite_runs_only_that_suite():
     assert len(report["suites"]["table44"]["edges"]) == 12
 
 
-def test_run_inclusions_wrapper():
-    report = run_inclusions(VerificationPlan("builtin:D8", 2, "all"))
+def test_inclusions_suite_reports_every_chain_pair():
+    report = run(VerificationPlan("builtin:D8", 2, "inclusions"))
     assert set(report["suites"]) == {"inclusions"}
     assert report["plan"]["suite"] == "inclusions"
     assert len(report["suites"]["inclusions"]["chains"]) == 11

@@ -14,7 +14,9 @@ from sclab.equivalence import (
     PASS,
     verify_inclusion_equivalence,
 )
+from sclab.errors import SizeCap
 from sclab.group import builtin_group
+from sclab.homology import homology
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import GPoset
 from sclab.tables import (
@@ -92,6 +94,30 @@ def test_full_grid_on_dihedral_8(d8):
         assert all(r.status == HOMOLOGY_CONSISTENT for r in dotted)
 
 
+def test_each_nerve_homology_is_computed_once_per_run(monkeypatch):
+    # a fresh lattice: the shared fixtures' contexts already hold profiles
+    lat = enumerate_subgroups(builtin_group("S4"))
+    ctx = collection_context(lat, 2)
+    computed = []
+
+    def counting_homology(complex_):
+        computed.append(complex_.size())
+        return homology(complex_)
+
+    monkeypatch.setattr("sclab.tables.homology", counting_homology)
+    verify_table_edges(lat, 2, TABLE31)
+    verify_table_edges(lat, 2, TABLE44)
+    verify_counterexamples(lat, 2)
+    kinds = {k for spec in TABLE31_EDGES + TABLE44_EDGES for k in spec.kinds}
+    nerves = {ctx.collection(k).member_indices for k in kinds}
+    assert len(kinds) == 7
+    assert len(computed) == len(nerves) == 4
+
+    # a profile computed under one cap does not stand in for a smaller one
+    with pytest.raises(SizeCap):
+        verify_table_edges(lat, 2, TABLE31, max_simplices=max(computed) - 1)
+
+
 def test_d8_reproduces_every_documented_counterexample(d8):
     results = verify_counterexamples(d8, 2)
     assert len(results) == len(counterexample_edges())
@@ -162,6 +188,7 @@ class RefusingContext:
         self._real = real
         self.lattice = real.lattice
         self.p = real.p
+        self.nerve_homology = real.nerve_homology
 
     def condition(self, name):
         return ConditionReport(name, False,
