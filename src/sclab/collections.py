@@ -145,9 +145,6 @@ class CollectionContext:
             self._hat[ref.index] = lat.generated(gens).index
         return self.lattice.ref(self._hat[ref.index])
 
-    def is_distinguished(self, ref: SubgroupRef) -> bool:
-        return self.hat_of(ref).order > 1
-
     # ----- membership predicates --------------------------------------------
 
     def is_p_radical(self, ref: SubgroupRef) -> bool:
@@ -301,14 +298,6 @@ class CollectionContext:
                 "counterexample": {**self._witness_subgroup(ref),
                                    "in_B": sep in b, "in_hat_B": sep in bh,
                                    "in_Bcen": sep in bc}}
-
-    # ----- small helpers used by property checks -------------------------------
-
-    def one_class_of_order_p(self) -> bool:
-        grp = self.lattice.group
-        orders = grp.element_orders
-        classes = [c for c in grp.conjugacy_classes if orders[c[0]] == self.p]
-        return len(classes) == 1
 
 
 def collection_context(lattice: SubgroupLattice, p: int) -> CollectionContext:

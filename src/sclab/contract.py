@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ComparisonFails, MapNotWellDefined
+from .errors import (ComparisonFails, InternalInconsistency,
+                     MapNotWellDefined)
 from .fundgroup import MAX_PASSES, MAX_TOTAL_LENGTH, fundamental_group_trivial
 from .homology import HomologyProfile, homology
 from .poset import DEFAULT_SIMPLEX_CAP, GPoset, OrderComplex, order_complex
@@ -440,7 +441,9 @@ def _cells_and_cofaces(complex_: OrderComplex):
         if len(s) >= 2:
             for i in range(len(s)):
                 f = s[:i] + s[i + 1:]
-                assert f in cells, "complex is not closed under faces"
+                if f not in cells:
+                    raise InternalInconsistency(
+                        "complex is not closed under faces")
                 cofaces.setdefault(f, set()).add(s)
     return cells, cofaces
 

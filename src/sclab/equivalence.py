@@ -59,17 +59,11 @@ def _conjugacy_reps(ambient: GPoset, sub: GPoset, pool) -> list:
     gens = lat.generating_set(lat.full)
     if not (ambient.is_invariant_under(gens) and sub.is_invariant_under(gens)):
         return list(pool)
-    seen = set()
-    reps = []
+    orbit_of = {i: n for n, orbit in enumerate(lat.orbits) for i in orbit}
+    first: dict = {}
     for y in pool:
-        if y in seen:
-            continue
-        bits = lat.ref(y).bitset
-        orbit = {lat.by_bitset(lat.conjugate_bitset(bits, m)).index
-                 for m in range(lat.group.order)}
-        seen |= orbit
-        reps.append(y)
-    return reps
+        first.setdefault(orbit_of[y], y)
+    return list(first.values())
 
 
 @dataclass(frozen=True)
@@ -79,10 +73,6 @@ class InclusionResult:
     per_element: tuple          # ((label, stabilizer_index | None, Verdict), ...)
     witnesses: tuple            # labels whose hypothesis check did not certify
     claim: str
-
-    @property
-    def passed(self) -> bool:
-        return self.outcome == PASS
 
     @property
     def certificate(self):

@@ -10,7 +10,8 @@ from __future__ import annotations
 import hashlib
 from functools import cached_property
 
-from .errors import CapExceeded, ParseError, UnknownBuiltin
+from .errors import (CapExceeded, InternalInconsistency, ParseError,
+                     UnknownBuiltin)
 from .perm import Permutation, parse_cycles
 
 
@@ -28,7 +29,8 @@ class PermutationGroup:
         self.degree = self.elements[0].degree
         self.order = len(self.elements)
         self.index = {g: i for i, g in enumerate(self.elements)}
-        assert self.elements[0].is_identity(), "identity must sort first"
+        if not self.elements[0].is_identity():
+            raise InternalInconsistency("identity must sort first")
         self.generator_indices = tuple(self.index[g] for g in self.generators)
 
     @classmethod

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (CapExceeded, NotAPGroup, NotMutuallyNormalizing,
-                     PrimeDoesNotDivide)
+from .errors import (CapExceeded, InternalInconsistency, NotAPGroup,
+                     NotMutuallyNormalizing, PrimeDoesNotDivide)
 from .group import PermutationGroup
 
 DEFAULT_ORDER_CAP = 2000
@@ -174,31 +174,8 @@ class SubgroupLattice:
             out.append(tuple(sorted(orbit)))
         return tuple(out)
 
-    @cached_property
-    def _transporters(self) -> tuple[tuple[int, int], ...]:
-        """For each subgroup index i: (rep_index, g) with g·rep·g^-1 = i."""
-        trans = [None] * len(self.subgroups)
-        mul = self.group.mul
-        for orbit in self.orbits:
-            rep = orbit[0]
-            trans[rep] = (rep, 0)
-            stack = [rep]
-            while stack:
-                i = stack.pop()
-                _, ti = trans[i]
-                for g in self.group.generator_indices:
-                    j = self._index[self.conjugate_bitset(self._bitsets[i], g)]
-                    if trans[j] is None:
-                        trans[j] = (rep, mul[g][ti])
-                        stack.append(j)
-        return tuple(trans)
-
     def orbit_representatives(self) -> tuple[SubgroupRef, ...]:
         return tuple(self.subgroups[o[0]] for o in self.orbits)
-
-    def transporter(self, ref: SubgroupRef) -> tuple[SubgroupRef, int]:
-        rep, g = self._transporters[ref.index]
-        return self.subgroups[rep], g
 
     # ----- named operations -----------------------------------------------
 
@@ -223,14 +200,6 @@ class SubgroupLattice:
                     out |= 1 << g
             self._centralizer[ref.index] = self._index[out]
         return self.subgroups[self._centralizer[ref.index]]
-
-    def centralizer_of_element(self, x: int) -> SubgroupRef:
-        mul = self.group.mul
-        out = 0
-        for g in range(self.group.order):
-            if mul[g][x] == mul[x][g]:
-                out |= 1 << g
-        return self.by_bitset(out)
 
     def center(self, ref: SubgroupRef) -> SubgroupRef:
         return self.by_bitset(ref.bitset & self.centralizer(ref).bitset)
@@ -348,10 +317,12 @@ class SubgroupLattice:
         ``normal`` must be a normal subgroup of ``big``; the action is then
         faithful for the quotient.
         """
-        assert self.leq(normal, big)
         bgens = self.generating_set(big)
-        assert all(self.conjugate_bitset(normal.bitset, g) == normal.bitset
-                   for g in bgens), "second argument must be normal in the first"
+        if not (self.leq(normal, big)
+                and all(self.conjugate_bitset(normal.bitset, g) == normal.bitset
+                        for g in bgens)):
+            raise InternalInconsistency(
+                "second argument must be normal in the first")
         mul = self.group.mul
         nmem = self._members[normal.bitset]
         coset_of: dict[int, int] = {}

@@ -124,22 +124,25 @@ class GPoset:
 
     # ----- lattice-backed extras ------------------------------------------------
 
+    def _require_lattice(self) -> SubgroupLattice:
+        if self.lattice is None:
+            raise ValueError("abstract poset has no subgroup refs")
+        return self.lattice
+
     def ref(self, label) -> SubgroupRef:
-        assert self.lattice is not None, "abstract poset has no subgroup refs"
-        return self.lattice.ref(label)
+        return self._require_lattice().ref(label)
 
     def fixed_points(self, h: SubgroupRef) -> "GPoset":
         """Subposet of elements invariant under conjugation by every member
         of H; for subgroup posets these are the subgroups normalized by H."""
-        assert self.lattice is not None
-        lat = self.lattice
+        lat = self._require_lattice()
         labels = tuple(x for x in self.labels
                        if lat.leq(h, lat.normalizer(lat.ref(x))))
         return GPoset(labels, self._leq, lat, f"{self.name}^{h.index}")
 
     def conjugate_label(self, g: int, label):
-        assert self.lattice is not None
-        return self.lattice.conjugate(self.lattice.ref(label), g).index
+        lat = self._require_lattice()
+        return lat.conjugate(lat.ref(label), g).index
 
     def is_invariant_under(self, gens) -> bool:
         """True if conjugation by each generator maps the poset into itself."""
@@ -154,7 +157,7 @@ class GPoset:
         lat = self.lattice
         return lat.meet(lat.ref(self._label_of(a)), lat.ref(self._label_of(b))).index
 
-    # ----- extremes and connectivity ---------------------------------------------
+    # ----- extremes -------------------------------------------------------------
 
     def unique_minimum(self):
         for x in self.labels:
@@ -167,26 +170,6 @@ class GPoset:
             if all(self.leq(y, x) for y in self.labels):
                 return x
         return None
-
-    def comparability_components(self) -> list[set]:
-        comp: dict = {}
-        for x in self.labels:
-            comp[x] = {x}
-        for a, b in combinations(self.labels, 2):
-            if self.leq(a, b) or self.leq(b, a):
-                if comp[a] is not comp[b]:
-                    comp[a] |= comp[b]
-                    for y in comp[b]:
-                        comp[y] = comp[a]
-        seen, out = set(), []
-        for x in self.labels:
-            if id(comp[x]) not in seen:
-                seen.add(id(comp[x]))
-                out.append(comp[x])
-        return out
-
-    def is_connected(self) -> bool:
-        return len(self.comparability_components()) <= 1
 
 
 class OrderComplex:

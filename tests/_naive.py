@@ -3,10 +3,13 @@
 Everything recomputes from the multiplication table using frozensets and
 saturation loops. No bitsets, no lattice machinery, no shared helpers with
 the package; only the element table itself is common input. Intended for
-groups of order <= 48.
+groups of order <= 48. rank_over_rationals is the matching oracle for the
+Smith normal form: Gauss-Jordan elimination in exact fractions.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def closure(mul, seed) -> frozenset:
@@ -213,3 +216,27 @@ def collection(group, all_subs, p: int, kind: str) -> set[frozenset]:
         return {h for h in psubs if is_elementary_abelian(group, h, p)
                 and all(x in e1 for x in h if x)}
     raise ValueError(kind)
+
+
+def rank_over_rationals(matrix: list[list[int]]) -> int:
+    a = [[Fraction(v) for v in row] for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rank = 0
+    row = 0
+    for col in range(cols):
+        piv = next((i for i in range(row, rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [v * inv for v in a[row]]
+        for i in range(rows):
+            if i != row and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        rank += 1
+        row += 1
+        if row == rows:
+            break
+    return rank

@@ -5,6 +5,7 @@ to report content or serialization order must be deliberate enough to
 regenerate it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -170,15 +171,36 @@ def test_parser_defaults():
     assert not args.strict
 
 
-def test_module_entry_point():
+def _run_module(*flags_and_args):
     # the child finds the package where this process found it
     src = Path(sclab.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "sclab.cli", "verify", "--group", "builtin:D8",
-         "--prime", "2", "--suite", "inclusions"],
+    return subprocess.run(
+        [sys.executable, *flags_and_args],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True)
+
+
+def test_module_entry_point():
+    proc = _run_module("-m", "sclab.cli", "verify", "--group", "builtin:D8",
+                       "--prime", "2", "--suite", "inclusions")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["chain_violations"] == 0
+
+
+def test_golden_d8_table31_under_optimize():
+    proc = _run_module("-O", "-m", "sclab.cli", "verify", "--group",
+                       "builtin:D8", "--prime", "2", "--suite", "table31")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / "d8_table31.json").read_bytes()
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, and with them any check they make
+    package = Path(sclab.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_exit_code_constants_are_distinct():

@@ -1,6 +1,7 @@
 import pytest
 
 import _naive as naive
+from _props import one_class_of_order_p
 from _suite import SMALL_SUITE, lattice_of
 from sclab.collections import CONDITIONS, KINDS, collection_context
 from sclab.errors import ConditionNotSatisfied, PrimeDoesNotDivide
@@ -121,10 +122,10 @@ def test_equalities_require_the_condition():
 
 
 def test_one_class_shortcut_examples():
-    assert collection_context(lattice_of("Q8"), 2).one_class_of_order_p()
-    assert collection_context(lattice_of("A4"), 2).one_class_of_order_p()
-    assert not collection_context(lattice_of("D8"), 2).one_class_of_order_p()
-    assert not collection_context(lattice_of("A5"), 5).one_class_of_order_p()
+    assert one_class_of_order_p(lattice_of("Q8").group, 2)
+    assert one_class_of_order_p(lattice_of("A4").group, 2)
+    assert not one_class_of_order_p(lattice_of("D8").group, 2)
+    assert not one_class_of_order_p(lattice_of("A5").group, 5)
 
 
 def test_collection_membership_api():

@@ -52,7 +52,6 @@ def test_fiber_mode_certifies_nested_collections(d8):
     ambient = poset_of(lat, ctx, "tilde-A")
     res = verify_inclusion_equivalence(sub, ambient, "fibers")
     assert res.outcome == PASS
-    assert res.passed
     assert res.witnesses == ()
     assert "equivariant" in res.claim
     assert isinstance(res.certificate, FiberContractibility)

@@ -21,10 +21,11 @@ from sclab.homology import (
     boundary_matrix,
     homology,
     rank_mod,
-    rank_over_rationals,
     smith_normal_form,
 )
 from sclab.poset import OrderComplex
+
+from _naive import rank_over_rationals
 
 
 def complex_of(maximal):
@@ -218,8 +219,8 @@ from sclab.poset import OrderComplex
 
 # the package re-exports the function homology under the submodule's name
 h = importlib.import_module("sclab.homology")
-true_rank = h.rank_over_rationals
-h.rank_over_rationals = lambda matrix: true_rank(matrix) + 1
+true_rank = h.rank_mod
+h.rank_mod = lambda m, q: true_rank(m, q) + 1
 circle = OrderComplex.from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
 try:
     h.homology(circle)
@@ -229,11 +230,14 @@ raise SystemExit(1)
 """
 
 
+def _homology_module():
+    return importlib.import_module("sclab.homology")
+
+
 def test_rank_disagreement_raises(monkeypatch):
-    true_rank = rank_over_rationals
-    monkeypatch.setattr(importlib.import_module("sclab.homology"),
-                        "rank_over_rationals",
-                        lambda matrix: true_rank(matrix) + 1)
+    true_rank = rank_mod
+    monkeypatch.setattr(_homology_module(), "rank_mod",
+                        lambda m, q: true_rank(m, q) + 1)
     with pytest.raises(InternalInconsistency):
         homology(complex_of([(0, 1), (1, 2), (0, 2)]))
 
@@ -245,3 +249,25 @@ def test_rank_disagreement_raises_under_optimize():
                            _FORCED_RANK_DISAGREEMENT],
                           env=env, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_nonzero_boundary_of_boundary_raises(monkeypatch):
+    true_boundary = boundary_matrix
+
+    def flipped(complex_, k):
+        mat = true_boundary(complex_, k)
+        if k == 2:
+            mat[0][0] = -mat[0][0]
+        return mat
+
+    monkeypatch.setattr(_homology_module(), "boundary_matrix", flipped)
+    with pytest.raises(InternalInconsistency, match="boundary of boundary"):
+        homology(complex_of([(0, 1, 2)]))
+
+
+def test_extra_invariant_factor_raises(monkeypatch):
+    true_snf = smith_normal_form
+    monkeypatch.setattr(_homology_module(), "smith_normal_form",
+                        lambda mat: true_snf(mat) + [1])
+    with pytest.raises(InternalInconsistency, match="ranks disagree"):
+        homology(complex_of([(0, 1, 2)]))

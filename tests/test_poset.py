@@ -45,14 +45,6 @@ def test_extrema():
     assert chopped.unique_maximum() is None
 
 
-def test_comparability_components():
-    antichain = GPoset((2, 3, 5), lambda a, b: a == b)
-    comps = antichain.comparability_components()
-    assert sorted(sorted(c) for c in comps) == [[2], [3], [5]]
-    assert not antichain.is_connected()
-    assert divisor_poset().is_connected()
-
-
 def test_from_relation():
     poset = GPoset.from_relation("abc", [("a", "b"), ("b", "c")])
     assert poset.leq("a", "c")  # transitive closure is applied

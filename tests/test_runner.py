@@ -243,6 +243,22 @@ def test_cache_rejects_incomplete_lattices(tmp_path):
     assert load_lattice(tmp_path, group) is None
 
 
+def test_cache_rejects_a_non_subgroup_bitset(tmp_path):
+    group = builtin_group("D8")
+    fresh = enumerate_subgroups(group)
+    path = store_lattice(tmp_path, fresh)
+    payload = json.loads(path.read_text())
+    # the identity and an element of order 4 do not form a subgroup
+    x = group.element_orders.index(4)
+    payload["subgroups"][1] = format(1 | 1 << x, "x")
+    path.write_text(json.dumps(payload))
+    assert payload["group_hash"] == group.content_hash
+    assert load_lattice(tmp_path, group) is None
+    lattice = lattice_for(group, cache_dir=tmp_path)
+    assert [r.bitset for r in lattice.subgroups] == \
+        [r.bitset for r in fresh.subgroups]
+
+
 def test_cached_run_reports_match(tmp_path):
     plain = run(VerificationPlan("builtin:D8", 2, "table31"))
     warm = run(VerificationPlan("builtin:D8", 2, "table31", cache_dir=tmp_path))
