@@ -4,9 +4,9 @@ of the homotopy comparisons between them."""
 from .collections import (CONDITIONS, KINDS, Collection, CollectionContext,
                           ConditionReport, collection_context)
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
-                       CollapseSequence, ConePoint, ConicalContraction,
-                       HomologyWitness, MonotoneRetraction, Verdict, Zigzag,
-                       contractibility_verdict, verify_certificate)
+                       CoreReduction, HomologyWitness, MonotoneRetraction,
+                       Verdict, contractibility_verdict, core_reduction,
+                       verify_certificate)
 from .equivalence import (FixedPointScan, InclusionResult,
                           fixed_point_equivalence_scan,
                           verify_inclusion_equivalence)
@@ -24,13 +24,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONDITIONS", "CONTRACTIBLE", "KINDS", "NOT_CONTRACTIBLE", "UNKNOWN",
-    "CollapseSequence", "Collection", "CollectionContext", "ConditionReport",
-    "ConePoint", "ConicalContraction", "EdgeResult", "EdgeSpec",
+    "Collection", "CollectionContext", "ConditionReport", "CoreReduction",
+    "EdgeResult", "EdgeSpec",
     "FixedPointScan", "GPoset", "HomologyProfile", "HomologyWitness",
     "InclusionResult", "MonotoneRetraction", "OrderComplex",
     "PermutationGroup", "SclabError", "SubgroupLattice", "SubgroupRef",
-    "Verdict", "VerificationPlan", "Zigzag", "builtin_group",
-    "collection_context", "contractibility_verdict", "emit_report",
+    "Verdict", "VerificationPlan", "builtin_group",
+    "collection_context", "contractibility_verdict", "core_reduction",
+    "emit_report",
     "enumerate_subgroups", "exit_status", "fixed_point_equivalence_scan",
     "homology", "load_group", "order_complex", "parse_group_text", "run",
     "verify_certificate", "verify_counterexamples",

@@ -5,21 +5,24 @@ later run can replay the pointwise checks instead of trusting the claim.
 Verdicts are three-valued: CONTRACTIBLE requires a certificate that
 re-verifies, NOT_CONTRACTIBLE requires a homology or connectivity witness,
 and everything the bounded searches cannot settle stays UNKNOWN.
+
+Contractibility is decided on the poset itself first. A finite poset is
+contractible exactly when its beat-point core is a single point, and the
+core does not depend on the order of removal (R. E. Stong, "Finite
+topological spaces", Trans. AMS 123, 1966). Removing whole orbits of beat
+points takes a contractible finite G-poset to a G-fixed point, so the same
+certificate is equivariant (Stong, "Group actions on finite spaces",
+Discrete Math. 49, 1984).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (ComparisonFails, InternalInconsistency,
-                     MapNotWellDefined)
-from .fundgroup import MAX_PASSES, MAX_TOTAL_LENGTH, fundamental_group_trivial
+from .errors import MapNotWellDefined
+from .fundgroup import fundamental_group_trivial
 from .homology import HomologyProfile, homology
-from .poset import DEFAULT_SIMPLEX_CAP, GPoset, OrderComplex, order_complex
-
-COLLAPSE_CELL_CAP = 20_000
-
-_DIRECTIONS = {"up": "up", "down": "down", "<=": "up", ">=": "down"}
+from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
 
 
 def _json_label(x):
@@ -41,31 +44,18 @@ def _sorted_pairs(mapping: dict) -> tuple:
 
 
 @dataclass(frozen=True)
-class ConePoint:
-    """The poset has a unique maximum or minimum; the constant map to it
-    contracts everything, equivariantly for any action leaving the poset
-    invariant (automorphisms fix a unique extreme)."""
+class CoreReduction:
+    """Beat points removed step by step until only point is left. A step is
+    one label, or one whole orbit when the reduction is equivariant; each
+    removal is a strong deformation retraction, so the poset contracts."""
 
-    apex: object
-    end: str  # "max" or "min"
-
-    def to_json(self):
-        return {"kind": "cone", "apex": _json_label(self.apex), "end": self.end}
-
-
-@dataclass(frozen=True)
-class ConicalContraction:
-    """A poset map f with x <= f(x) >= apex for all x (direction "up"),
-    or dually x >= f(x) <= apex (direction "down")."""
-
-    mapping: tuple  # ((x, f(x)), ...)
-    apex: object
-    direction: str
+    steps: tuple  # ((label, ...), ...)
+    point: object
 
     def to_json(self):
-        return {"kind": "conical", "apex": _json_label(self.apex),
-                "direction": self.direction,
-                "mapping": _json_pairs(self.mapping)}
+        return {"kind": "core", "point": _json_label(self.point),
+                "steps": [[_json_label(x) for x in step]
+                          for step in self.steps]}
 
 
 @dataclass(frozen=True)
@@ -81,32 +71,6 @@ class MonotoneRetraction:
         return {"kind": "retraction", "side": self.side,
                 "target": [_json_label(t) for t in self.target],
                 "mapping": _json_pairs(self.mapping)}
-
-
-@dataclass(frozen=True)
-class Zigzag:
-    """Maps f1..fn with pointwise comparisons chaining from the identity:
-    comparisons[i] relates f_{i-1}(x) to f_i(x) for every x (f_0 = id).
-    When the last map is constant this contracts the poset."""
-
-    maps: tuple        # tuple of ((x, f(x)), ...) tuples
-    comparisons: tuple
-
-    def to_json(self):
-        return {"kind": "zigzag", "comparisons": list(self.comparisons),
-                "maps": [_json_pairs(m) for m in self.maps]}
-
-
-@dataclass(frozen=True)
-class CollapseSequence:
-    """Elementary collapses (free face, unique cofacet) ending at one vertex."""
-
-    steps: tuple  # ((face, cofacet), ...) as label tuples
-
-    def to_json(self):
-        return {"kind": "collapse",
-                "steps": [[[_json_label(v) for v in s],
-                           [_json_label(v) for v in t]] for s, t in self.steps]}
 
 
 @dataclass(frozen=True)
@@ -180,8 +144,8 @@ UNKNOWN = "UNKNOWN"
 
 
 def _as_mapping(poset: GPoset, f) -> dict:
-    """Evaluate f on every element; any image outside the poset is an error
-    regardless of strictness, because nothing downstream is meaningful."""
+    """Evaluate f on every element; any image outside the poset is an error,
+    because nothing downstream is meaningful."""
     out = {}
     for x in poset.labels:
         if callable(f):
@@ -197,93 +161,13 @@ def _as_mapping(poset: GPoset, f) -> dict:
     return out
 
 
-def _fail(strict: bool, message: str, element=None) -> bool:
-    if strict:
-        raise ComparisonFails(message, element=element)
-    return False
-
-
-def _check_monotone(poset: GPoset, fmap: dict, strict: bool) -> bool:
-    for x in poset.labels:
-        for y in poset.labels:
-            if poset.leq(x, y) and not poset.leq(fmap[x], fmap[y]):
-                return _fail(strict,
-                             f"map is not order-preserving at {x!r} <= {y!r}",
-                             element=(x, y))
-    return True
-
-
-def _check_pointwise(poset: GPoset, fa, fb: dict, op: str, strict: bool) -> bool:
-    """fa may be None for the identity. op is "<=" or ">=" read left to right."""
-    for x in poset.labels:
-        a = x if fa is None else fa[x]
-        b = fb[x]
-        ok = poset.leq(a, b) if op == "<=" else poset.leq(b, a)
-        if not ok:
-            return _fail(strict, f"comparison {a!r} {op} {b!r} fails at {x!r}",
-                         element=x)
-    return True
-
-
-def _check_equivariant(poset: GPoset, fmap: dict, gens, strict: bool) -> bool:
-    if poset.lattice is None:
-        raise ValueError("equivariance checks need a lattice-backed poset")
-    for g in gens:
-        for x in poset.labels:
-            gx = poset.conjugate_label(g, x)
-            if gx not in poset:
-                return _fail(strict,
-                             f"poset not invariant: {x!r} conjugates out", element=x)
-            if poset.conjugate_label(g, fmap[x]) != fmap[gx]:
-                return _fail(strict,
-                             f"map does not commute with conjugation at {x!r}",
-                             element=x)
-    return True
-
-
-def verify_conical_contraction(poset: GPoset, f, apex, direction: str,
-                               equivariance_gens=None, strict: bool = False) -> bool:
-    """Check that f contracts the poset conically onto apex.
-
-    Direction "up" demands x <= f(x) >= apex for all x, "down" the dual.
-    Ill-defined maps (image outside the poset, apex missing) always raise
-    MapNotWellDefined; failed comparisons return False, or raise
-    ComparisonFails when strict.
-    """
-    direction = _DIRECTIONS[direction]
-    if poset.is_empty():
-        raise MapNotWellDefined("empty poset admits no contraction")
-    apex = poset._label_of(apex)
-    if apex not in poset:
-        raise MapNotWellDefined(f"apex {apex!r} is not in the poset", image=apex)
-    fmap = _as_mapping(poset, f)
-    if not _check_monotone(poset, fmap, strict):
-        return False
-    if direction == "up":
-        if not _check_pointwise(poset, None, fmap, "<=", strict):
-            return False
-        for x in poset.labels:
-            if not poset.leq(apex, fmap[x]):
-                return _fail(strict, f"apex not below image of {x!r}", element=x)
-    else:
-        if not _check_pointwise(poset, None, fmap, ">=", strict):
-            return False
-        for x in poset.labels:
-            if not poset.leq(fmap[x], apex):
-                return _fail(strict, f"image of {x!r} not below apex", element=x)
-    if equivariance_gens is not None:
-        if not _check_equivariant(poset, fmap, equivariance_gens, strict):
-            return False
-    return True
-
-
-def verify_monotone_retraction(poset: GPoset, f, side: str, target,
-                               equivariance_gens=None, strict: bool = False) -> bool:
+def verify_monotone_retraction(poset: GPoset, f, side: str, target) -> bool:
     """Check f: P -> P comparable with the identity with image inside target.
 
     side ">=" means f(x) >= x pointwise, "<=" the dual. target is a GPoset or
     an iterable of labels; it must be a subset of P containing the image.
     A passing check shows the target is a deformation retract of P.
+    Ill-defined maps raise MapNotWellDefined; failed comparisons return False.
     """
     if side not in ("<=", ">="):
         raise ValueError(f"side must be '<=' or '>=', got {side!r}")
@@ -293,216 +177,131 @@ def verify_monotone_retraction(poset: GPoset, f, side: str, target,
         if t not in poset:
             raise MapNotWellDefined(f"target label {t!r} is not in the poset",
                                     image=t)
-    if not _check_monotone(poset, fmap, strict):
-        return False
-    # side ">=" asserts id <= f pointwise, "<=" the reverse
-    if not _check_pointwise(poset, None, fmap, "<=" if side == ">=" else ">=", strict):
-        return False
-    for x in poset.labels:
-        if fmap[x] not in target_labels:
-            return _fail(strict, f"image of {x!r} misses the target subposet",
-                         element=x)
-    if equivariance_gens is not None:
-        if not _check_equivariant(poset, fmap, equivariance_gens, strict):
-            return False
-    return True
-
-
-def verify_zigzag(poset: GPoset, maps, comparisons, equivariance_gens=None,
-                  strict: bool = False, require_constant_end: bool = False) -> bool:
-    """Check a chain of maps f1..fn against the identity.
-
-    comparisons[i] ("<=" or ">=") must hold pointwise between f_{i-1}(x) and
-    f_i(x), with f_0 the identity. An empty chain verifies on any nonempty
-    poset. With require_constant_end the last map must be constant, which
-    upgrades the chain to a contraction.
-    """
-    maps = list(maps)
-    comparisons = list(comparisons)
-    if len(maps) != len(comparisons):
-        raise ValueError("need exactly one comparison per map")
-    if poset.is_empty():
-        return _fail(strict, "empty poset has no basepoint")
-    prev = None
-    fmaps = []
-    for f, op in zip(maps, comparisons):
-        if op not in ("<=", ">="):
-            raise ValueError(f"comparison must be '<=' or '>=', got {op!r}")
-        fmap = _as_mapping(poset, f)
-        if not _check_monotone(poset, fmap, strict):
-            return False
-        if not _check_pointwise(poset, prev, fmap, op, strict):
-            return False
-        if equivariance_gens is not None:
-            if not _check_equivariant(poset, fmap, equivariance_gens, strict):
-                return False
-        fmaps.append(fmap)
-        prev = fmap
-    if require_constant_end:
-        if not fmaps:
-            if len(poset) != 1:
-                return _fail(strict, "empty chain only contracts a point")
-        elif len(set(fmaps[-1].values())) != 1:
-            return _fail(strict, "last map of the chain is not constant")
-    return True
+    leq, labels = poset.leq, poset.labels
+    return (all(leq(fmap[x], fmap[y]) for x in labels for y in labels
+                if leq(x, y))
+            and all(leq(x, fmap[x]) if side == ">=" else leq(fmap[x], x)
+                    for x in labels)
+            and all(fmap[x] in target_labels for x in labels))
 
 
 # --------------------------------------------------------------------------
-# searches
+# beat-point core reduction
+#
+# Labels are handled by their position in poset.labels; a set of labels is
+# a bitmask over positions, so a beat-point test is a few bit operations.
 
 
-def _lub_in_poset(poset: GPoset, a, b):
-    ubs = [y for y in poset.labels if poset.leq(a, y) and poset.leq(b, y)]
-    for y in ubs:
-        if all(poset.leq(y, z) for z in ubs):
-            return y
-    return None
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _glb_in_poset(poset: GPoset, a, b):
-    lbs = [y for y in poset.labels if poset.leq(y, a) and poset.leq(y, b)]
-    for y in lbs:
-        if all(poset.leq(z, y) for z in lbs):
-            return y
-    return None
+def _strict_order(poset: GPoset):
+    """Per position, the bitmasks of the positions strictly below and above."""
+    labels = poset.labels
+    below = [0] * len(labels)
+    above = [0] * len(labels)
+    for i, x in enumerate(labels):
+        for j, y in enumerate(labels):
+            if i != j and poset.leq(x, y):
+                below[j] |= 1 << i
+                above[i] |= 1 << j
+    return below, above
 
 
-def _closure_mapping(poset: GPoset, apex, direction: str):
-    """f(x) = x v apex (up) or x ^ apex (down), or None when some image is
-    missing from the poset. Lattice-backed posets take the subgroup join or
-    intersection; abstract posets use bounds inside the poset itself."""
-    out = {}
-    for x in poset.labels:
-        if poset.lattice is not None:
-            y = (poset.join_in_lattice(x, apex) if direction == "up"
-                 else poset.meet_in_lattice(x, apex))
-        else:
-            y = (_lub_in_poset(poset, x, apex) if direction == "up"
-                 else _glb_in_poset(poset, x, apex))
-        if y is None or y not in poset:
+def _is_beat(i: int, alive: int, below: list, above: list) -> bool:
+    """Position i is a beat point of the subposet alive: its strict down-set
+    has exactly one maximal element, or its strict up-set exactly one
+    minimal element."""
+    down = below[i] & alive
+    if down and sum(1 for j in _bits(down) if not above[j] & down) == 1:
+        return True
+    up = above[i] & alive
+    return bool(up) and sum(1 for j in _bits(up) if not below[j] & up) == 1
+
+
+def _orbit_masks(poset: GPoset, gens):
+    """Per position, the bitmask of its orbit under conjugation by gens, or
+    None when some generator conjugates a label out of the poset."""
+    pos = {x: i for i, x in enumerate(poset.labels)}
+    images = []
+    for g in gens:
+        image = [pos.get(poset.conjugate_label(g, x)) for x in poset.labels]
+        if None in image:
             return None
-        out[x] = y
-    return out
-
-
-def search_conical_contraction(poset: GPoset, equivariance_gens=None,
-                               extra_maps=()):
-    """Look for a conical contraction among closure-type maps.
-
-    Candidates are the explicitly supplied (f, apex, direction) triples,
-    then f(x) = join(x, apex) and f(x) = meet(x, apex) over every apex.
-    Returns (ConicalContraction, equivariant_flag) or None. When generators
-    are supplied an equivariant certificate is preferred; the first plain
-    one found is kept as fallback.
-    """
-    plain = None
-
-    def attempt(f, apex, direction):
-        nonlocal plain
-        try:
-            fmap = _as_mapping(poset, f)
-        except MapNotWellDefined:
-            return None
-        if not verify_conical_contraction(poset, fmap, apex, direction):
-            return None
-        cert = ConicalContraction(_sorted_pairs(fmap), apex,
-                                  _DIRECTIONS[direction])
-        if equivariance_gens is None:
-            return cert, None
-        if _check_equivariant(poset, fmap, equivariance_gens, False):
-            return cert, True
-        if plain is None:
-            plain = (cert, False)
-        return None
-
-    for f, apex, direction in extra_maps:
-        if apex not in poset:
+        images.append(image)
+    orbit = [0] * len(pos)
+    for i in range(len(pos)):
+        if orbit[i]:
             continue
-        hit = attempt(f, apex, direction)
-        if hit:
-            return hit
-    for apex in poset.labels:
-        for direction in ("up", "down"):
-            fmap = _closure_mapping(poset, apex, direction)
-            if fmap is None:
-                continue
-            hit = attempt(fmap, apex, direction)
-            if hit:
-                return hit
-    return plain
+        mask, stack = 1 << i, [i]
+        while stack:
+            k = stack.pop()
+            for image in images:
+                j = image[k]
+                if not mask >> j & 1:
+                    mask |= 1 << j
+                    stack.append(j)
+        for j in _bits(mask):
+            orbit[j] = mask
+    return orbit
 
 
-def _cells_and_cofaces(complex_: OrderComplex):
-    cells = set()
-    for simps in complex_.simplices.values():
-        cells.update(simps)
-    cofaces: dict = {}
-    for s in cells:
-        if len(s) >= 2:
-            for i in range(len(s)):
-                f = s[:i] + s[i + 1:]
-                if f not in cells:
-                    raise InternalInconsistency(
-                        "complex is not closed under faces")
-                cofaces.setdefault(f, set()).add(s)
-    return cells, cofaces
-
-
-def greedy_collapse(complex_: OrderComplex):
-    """Run elementary collapses until stuck; a CollapseSequence is returned
-    only when a single vertex remains. Failure proves nothing (collapsing is
-    order-sensitive), so the caller falls through to homology."""
-    cells, cofaces = _cells_and_cofaces(complex_)
-    if not cells:
+def core_reduction(poset: GPoset, gens=None) -> CoreReduction | None:
+    """Remove the first beat point in label order until none is left; when
+    gens is given and the poset is invariant under conjugation by gens,
+    remove its whole orbit instead (an orbit of beat points is an antichain
+    of beat points). Returns the removals when a single point remains, and
+    None when the core has more than one point or the poset is empty."""
+    if poset.is_empty():
         return None
-    from collections import deque
-
-    queue = deque(s for s in cells if len(cofaces.get(s, ())) == 1)
+    below, above = _strict_order(poset)
+    orbit = _orbit_masks(poset, gens) if gens is not None else None
+    alive = (1 << len(poset)) - 1
     steps = []
-    while queue:
-        s = queue.popleft()
-        if s not in cells:
-            continue
-        live = cofaces.get(s, set())
-        if len(live) != 1:
-            continue
-        t = next(iter(live))
-        cells.discard(s)
-        cells.discard(t)
-        steps.append((s, t))
-        for removed in (s, t):
-            if len(removed) >= 2:
-                for i in range(len(removed)):
-                    f = removed[:i] + removed[i + 1:]
-                    fc = cofaces.get(f)
-                    if fc is not None:
-                        fc.discard(removed)
-                        if f in cells and len(fc) == 1:
-                            queue.append(f)
-    if len(cells) == 1 and len(next(iter(cells))) == 1:
-        return CollapseSequence(tuple(steps))
-    return None
+    while alive & (alive - 1):
+        beat = next((i for i in _bits(alive)
+                     if _is_beat(i, alive, below, above)), None)
+        if beat is None:
+            return None
+        step = orbit[beat] if orbit is not None else 1 << beat
+        steps.append(tuple(poset.labels[j] for j in _bits(step)))
+        alive &= ~step
+    return CoreReduction(tuple(steps), poset.labels[alive.bit_length() - 1])
 
 
-def replay_collapse(complex_: OrderComplex, cert: CollapseSequence) -> bool:
-    """Re-run a stored collapse sequence, checking freeness at every step."""
-    cells, cofaces = _cells_and_cofaces(complex_)
-    for s, t in cert.steps:
-        s, t = tuple(s), tuple(t)
-        if s not in cells or t not in cells:
+def _replay_core(poset: GPoset, cert: CoreReduction, gens) -> bool:
+    """Every label must be a beat point when it is removed, each step must be
+    exactly one orbit when gens is given, and exactly cert.point remains."""
+    pos = {x: i for i, x in enumerate(poset.labels)}
+    below, above = _strict_order(poset)
+    orbit = None
+    if gens is not None:
+        orbit = _orbit_masks(poset, gens)
+        if orbit is None:
             return False
-        if cofaces.get(s, set()) != {t}:
+    alive = (1 << len(pos)) - 1
+    for step in cert.steps:
+        if not step:
             return False
-        cells.discard(s)
-        cells.discard(t)
-        for removed in (s, t):
-            if len(removed) >= 2:
-                for i in range(len(removed)):
-                    f = removed[:i] + removed[i + 1:]
-                    fc = cofaces.get(f)
-                    if fc is not None:
-                        fc.discard(removed)
-    return len(cells) == 1 and len(next(iter(cells))) == 1
+        mask = 0
+        for x in step:
+            i = pos.get(x)
+            if (i is None or not alive >> i & 1
+                    or not _is_beat(i, alive, below, above)):
+                return False
+            alive &= ~(1 << i)
+            mask |= 1 << i
+        if orbit is not None and orbit[i] != mask:
+            return False
+    return cert.point in pos and alive == 1 << pos[cert.point]
+
+
+# --------------------------------------------------------------------------
+# equivariance through fixed points
 
 
 def stabilizer_subgroup_reps(lattice, stab):
@@ -556,67 +355,29 @@ def _reduced_b0(profile: HomologyProfile) -> int:
     return profile.reduced_betti[0] if profile.reduced_betti else 0
 
 
-def contractibility_verdict(obj, *, equivariance_gens=None, extra_maps=(),
-                            max_simplices: int = DEFAULT_SIMPLEX_CAP,
-                            collapse_limit: int = COLLAPSE_CELL_CAP,
-                            pi1_passes: int = MAX_PASSES,
-                            pi1_total: int = MAX_TOTAL_LENGTH) -> Verdict:
-    """Decide contractibility of a poset or complex, in a fixed pipeline:
+def contractibility_verdict(poset: GPoset, *, equivariance_gens=None,
+                            max_simplices: int = DEFAULT_SIMPLEX_CAP) -> Verdict:
+    """Decide contractibility of a poset, in a fixed pipeline:
 
-    empty, cone point, conical-contraction search, greedy collapse,
-    homology refutation (disconnection or nontrivial groups), then trivial
-    homology plus a verified trivial fundamental group. Anything the bounded
-    steps cannot settle is UNKNOWN.
+    empty, beat-point core reduction, homology refutation (disconnection or
+    nontrivial groups), then trivial homology plus a verified trivial
+    fundamental group. Anything the bounded steps cannot settle is UNKNOWN.
 
     equivariance_gens, when given, makes the verdict track whether the
-    certificate is equivariant under conjugation by those generators; only
-    cone and conical certificates can be, and the flag is False on the
-    plain-only paths for a nontrivial generating set.
+    certificate is equivariant under conjugation by those generators. A core
+    reduction is, exactly when the poset is invariant under them; a pi1
+    certificate only is for an empty generating set.
     """
-    poset = obj if isinstance(obj, GPoset) else None
+    if poset.is_empty():
+        return Verdict(NOT_CONTRACTIBLE, "empty", None, None, {"size": 0})
     gens = tuple(equivariance_gens) if equivariance_gens is not None else None
+    invariant = None if gens is None else poset.is_invariant_under(gens)
+    core = core_reduction(poset, gens if invariant else None)
+    if core is not None:
+        return Verdict(CONTRACTIBLE, "core", core, invariant,
+                       {"point": _json_label(core.point)})
 
-    def plain_eq():
-        # collapse/homology certificates never witness equivariance themselves
-        if gens is None:
-            return None
-        return True if not gens else False
-
-    if poset is not None:
-        if poset.is_empty():
-            return Verdict(NOT_CONTRACTIBLE, "empty", None, None, {"size": 0})
-        invariant = None
-        if gens is not None:
-            invariant = poset.is_invariant_under(gens)
-        end = None
-        apex = poset.unique_maximum()
-        if apex is not None:
-            end = "max"
-        else:
-            apex = poset.unique_minimum()
-            if apex is not None:
-                end = "min"
-        if end is not None:
-            return Verdict(CONTRACTIBLE, "cone", ConePoint(apex, end),
-                           invariant, {"apex": _json_label(apex)})
-        hit = search_conical_contraction(poset, gens, extra_maps)
-        if hit is not None:
-            cert, eq = hit
-            return Verdict(CONTRACTIBLE, "conical", cert, eq,
-                           {"apex": _json_label(cert.apex),
-                            "direction": cert.direction})
-        complex_ = order_complex(poset, max_simplices)
-    else:
-        complex_ = obj
-        if complex_.is_empty():
-            return Verdict(NOT_CONTRACTIBLE, "empty", None, None, {"size": 0})
-
-    if complex_.size() <= collapse_limit:
-        seq = greedy_collapse(complex_)
-        if seq is not None:
-            return Verdict(CONTRACTIBLE, "collapse", seq, plain_eq(),
-                           {"steps": len(seq.steps)})
-
+    complex_ = order_complex(poset, max_simplices)
     profile = homology(complex_)
     connected = _reduced_b0(profile) == 0
     if not connected:
@@ -627,30 +388,30 @@ def contractibility_verdict(obj, *, equivariance_gens=None, extra_maps=(),
         return Verdict(NOT_CONTRACTIBLE, "homology",
                        HomologyWitness(profile, True), None,
                        {"profile": profile.to_json()})
-
-    pi1 = fundamental_group_trivial(complex_, pi1_passes, pi1_total)
-    if pi1:
+    if fundamental_group_trivial(complex_):
+        # a homology witness says nothing about equivariance itself
         return Verdict(CONTRACTIBLE, "pi1",
-                       HomologyWitness(profile, True, True), plain_eq(),
+                       HomologyWitness(profile, True, True),
+                       None if gens is None else not gens,
                        {"profile": profile.to_json()})
     return Verdict(UNKNOWN, "undetermined", None, None,
                    {"profile": profile.to_json(), "pi1_trivial": None})
 
 
-def verify_certificate(obj, verdict: Verdict, equivariance_gens=None) -> bool:
+def verify_certificate(poset: GPoset, verdict: Verdict,
+                       equivariance_gens=None) -> bool:
     """Replay the evidence behind a verdict. CONTRACTIBLE certificates are
-    re-verified pointwise; NOT_CONTRACTIBLE witnesses are recomputed. UNKNOWN
-    carries nothing to check and verifies vacuously."""
+    re-verified step by step; NOT_CONTRACTIBLE witnesses are recomputed.
+    UNKNOWN carries nothing to check and verifies vacuously."""
     if verdict.status == UNKNOWN:
         return True
-    poset = obj if isinstance(obj, GPoset) else None
     cert = verdict.certificate
     gens = equivariance_gens if verdict.equivariant else None
 
     if verdict.method == "fixed-point-scan":
         # equivariance settled through fixed subposets; replay the scan, then
         # (for the contractible case) the plain certificate without gens
-        if poset is None or poset.lattice is None:
+        if poset.lattice is None:
             return False
         stab = poset.lattice.ref(verdict.detail["stabilizer"])
         scan = fixed_point_contractibility_scan(poset, stab)
@@ -662,41 +423,16 @@ def verify_certificate(obj, verdict: Verdict, equivariance_gens=None) -> bool:
 
     if verdict.status == NOT_CONTRACTIBLE:
         if verdict.method == "empty":
-            return (poset.is_empty() if poset is not None else obj.is_empty())
-        complex_ = order_complex(poset) if poset is not None else obj
-        profile = homology(complex_)
+            return poset.is_empty()
+        profile = homology(order_complex(poset))
         if verdict.method == "disconnected":
             return _reduced_b0(profile) > 0
         return not profile.trivial
 
-    if isinstance(cert, ConePoint):
-        if poset is None:
-            return False
-        found = (poset.unique_maximum() if cert.end == "max"
-                 else poset.unique_minimum())
-        return found == cert.apex
-    if isinstance(cert, ConicalContraction):
-        if poset is None:
-            return False
-        try:
-            return verify_conical_contraction(poset, dict(cert.mapping),
-                                              cert.apex, cert.direction, gens)
-        except MapNotWellDefined:
-            return False
-    if isinstance(cert, Zigzag):
-        if poset is None:
-            return False
-        try:
-            return verify_zigzag(poset, [dict(m) for m in cert.maps],
-                                 cert.comparisons, gens,
-                                 require_constant_end=True)
-        except MapNotWellDefined:
-            return False
-    if isinstance(cert, CollapseSequence):
-        complex_ = order_complex(poset) if poset is not None else obj
-        return replay_collapse(complex_, cert)
+    if isinstance(cert, CoreReduction):
+        return _replay_core(poset, cert, gens)
     if isinstance(cert, HomologyWitness):
-        complex_ = order_complex(poset) if poset is not None else obj
-        profile = homology(complex_)
-        return profile.trivial and bool(fundamental_group_trivial(complex_))
+        complex_ = order_complex(poset)
+        return (homology(complex_).trivial
+                and bool(fundamental_group_trivial(complex_)))
     return False

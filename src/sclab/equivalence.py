@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
                        FiberContractibility, LinkContractibility,
-                       MonotoneRetraction, Verdict, Zigzag, _json_label,
+                       MonotoneRetraction, Verdict, _json_label,
                        _sorted_pairs, contractibility_verdict,
                        fixed_point_contractibility_scan,
-                       verify_monotone_retraction, verify_zigzag)
+                       verify_monotone_retraction)
 from .errors import MapNotWellDefined, NotASubposet
 from .homology import homology
 from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
@@ -91,62 +91,16 @@ class InclusionResult:
                                 for y, s, v in self.per_element]}
 
 
-def _zigzag_certificate(interval: GPoset, maps, comparisons) -> Zigzag:
-    tabulated = []
-    for f in maps:
-        if callable(f):
-            tabulated.append(_sorted_pairs({x: f(x) for x in interval.labels}))
-        else:
-            tabulated.append(_sorted_pairs(dict(f)))
-    return Zigzag(tuple(tabulated), tuple(comparisons))
-
-
-def _certify_element(interval: GPoset, gens, stab, hint,
+def _certify_element(interval: GPoset, gens, stab,
                      max_simplices: int) -> Verdict:
     """Contractibility of one fiber or punctured interval, equivariantly when
-    gens is not None. The hint, if any, is tried before the generic search."""
-    extra_maps = ()
-    if hint is not None:
-        kind = hint[0]
-        if kind == "zigzag":
-            _, maps, comparisons = hint
-            verdict = _try_zigzag(interval, maps, comparisons, gens)
-            if verdict is not None:
-                if verdict.equivariant or gens is None:
-                    return verdict
-                upgraded = _upgrade_by_fixed_points(interval, stab, verdict,
-                                                   max_simplices)
-                if upgraded is not None:
-                    return upgraded
-        elif kind == "conical":
-            extra_maps = (hint[1:],)
-        else:
-            raise ValueError(f"unknown hint kind {kind!r}")
+    gens is not None."""
     verdict = contractibility_verdict(interval, equivariance_gens=gens,
-                                      extra_maps=extra_maps,
                                       max_simplices=max_simplices)
     if verdict.status != CONTRACTIBLE or gens is None or verdict.equivariant:
         return verdict
     upgraded = _upgrade_by_fixed_points(interval, stab, verdict, max_simplices)
     return verdict if upgraded is None else upgraded
-
-
-def _try_zigzag(interval: GPoset, maps, comparisons, gens) -> Verdict | None:
-    try:
-        if gens is not None and verify_zigzag(interval, maps, comparisons,
-                                              gens, require_constant_end=True):
-            cert = _zigzag_certificate(interval, maps, comparisons)
-            return Verdict(CONTRACTIBLE, "zigzag", cert, True,
-                           {"length": len(cert.maps)})
-        if verify_zigzag(interval, maps, comparisons,
-                         require_constant_end=True):
-            cert = _zigzag_certificate(interval, maps, comparisons)
-            return Verdict(CONTRACTIBLE, "zigzag", cert,
-                           None if gens is None else False,
-                           {"length": len(cert.maps)})
-    except MapNotWellDefined:
-        pass
-    return None
 
 
 def _upgrade_by_fixed_points(interval: GPoset, stab, plain: Verdict,
@@ -170,7 +124,7 @@ def _upgrade_by_fixed_points(interval: GPoset, stab, plain: Verdict,
 
 
 def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
-                                 certifier=None, equivariant: bool | None = None,
+                                 equivariant: bool | None = None,
                                  reps=None,
                                  max_simplices: int = DEFAULT_SIMPLEX_CAP
                                  ) -> InclusionResult:
@@ -182,8 +136,6 @@ def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
     (plainly); "upper-equivariant" is the upper check with stabilizer
     equivariance demanded. equivariant overrides the mode default.
 
-    certifier(label, interval) may return ("zigzag", maps, comparisons) or
-    ("conical", f, apex, direction) to try a known construction first.
     reps, when given, replaces the conjugacy-representative choice.
 
     Aggregation: PASS when every element certifies, FAIL when some hypothesis
@@ -220,8 +172,7 @@ def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
         if demand:
             stab = lat.normalizer(lat.ref(y))
             gens = lat.generating_set(stab)
-        hint = certifier(y, interval) if certifier is not None else None
-        verdict = _certify_element(interval, gens, stab, hint, max_simplices)
+        verdict = _certify_element(interval, gens, stab, max_simplices)
         per.append((y, stab.index if stab is not None else None, verdict))
         if verdict.status == NOT_CONTRACTIBLE:
             failing.append(y)

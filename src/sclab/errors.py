@@ -57,14 +57,6 @@ class MapNotWellDefined(SclabError):
         super().__init__(message)
 
 
-class ComparisonFails(SclabError):
-    """A pointwise comparison required by a certificate does not hold."""
-
-    def __init__(self, message, *, element=None):
-        self.element = element
-        super().__init__(message)
-
-
 class NotASubposet(SclabError):
     """An inclusion-equivalence check was handed posets that are not nested."""
 

@@ -96,13 +96,11 @@ def edge_path_presentation(complex_: OrderComplex):
     return len(gen_of), relators
 
 
-def simplify_presentation(ngens: int, relators: list[Word],
-                          max_passes: int = MAX_PASSES,
-                          max_total: int = MAX_TOTAL_LENGTH):
+def simplify_presentation(ngens: int, relators: list[Word]):
     """Bounded Tietze moves; returns the surviving generator set and relators."""
     alive = set(range(1, ngens + 1))
     rels = [r for r in (_cyclic_reduce(r) for r in relators) if r]
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         if not alive:
             return alive, []
         changed = False
@@ -149,16 +147,14 @@ def simplify_presentation(ngens: int, relators: list[Word],
                 break
         if changed:
             continue
-        if sum(len(r) for r in rels) > max_total:
+        if sum(len(r) for r in rels) > MAX_TOTAL_LENGTH:
             break
         if not changed:
             break
     return alive, rels
 
 
-def fundamental_group_trivial(complex_: OrderComplex,
-                              max_passes: int = MAX_PASSES,
-                              max_total: int = MAX_TOTAL_LENGTH) -> bool | None:
+def fundamental_group_trivial(complex_: OrderComplex) -> bool | None:
     """True when the edge-path presentation simplifies to nothing; None when
     the budgeted simplification cannot decide."""
     pres = edge_path_presentation(complex_)
@@ -167,5 +163,5 @@ def fundamental_group_trivial(complex_: OrderComplex,
     ngens, relators = pres
     if ngens == 0:
         return True
-    alive, _ = simplify_presentation(ngens, relators, max_passes, max_total)
+    alive, _ = simplify_presentation(ngens, relators)
     return True if not alive else None

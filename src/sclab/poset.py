@@ -149,28 +149,6 @@ class GPoset:
         return all(self.conjugate_label(g, x) in self._set
                    for g in gens for x in self.labels)
 
-    def join_in_lattice(self, a, b):
-        lat = self.lattice
-        return lat.join(lat.ref(self._label_of(a)), lat.ref(self._label_of(b))).index
-
-    def meet_in_lattice(self, a, b):
-        lat = self.lattice
-        return lat.meet(lat.ref(self._label_of(a)), lat.ref(self._label_of(b))).index
-
-    # ----- extremes -------------------------------------------------------------
-
-    def unique_minimum(self):
-        for x in self.labels:
-            if all(self.leq(x, y) for y in self.labels):
-                return x
-        return None
-
-    def unique_maximum(self):
-        for x in self.labels:
-            if all(self.leq(y, x) for y in self.labels):
-                return x
-        return None
-
 
 class OrderComplex:
     """Simplicial complex whose k-simplices are the strict (k+1)-chains.

@@ -1,8 +1,8 @@
 """Plan execution: load a group, build its lattice, run verification suites,
 and assemble one deterministic report dictionary.
 
-Reports carry no timestamps or environment data; two runs of the same plan on
-the same inputs serialize byte-identically.
+Reports carry no timestamps, paths or environment data; two runs of the
+same plan on the same inputs serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .tables import (SKIPPED, TABLE31, TABLE44, is_dihedral8,
                      verify_counterexamples, verify_inclusion_chains,
                      verify_table_edges)
 
-REPORT_FORMAT = "sclab-report/1"
+REPORT_FORMAT = "sclab-report/2"
 
 SUITES = ("table31", "table44", "counterexamples", "inclusions",
           "conditions", "all")
@@ -52,7 +52,11 @@ class VerificationPlan:
             raise ValueError(f"prime must be at least 2, got {self.prime}")
 
     def to_json(self) -> dict:
-        return {"group": self.group, "prime": self.prime, "suite": self.suite,
+        # a file is named by its base name, so the report does not depend
+        # on the directory the group file was read from
+        group = (self.group if self.group.startswith("builtin:")
+                 else Path(self.group).name)
+        return {"group": group, "prime": self.prime, "suite": self.suite,
                 "max_order": self.max_order,
                 "max_simplices": self.max_simplices,
                 "strict": self.strict}

@@ -21,7 +21,6 @@ from .equivalence import (CERTIFIED, FAIL, HOMOLOGY_CONSISTENT, INCONCLUSIVE,
                           verify_inclusion_equivalence)
 from .errors import NotMutuallyNormalizing
 from .homology import homology
-from .lattice import p_part
 from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
 
 SKIPPED = "SKIPPED"
@@ -114,68 +113,6 @@ def table_edges(table: str) -> tuple:
     if table == TABLE44:
         return TABLE44_EDGES
     raise ValueError(f"unknown table {table!r}")
-
-
-# --------------------------------------------------------------------------
-# paper-shaped certifiers for the pruning edges
-
-
-def _core_zigzag(lat, p):
-    """Retract Q through its intersection with the normalizer and the
-    normalizer's p-core: Q >= N_Q(P) <= N_Q(P) * O_p(N(P)) >= O_p(N(P))."""
-    def certifier(label, interval):
-        P = lat.ref(label)
-        NP = lat.normalizer(P)
-        ONP = lat.p_core(NP, p)
-
-        def g1(q):
-            return lat.meet(lat.ref(q), NP).index
-
-        def g2(q):
-            return lat.product(lat.meet(lat.ref(q), NP), ONP).index
-
-        def g3(q):
-            return ONP.index
-
-        return ("zigzag", [g1, g2, g3], [">=", "<=", ">="])
-    return certifier
-
-
-def _host_zigzag(lat, p):
-    """Like the core zigzag, but the constant end is enlarged through the
-    p-core R of a p-local overgroup of N(P) with full p-part, which exists
-    whenever the overgroup condition holds: the apex is N_R(P) * O_p(N(P))."""
-    full = p_part(lat.group.order, p)
-
-    def certifier(label, interval):
-        P = lat.ref(label)
-        NP = lat.normalizer(P)
-        ONP = lat.p_core(NP, p)
-        host = next((m for m in lat.p_locals(p)
-                     if p_part(m.order, p) == full and lat.leq(NP, m)), None)
-        if host is None:
-            return None
-        apex = lat.product(lat.meet(lat.p_core(host, p), NP), ONP)
-
-        def g1(q):
-            return lat.meet(lat.ref(q), NP).index
-
-        def g2(q):
-            return lat.product(lat.meet(lat.ref(q), NP), apex).index
-
-        def g3(q):
-            return apex.index
-
-        return ("zigzag", [g1, g2, g3], [">=", "<=", ">="])
-    return certifier
-
-
-def _prune_certifier(ctx, holding):
-    """Choose the zigzag construction from the first holding condition."""
-    lat, p = ctx.lattice, ctx.p
-    if "Cl" in holding or "Ch" in holding:
-        return _core_zigzag(lat, p)
-    return _host_zigzag(lat, p)
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +215,6 @@ def _compare_nerves(ctx, left: GPoset, right: GPoset, max_simplices) -> dict:
 
 
 def _check_solid(ctx, spec, posets, max_simplices) -> EdgeResult:
-    lat = ctx.lattice
     left, right = (posets[k] for k in spec.kinds)
     holding = [c for c in spec.conditions if ctx.condition(c).holds]
     detail = {}
@@ -297,12 +233,9 @@ def _check_solid(ctx, spec, posets, max_simplices) -> EdgeResult:
         res = verify_inclusion_equivalence(left, right, "lower",
                                            max_simplices=max_simplices)
     elif spec.checker in ("prune", "prune-equivariant"):
-        certifier = (_prune_certifier(ctx, holding) if spec.conditions
-                     else _core_zigzag(lat, ctx.p))
         mode = "upper-equivariant" if spec.checker == "prune-equivariant" else "upper"
         # pruning edges read right-to-left: the smaller collection is kept
         res = verify_inclusion_equivalence(right, left, mode,
-                                           certifier=certifier,
                                            max_simplices=max_simplices)
     elif spec.checker == "fibers-by-centralizer":
         return _check_by_centralizer(ctx, spec, left, right, detail,

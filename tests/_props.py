@@ -9,7 +9,9 @@ order.
 
 import random
 
-from sclab.collections import collection_context
+from sclab.collections import KINDS, collection_context
+from sclab.contract import (CONTRACTIBLE, core_reduction,
+                            fixed_point_contractibility_scan)
 from sclab.group import builtin_group
 from sclab.homology import (
     boundary_matrix,
@@ -284,6 +286,32 @@ def check_brown_congruence(b: Budget) -> None:
         b.check((chi - 1) % p_part(lat.group.order, p) == 0, (name, p, chi))
 
 
+def check_core_reduction_is_contractibility(b: Budget) -> None:
+    """Every collection poset and its fixed subposets under orbit
+    representatives: a beat-point core that is a point means trivial
+    homology. On a G-invariant poset the orbit-wise reduction reaches a point
+    as well, and the independent fixed-point scan confirms that the poset is
+    G-contractible (Stong's equivariant claim)."""
+    for name, p in SUITE:
+        lat = lattice_of(name)
+        ctx = collection_context(lat, p)
+        gens = lat.generating_set(lat.full)
+        seen = set()
+        for kind in KINDS:
+            whole = GPoset.from_collection(lat, ctx.collection(kind))
+            for h in lat.orbit_representatives():
+                poset = whole.fixed_points(h)
+                if poset.labels in seen or core_reduction(poset) is None:
+                    continue
+                seen.add(poset.labels)
+                tag = (name, p, kind, h.index)
+                b.check(homology(order_complex(poset)).trivial, tag)
+                if poset.is_invariant_under(gens):
+                    b.check(core_reduction(poset, gens) is not None, tag)
+                    scan = fixed_point_contractibility_scan(poset, lat.full)
+                    b.check(scan[0] == CONTRACTIBLE, tag)
+
+
 # ---------------------------------------------------------------- driver
 
 # (family, rng seed); None for families with no sampling. Seeds are fixed
@@ -303,6 +331,7 @@ FAMILIES = (
     (check_boundary_squares_to_zero, 112),
     (check_smith_form_invariants, 113),
     (check_brown_congruence, None),
+    (check_core_reduction_is_contractibility, None),
 )
 
 

@@ -8,6 +8,7 @@ regenerate it.
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ def test_clean_run_writes_json_to_stdout(capfdbinary):
     out = capfdbinary.readouterr().out
     assert out.endswith(b"\n")
     report = json.loads(out)
-    assert report["format"] == "sclab-report/1"
+    assert report["format"] == "sclab-report/2"
     assert report["group"]["name"] == "D8"
 
 
@@ -82,6 +83,22 @@ def test_golden_d8_table31(tmp_path, capfd):
     capfd.readouterr()
     assert rc == 0
     assert target.read_bytes() == (GOLDEN / "d8_table31.json").read_bytes()
+
+
+def test_reports_do_not_depend_on_the_group_file_directory(tmp_path):
+    source = tmp_path / "square.grp"
+    source.write_text("degree 4\ngen (0 1 2 3)\ngen (1 3)\n")
+    reports = []
+    for place in ("one", "two/deeper"):
+        copy = tmp_path / place / "square.grp"
+        copy.parent.mkdir(parents=True)
+        shutil.copy(source, copy)
+        target = tmp_path / place / "report.json"
+        assert verify("--group", str(copy), "--prime", "2",
+                      "--report", str(target)) == 0
+        reports.append(target.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["plan"]["group"] == "square.grp"
 
 
 def test_cache_flag_populates_directory(tmp_path, capfdbinary):

@@ -1,33 +1,27 @@
 """Certificate checkers and the three-valued contractibility pipeline.
 
 Every CONTRACTIBLE verdict must carry evidence that replays; the tamper
-tests flip one field of a good certificate and demand rejection.
+tests alter one part of a good certificate and demand rejection.
 """
 
 import dataclasses
-from itertools import combinations
 
 import pytest
 
+from sclab.collections import collection_context
 from sclab.contract import (
     CONTRACTIBLE,
     NOT_CONTRACTIBLE,
     UNKNOWN,
-    CollapseSequence,
-    ConePoint,
+    CoreReduction,
     Verdict,
-    Zigzag,
     contractibility_verdict,
+    core_reduction,
     fixed_point_contractibility_scan,
-    greedy_collapse,
-    replay_collapse,
-    search_conical_contraction,
     verify_certificate,
-    verify_conical_contraction,
     verify_monotone_retraction,
-    verify_zigzag,
 )
-from sclab.errors import ComparisonFails, MapNotWellDefined
+from sclab.errors import MapNotWellDefined
 from sclab.group import builtin_group
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import GPoset, OrderComplex
@@ -49,40 +43,52 @@ TRIANGLE_RIM = GPoset(
 )
 
 
-def complex_of(maximal):
-    return OrderComplex.from_maximal_simplices(maximal)
+def face_poset(maximal):
+    """The nonempty faces of the complex spanned by the given simplices,
+    ordered by inclusion; its order complex subdivides that complex."""
+    cx = OrderComplex.from_maximal_simplices(maximal)
+    faces = [s for k in sorted(cx.simplices) for s in cx.simplices[k]]
+    covers = [(s[:i] + s[i + 1:], s)
+              for s in faces if len(s) > 1 for i in range(len(s))]
+    return GPoset.from_relation(faces, covers)
+
+
+def core_verdict(steps, point, equivariant=None):
+    return Verdict(CONTRACTIBLE, "core", CoreReduction(steps, point),
+                   equivariant)
 
 
 # ----------------------------------------------------------- map checkers
 
 
 def test_conical_contraction_accepts_join_map():
+    # joining with "a" is comparable with the identity and lands in the
+    # star of "a", which a retraction checker must accept
     f = {"a": "a", "b": "ab", "c": "ac", "ab": "ab", "ac": "ac"}
-    assert verify_conical_contraction(BOWTIE, f, "a", "up")
+    assert verify_monotone_retraction(BOWTIE, f, ">=", ("a", "ab", "ac"))
 
 
 def test_conical_contraction_rejects_non_monotone():
-    f = {"a": "a", "b": "ac", "c": "ac", "ab": "ab", "ac": "ac"}
-    assert not verify_conical_contraction(BOWTIE, f, "a", "up")
-    with pytest.raises(ComparisonFails):
-        verify_conical_contraction(BOWTIE, f, "a", "up", strict=True)
+    # a <= ac, but ab is not below ac
+    f = {"a": "ab", "b": "b", "c": "c", "ab": "ab", "ac": "ac"}
+    assert not verify_monotone_retraction(BOWTIE, f, ">=", BOWTIE.labels)
 
 
 def test_ill_defined_maps_raise_even_when_not_strict():
     with pytest.raises(MapNotWellDefined):
-        verify_conical_contraction(BOWTIE, {"a": "a"}, "a", "up")
+        verify_monotone_retraction(BOWTIE, {"a": "a"}, ">=", ("a",))
     with pytest.raises(MapNotWellDefined):
-        verify_conical_contraction(
-            BOWTIE, {x: "zz" for x in BOWTIE.labels}, "a", "up")
+        verify_monotone_retraction(
+            BOWTIE, {x: "zz" for x in BOWTIE.labels}, ">=", ("a",))
     with pytest.raises(MapNotWellDefined):
-        verify_conical_contraction(
-            BOWTIE, {x: x for x in BOWTIE.labels}, "zz", "up")
+        verify_monotone_retraction(
+            BOWTIE, {x: x for x in BOWTIE.labels}, ">=", ("zz",))
 
 
 def test_empty_poset_has_no_contraction():
     empty = DIVISORS_OF_12.restrict(())
-    with pytest.raises(MapNotWellDefined):
-        verify_conical_contraction(empty, {}, 1, "down")
+    assert core_reduction(empty) is None
+    assert not verify_certificate(empty, core_verdict((), 1))
 
 
 def test_monotone_retraction():
@@ -90,9 +96,6 @@ def test_monotone_retraction():
     assert verify_monotone_retraction(DIVISORS_OF_12, f, ">=", (2, 4, 6, 12))
     # image escapes a smaller target
     assert not verify_monotone_retraction(DIVISORS_OF_12, f, ">=", (4, 6, 12))
-    with pytest.raises(ComparisonFails):
-        verify_monotone_retraction(DIVISORS_OF_12, f, ">=", (4, 6, 12),
-                                   strict=True)
     with pytest.raises(MapNotWellDefined):
         verify_monotone_retraction(DIVISORS_OF_12, f, ">=", (2, 5))
     with pytest.raises(ValueError):
@@ -100,70 +103,70 @@ def test_monotone_retraction():
 
 
 def test_zigzag_single_constant_map_contracts():
+    # one constant map comparable with the identity retracts onto a point
     const_one = {x: 1 for x in DIVISORS_OF_12.labels}
-    assert verify_zigzag(DIVISORS_OF_12, [const_one], [">="],
-                         require_constant_end=True)
+    assert verify_monotone_retraction(DIVISORS_OF_12, const_one, "<=", (1,))
     # wrong comparison direction
-    assert not verify_zigzag(DIVISORS_OF_12, [const_one], ["<="])
-    with pytest.raises(ComparisonFails):
-        verify_zigzag(DIVISORS_OF_12, [const_one], ["<="], strict=True)
+    assert not verify_monotone_retraction(DIVISORS_OF_12, const_one, ">=",
+                                          (1,))
 
 
 def test_zigzag_empty_chain_contract():
-    assert verify_zigzag(DIVISORS_OF_12, [], [])
+    # a reduction without steps contracts exactly the one-point posets
     point = DIVISORS_OF_12.restrict((1,))
-    assert verify_zigzag(point, [], [], require_constant_end=True)
-    assert not verify_zigzag(DIVISORS_OF_12, [], [], require_constant_end=True)
-    empty = DIVISORS_OF_12.restrict(())
-    assert not verify_zigzag(empty, [], [])
-    with pytest.raises(ComparisonFails):
-        verify_zigzag(empty, [], [], strict=True)
+    assert core_reduction(point) == CoreReduction((), 1)
+    assert verify_certificate(point, core_verdict((), 1))
+    assert not verify_certificate(DIVISORS_OF_12, core_verdict((), 1))
+    assert not verify_certificate(DIVISORS_OF_12.restrict(()),
+                                  core_verdict((), 1))
 
 
 def test_zigzag_requires_constant_end_when_asked():
     ident = {x: x for x in DIVISORS_OF_12.labels}
-    assert verify_zigzag(DIVISORS_OF_12, [ident], ["<="])
-    assert not verify_zigzag(DIVISORS_OF_12, [ident], ["<="],
-                             require_constant_end=True)
-    with pytest.raises(ValueError):
-        verify_zigzag(DIVISORS_OF_12, [ident], ["<=", ">="])
+    assert verify_monotone_retraction(DIVISORS_OF_12, ident, "<=",
+                                      DIVISORS_OF_12.labels)
+    assert not verify_monotone_retraction(DIVISORS_OF_12, ident, "<=", (12,))
 
 
 # --------------------------------------------------------------- searches
 
 
 def test_search_finds_conical_contraction():
-    hit = search_conical_contraction(BOWTIE)
-    assert hit is not None
-    cert, eq = hit
-    assert cert.apex == "a"
-    assert cert.direction == "up"
-    assert eq is None
-    assert verify_conical_contraction(BOWTIE, dict(cert.mapping), cert.apex,
-                                      cert.direction)
+    cert = core_reduction(BOWTIE)
+    assert cert is not None
+    assert sum(len(step) for step in cert.steps) == len(BOWTIE) - 1
+    assert all(len(step) == 1 for step in cert.steps)
+    assert verify_certificate(BOWTIE, core_verdict(cert.steps, cert.point))
 
 
 def test_search_fails_on_a_circle():
-    assert search_conical_contraction(TRIANGLE_RIM) is None
+    assert core_reduction(TRIANGLE_RIM) is None
 
 
 def test_greedy_collapse_of_a_solid_triangle():
-    cx = complex_of([(0, 1, 2)])
-    seq = greedy_collapse(cx)
-    assert seq is not None
-    assert len(seq.steps) == 3
-    assert replay_collapse(cx, seq)
+    poset = face_poset([(0, 1, 2)])
+    cert = core_reduction(poset)
+    assert cert is not None
+    assert len(cert.steps) == 6
+    assert verify_certificate(poset, core_verdict(cert.steps, cert.point))
 
 
 def test_collapse_replay_rejects_tampered_steps():
-    cx = complex_of([(0, 1, 2)])
-    seq = greedy_collapse(cx)
-    assert not replay_collapse(cx, CollapseSequence(seq.steps[1:]))
-    assert not replay_collapse(cx, CollapseSequence(seq.steps[::-1]))
+    poset = face_poset([(0, 1, 2)])
+    cert = core_reduction(poset)
+    assert not verify_certificate(
+        poset, core_verdict(cert.steps[1:], cert.point))
+    # a vertex lies below two edges, so it is no beat point at first
+    vertex_first = ((((0,),),)
+                    + tuple(s for s in cert.steps if s != ((0,),)))
+    assert not verify_certificate(
+        poset, core_verdict(vertex_first, cert.point))
 
 
 def test_collapse_gets_stuck_on_the_dunce_hat():
-    assert greedy_collapse(complex_of(DUNCE_FACETS)) is None
+    # the dunce hat is contractible but its face poset has no beat point
+    # (beat-point removals are the strong collapses of the nerve)
+    assert core_reduction(face_poset(DUNCE_FACETS)) is None
 
 
 # --------------------------------------------------------- verdict pipeline
@@ -179,31 +182,36 @@ def test_verdict_empty():
 def test_verdict_cone_from_unique_maximum():
     v = contractibility_verdict(DIVISORS_OF_12)
     assert v.status == CONTRACTIBLE
-    assert v.method == "cone"
-    assert v.certificate == ConePoint(12, "max")
+    assert v.method == "core"
+    # the first beat point in label order goes first: 1 only becomes one
+    # once 2, 3 and 4 are gone and 6 is the least element above it
+    assert v.certificate == CoreReduction(((2,), (3,), (4,), (1,), (6,)), 12)
+    assert v.detail == {"point": 12}
     assert verify_certificate(DIVISORS_OF_12, v)
 
 
 def test_verdict_cone_from_unique_minimum():
     no_top = DIVISORS_OF_12.restrict((1, 2, 3, 4, 6))
     v = contractibility_verdict(no_top)
-    assert v.certificate == ConePoint(1, "min")
+    assert v.method == "core"
+    assert v.certificate == CoreReduction(((2,), (3,), (4,), (1,)), 6)
     assert verify_certificate(no_top, v)
 
 
 def test_verdict_conical_search():
     v = contractibility_verdict(BOWTIE)
     assert v.status == CONTRACTIBLE
-    assert v.method == "conical"
+    assert v.method == "core"
+    assert v.equivariant is None
     assert verify_certificate(BOWTIE, v)
 
 
 def test_verdict_collapse_on_a_complex():
-    cx = complex_of([(0, 1, 2), (1, 2, 3)])
-    v = contractibility_verdict(cx)
+    poset = face_poset([(0, 1, 2), (1, 2, 3)])
+    v = contractibility_verdict(poset)
     assert v.status == CONTRACTIBLE
-    assert v.method == "collapse"
-    assert verify_certificate(cx, v)
+    assert v.method == "core"
+    assert verify_certificate(poset, v)
 
 
 def test_verdict_disconnected():
@@ -223,28 +231,33 @@ def test_verdict_homology_refutation():
 
 
 def test_verdict_pi1_on_the_dunce_hat():
-    cx = complex_of(DUNCE_FACETS)
-    v = contractibility_verdict(cx)
+    poset = face_poset(DUNCE_FACETS)
+    assert len(poset) == 79
+    v = contractibility_verdict(poset)
     assert v.status == CONTRACTIBLE
     assert v.method == "pi1"
-    assert verify_certificate(cx, v)
+    assert verify_certificate(poset, v)
 
 
-def test_verdict_unknown_with_zero_pi1_budget():
-    cx = complex_of(DUNCE_FACETS)
-    v = contractibility_verdict(cx, pi1_passes=0)
+def test_verdict_unknown_with_zero_pi1_budget(monkeypatch):
+    monkeypatch.setattr("sclab.contract.fundamental_group_trivial",
+                        lambda complex_: None)
+    poset = face_poset(DUNCE_FACETS)
+    v = contractibility_verdict(poset)
     assert v.status == UNKNOWN
     assert v.certificate is None
     # UNKNOWN carries nothing and verifies vacuously
-    assert verify_certificate(cx, v)
+    assert verify_certificate(poset, v)
 
 
 def test_verdict_to_json_shapes():
     v = contractibility_verdict(DIVISORS_OF_12)
     js = v.to_json()
     assert js["status"] == CONTRACTIBLE
-    assert js["certificate"]["kind"] == "cone"
-    assert js["certificate"]["apex"] == 12
+    assert js["method"] == "core"
+    assert js["detail"] == {"point": 12}
+    assert js["certificate"] == {"kind": "core", "point": 12,
+                                 "steps": [[2], [3], [4], [1], [6]]}
 
 
 # ------------------------------------------------------- tamper rejection
@@ -252,32 +265,37 @@ def test_verdict_to_json_shapes():
 
 def test_tampered_cone_certificate_is_rejected():
     v = contractibility_verdict(DIVISORS_OF_12)
-    bad = dataclasses.replace(v, certificate=ConePoint(6, "max"))
-    assert not verify_certificate(DIVISORS_OF_12, bad)
+    wrong_point = dataclasses.replace(
+        v, certificate=dataclasses.replace(v.certificate, point=6))
+    assert not verify_certificate(DIVISORS_OF_12, wrong_point)
+    dropped = dataclasses.replace(
+        v, certificate=dataclasses.replace(v.certificate,
+                                           steps=v.certificate.steps[:-1]))
+    assert not verify_certificate(DIVISORS_OF_12, dropped)
 
 
 def test_tampered_conical_certificate_is_rejected():
     v = contractibility_verdict(BOWTIE)
-    mapping = dict(v.certificate.mapping)
-    mapping["b"] = "ac"
+    # "a" lies below both maximal elements, so it is no beat point at first
+    steps = (("a",),) + tuple(s for s in v.certificate.steps if s != ("a",))
+    assert v.certificate.steps != steps
     bad = dataclasses.replace(
-        v, certificate=dataclasses.replace(v.certificate,
-                                           mapping=tuple(mapping.items())))
+        v, certificate=dataclasses.replace(v.certificate, steps=steps))
     assert not verify_certificate(BOWTIE, bad)
 
 
 def test_tampered_zigzag_certificate_is_rejected():
-    const_one = tuple((x, 1) for x in DIVISORS_OF_12.labels)
-    good = Verdict(CONTRACTIBLE, "zigzag",
-                   Zigzag((const_one,), (">=",)), None)
-    assert verify_certificate(DIVISORS_OF_12, good)
+    # split one orbit step of an equivariant reduction into single labels:
+    # every removal is still a beat point, but no longer a whole orbit
+    lat, poset, gens = d8_nontrivial()
+    v = contractibility_verdict(poset, equivariance_gens=gens)
+    steps = v.certificate.steps
+    k = next(i for i, step in enumerate(steps) if len(step) > 1)
+    split = steps[:k] + tuple((x,) for x in steps[k]) + steps[k + 1:]
     bad = dataclasses.replace(
-        good, certificate=Zigzag((const_one,), ("<=",)))
-    assert not verify_certificate(DIVISORS_OF_12, bad)
-    ident = tuple((x, x) for x in DIVISORS_OF_12.labels)
-    not_constant = dataclasses.replace(
-        good, certificate=Zigzag((ident,), ("<=",)))
-    assert not verify_certificate(DIVISORS_OF_12, not_constant)
+        v, certificate=dataclasses.replace(v.certificate, steps=split))
+    assert verify_certificate(poset, bad)
+    assert not verify_certificate(poset, bad, equivariance_gens=gens)
 
 
 def test_certificate_against_wrong_object_fails():
@@ -293,29 +311,54 @@ def lattice_of_d8():
     return enumerate_subgroups(builtin_group("D8"))
 
 
-def test_cone_verdict_tracks_invariance():
+def d8_nontrivial():
     lat = lattice_of_d8()
     nontrivial = [r for r in lat.subgroups if r.order > 1]
     poset = GPoset.from_lattice_indices(lat, [r.index for r in nontrivial])
-    gens = lat.group.generator_indices
+    return lat, poset, lat.group.generator_indices
+
+
+def test_cone_verdict_tracks_invariance():
+    lat, poset, gens = d8_nontrivial()
     v = contractibility_verdict(poset, equivariance_gens=gens)
     assert v.status == CONTRACTIBLE
-    assert v.method == "cone"
+    assert v.method == "core"
     assert v.equivariant is True
+    assert v.certificate.point == lat.full.index
+    assert verify_certificate(poset, v, equivariance_gens=gens)
+    # a lone non-normal reflection subgroup is a point, but not a fixed one
+    refl = next(r for r in lat.subgroups
+                if r.order == 2 and lat.normalizer(r).order < 8)
+    single = GPoset.from_lattice_indices(lat, [refl.index])
+    v = contractibility_verdict(single, equivariance_gens=gens)
+    assert v.method == "core"
+    assert v.equivariant is False
+
+
+def test_core_is_equivariant_where_plain_collapse_was_not():
+    """The elementary abelian 2-subgroups of S4 contract through the normal
+    Klein group; no join with it stays inside, but whole orbits of beat
+    points still reduce the poset to that fixed point."""
+    lat = enumerate_subgroups(builtin_group("S4"))
+    ctx = collection_context(lat, 2)
+    poset = GPoset.from_collection(lat, ctx.collection("A"))
+    gens = lat.group.generator_indices
+    assert len(poset) == 13
+    v = contractibility_verdict(poset, equivariance_gens=gens)
+    assert v.method == "core"
+    assert v.equivariant is True
+    normal_klein = lat.ref(v.certificate.point)
+    assert normal_klein.order == 4 and lat.normalizer(normal_klein).order == 24
     assert verify_certificate(poset, v, equivariance_gens=gens)
 
 
 def test_equivariance_check_needs_a_lattice():
-    good = {"a": "a", "b": "ab", "c": "ac", "ab": "ab", "ac": "ac"}
     with pytest.raises(ValueError):
-        verify_conical_contraction(BOWTIE, good, "a", "up",
-                                   equivariance_gens=(0,))
+        contractibility_verdict(BOWTIE, equivariance_gens=(0,))
 
 
 def test_fixed_point_scan_on_invariant_poset():
-    lat = lattice_of_d8()
-    nontrivial = [r for r in lat.subgroups if r.order > 1]
-    poset = GPoset.from_lattice_indices(lat, [r.index for r in nontrivial])
+    lat, poset, _ = d8_nontrivial()
     full = lat.subgroups[-1]
     scan = fixed_point_contractibility_scan(poset, full)
     assert scan is not None

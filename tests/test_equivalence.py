@@ -72,26 +72,15 @@ def test_lower_mode_certifies_plainly(d8):
     assert not cert.equivariant
 
 
-def test_upper_mode_with_zigzag_certifier(d8):
+def test_upper_mode_certificates_replay(d8):
     lat, ctx = d8
     sub = poset_of(lat, ctx, "tilde-B")
     ambient = poset_of(lat, ctx, "tilde-S")
-
-    def certifier(label, interval):
-        P = lat.ref(label)
-        NP = lat.normalizer(P)
-        ONP = lat.p_core(NP, 2)
-        return ("zigzag",
-                [lambda q: lat.meet(lat.ref(q), NP).index,
-                 lambda q: lat.product(lat.meet(lat.ref(q), NP), ONP).index,
-                 lambda q: ONP.index],
-                [">=", "<=", ">="])
-
-    res = verify_inclusion_equivalence(sub, ambient, "upper",
-                                       certifier=certifier)
+    res = verify_inclusion_equivalence(sub, ambient, "upper")
     assert res.outcome == PASS
     # every stored certificate must replay against its own interval
     for label, _, verdict in res.per_element:
+        assert verdict.method == "core"
         interval = ambient.above(label, strict=True)
         assert verify_certificate(interval, verdict)
 
@@ -103,6 +92,10 @@ def test_upper_equivariant_mode(d8):
     res = verify_inclusion_equivalence(sub, ambient, "upper-equivariant")
     assert res.outcome == PASS
     assert all(v.equivariant for _, _, v in res.per_element)
+    for label, stab, verdict in res.per_element:
+        gens = lat.generating_set(lat.ref(stab))
+        interval = ambient.above(label, strict=True)
+        assert verify_certificate(interval, verdict, equivariance_gens=gens)
 
 
 def test_lower_mode_detects_failing_hypothesis(d8):

@@ -55,9 +55,10 @@ def test_empty_complex_is_undecided():
     assert fundamental_group_trivial(OrderComplex({})) is None
 
 
-def test_zero_pass_budget_gives_none():
+def test_zero_pass_budget_gives_none(monkeypatch):
+    monkeypatch.setattr("sclab.fundgroup.MAX_PASSES", 0)
     facets = list(combinations(range(4), 3))
-    assert fundamental_group_trivial(complex_of(facets), max_passes=0) is None
+    assert fundamental_group_trivial(complex_of(facets)) is None
 
 
 def test_presentation_counts_non_tree_edges():

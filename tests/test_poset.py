@@ -36,15 +36,6 @@ def test_cut_point_need_not_be_member():
     assert set(poset.above(1).labels) == {2, 3, 4, 6, 12}
 
 
-def test_extrema():
-    poset = divisor_poset()
-    assert poset.unique_minimum() == 1
-    assert poset.unique_maximum() == 12
-    chopped = poset.restrict([2, 3, 4, 6])
-    assert chopped.unique_minimum() is None
-    assert chopped.unique_maximum() is None
-
-
 def test_from_relation():
     poset = GPoset.from_relation("abc", [("a", "b"), ("b", "c")])
     assert poset.leq("a", "c")  # transitive closure is applied
@@ -64,9 +55,6 @@ def test_lattice_backed_poset():
     assert len(poset) == 9
     z = lat.center(lat.full)
     assert set(r.order for r in map(lat.ref, poset.above(z).labels)) == {2, 4, 8}
-    assert poset.join_in_lattice(z.index, z.index) == z.index
-    assert poset.meet_in_lattice(poset.labels[0], poset.labels[1]) in (
-        lat.trivial.index, poset.labels[0], poset.labels[1])
 
 
 def test_fixed_points_matches_naive_normalization():

@@ -29,6 +29,7 @@ EXPECTED = {
     "check_boundary_squares_to_zero": 1132,
     "check_smith_form_invariants": 1000,
     "check_brown_congruence": 21,
+    "check_core_reduction_is_contractibility": 164,
 }
 
 

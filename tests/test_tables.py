@@ -8,6 +8,7 @@ the second-Sylow consistency check on dashed edges.
 import pytest
 
 from sclab.collections import ConditionReport, collection_context
+from sclab.contract import verify_certificate
 from sclab.equivalence import (
     CERTIFIED,
     HOMOLOGY_CONSISTENT,
@@ -29,7 +30,6 @@ from sclab.tables import (
     _check_solid,
     _d8_subgroup,
     _expectation_holds,
-    _host_zigzag,
     _posets_for,
     counterexample_edges,
     is_dihedral8,
@@ -244,21 +244,27 @@ def test_only_hypothesis_tagged_edges_can_skip(d8):
                 assert r.status != SKIPPED
 
 
-# --------------------------------------------------- alternate certificate
+# ------------------------------------------------------ pruning certificates
 
 
-def test_overgroup_zigzag_certifies_without_local_characteristic():
-    """The pruning retraction that routes through a p-local overgroup with
-    full Sylow part must work where it is the only available construction."""
-    for name in ("D12", "S4"):
+def test_pruning_certifies_without_local_characteristic():
+    """The hat pruning hypothesis certifies without any paper-shaped map,
+    also where local characteristic fails (D12, S4), in both upper modes
+    and with core certificates that replay."""
+    for name in ("D8", "D12", "S4"):
         lat = enumerate_subgroups(builtin_group(name))
         ctx = collection_context(lat, 2)
         sub = GPoset.from_collection(lat, ctx.collection("hat-B"))
         ambient = GPoset.from_collection(lat, ctx.collection("hat-S"))
         for mode in ("upper", "upper-equivariant"):
-            res = verify_inclusion_equivalence(
-                sub, ambient, mode, certifier=_host_zigzag(lat, 2))
+            res = verify_inclusion_equivalence(sub, ambient, mode)
             assert res.outcome == PASS, (name, mode)
+            for label, stab, verdict in res.per_element:
+                assert verdict.method == "core", (name, mode, label)
+                gens = (lat.generating_set(lat.ref(stab))
+                        if stab is not None else None)
+                assert verify_certificate(ambient.above(label, strict=True),
+                                          verdict, equivariance_gens=gens)
 
 
 # ----------------------------------------------------------- small helpers
