@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from weakref import WeakValueDictionary
 
-from .errors import ConditionNotSatisfied, PrimeDoesNotDivide
+from .errors import (ConditionNotSatisfied, InternalInconsistency,
+                     PrimeDoesNotDivide)
 from .lattice import SubgroupLattice, SubgroupRef, p_part, p_core_of_group
 
 KINDS = ("A", "S", "B", "Ce", "Bcen", "D", "E",
@@ -214,7 +216,7 @@ class CollectionContext:
         if kind == "E":
             return (lat.is_elementary_abelian(m, self.p)
                     and all(x in self.E1 for x in lat.members(m) if x))
-        raise AssertionError(kind)
+        raise InternalInconsistency(f"unknown collection kind {kind!r}")
 
     # ----- conditions ---------------------------------------------------------
 
@@ -301,10 +303,11 @@ class CollectionContext:
 
 
 def collection_context(lattice: SubgroupLattice, p: int) -> CollectionContext:
-    cache = getattr(lattice, "_collection_contexts", None)
-    if cache is None:
-        cache = lattice._collection_contexts = {}
-    if p not in cache:
-        cache[p] = CollectionContext(lattice, p)
-    return cache[p]
-
+    """The context for (lattice, p), shared while any caller holds it; held
+    weakly, since a context refers to its lattice and a cycle outlives a run."""
+    cache = lattice.__dict__.setdefault("_collection_contexts",
+                                        WeakValueDictionary())
+    ctx = cache.get(p)
+    if ctx is None:
+        ctx = cache[p] = CollectionContext(lattice, p)
+    return ctx

@@ -71,15 +71,10 @@ class PermutationGroup:
     @cached_property
     def mul(self) -> list[list[int]]:
         """mul[a][b] = index of elements[a] * elements[b]."""
-        idx = self.index
-        els = self.elements
-        table = []
-        for a in els:
-            ai = a.images
-            row = [idx[Permutation(tuple(ai[b.images[x]] for x in range(self.degree)))]
-                   for b in els]
-            table.append(row)
-        return table
+        images = [g.images for g in self.elements]
+        idx = {img: i for i, img in enumerate(images)}
+        return [[idx[tuple(map(a.__getitem__, b))] for b in images]
+                for a in images]
 
     @cached_property
     def inv(self) -> list[int]:
@@ -123,36 +118,39 @@ class PermutationGroup:
         return (1 << self.order) - 1
 
     def closure_bitset(self, seed: int) -> int:
-        """Subgroup generated by the elements whose bits are set in ``seed``.
+        """Subgroup generated by the elements whose bits are set in ``seed``:
+        one extension step per seed element not yet reached."""
+        found = 1  # identity is index 0
+        gens: list[int] = []
+        for x in _bits(seed):
+            if not (found >> x) & 1:
+                gens.append(x)
+                found = self.extend_bitset(found, gens)
+        return found
 
-        Early-outs to the full group once more than half the elements appear,
-        since a subgroup of order > |G|/2 is G itself.
+    def extend_bitset(self, bits: int, gens) -> int:
+        """Dimino's step: the subgroup <H, x> for H = ``bits`` and x the last
+        of ``gens``, where the generators before x must generate H.
+
+        <H, x> is grown as a union of right cosets H r, closing the coset
+        representatives under right multiplication by every generator. A
+        subgroup of order > |G|/2 is G itself, so that returns the full group.
         """
-        found = seed | 1  # identity is index 0
-        members = _bits(found)
-        queue = list(members)
-        count = len(members)
-        half = self.order // 2
         mul = self.mul
-        inv = self.inv
-        while queue:
-            g = queue.pop()
-            gi = inv[g]
-            if not (found >> gi) & 1:
-                found |= 1 << gi
-                members.append(gi)
-                queue.append(gi)
-                count += 1
-            row = mul[g]
-            for h in list(members):
-                for p in (row[h], mul[h][g]):
-                    if not (found >> p) & 1:
-                        found |= 1 << p
-                        members.append(p)
-                        queue.append(p)
-                        count += 1
-                        if count > half:
-                            return self.full_bitset
+        coset = [mul[h] for h in _bits(bits)]  # H r is {row[r] for row}
+        found, count, half = bits, len(coset), self.order // 2
+        reps = [0]  # the identity represents H itself
+        for r in reps:
+            rrow = mul[r]
+            for g in gens:
+                y = rrow[g]
+                if not (found >> y) & 1:
+                    for row in coset:
+                        found |= 1 << row[y]
+                    count += len(coset)
+                    if count > half:
+                        return self.full_bitset
+                    reps.append(y)
         return found
 
     def cyclic_bitset(self, x: int) -> int:

@@ -40,30 +40,46 @@ def p_part(n: int, p: int) -> int:
 
 def enumerate_subgroups(group: PermutationGroup, *, max_order: int = DEFAULT_ORDER_CAP,
                         max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> "SubgroupLattice":
-    """All subgroups of ``group``: cyclic subgroups first, then joins of pairs
-    to a fixpoint."""
+    """All subgroups of ``group`` by cyclic extension of class representatives.
+
+    Every subgroup is a join of cyclic subgroups, and if K = <H, c> with
+    H = R^g, then <R, c^(g^-1)> is conjugate to K. So only the first subgroup
+    found in each class (with the generators it was built from) is extended,
+    by each cyclic subgroup it misses, and a new subgroup adds its whole class.
+    """
     if group.order > max_order:
         raise CapExceeded(f"group order {group.order} exceeds the cap {max_order}")
-    found: set[int] = {1}
+    cyclic: dict[int, int] = {}  # cyclic subgroup -> one generator
     for x in range(1, group.order):
-        found.add(group.cyclic_bitset(x))
-    frontier = sorted(found)
-    known = sorted(found)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in known:
-                if a == b or (a | b) in (a, b):
-                    continue
-                j = group.closure_bitset(a | b)
-                if j not in found:
-                    found.add(j)
-                    fresh.append(j)
-                    if len(found) > max_subgroups:
-                        raise CapExceeded(
-                            f"subgroup count exceeded the cap {max_subgroups}")
-        known.extend(fresh)
-        frontier = fresh
+        cyclic.setdefault(group.cyclic_bitset(x), x)
+    conj = [[group.conjugate_index(g, x) for x in range(group.order)]
+            for g in group.generator_indices]
+    found: set[int] = set()
+    reps: list[tuple[int, tuple[int, ...]]] = []  # (subgroup, its generators)
+
+    def add_class(bits, gens):
+        if bits in found:
+            return
+        reps.append((bits, gens))
+        orbit = [bits]
+        found.add(bits)
+        for h in orbit:
+            members = group.bitset_members(h)
+            for table in conj:
+                k = sum(1 << table[x] for x in members)
+                if k not in found:
+                    found.add(k)
+                    orbit.append(k)
+        if len(found) > max_subgroups:
+            raise CapExceeded(f"subgroup count exceeded the cap {max_subgroups}")
+
+    add_class(1, ())
+    for c, x in cyclic.items():
+        add_class(c, (x,))
+    for bits, gens in reps:
+        for c, x in cyclic.items():
+            if c | bits != bits:
+                add_class(group.extend_bitset(bits, gens + (x,)), gens + (x,))
     return SubgroupLattice(group, found)
 
 
@@ -96,8 +112,8 @@ class SubgroupLattice:
         try:
             return self.subgroups[self._index[bits]]
         except KeyError:
-            raise AssertionError(
-                "bitset is not a subgroup of the lattice; this is a bug") from None
+            raise InternalInconsistency(
+                "bitset is not a subgroup of the lattice") from None
 
     @property
     def trivial(self) -> SubgroupRef:
@@ -129,7 +145,7 @@ class SubgroupLattice:
             for x in self._members[ref.bitset]:
                 if not (reach >> x) & 1:
                     gens.append(x)
-                    reach = self.group.closure_bitset(reach | (1 << x))
+                    reach = self.group.extend_bitset(reach, gens)
                     if reach == ref.bitset:
                         break
             self._gens[ref.index] = tuple(gens)
@@ -284,13 +300,6 @@ class SubgroupLattice:
         for x in element_indices:
             seed |= 1 << x
         return self.by_bitset(self.group.closure_bitset(seed))
-
-    def join(self, a: SubgroupRef, b: SubgroupRef) -> SubgroupRef:
-        if self.leq(a, b):
-            return b
-        if self.leq(b, a):
-            return a
-        return self.by_bitset(self.group.closure_bitset(a.bitset | b.bitset))
 
     def meet(self, a: SubgroupRef, b: SubgroupRef) -> SubgroupRef:
         return self.by_bitset(a.bitset & b.bitset)

@@ -19,7 +19,7 @@ from .contract import CONTRACTIBLE, contractibility_verdict
 from .equivalence import (CERTIFIED, FAIL, HOMOLOGY_CONSISTENT, INCONCLUSIVE,
                           MISMATCH, PASS, fixed_point_equivalence_scan,
                           verify_inclusion_equivalence)
-from .errors import NotMutuallyNormalizing
+from .errors import InternalInconsistency, NotMutuallyNormalizing
 from .homology import homology
 from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
 
@@ -166,7 +166,7 @@ def _d8_subgroup(lat, token):
         elem_ab = lat.is_elementary_abelian(r, 2)
         if (token == "V4") == elem_ab:
             return r
-    raise AssertionError(f"no subgroup for token {token!r}")
+    raise InternalInconsistency(f"no subgroup for token {token!r}")
 
 
 def _expectation_holds(poset: GPoset, token: str, max_simplices: int):

@@ -6,16 +6,19 @@ regenerate it.
 """
 
 import ast
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import sclab
+import sclab.runner
 from sclab.cli import (
     EXIT_CAP,
     EXIT_INTERNAL,
@@ -210,14 +213,44 @@ def test_golden_d8_table31_under_optimize():
     assert proc.stdout == (GOLDEN / "d8_table31.json").read_bytes()
 
 
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_package_has_no_assert_statements():
-    # python -O strips assert statements, and with them any check they make
+    # python -O strips assert statements, and with them any check they make;
+    # an internal fault raises InternalInconsistency, not AssertionError
     package = Path(sclab.__file__).resolve().parent
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Raise) and node.exc is not None
+             and _raises_assertion_error(node)]
     assert found == []
+
+
+def test_a_finished_run_frees_its_group_without_the_collector(monkeypatch,
+                                                              tmp_path):
+    # a reference cycle would keep the group, its tables and its lattice
+    # alive until a full garbage-collector pass
+    groups = []
+    load = sclab.runner.load_group
+
+    def spy(*args, **kwargs):
+        group = load(*args, **kwargs)
+        groups.append(weakref.ref(group))
+        return group
+
+    monkeypatch.setattr("sclab.runner.load_group", spy)
+    gc.disable()
+    try:
+        assert verify("--group", "builtin:S4", "--prime", "2",
+                      "--report", str(tmp_path / "r.json")) == 0
+        assert len(groups) == 1 and groups[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_exit_code_constants_are_distinct():

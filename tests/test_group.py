@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+import _naive as naive
+from _suite import SMALL_SUITE
 from sclab.errors import CapExceeded, ParseError, UnknownBuiltin
 from sclab.perm import Permutation
 from sclab.group import (PermutationGroup, builtin_group, load_group,
@@ -110,3 +114,22 @@ def test_generator_indices_generate():
         sum(1 << i for i in g.generator_indices) | 1)
     assert bits == g.full_bitset
     assert seed == 0
+
+
+def test_multiplication_table_matches_permutation_products():
+    for name in ("S4", "SL23"):
+        g = builtin_group(name)
+        for a, pa in enumerate(g.elements):
+            for b, pb in enumerate(g.elements):
+                assert g.mul[a][b] == g.index[pa * pb], (name, a, b)
+
+
+def test_closure_matches_naive_on_random_seeds():
+    rng = random.Random(5)
+    for name in sorted({name for name, _ in SMALL_SUITE}):
+        g = builtin_group(name)
+        for _ in range(40):
+            seed = rng.sample(range(g.order), rng.randint(0, min(3, g.order)))
+            bits = g.closure_bitset(sum(1 << x for x in seed))
+            assert frozenset(g.bitset_members(bits)) == \
+                naive.closure(g.mul, seed), (name, seed)

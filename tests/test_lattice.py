@@ -1,9 +1,13 @@
+import time
+
 import pytest
 
 import _naive as naive
 from _suite import lattice_of
-from sclab.errors import NotMutuallyNormalizing, PrimeDoesNotDivide
-from sclab.lattice import p_part
+from sclab.errors import (InternalInconsistency, NotMutuallyNormalizing,
+                          PrimeDoesNotDivide)
+from sclab.group import parse_group_text
+from sclab.lattice import enumerate_subgroups, p_part
 
 # textbook subgroup counts
 SUBGROUP_COUNTS = {"D8": 10, "Q8": 6, "S3": 6, "A4": 10, "S4": 30,
@@ -22,6 +26,28 @@ def test_counts_match_naive_enumeration():
         assert {frozenset(lat.members(r)) for r in lat.subgroups} == brute, name
 
 
+def test_d8_times_z2_matches_naive_enumeration():
+    g = parse_group_text("degree 6\ngen (0 1 2 3)\ngen (0 2)\ngen (4 5)\n")
+    lat = enumerate_subgroups(g)
+    assert g.order == 16
+    assert {frozenset(lat.members(r)) for r in lat.subgroups} \
+        == naive.subgroups(g)
+
+
+def test_s5_from_adjacent_transpositions():
+    g = parse_group_text("degree 5\ngen (0 1)\ngen (1 2)\ngen (2 3)\ngen (3 4)\n")
+    lat = enumerate_subgroups(g)
+    assert (len(lat), len(lat.orbits)) == (156, 19)
+
+
+def test_s6_enumerates_within_ten_seconds():
+    start = time.perf_counter()
+    g = parse_group_text("degree 6\ngen (0 1 2 3 4 5)\ngen (0 1)\n")
+    lat = enumerate_subgroups(g)
+    assert time.perf_counter() - start < 10
+    assert (len(lat), len(lat.orbits)) == (1455, 56)
+
+
 def test_canonical_order():
     lat = lattice_of("S4")
     assert lat.trivial.order == 1 and lat.trivial.index == 0
@@ -31,6 +57,8 @@ def test_canonical_order():
     for r in lat.subgroups:
         assert lat.ref(r.index) == r
         assert lat.by_bitset(r.bitset) == r
+    with pytest.raises(InternalInconsistency):
+        lat.by_bitset(0b110)
 
 
 def test_leq_meet_join_are_set_theoretic():
@@ -41,7 +69,7 @@ def test_leq_meet_join_are_set_theoretic():
             ma, mb = set(lat.members(a)), set(lat.members(b))
             assert lat.leq(a, b) == (ma <= mb)
             assert set(lat.members(lat.meet(a, b))) == ma & mb
-            j = set(lat.members(lat.join(a, b)))
+            j = set(lat.members(lat.generated(ma | mb)))
             assert ma | mb <= j
 
 
