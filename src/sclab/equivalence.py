@@ -44,6 +44,8 @@ def _check_subposet(sub: GPoset, ambient: GPoset) -> None:
     missing = [x for x in sub.labels if x not in ambient]
     if missing:
         raise NotASubposet(f"labels {missing[:5]!r} are not in the ambient poset")
+    if sub.lattice is not None and sub.lattice is ambient.lattice:
+        return  # both orders are inclusion in the same lattice
     for a in sub.labels:
         for b in sub.labels:
             if sub.leq(a, b) != ambient.leq(a, b):

@@ -1,13 +1,24 @@
 """Reduced integer simplicial homology of order complexes.
 
-Boundary matrices are built from the stored simplex orientations and put into
-Smith normal form over the integers. Each rank is cross-checked by an
-independent elimination over F_q: the rank of a matrix over F_q equals the
-number of its invariant factors not divisible by q. The identity is exact for
-every prime; q = 2**31 - 1 is large so that in practice it divides no
-invariant factor, and the check then tests the Smith form's full rank and not
-just its mod-q part. Reduced homology uses the augmented chain complex, so a
-point has trivial profile and the circle gets reduced_betti (0, 1).
+Each boundary map C_k -> C_{k-1} is kept as sparse columns: the column of a
+k-simplex maps the rows of its k+1 facets to the signs +-1 of the stored
+orientation. ``eliminate`` pivots on every unit entry; row and column
+operations of determinant +-1 keep the invariant factors, so each pivot
+splits off a factor 1, and the dense ``smith_normal_form`` runs only on the
+columns left (none, on every nerve met so far). The maps are taken from the
+top dimension down: the simplex of each pivot row of the map above has a
+column in the map below that is an integer combination of the other
+columns there, so that column is left out.
+
+Two checks run on the sparse columns. d(d(s)) = 0 is checked for each
+(k+1)-simplex s by adding up the columns of its facets. Each rank is then
+cross-checked by a separate elimination over F_q on the original columns:
+the rank over F_q equals the number of invariant factors not divisible by
+q. The identity is exact for every prime; q = 2**31 - 1 is large so that in
+practice it divides no invariant factor, and the check then tests the full
+rank and not just its mod-q part. Reduced homology uses the augmented chain
+complex, so a point has trivial profile and the circle gets reduced_betti
+(0, 1).
 """
 
 from __future__ import annotations
@@ -24,130 +35,114 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     """Diagonal of the Smith normal form; only the invariant factors are
     returned, in divisibility order. The input is not modified."""
     a = [row[:] for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    rows, cols = len(a), len(a[0]) if a else 0
     diag: list[int] = []
     top = 0
-    while top < rows and top < cols:
-        # smallest nonzero entry as pivot keeps coefficients tame
-        pr = pc = -1
-        best = 0
+    while top < min(rows, cols):
+        # the smallest entry of the block keeps coefficients tame; the first
+        # one scanned, (top, top), stays unless a smaller one turns up
+        best = None
         for i in range(top, rows):
-            ai = a[i]
             for j in range(top, cols):
-                v = ai[j]
-                if v and (best == 0 or abs(v) < best):
-                    best = abs(v)
-                    pr, pc = i, j
-                    if best == 1:
-                        break
-            if best == 1:
+                if a[i][j] and (best is None or abs(a[i][j]) < best[0]):
+                    best = (abs(a[i][j]), i, j)
+            if best is not None and best[0] == 1:
                 break
-        if pr < 0:
+        if best is None:
             break
-        a[top], a[pr] = a[pr], a[top]
-        if pc != top:
-            for row in a:
-                row[top], row[pc] = row[pc], row[top]
-        while True:
-            pivot = a[top][top]
-            done = True
-            for i in range(top + 1, rows):
-                q = a[i][top] // pivot
-                if q:
-                    ai, at = a[i], a[top]
-                    for j in range(top, cols):
-                        ai[j] -= q * at[j]
-                if a[i][top]:
-                    done = False
-            for j in range(top + 1, cols):
-                q = a[top][j] // pivot
-                if q:
-                    for row in a:
-                        row[j] -= q * row[top]
-                if a[top][j]:
-                    done = False
-            if done:
-                break
-            # a smaller entry appeared in the pivot row/column; re-pivot on it
-            for i in range(top, rows):
+        _, i, j = best
+        a[top], a[i] = a[i], a[top]
+        for row in a:
+            row[top], row[j] = row[j], row[top]
+        pivot, at = a[top][top], a[top]
+        for ai in a[top + 1:]:
+            q = ai[top] // pivot
+            if q:
                 for j in range(top, cols):
-                    if a[i][j] and abs(a[i][j]) < abs(a[top][top]):
-                        a[top], a[i] = a[i], a[top]
-                        if j != top:
-                            for row in a:
-                                row[top], row[j] = row[j], row[top]
-        pivot = a[top][top]
+                    ai[j] -= q * at[j]
+        for j in range(top + 1, cols):
+            q = at[j] // pivot
+            if q:
+                for row in a[top:]:
+                    row[j] -= q * row[top]
+        if any(ai[top] for ai in a[top + 1:]) or any(at[top + 1:]):
+            continue  # a remainder smaller than the pivot is the next pivot
         # enforce divisibility against the untouched block
-        fixed = False
-        for i in range(top + 1, rows):
+        bad = next((ai for ai in a[top + 1:]
+                    if any(v % pivot for v in ai[top + 1:])), None)
+        if bad is not None:
             for j in range(top + 1, cols):
-                if a[i][j] % pivot:
-                    at = a[top]
-                    ai = a[i]
-                    for k in range(top, cols):
-                        at[k] += ai[k]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+                at[j] += bad[j]
             continue
         diag.append(abs(pivot))
         top += 1
     return diag
 
 
-def rank_mod(matrix: list[list[int]], p: int) -> int:
-    a = [[v % p for v in row] for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    row = 0
-    for col in range(cols):
-        piv = next((i for i in range(row, rows) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], -1, p)
-        a[row] = [v * inv % p for v in a[row]]
-        for i in range(rows):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[row])]
-        rank += 1
-        row += 1
-        if row == rows:
-            break
-    return rank
-
-
-def boundary_matrix(complex_: OrderComplex, k: int) -> list[list[int]]:
-    """Matrix of the boundary map C_k -> C_{k-1}; k = 0 gives the
-    augmentation row onto the empty simplex."""
-    kcells = complex_.simplices.get(k, [])
+def boundary_columns(complex_: OrderComplex, k: int) -> list[dict[int, int]]:
+    """Column j maps the row of each facet of the j-th k-simplex to its sign;
+    k = 0 gives the augmentation onto the one row of the empty simplex."""
     if k == 0:
-        return [[1] * len(kcells)] if kcells else []
-    lower = complex_.simplices.get(k - 1, [])
-    index = {s: i for i, s in enumerate(lower)}
-    mat = [[0] * len(kcells) for _ in lower]
-    for j, s in enumerate(kcells):
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1:]
-            mat[index[face]][j] += (-1) ** drop
-    return mat
+        return [{0: 1} for _ in complex_.simplices[0]]
+    index = {s: i for i, s in enumerate(complex_.simplices[k - 1])}
+    signs = [(-1) ** i for i in range(k + 1)]
+    return [{index[s[:i] + s[i + 1:]]: signs[i] for i in range(k + 1)}
+            for s in complex_.simplices[k]]
 
 
-def _check_dd_zero(k: int, upper: list[list[int]],
-                   lower: list[list[int]]) -> None:
-    """d(d(s)) must vanish for every (k+1)-simplex s. Column s of ``upper``
-    has k+2 nonzero rows, so only those columns of ``lower`` are combined."""
-    for col in zip(*upper):
-        faces = [(i, c) for i, c in enumerate(col) if c]
-        for lrow in lower:
-            if sum(c * lrow[i] for i, c in faces):
-                raise InternalInconsistency(
-                    f"boundary of boundary nonzero in dim {k}")
+def _check_dd_zero(k: int, upper: list[dict], lower: list[dict]) -> None:
+    for col in upper:
+        total: dict[int, int] = {}
+        for i, c in col.items():
+            for r, v in lower[i].items():
+                total[r] = total.get(r, 0) + c * v
+        if any(total.values()):
+            raise InternalInconsistency(
+                f"boundary of boundary nonzero in dim {k}")
+
+
+def eliminate(columns: list[dict[int, int]], q: int | None = None
+              ) -> tuple[list[int], list[dict[int, int]]]:
+    """Pivot on unit entries of the columns (row -> nonzero entry) until none
+    is left: on +-1 over the integers, on any entry over F_q for a prime q.
+    A pivot clears its row from the other columns, then its column by row
+    operations. Returns the pivot rows and the nonzero columns left; the
+    input is not modified."""
+    cols = [{r: v % q for r, v in col.items() if v % q} if q else dict(col)
+            for col in columns]
+    rows: dict[int, set[int]] = {}
+    for j, col in enumerate(cols):
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+    pivots: list[int] = []
+    todo = list(reversed(range(len(cols))))
+    while todo:
+        j = todo.pop()
+        col = cols[j]
+        units = [r for r, v in col.items() if q or v in (1, -1)] if col else ()
+        if not units:
+            continue
+        r = min(units, key=lambda r: len(rows[r]))  # the sparsest row
+        cols[j] = None
+        for s in col:
+            rows[s].discard(j)
+        unit = col.pop(r)
+        inverse = pow(unit, -1, q) if q else unit
+        for i in rows.pop(r):
+            other = cols[i]
+            f = other.pop(r) * inverse
+            for s, v in col.items():
+                w = other.get(s, 0) - f * v
+                w = w % q if q else w
+                if w:
+                    other[s] = w
+                    rows[s].add(i)
+                else:
+                    del other[s]
+                    rows[s].discard(i)
+            todo.append(i)
+        pivots.append(r)
+    return pivots, [col for col in cols if col]
 
 
 @dataclass(frozen=True)
@@ -172,8 +167,7 @@ class HomologyProfile:
     def _normalize(betti: list[int], torsion: list[tuple[int, ...]]):
         """Trailing zeros carry no information; trim them so profiles of
         complexes of different dimensions compare cleanly."""
-        betti = list(betti)
-        torsion = list(torsion)
+        betti, torsion = list(betti), list(torsion)
         while betti and betti[-1] == 0:
             betti.pop()
         while torsion and not torsion[-1]:
@@ -185,24 +179,28 @@ def homology(complex_: OrderComplex) -> HomologyProfile:
     if complex_.is_empty():
         return HomologyProfile((), (), 0, empty=True)
     dim = complex_.dimension
-    boundaries = {k: boundary_matrix(complex_, k) for k in range(dim + 2)}
-    for k in range(dim + 1):
-        _check_dd_zero(k, boundaries[k + 1], boundaries[k])
-    snf = {k: smith_normal_form(mat) for k, mat in boundaries.items()}
-    for k, mat in boundaries.items():
-        if rank_mod(mat, CHECK_PRIME) != sum(1 for d in snf[k]
-                                             if d % CHECK_PRIME):
+    columns = [boundary_columns(complex_, k) for k in range(dim + 1)]
+    for k in range(dim):
+        _check_dd_zero(k, columns[k + 1], columns[k])
+    factors: list[list[int]] = [[] for _ in range(dim + 2)]
+    cleared = cleared_q = set()  # pivot rows of the boundary one dimension up
+    for k in range(dim, -1, -1):
+        pivots, rest = eliminate([c for j, c in enumerate(columns[k])
+                                  if j not in cleared])
+        rows = sorted({r for col in rest for r in col})
+        factors[k] = [1] * len(pivots) + smith_normal_form(
+            [[col.get(r, 0) for col in rest] for r in rows])
+        pivots_q, _ = eliminate([c for j, c in enumerate(columns[k])
+                                 if j not in cleared_q], CHECK_PRIME)
+        if len(pivots_q) != sum(1 for d in factors[k] if d % CHECK_PRIME):
             raise InternalInconsistency(
                 f"integer and mod-{CHECK_PRIME} ranks disagree for "
                 f"boundary {k}")
-    betti: list[int] = []
-    torsion: list[tuple[int, ...]] = []
-    for k in range(dim + 1):
-        n_k = len(complex_.simplices.get(k, []))
-        rank_k = len(snf[k])
-        rank_up = len(snf.get(k + 1, []))
-        betti.append(n_k - rank_k - rank_up)
-        torsion.append(tuple(d for d in snf.get(k + 1, []) if d > 1))
+        cleared, cleared_q = set(pivots), set(pivots_q)
+    betti = [len(complex_.simplices[k]) - len(factors[k]) - len(factors[k + 1])
+             for k in range(dim + 1)]
+    torsion = [tuple(d for d in factors[k + 1] if d > 1)
+               for k in range(dim + 1)]
     nb, nt = HomologyProfile._normalize(betti, torsion)
     chi = complex_.euler_characteristic()
     if chi != 1 + sum((-1) ** i * b for i, b in enumerate(betti)):

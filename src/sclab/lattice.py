@@ -196,11 +196,14 @@ class SubgroupLattice:
     # ----- named operations -----------------------------------------------
 
     def normalizer(self, ref: SubgroupRef) -> SubgroupRef:
+        """H^g = H exactly when g conjugates each generator of H into H."""
         if ref.index not in self._normalizer:
             bits = ref.bitset
+            gens = self.generating_set(ref)
+            conj = self.group.conjugate_index
             out = 0
             for g in range(self.group.order):
-                if self.conjugate_bitset(bits, g) == bits:
+                if all(bits >> conj(g, x) & 1 for x in gens):
                     out |= 1 << g
             self._normalizer[ref.index] = self._index[out]
         return self.subgroups[self._normalizer[ref.index]]

@@ -3,8 +3,9 @@
 Everything recomputes from the multiplication table using frozensets and
 saturation loops. No bitsets, no lattice machinery, no shared helpers with
 the package; only the element table itself is common input. Intended for
-groups of order <= 48. rank_over_rationals is the matching oracle for the
-Smith normal form: Gauss-Jordan elimination in exact fractions.
+groups of order <= 48. The linear-algebra oracles are dense: boundary_matrix
+writes out every boundary map in full, rank_over_rationals is Gauss-Jordan
+elimination in exact fractions and rank_mod the same over F_p.
 """
 
 from __future__ import annotations
@@ -240,3 +241,43 @@ def rank_over_rationals(matrix: list[list[int]]) -> int:
         if row == rows:
             break
     return rank
+
+
+def rank_mod(matrix: list[list[int]], p: int) -> int:
+    a = [[v % p for v in row] for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rank = 0
+    row = 0
+    for col in range(cols):
+        piv = next((i for i in range(row, rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = pow(a[row][col], -1, p)
+        a[row] = [v * inv % p for v in a[row]]
+        for i in range(rows):
+            if i != row and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[row])]
+        rank += 1
+        row += 1
+        if row == rows:
+            break
+    return rank
+
+
+def boundary_matrix(complex_, k: int) -> list[list[int]]:
+    """Dense matrix of the boundary map C_k -> C_{k-1}; k = 0 gives the
+    augmentation row onto the empty simplex."""
+    kcells = complex_.simplices.get(k, [])
+    if k == 0:
+        return [[1] * len(kcells)] if kcells else []
+    lower = complex_.simplices.get(k - 1, [])
+    index = {s: i for i, s in enumerate(lower)}
+    mat = [[0] * len(kcells) for _ in lower]
+    for j, s in enumerate(kcells):
+        for drop in range(len(s)):
+            face = s[:drop] + s[drop + 1:]
+            mat[index[face]][j] += (-1) ** drop
+    return mat

@@ -13,16 +13,11 @@ from sclab.collections import KINDS, collection_context
 from sclab.contract import (CONTRACTIBLE, core_reduction,
                             fixed_point_contractibility_scan)
 from sclab.group import builtin_group
-from sclab.homology import (
-    boundary_matrix,
-    homology,
-    rank_mod,
-    smith_normal_form,
-)
+from sclab.homology import homology, smith_normal_form
 from sclab.lattice import p_part
 from sclab.poset import GPoset, order_complex
 
-from _naive import rank_over_rationals
+from _naive import boundary_matrix, rank_mod, rank_over_rationals
 from _suite import SUITE, lattice_of
 
 GROUPS = ("D8", "Q8", "S3", "D12", "A4", "S4", "SL23", "A5")

@@ -154,6 +154,31 @@ def test_not_a_subposet_is_rejected(d8):
         verify_inclusion_equivalence(flat, chain, "upper")
 
 
+def test_subposet_orders_are_compared_unless_one_lattice_fixes_them(d8):
+    lat, ctx = d8
+    # abstract posets on the same labels whose orders disagree
+    antichain = GPoset.from_relation((0, 1), [])
+    chain = GPoset.from_relation((0, 1), [(0, 1)])
+    for left, right in ((antichain, chain), (chain, antichain)):
+        with pytest.raises(NotASubposet):
+            verify_inclusion_equivalence(left, right, "upper")
+        with pytest.raises(NotASubposet):
+            fixed_point_equivalence_scan([lat.trivial], lambda h: left,
+                                         lambda h: right)
+    # the same labels on two lattices order different subgroups
+    q8 = enumerate_subgroups(builtin_group("Q8"))
+    labels = range(len(q8))
+    on_d8 = GPoset.from_lattice_indices(lat, labels)
+    on_q8 = GPoset.from_lattice_indices(q8, labels)
+    with pytest.raises(NotASubposet, match="order disagrees"):
+        verify_inclusion_equivalence(on_q8, on_d8, "upper")
+    # posets on one lattice are both ordered by inclusion
+    sub = poset_of(lat, ctx, "tilde-A")
+    res = verify_inclusion_equivalence(sub, poset_of(lat, ctx, "tilde-S"),
+                                       "fibers")
+    assert res.outcome == PASS
+
+
 def test_inclusion_result_to_json(d8):
     lat, ctx = d8
     sub = poset_of(lat, ctx, "E")

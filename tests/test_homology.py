@@ -1,8 +1,10 @@
 """Integral homology of small complexes with hand-checkable answers.
 
 The torsion fixtures (a 6-vertex projective plane and a mod-3 Moore
-space) exercise the Smith normal form path; everything else pins the
-reduced-homology conventions.
+space) leave columns after the unit pivots, so they exercise the dense
+Smith normal form on the remainder; everything else pins the
+reduced-homology conventions. The dense boundary matrices of the test
+oracle cross-check the sparse route on every Table 3.1 nerve of the suite.
 """
 
 import importlib
@@ -15,17 +17,21 @@ from pathlib import Path
 import pytest
 
 import sclab
+from sclab.collections import collection_context
 from sclab.errors import InternalInconsistency
 from sclab.homology import (
+    CHECK_PRIME,
     HomologyProfile,
-    boundary_matrix,
+    boundary_columns,
+    eliminate,
     homology,
-    rank_mod,
     smith_normal_form,
 )
-from sclab.poset import OrderComplex
+from sclab.poset import GPoset, OrderComplex, order_complex
+from sclab.tables import TABLE31_EDGES
 
-from _naive import rank_over_rationals
+from _naive import boundary_matrix, rank_mod, rank_over_rationals
+from _suite import SUITE, lattice_of
 
 
 def complex_of(maximal):
@@ -171,6 +177,10 @@ def test_projective_plane_mod_2_ranks():
     # exactly one elementary divisor is even, so the mod-2 rank drops by one
     assert rank_mod(d2, 2) == len(divisors) - 1
     assert rank_mod(d2, 3) == len(divisors)
+    columns = boundary_columns(cx, 2)
+    for q in (2, 3, CHECK_PRIME):
+        pivots, rest = eliminate(columns, q)
+        assert (len(pivots), rest) == (rank_mod(d2, q), [])
 
 
 def test_dunce_hat_contractible_homology():
@@ -219,8 +229,15 @@ from sclab.poset import OrderComplex
 
 # the package re-exports the function homology under the submodule's name
 h = importlib.import_module("sclab.homology")
-true_rank = h.rank_mod
-h.rank_mod = lambda m, q: true_rank(m, q) + 1
+true_eliminate = h.eliminate
+
+
+def one_more_pivot_mod_q(columns, q=None):
+    pivots, rest = true_eliminate(columns, q)
+    return (pivots + [-1] if q is not None else pivots), rest
+
+
+h.eliminate = one_more_pivot_mod_q
 circle = OrderComplex.from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
 try:
     h.homology(circle)
@@ -235,10 +252,12 @@ def _homology_module():
 
 
 def test_rank_disagreement_raises(monkeypatch):
-    true_rank = rank_mod
-    monkeypatch.setattr(_homology_module(), "rank_mod",
-                        lambda m, q: true_rank(m, q) + 1)
-    with pytest.raises(InternalInconsistency):
+    def one_more_pivot_mod_q(columns, q=None):
+        pivots, rest = eliminate(columns, q)
+        return (pivots + [-1] if q is not None else pivots), rest
+
+    monkeypatch.setattr(_homology_module(), "eliminate", one_more_pivot_mod_q)
+    with pytest.raises(InternalInconsistency, match="ranks disagree"):
         homology(complex_of([(0, 1), (1, 2), (0, 2)]))
 
 
@@ -252,15 +271,14 @@ def test_rank_disagreement_raises_under_optimize():
 
 
 def test_nonzero_boundary_of_boundary_raises(monkeypatch):
-    true_boundary = boundary_matrix
-
     def flipped(complex_, k):
-        mat = true_boundary(complex_, k)
+        columns = boundary_columns(complex_, k)
         if k == 2:
-            mat[0][0] = -mat[0][0]
-        return mat
+            row = min(columns[0])
+            columns[0][row] = -columns[0][row]
+        return columns
 
-    monkeypatch.setattr(_homology_module(), "boundary_matrix", flipped)
+    monkeypatch.setattr(_homology_module(), "boundary_columns", flipped)
     with pytest.raises(InternalInconsistency, match="boundary of boundary"):
         homology(complex_of([(0, 1, 2)]))
 
@@ -271,3 +289,56 @@ def test_extra_invariant_factor_raises(monkeypatch):
                         lambda mat: true_snf(mat) + [1])
     with pytest.raises(InternalInconsistency, match="ranks disagree"):
         homology(complex_of([(0, 1, 2)]))
+
+
+# ------------------------------------------------- sparse against dense
+
+
+def _dense_profile(cx) -> HomologyProfile:
+    """The profile from the oracle's dense boundary matrices, each put
+    whole into Smith normal form."""
+    dim = cx.dimension
+    snf = [smith_normal_form(boundary_matrix(cx, k)) for k in range(dim + 2)]
+    betti = [len(cx.simplices[k]) - len(snf[k]) - len(snf[k + 1])
+             for k in range(dim + 1)]
+    torsion = [tuple(d for d in snf[k + 1] if d > 1) for k in range(dim + 1)]
+    nb, nt = HomologyProfile._normalize(betti, torsion)
+    return HomologyProfile(nb, nt, cx.euler_characteristic())
+
+
+TABLE31_KINDS = sorted({kind for spec in TABLE31_EDGES for kind in spec.kinds})
+
+
+@pytest.mark.parametrize("name,p", SUITE)
+def test_sparse_homology_matches_dense_on_table31_nerves(name, p):
+    lat = lattice_of(name)
+    ctx = collection_context(lat, p)
+    for kind in TABLE31_KINDS:
+        cx = order_complex(GPoset.from_collection(lat, ctx.collection(kind)))
+        if cx.is_empty():
+            continue
+        assert homology(cx) == _dense_profile(cx), kind
+
+
+def test_boundary_columns_are_the_dense_columns():
+    cx = complex_of(RP2_FACETS)
+    for k in range(cx.dimension + 1):
+        dense = boundary_matrix(cx, k)
+        assert [[col.get(r, 0) for r in range(len(dense))]
+                for col in boundary_columns(cx, k)] \
+            == [list(col) for col in zip(*dense)]
+
+
+@pytest.mark.parametrize("facets,factor", [(RP2_FACETS, 2),
+                                           (MOORE3_FACETS, 3)])
+def test_torsion_comes_from_the_remainder_after_unit_pivots(facets, factor):
+    cx = complex_of(facets)
+    pivots, rest = eliminate(boundary_columns(cx, 2))
+    assert rest, "the unit pivots must leave the torsion column"
+    assert all(v % factor == 0 for col in rest for v in col.values())
+    remainder = [[col.get(r, 0) for col in rest]
+                 for r in sorted({r for col in rest for r in col})]
+    assert [1] * len(pivots) + smith_normal_form(remainder) \
+        == smith_normal_form(boundary_matrix(cx, 2))
+    assert homology(cx) == _dense_profile(cx)
+    assert homology(cx).torsion == ((), (factor,))

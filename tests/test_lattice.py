@@ -3,7 +3,7 @@ import time
 import pytest
 
 import _naive as naive
-from _suite import lattice_of
+from _suite import SMALL_SUITE, lattice_of
 from sclab.errors import (InternalInconsistency, NotMutuallyNormalizing,
                           PrimeDoesNotDivide)
 from sclab.group import parse_group_text
@@ -81,6 +81,17 @@ def test_normalizer_centralizer_center_against_naive():
         assert frozenset(lat.members(lat.normalizer(r))) == naive.normalizer(g, h)
         assert frozenset(lat.members(lat.centralizer(r))) == naive.centralizer(g, h)
         assert frozenset(lat.members(lat.center(r))) == naive.center(g, h)
+
+
+@pytest.mark.parametrize(
+    "name", sorted({name for name, _ in SMALL_SUITE} | {"S5"}))
+def test_normalizer_by_generators_matches_all_elements(name):
+    lat = lattice_of(name)
+    g = lat.group
+    for r in lat.subgroups:
+        h = frozenset(lat.members(r))
+        assert frozenset(lat.members(lat.normalizer(r))) \
+            == naive.normalizer(g, h), r
 
 
 def test_centers():

@@ -1,0 +1,58 @@
+"""Homology of p-subgroup nerves pinned by theorems, not by this code.
+
+Solomon-Tits through Quillen (D. Quillen, "Homotopy properties of the poset
+of nontrivial p-subgroups of a group", Adv. Math. 28, 1978): for a group of
+Lie type in characteristic p and of rank r, the nerve of S_p(G) has reduced
+homology free of rank |G|_p, in degree r - 1 only, and so does the nerve of
+A_p(G), which is homotopy equivalent to it. The group files under
+tests/data are written by hand.
+"""
+
+import functools
+from pathlib import Path
+
+import pytest
+
+from sclab.collections import collection_context
+from sclab.group import load_group
+from sclab.homology import homology
+from sclab.lattice import enumerate_subgroups
+from sclab.poset import GPoset, order_complex
+
+DATA = Path(__file__).parent / "data"
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_from_file(name: str):
+    return enumerate_subgroups(load_group(str(DATA / name)))
+
+
+def nerve(name: str, p: int, kind: str):
+    lat = lattice_from_file(name)
+    ctx = collection_context(lat, p)
+    return order_complex(GPoset.from_collection(lat, ctx.collection(kind)))
+
+
+@pytest.mark.parametrize("kind", ["S", "A"])
+def test_s6_is_sp42_with_rank_two_at_p2(kind):
+    # S6 = Sp(4,2): rank 2 and |G|_2 = 16
+    assert lattice_from_file("s6.grp").group.order == 720
+    cx = nerve("s6.grp", 2, kind)
+    prof = homology(cx)
+    assert (prof.reduced_betti, prof.torsion) == ((0, 16), ())
+    if kind == "S":
+        assert cx.counts() == (630, 4200, 6930, 3375)
+
+
+@pytest.mark.parametrize("kind", ["S", "A"])
+def test_psl27_is_gl32_with_rank_two_at_p2(kind):
+    # PSL(2,7) = GL(3,2): rank 2 and |G|_2 = 8
+    assert lattice_from_file("psl27.grp").group.order == 168
+    prof = homology(nerve("psl27.grp", 2, kind))
+    assert (prof.reduced_betti, prof.torsion) == ((0, 8), ())
+
+
+def test_psl27_has_rank_one_at_p7():
+    # PSL(2,7) in characteristic 7: rank 1 and |G|_7 = 7, so eight points
+    prof = homology(nerve("psl27.grp", 7, "S"))
+    assert (prof.reduced_betti, prof.torsion) == ((7,), ())
