@@ -22,17 +22,13 @@ from dataclasses import dataclass, field
 from .errors import MapNotWellDefined
 from .fundgroup import fundamental_group_trivial
 from .homology import HomologyProfile, homology
-from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
+from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex, positions
 
 
 def _json_label(x):
     if isinstance(x, tuple):
         return list(x)
     return x
-
-
-def _json_pairs(pairs):
-    return [[_json_label(a), _json_label(b)] for a, b in pairs]
 
 
 def _sorted_pairs(mapping: dict) -> tuple:
@@ -70,7 +66,8 @@ class MonotoneRetraction:
     def to_json(self):
         return {"kind": "retraction", "side": self.side,
                 "target": [_json_label(t) for t in self.target],
-                "mapping": _json_pairs(self.mapping)}
+                "mapping": [[_json_label(a), _json_label(b)]
+                            for a, b in self.mapping]}
 
 
 @dataclass(frozen=True)
@@ -173,79 +170,68 @@ def verify_monotone_retraction(poset: GPoset, f, side: str, target) -> bool:
         raise ValueError(f"side must be '<=' or '>=', got {side!r}")
     fmap = _as_mapping(poset, f)
     target_labels = set(target.labels) if isinstance(target, GPoset) else set(target)
+    pos, down, up = poset.order.pos, poset.order.down, poset.order.up
+    target_mask = 0
     for t in target_labels:
         if t not in poset:
             raise MapNotWellDefined(f"target label {t!r} is not in the poset",
                                     image=t)
-    leq, labels = poset.leq, poset.labels
-    return (all(leq(fmap[x], fmap[y]) for x in labels for y in labels
-                if leq(x, y))
-            and all(leq(x, fmap[x]) if side == ">=" else leq(fmap[x], x)
-                    for x in labels)
-            and all(fmap[x] in target_labels for x in labels))
+        target_mask |= 1 << pos[t]
+    image = {pos[x]: pos[y] for x, y in fmap.items()}
+    for i, fi in image.items():
+        if not target_mask >> fi & 1:
+            return False
+        if fi != i and not (up[i] if side == ">=" else down[i]) >> fi & 1:
+            return False
+        below = 0  # f(down(x)) must lie in down(f(x))
+        for j in positions(down[i] & poset.mask):
+            below |= 1 << image[j]
+        if below & ~(down[fi] | 1 << fi):
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------
 # beat-point core reduction
 #
-# Labels are handled by their position in poset.labels; a set of labels is
-# a bitmask over positions, so a beat-point test is a few bit operations.
+# Labels are handled by their position in the poset's order, a linear
+# extension; a set of labels is a bitmask over positions, so a beat-point
+# test is a few bit operations.
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _strict_order(poset: GPoset):
-    """Per position, the bitmasks of the positions strictly below and above."""
-    labels = poset.labels
-    below = [0] * len(labels)
-    above = [0] * len(labels)
-    for i, x in enumerate(labels):
-        for j, y in enumerate(labels):
-            if i != j and poset.leq(x, y):
-                below[j] |= 1 << i
-                above[i] |= 1 << j
-    return below, above
-
-
-def _is_beat(i: int, alive: int, below: list, above: list) -> bool:
+def _is_beat(i: int, alive: int, down, up) -> bool:
     """Position i is a beat point of the subposet alive: its strict down-set
-    has exactly one maximal element, or its strict up-set exactly one
-    minimal element."""
-    down = below[i] & alive
-    if down and sum(1 for j in _bits(down) if not above[j] & down) == 1:
+    has a maximum or its strict up-set a minimum. Positions follow a linear
+    extension, so the only candidates are the highest position of the
+    down-set and the lowest of the up-set."""
+    below = down[i] & alive
+    top = below.bit_length() - 1
+    if below and below & ~down[top] == 1 << top:
         return True
-    up = above[i] & alive
-    return bool(up) and sum(1 for j in _bits(up) if not below[j] & up) == 1
+    above = up[i] & alive
+    bottom = (above & -above).bit_length() - 1
+    return bool(above) and above & ~up[bottom] == 1 << bottom
 
 
 def _orbit_masks(poset: GPoset, gens):
     """Per position, the bitmask of its orbit under conjugation by gens, or
     None when some generator conjugates a label out of the poset."""
-    pos = {x: i for i, x in enumerate(poset.labels)}
-    images = []
-    for g in gens:
-        image = [pos.get(poset.conjugate_label(g, x)) for x in poset.labels]
-        if None in image:
-            return None
-        images.append(image)
-    orbit = [0] * len(pos)
-    for i in range(len(pos)):
-        if orbit[i]:
+    pos = poset.order.pos
+    orbit = {}
+    for x in poset.labels:
+        if pos[x] in orbit:
             continue
-        mask, stack = 1 << i, [i]
+        mask, stack = 1 << pos[x], [x]
         while stack:
-            k = stack.pop()
-            for image in images:
-                j = image[k]
-                if not mask >> j & 1:
-                    mask |= 1 << j
-                    stack.append(j)
-        for j in _bits(mask):
+            y = stack.pop()
+            for g in gens:
+                z = poset.conjugate_label(g, y)
+                if z not in poset:
+                    return None
+                if not mask >> pos[z] & 1:
+                    mask |= 1 << pos[z]
+                    stack.append(z)
+        for j in positions(mask):
             orbit[j] = mask
     return orbit
 
@@ -255,49 +241,58 @@ def core_reduction(poset: GPoset, gens=None) -> CoreReduction | None:
     gens is given and the poset is invariant under conjugation by gens,
     remove its whole orbit instead (an orbit of beat points is an antichain
     of beat points). Returns the removals when a single point remains, and
-    None when the core has more than one point or the poset is empty."""
+    None when the core has more than one point or the poset is empty.
+
+    A removal changes the beat status only of the points comparable to it,
+    so the mask of current beat points is rechecked there alone."""
     if poset.is_empty():
         return None
-    below, above = _strict_order(poset)
+    at, down, up = poset.order.labels, poset.order.down, poset.order.up
     orbit = _orbit_masks(poset, gens) if gens is not None else None
-    alive = (1 << len(poset)) - 1
-    steps = []
-    while alive & (alive - 1):
-        beat = next((i for i in _bits(alive)
-                     if _is_beat(i, alive, below, above)), None)
-        if beat is None:
+    alive = near = poset.mask
+    beats, steps = 0, []
+    while True:
+        for j in positions(near):
+            if _is_beat(j, alive, down, up):
+                beats |= 1 << j
+        if not alive & (alive - 1):
+            return CoreReduction(tuple(steps), at[alive.bit_length() - 1])
+        if not beats:
             return None
-        step = orbit[beat] if orbit is not None else 1 << beat
-        steps.append(tuple(poset.labels[j] for j in _bits(step)))
+        low = beats & -beats
+        step = orbit[low.bit_length() - 1] if orbit is not None else low
+        steps.append(tuple(at[j] for j in positions(step)))
         alive &= ~step
-    return CoreReduction(tuple(steps), poset.labels[alive.bit_length() - 1])
+        near = 0
+        for j in positions(step):
+            near |= down[j] | up[j]
+        near &= alive
+        beats &= alive & ~near
 
 
 def _replay_core(poset: GPoset, cert: CoreReduction, gens) -> bool:
     """Every label must be a beat point when it is removed, each step must be
     exactly one orbit when gens is given, and exactly cert.point remains."""
-    pos = {x: i for i, x in enumerate(poset.labels)}
-    below, above = _strict_order(poset)
-    orbit = None
-    if gens is not None:
-        orbit = _orbit_masks(poset, gens)
-        if orbit is None:
-            return False
-    alive = (1 << len(pos)) - 1
+    pos, down, up = poset.order.pos, poset.order.down, poset.order.up
+    orbit = _orbit_masks(poset, gens) if gens is not None else None
+    if gens is not None and orbit is None:
+        return False
+    alive = poset.mask
     for step in cert.steps:
         if not step:
             return False
         mask = 0
         for x in step:
-            i = pos.get(x)
-            if (i is None or not alive >> i & 1
-                    or not _is_beat(i, alive, below, above)):
+            if x not in poset:
+                return False
+            i = pos[x]
+            if not alive >> i & 1 or not _is_beat(i, alive, down, up):
                 return False
             alive &= ~(1 << i)
             mask |= 1 << i
         if orbit is not None and orbit[i] != mask:
             return False
-    return cert.point in pos and alive == 1 << pos[cert.point]
+    return cert.point in poset and alive == 1 << pos[cert.point]
 
 
 # --------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
                        FiberContractibility, LinkContractibility,
-                       MonotoneRetraction, Verdict, _json_label,
+                       MonotoneRetraction, Verdict, _as_mapping, _json_label,
                        _sorted_pairs, contractibility_verdict,
                        fixed_point_contractibility_scan,
                        verify_monotone_retraction)
 from .errors import MapNotWellDefined, NotASubposet
 from .homology import homology
-from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
+from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex, positions
 
 MODES = ("fibers", "upper", "lower", "upper-equivariant")
 
@@ -41,16 +41,13 @@ _CLAIMS = {
 
 
 def _check_subposet(sub: GPoset, ambient: GPoset) -> None:
-    missing = [x for x in sub.labels if x not in ambient]
+    if sub.order is not ambient.order:
+        raise NotASubposet(
+            "order disagrees: sub and ambient do not share one order")
+    missing = [sub.order.labels[i]
+               for i in positions(sub.mask & ~ambient.mask)]
     if missing:
         raise NotASubposet(f"labels {missing[:5]!r} are not in the ambient poset")
-    if sub.lattice is not None and sub.lattice is ambient.lattice:
-        return  # both orders are inclusion in the same lattice
-    for a in sub.labels:
-        for b in sub.labels:
-            if sub.leq(a, b) != ambient.leq(a, b):
-                raise NotASubposet(
-                    f"order disagrees on {a!r}, {b!r} between sub and ambient")
 
 
 def _conjugacy_reps(ambient: GPoset, sub: GPoset, pool) -> list:
@@ -250,9 +247,8 @@ def _compare_pair(h, left: GPoset, right: GPoset, retraction,
         if hint is not None:
             f, side = hint
             try:
-                if verify_monotone_retraction(right, f, side, left):
-                    fmap = (dict(f) if not callable(f)
-                            else {x: f(x) for x in right.labels})
+                fmap = _as_mapping(right, f)
+                if verify_monotone_retraction(right, fmap, side, left):
                     cert = MonotoneRetraction(_sorted_pairs(fmap), side,
                                               tuple(left.labels))
                     return FixedPointComparison(h.index, h.order, CERTIFIED,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (CapExceeded, InternalInconsistency, NotAPGroup,
                      NotMutuallyNormalizing, PrimeDoesNotDivide)
@@ -28,6 +29,27 @@ class SubgroupRef:
 
     def __repr__(self):
         return f"SubgroupRef(index={self.index}, order={self.order})"
+
+
+class Order(NamedTuple):
+    """A strict order on the positions of a linear extension: labels[i] is
+    the label at position i, pos[label] its position, and down[i], up[i] the
+    bitmasks of the positions strictly below and above i."""
+    labels: object
+    pos: object
+    down: object
+    up: object
+
+
+class _LazyMasks(dict):
+    """One bitmask per position, built by build(i) on first use."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, i):
+        mask = self[i] = self.build(i)
+        return mask
 
 
 def p_part(n: int, p: int) -> int:
@@ -129,13 +151,16 @@ class SubgroupLattice:
     def leq(self, a: SubgroupRef, b: SubgroupRef) -> bool:
         return a.bitset | b.bitset == b.bitset
 
-    def lt(self, a: SubgroupRef, b: SubgroupRef) -> bool:
-        return a.bitset != b.bitset and self.leq(a, b)
-
-    def leq_indices(self, i: int, j: int) -> bool:
-        a = self.subgroups[i].bitset
-        b = self.subgroups[j].bitset
-        return a | b == b
+    @cached_property
+    def order(self) -> Order:
+        """Strict inclusion over lattice indices, each mask built on first
+        use; subgroups sort by order, so indices are a linear extension."""
+        bits = self._bitsets  # not self: the lattice stays free of cycles
+        down = _LazyMasks(lambda i: sum(
+            1 << j for j in range(i) if bits[j] | bits[i] == bits[i]))
+        up = _LazyMasks(lambda i: sum(1 << j for j in range(i + 1, len(bits))
+                                      if bits[j] & bits[i] == bits[i]))
+        return Order(range(len(bits)), range(len(bits)), down, up)
 
     def generating_set(self, ref: SubgroupRef) -> tuple[int, ...]:
         """A small generating set, chosen greedily in canonical element order."""
@@ -209,13 +234,14 @@ class SubgroupLattice:
         return self.subgroups[self._normalizer[ref.index]]
 
     def centralizer(self, ref: SubgroupRef) -> SubgroupRef:
+        """g centralizes H exactly when it commutes with each generator."""
         if ref.index not in self._centralizer:
             mul = self.group.mul
             out = 0
-            hs = self._members[ref.bitset]
+            gens = self.generating_set(ref)
             for g in range(self.group.order):
                 row = mul[g]
-                if all(row[h] == mul[h][g] for h in hs):
+                if all(row[h] == mul[h][g] for h in gens):
                     out |= 1 << g
             self._centralizer[ref.index] = self._index[out]
         return self.subgroups[self._centralizer[ref.index]]

@@ -1,123 +1,130 @@
 """Finite posets with a group action, and their order complexes.
 
-A GPoset is either backed by a subgroup lattice (labels are lattice indices,
-the order is inclusion, the action is conjugation) or abstract (labels are
-arbitrary hashables with an explicit relation, no action). Order complexes
-list every strict chain; chains are stored in increasing order, which fixes
-the orientation used by the boundary matrices.
+A GPoset is a mask of positions in one shared `Order`, the strict down- and
+up-masks of a linear extension. It is either backed by a subgroup lattice
+(labels are lattice indices, the order is inclusion, the action is
+conjugation) or abstract (arbitrary hashable labels with an explicit
+relation, no action). Order complexes list every strict chain; chains are
+stored in increasing order, which fixes the orientation used by the
+boundary matrices.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .errors import SizeCap
-from .lattice import SubgroupLattice, SubgroupRef
+from .lattice import Order, SubgroupLattice, SubgroupRef
 
 DEFAULT_SIMPLEX_CAP = 500_000
 
 
+def positions(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class GPoset:
-    def __init__(self, labels, leq_fn, lattice: SubgroupLattice | None = None,
-                 name: str = ""):
-        self.labels = tuple(labels)
-        self._leq = leq_fn
+    def __init__(self, order: Order, mask: int,
+                 lattice: SubgroupLattice | None = None, name: str = ""):
+        self.order = order
+        self.mask = mask
         self.lattice = lattice
         self.name = name
-        self._set = frozenset(self.labels)
 
     # ----- constructors ------------------------------------------------------
 
     @classmethod
     def from_collection(cls, lattice: SubgroupLattice, collection) -> "GPoset":
-        labels = tuple(m.index for m in collection.members)
-        return cls(labels, lattice.leq_indices, lattice,
-                   name=f"{collection.kind}_{collection.prime}")
+        return cls.from_lattice_indices(
+            lattice, (m.index for m in collection.members),
+            name=f"{collection.kind}_{collection.prime}")
 
     @classmethod
     def from_lattice_indices(cls, lattice: SubgroupLattice, indices,
                              name: str = "") -> "GPoset":
-        return cls(tuple(sorted(indices)), lattice.leq_indices, lattice, name=name)
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        return cls(lattice.order, mask, lattice, name=name)
 
     @classmethod
     def from_relation(cls, labels, strict_pairs, name: str = "") -> "GPoset":
-        """Abstract poset from the reflexive-transitive closure of strict_pairs."""
+        """Abstract poset ordered by the transitive closure of strict_pairs;
+        the labels must list a linear extension of it."""
         labels = tuple(labels)
-        below: dict = {x: {x} for x in labels}
+        pos = {x: i for i, x in enumerate(labels)}
+        down = [0] * len(labels)
         for a, b in strict_pairs:
-            below[b].add(a)
-        changed = True
-        while changed:
-            changed = False
-            for b in labels:
-                merged = set(below[b])
-                for a in list(merged):
-                    merged |= below[a]
-                if merged != below[b]:
-                    below[b] = merged
-                    changed = True
-        for a in labels:
-            for b in labels:
-                if a != b and a in below[b] and b in below[a]:
-                    raise ValueError(f"relation is not antisymmetric at {a!r}, {b!r}")
-        return cls(labels, lambda x, y: x in below[y], name=name)
+            if pos[a] > pos[b]:
+                raise ValueError(
+                    f"labels are not a linear extension: {a!r} < {b!r}")
+            if a != b:  # a reflexive pair adds nothing
+                down[pos[b]] |= 1 << pos[a]
+        up = [0] * len(labels)
+        for j in range(len(labels)):
+            for i in positions(down[j]):  # i < j, so down[i] is closed
+                down[j] |= down[i]
+            for i in positions(down[j]):
+                up[i] |= 1 << j
+        return cls(Order(labels, pos, down, up), (1 << len(labels)) - 1,
+                   name=name)
 
     # ----- basic queries ------------------------------------------------------
 
+    @cached_property
+    def labels(self) -> tuple:
+        at = self.order.labels
+        return tuple(at[i] for i in positions(self.mask))
+
     def __len__(self):
-        return len(self.labels)
+        return self.mask.bit_count()
 
     def __contains__(self, label):
-        return label in self._set
-
-    def __eq__(self, other):
-        return isinstance(other, GPoset) and self._set == other._set \
-            and self._same_backing(other)
-
-    def __hash__(self):
-        return hash(self._set)
-
-    def _same_backing(self, other: "GPoset") -> bool:
-        if self.lattice is not None or other.lattice is not None:
-            return self.lattice is other.lattice
-        return all(self.leq(a, b) == other.leq(a, b)
-                   for a in self.labels for b in self.labels)
-
-    def leq(self, a, b) -> bool:
-        return self._leq(a, b)
-
-    def lt(self, a, b) -> bool:
-        return a != b and self._leq(a, b)
+        pos = self.order.pos
+        return label in pos and bool(self.mask >> pos[label] & 1)
 
     def is_empty(self) -> bool:
-        return not self.labels
+        return not self.mask
+
+    def _sub(self, mask: int, name: str) -> "GPoset":
+        return GPoset(self.order, mask & self.mask, self.lattice, name)
 
     def restrict(self, keep, name: str = "") -> "GPoset":
-        keep = set(keep)
-        labels = tuple(x for x in self.labels if x in keep)
-        return GPoset(labels, self._leq, self.lattice, name or self.name)
+        pos = self.order.pos
+        mask = 0
+        for x in keep:
+            if x in pos:
+                mask |= 1 << pos[x]
+        return self._sub(mask, name or self.name)
 
     # ----- intervals (the cut point may lie outside the poset) -----------------
 
-    def above(self, x, strict: bool = False) -> "GPoset":
+    def _cut(self, x, strict: bool):
+        """The cut point's label, its position, and its bit unless strict."""
         x = self._label_of(x)
-        rel = self.lt if strict else self.leq
-        labels = tuple(y for y in self.labels if rel(x, y))
-        tag = ">" if strict else ">="
-        return GPoset(labels, self._leq, self.lattice, f"{self.name}{tag}{x}")
+        i = self.order.pos[x]
+        return x, i, 0 if strict else 1 << i
+
+    def above(self, x, strict: bool = False) -> "GPoset":
+        x, i, bit = self._cut(x, strict)
+        return self._sub(self.order.up[i] | bit,
+                         f"{self.name}{'>' if strict else '>='}{x}")
 
     def below(self, x, strict: bool = False) -> "GPoset":
-        x = self._label_of(x)
-        rel = self.lt if strict else self.leq
-        labels = tuple(y for y in self.labels if rel(y, x))
-        tag = "<" if strict else "<="
-        return GPoset(labels, self._leq, self.lattice, f"{self.name}{tag}{x}")
+        x, i, bit = self._cut(x, strict)
+        return self._sub(self.order.down[i] | bit,
+                         f"{self.name}{'<' if strict else '<='}{x}")
 
     def between(self, lo, hi, strict: bool = False) -> "GPoset":
-        lo, hi = self._label_of(lo), self._label_of(hi)
-        rel = self.lt if strict else self.leq
-        labels = tuple(y for y in self.labels if rel(lo, y) and rel(y, hi))
-        return GPoset(labels, self._leq, self.lattice, f"{self.name}[{lo},{hi}]")
+        lo, i, lo_bit = self._cut(lo, strict)
+        hi, j, hi_bit = self._cut(hi, strict)
+        mask = (self.order.up[i] | lo_bit) & (self.order.down[j] | hi_bit)
+        return self._sub(mask, f"{self.name}[{lo},{hi}]")
 
     def _label_of(self, x):
         return x.index if isinstance(x, SubgroupRef) else x
@@ -129,16 +136,15 @@ class GPoset:
             raise ValueError("abstract poset has no subgroup refs")
         return self.lattice
 
-    def ref(self, label) -> SubgroupRef:
-        return self._require_lattice().ref(label)
-
     def fixed_points(self, h: SubgroupRef) -> "GPoset":
         """Subposet of elements invariant under conjugation by every member
         of H; for subgroup posets these are the subgroups normalized by H."""
-        lat = self._require_lattice()
-        labels = tuple(x for x in self.labels
-                       if lat.leq(h, lat.normalizer(lat.ref(x))))
-        return GPoset(labels, self._leq, lat, f"{self.name}^{h.index}")
+        lat, pos = self._require_lattice(), self.order.pos
+        mask = 0
+        for x in self.labels:
+            if lat.leq(h, lat.normalizer(lat.ref(x))):
+                mask |= 1 << pos[x]
+        return self._sub(mask, f"{self.name}^{h.index}")
 
     def conjugate_label(self, g: int, label):
         lat = self._require_lattice()
@@ -146,7 +152,8 @@ class GPoset:
 
     def is_invariant_under(self, gens) -> bool:
         """True if conjugation by each generator maps the poset into itself."""
-        return all(self.conjugate_label(g, x) in self._set
+        mask, pos = self.mask, self.order.pos
+        return all(mask >> pos[self.conjugate_label(g, x)] & 1
                    for g in gens for x in self.labels)
 
 
@@ -197,12 +204,12 @@ class OrderComplex:
 def order_complex(poset: GPoset, max_simplices: int = DEFAULT_SIMPLEX_CAP,
                   name: str = "") -> OrderComplex:
     """All strict chains of the poset, grouped by dimension."""
-    labels = poset.labels
-    lt = poset.lt
-    succ = {x: [y for y in labels if lt(x, y)] for x in labels}
+    at, up, mask = poset.order.labels, poset.order.up, poset.mask
+    succ = {at[i]: [at[j] for j in positions(up[i] & mask)]
+            for i in positions(mask)}
     simplices: dict[int, list[tuple]] = {}
     total = 0
-    frontier = [(x,) for x in labels]
+    frontier = [(x,) for x in poset.labels]
     dim = 0
     while frontier:
         total += len(frontier)

@@ -5,7 +5,10 @@ saturation loops. No bitsets, no lattice machinery, no shared helpers with
 the package; only the element table itself is common input. Intended for
 groups of order <= 48. The linear-algebra oracles are dense: boundary_matrix
 writes out every boundary map in full, rank_over_rationals is Gauss-Jordan
-elimination in exact fractions and rank_mod the same over F_p.
+elimination in exact fractions and rank_mod the same over F_p. The poset
+oracles work pair by pair: relation_closure saturates a relation, and
+core_reduction rescans every label for the first beat point after each
+removal, counting the maximal elements of each down-set.
 """
 
 from __future__ import annotations
@@ -281,3 +284,105 @@ def boundary_matrix(complex_, k: int) -> list[list[int]]:
             face = s[:drop] + s[drop + 1:]
             mat[index[face]][j] += (-1) ** drop
     return mat
+
+
+# ------------------------------------------------------------------ posets
+
+
+def relation_closure(labels, strict_pairs) -> dict:
+    """For each label, the set of labels below or equal to it in the
+    reflexive-transitive closure of strict_pairs."""
+    below: dict = {x: {x} for x in labels}
+    for a, b in strict_pairs:
+        below[b].add(a)
+    changed = True
+    while changed:
+        changed = False
+        for b in labels:
+            merged = set(below[b])
+            for a in list(merged):
+                merged |= below[a]
+            if merged != below[b]:
+                below[b] = merged
+                changed = True
+    return below
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _strict_order(poset, leq):
+    """Per position, the bitmasks of the positions strictly below and above."""
+    labels = poset.labels
+    below = [0] * len(labels)
+    above = [0] * len(labels)
+    for i, x in enumerate(labels):
+        for j, y in enumerate(labels):
+            if i != j and leq(x, y):
+                below[j] |= 1 << i
+                above[i] |= 1 << j
+    return below, above
+
+
+def is_beat(i: int, alive: int, below, above) -> bool:
+    """Position i is a beat point of the subposet alive: its strict down-set
+    has exactly one maximal element, or its strict up-set exactly one
+    minimal element."""
+    down = below[i] & alive
+    if down and sum(1 for j in _bits(down) if not above[j] & down) == 1:
+        return True
+    up = above[i] & alive
+    return bool(up) and sum(1 for j in _bits(up) if not below[j] & up) == 1
+
+
+def _orbit_masks(poset, gens):
+    """Per position, the bitmask of its orbit under conjugation by gens, or
+    None when some generator conjugates a label out of the poset."""
+    pos = {x: i for i, x in enumerate(poset.labels)}
+    images = []
+    for g in gens:
+        image = [pos.get(poset.conjugate_label(g, x)) for x in poset.labels]
+        if None in image:
+            return None
+        images.append(image)
+    orbit = [0] * len(pos)
+    for i in range(len(pos)):
+        if orbit[i]:
+            continue
+        mask, stack = 1 << i, [i]
+        while stack:
+            k = stack.pop()
+            for image in images:
+                j = image[k]
+                if not mask >> j & 1:
+                    mask |= 1 << j
+                    stack.append(j)
+        for j in _bits(mask):
+            orbit[j] = mask
+    return orbit
+
+
+def core_reduction(poset, leq, gens=None):
+    """(steps, point) of the beat-point reduction that removes the first beat
+    point in label order, or its whole orbit under gens, until none is left;
+    None when the core has more than one point or the poset is empty. leq
+    is the order relation, asked pair by pair."""
+    if poset.is_empty():
+        return None
+    below, above = _strict_order(poset, leq)
+    orbit = _orbit_masks(poset, gens) if gens is not None else None
+    alive = (1 << len(poset)) - 1
+    steps = []
+    while alive & (alive - 1):
+        beat = next((i for i in _bits(alive)
+                     if is_beat(i, alive, below, above)), None)
+        if beat is None:
+            return None
+        step = orbit[beat] if orbit is not None else 1 << beat
+        steps.append(tuple(poset.labels[j] for j in _bits(step)))
+        alive &= ~step
+    return tuple(steps), poset.labels[alive.bit_length() - 1]

@@ -10,13 +10,14 @@ order.
 import random
 
 from sclab.collections import KINDS, collection_context
-from sclab.contract import (CONTRACTIBLE, core_reduction,
+from sclab.contract import (CONTRACTIBLE, _is_beat, core_reduction,
                             fixed_point_contractibility_scan)
 from sclab.group import builtin_group
 from sclab.homology import homology, smith_normal_form
 from sclab.lattice import p_part
 from sclab.poset import GPoset, order_complex
 
+import _naive
 from _naive import boundary_matrix, rank_mod, rank_over_rationals
 from _suite import SUITE, lattice_of
 
@@ -175,7 +176,7 @@ def check_relative_normalizers_stay_distinguished(b: Budget) -> None:
             NP = lat.normalizer(P)
             for qi in hS:
                 Q = lat.ref(qi)
-                if lat.lt(P, Q):
+                if P != Q and lat.leq(P, Q):
                     b.check(lat.meet(Q, NP).index in hS, (name, p, pi, qi))
 
 
@@ -281,30 +282,93 @@ def check_brown_congruence(b: Budget) -> None:
         b.check((chi - 1) % p_part(lat.group.order, p) == 0, (name, p, chi))
 
 
+def _suite_posets():
+    """(lattice, tag, poset) for every collection poset of the suite and its
+    fixed subposets under orbit representatives, each label set once per
+    plan."""
+    for name, p in SUITE:
+        lat = lattice_of(name)
+        ctx = collection_context(lat, p)
+        seen = set()
+        for kind in KINDS:
+            whole = GPoset.from_collection(lat, ctx.collection(kind))
+            for h in lat.orbit_representatives():
+                poset = whole.fixed_points(h)
+                if poset.labels not in seen:
+                    seen.add(poset.labels)
+                    yield lat, (name, p, kind, h.index), poset
+
+
 def check_core_reduction_is_contractibility(b: Budget) -> None:
     """Every collection poset and its fixed subposets under orbit
     representatives: a beat-point core that is a point means trivial
     homology. On a G-invariant poset the orbit-wise reduction reaches a point
     as well, and the independent fixed-point scan confirms that the poset is
     G-contractible (Stong's equivariant claim)."""
+    for lat, tag, poset in _suite_posets():
+        if core_reduction(poset) is None:
+            continue
+        b.check(homology(order_complex(poset)).trivial, tag)
+        gens = lat.generating_set(lat.full)
+        if poset.is_invariant_under(gens):
+            b.check(core_reduction(poset, gens) is not None, tag)
+            scan = fixed_point_contractibility_scan(poset, lat.full)
+            b.check(scan[0] == CONTRACTIBLE, tag)
+
+
+def _inclusion(lat):
+    def leq(a, b):
+        x, y = lat.ref(a).bitset, lat.ref(b).bitset
+        return x | y == y
+    return leq
+
+
+def check_masks_are_inclusion(b: Budget) -> None:
+    """On every collection poset of the suite, the strict down- and up-set
+    of each label are the labels whose subgroups it properly contains, and
+    those properly containing it, pair by pair."""
     for name, p in SUITE:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
-        gens = lat.generating_set(lat.full)
-        seen = set()
+        leq = _inclusion(lat)
         for kind in KINDS:
-            whole = GPoset.from_collection(lat, ctx.collection(kind))
-            for h in lat.orbit_representatives():
-                poset = whole.fixed_points(h)
-                if poset.labels in seen or core_reduction(poset) is None:
-                    continue
-                seen.add(poset.labels)
-                tag = (name, p, kind, h.index)
-                b.check(homology(order_complex(poset)).trivial, tag)
-                if poset.is_invariant_under(gens):
-                    b.check(core_reduction(poset, gens) is not None, tag)
-                    scan = fixed_point_contractibility_scan(poset, lat.full)
-                    b.check(scan[0] == CONTRACTIBLE, tag)
+            poset = GPoset.from_collection(lat, ctx.collection(kind))
+            for x in poset.labels:
+                b.check(poset.below(x, strict=True).labels
+                        == tuple(y for y in poset.labels
+                                 if y != x and leq(y, x)), (name, p, kind, x))
+                b.check(poset.above(x, strict=True).labels
+                        == tuple(y for y in poset.labels
+                                 if y != x and leq(x, y)), (name, p, kind, x))
+
+
+def check_beat_test_counts_maximal_elements(b: Budget,
+                                            rng: random.Random) -> None:
+    """The two-mask beat-point test agrees with counting the maximal
+    elements of the strict down-set and the minimal ones of the up-set, on
+    the whole poset and on random subposets."""
+    for lat, tag, poset in _suite_posets():
+        down, up = poset.order.down, poset.order.up
+        for _ in range(3):
+            alive = poset.mask & rng.getrandbits(poset.mask.bit_length())
+            for i in _naive._bits(alive):
+                b.check(_is_beat(i, alive, down, up)
+                        == _naive.is_beat(i, alive, down, up), tag)
+        for i in _naive._bits(poset.mask):
+            b.check(_is_beat(i, poset.mask, down, up)
+                    == _naive.is_beat(i, poset.mask, down, up), tag)
+
+
+def check_core_reduction_matches_rescanning(b: Budget) -> None:
+    """Incremental core reduction removes the same beat points, plainly and
+    orbit-wise, as rescanning from the first label after each removal."""
+    for lat, tag, poset in _suite_posets():
+        leq = _inclusion(lat)
+        gens = lat.generating_set(lat.full)
+        for g in (None, gens) if poset.is_invariant_under(gens) else (None,):
+            core = core_reduction(poset, g)
+            b.check((core and (core.steps, core.point))
+                    == _naive.core_reduction(poset, leq, g), tag)
 
 
 # ---------------------------------------------------------------- driver
@@ -327,6 +391,9 @@ FAMILIES = (
     (check_smith_form_invariants, 113),
     (check_brown_congruence, None),
     (check_core_reduction_is_contractibility, None),
+    (check_masks_are_inclusion, None),
+    (check_beat_test_counts_maximal_elements, 116),
+    (check_core_reduction_matches_rescanning, None),
 )
 
 

@@ -1,4 +1,5 @@
-"""Shared group/prime suite and a cached lattice factory for the tests."""
+"""Shared group/prime suite, a cached lattice factory and an abstract-poset
+constructor for the tests."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import functools
 
 from sclab.group import builtin_group
 from sclab.lattice import enumerate_subgroups
+from sclab.poset import GPoset
 
 # every builtin suite group at each prime dividing its order
 SUITE = (
@@ -22,3 +24,12 @@ SMALL_SUITE = tuple((name, p) for name, p in SUITE
 @functools.lru_cache(maxsize=None)
 def lattice_of(name: str):
     return enumerate_subgroups(builtin_group(name))
+
+
+def relation_poset(labels, leq, name: str = "") -> GPoset:
+    """The abstract poset on labels ordered by leq(a, b); the labels must list
+    a linear extension."""
+    labels = tuple(labels)
+    return GPoset.from_relation(
+        labels, [(a, b) for a in labels for b in labels
+                 if a != b and leq(a, b)], name=name)

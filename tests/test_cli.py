@@ -7,6 +7,7 @@ regenerate it.
 
 import ast
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -31,6 +32,14 @@ from sclab.cli import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent / "data"
+
+# SHA-256 of the report of `sclab verify --group tests/data/z2_4.grp
+# --prime 2`, recorded while order queries were still pairwise. Its core
+# certificates list every beat point in removal order, so any change in
+# which beat point is removed first changes these bytes.
+Z2_4_P2_SHA256 = (
+    "ac9259f32a0f4679d1d7e9294373852da04add57d1a46e7c81562bb26bd58655")
 
 
 def verify(*extra):
@@ -211,6 +220,13 @@ def test_golden_d8_table31_under_optimize():
                        "builtin:D8", "--prime", "2", "--suite", "table31")
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / "d8_table31.json").read_bytes()
+
+
+def test_z2_4_report_is_pinned(tmp_path):
+    report = tmp_path / "z2_4.json"
+    assert verify("--group", str(DATA / "z2_4.grp"), "--prime", "2",
+                  "--report", str(report)) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == Z2_4_P2_SHA256
 
 
 def _raises_assertion_error(node):

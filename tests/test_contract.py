@@ -26,18 +26,19 @@ from sclab.group import builtin_group
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import GPoset, OrderComplex
 
+from _suite import relation_poset
 from test_homology import DUNCE_FACETS
 
-DIVISORS_OF_12 = GPoset((1, 2, 3, 4, 6, 12), lambda a, b: b % a == 0)
+DIVISORS_OF_12 = relation_poset((1, 2, 3, 4, 6, 12), lambda a, b: b % a == 0)
 
 # two maximal and three minimal elements, but joining with "a" stays inside
-BOWTIE = GPoset(
+BOWTIE = relation_poset(
     ("a", "b", "c", "ab", "ac"),
     lambda x, y: x == y or (len(x) == 1 and x in y),
 )
 
 # face poset of a hollow triangle: connected, H1 = Z
-TRIANGLE_RIM = GPoset(
+TRIANGLE_RIM = relation_poset(
     ("a", "b", "c", "ab", "bc", "ca"),
     lambda x, y: x == y or (len(x) == 1 and x in y),
 )
@@ -215,7 +216,7 @@ def test_verdict_collapse_on_a_complex():
 
 
 def test_verdict_disconnected():
-    two = GPoset(("x", "y"), lambda a, b: a == b)
+    two = relation_poset(("x", "y"), lambda a, b: a == b)
     v = contractibility_verdict(two)
     assert v.status == NOT_CONTRACTIBLE
     assert v.method == "disconnected"

@@ -27,6 +27,8 @@ from sclab.group import builtin_group
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import GPoset
 
+from _suite import relation_poset
+
 
 @pytest.fixture(scope="module")
 def d8():
@@ -132,8 +134,8 @@ def test_inclusion_mode_validation(d8):
 
 
 def test_equivariant_demand_needs_a_lattice():
-    sub = GPoset(("a",), lambda x, y: x == y)
-    ambient = GPoset(("a", "b"), lambda x, y: x == y or x == "a")
+    ambient = relation_poset(("a", "b"), lambda x, y: x == y or x == "a")
+    sub = ambient.restrict(("a",))
     with pytest.raises(ValueError):
         verify_inclusion_equivalence(sub, ambient, "fibers")
     # the plain modes are fine on abstract posets
@@ -144,12 +146,12 @@ def test_equivariant_demand_needs_a_lattice():
 def test_not_a_subposet_is_rejected(d8):
     lat, ctx = d8
     ambient = poset_of(lat, ctx, "tilde-A")
-    stray = GPoset(("zz",), lambda x, y: True)
+    stray = relation_poset(("zz",), lambda x, y: True)
     with pytest.raises(NotASubposet):
         verify_inclusion_equivalence(stray, ambient, "upper")
     # same labels, different order
-    flat = GPoset((1, 2), lambda a, b: a == b)
-    chain = GPoset((1, 2), lambda a, b: a <= b)
+    flat = relation_poset((1, 2), lambda a, b: a == b)
+    chain = relation_poset((1, 2), lambda a, b: a <= b)
     with pytest.raises(NotASubposet):
         verify_inclusion_equivalence(flat, chain, "upper")
 
@@ -253,8 +255,8 @@ def test_scan_flags_emptiness_mismatch(d8):
 
 def test_scan_flags_contractibility_mismatch(d8):
     lat, _ = d8
-    two = GPoset(("x", "y"), lambda a, b: a == b)
-    cone = GPoset(("x", "y", "top"), lambda a, b: a == b or b == "top")
+    cone = relation_poset(("x", "y", "top"), lambda a, b: a == b or b == "top")
+    two = cone.restrict(("x", "y"))
     scan = fixed_point_equivalence_scan(
         [lat.trivial], lambda h: two, lambda h: cone)
     assert scan.status == MISMATCH
@@ -270,10 +272,11 @@ def test_scan_homology_consistent_tier(d8):
                           and y != "whisker" and x in (int(y[0]), int(y[1])))
 
     labels = (0, 1, 2, "01", "12", "02")
-    left = GPoset(labels, circle)
-    right = GPoset(labels + ("whisker",),
-                   lambda a, b: circle(a, b) or (a == "whisker" and b == "whisker")
-                   or (a == 0 and b == "whisker"))
+    right = relation_poset(
+        labels + ("whisker",),
+        lambda a, b: circle(a, b) or (a == "whisker" and b == "whisker")
+        or (a == 0 and b == "whisker"))
+    left = right.restrict(labels)
     scan = fixed_point_equivalence_scan(
         [lat.trivial], lambda h: left, lambda h: right)
     assert scan.status == HOMOLOGY_CONSISTENT

@@ -1,6 +1,6 @@
 import pytest
 
-from _suite import lattice_of
+from _suite import lattice_of, relation_poset
 from sclab.collections import collection_context
 from sclab.errors import SizeCap
 from sclab.poset import GPoset, OrderComplex, order_complex
@@ -10,16 +10,17 @@ DIVISORS = (1, 2, 3, 4, 6, 12)
 
 
 def divisor_poset():
-    return GPoset(DIVISORS, lambda a, b: b % a == 0, name="div12")
+    return relation_poset(DIVISORS, lambda a, b: b % a == 0, name="div12")
 
 
 def test_membership_and_relation():
     poset = divisor_poset()
     assert len(poset) == 6
     assert 4 in poset and 5 not in poset
-    assert poset.leq(2, 4) and not poset.leq(4, 2)
-    assert poset.lt(2, 4) and not poset.lt(4, 4)
-    assert not poset.leq(2, 3)
+    assert 4 in poset.above(2) and 2 not in poset.above(4)
+    assert 4 in poset.above(2, strict=True)
+    assert 4 not in poset.above(4, strict=True)
+    assert 3 not in poset.above(2) and 2 not in poset.below(3)
 
 
 def test_above_below_between():
@@ -38,14 +39,25 @@ def test_cut_point_need_not_be_member():
 
 def test_from_relation():
     poset = GPoset.from_relation("abc", [("a", "b"), ("b", "c")])
-    assert poset.leq("a", "c")  # transitive closure is applied
-    assert poset.lt("a", "b")
-    assert not poset.leq("c", "a")
+    assert "c" in poset.above("a")  # transitive closure is applied
+    assert poset.above("a", strict=True).labels == ("b", "c")
+    assert "a" not in poset.above("c")
+    # a reflexive pair is accepted and adds nothing
+    looped = GPoset.from_relation("ab", [("a", "a"), ("a", "b"), ("b", "b")])
+    assert looped.above("a", strict=True).labels == ("b",)
+    assert looped.below("b", strict=True).labels == ("a",)
 
 
 def test_from_relation_rejects_cycles():
     with pytest.raises(ValueError):
         GPoset.from_relation("ab", [("a", "b"), ("b", "a")])
+
+
+def test_labels_must_list_a_linear_extension():
+    with pytest.raises(ValueError, match="linear extension"):
+        GPoset.from_relation("ba", [("a", "b")])
+    with pytest.raises(ValueError, match="linear extension"):
+        relation_poset((4, 2, 1), lambda a, b: b % a == 0)
 
 
 def test_lattice_backed_poset():
@@ -75,9 +87,12 @@ def test_invariance_and_conjugation():
     poset = GPoset.from_collection(lat, ctx.collection("B"))
     gens = lat.group.generator_indices
     assert poset.is_invariant_under(gens)
-    one = poset.labels[0]
     for g in gens:
-        assert poset.conjugate_label(g, one) in poset.labels or True
+        for x in poset.labels:
+            image = poset.conjugate_label(g, x)
+            assert image in poset.labels
+            assert lat.ref(image).bitset == lat.conjugate_bitset(
+                lat.ref(x).bitset, g)
 
 
 def test_restrict_keeps_backing():
@@ -85,15 +100,16 @@ def test_restrict_keeps_backing():
     ctx = collection_context(lat, 2)
     poset = GPoset.from_collection(lat, ctx.collection("S"))
     sub = poset.restrict(poset.labels[:3])
-    assert sub.ref(sub.labels[0]).order >= 1  # still lattice backed
+    assert sub.lattice is lat and sub.order is poset.order
+    assert sub.labels == poset.labels[:3]
 
 
 def test_order_complex_of_chain_and_antichain():
-    chain = GPoset((1, 2, 4), lambda a, b: b % a == 0)
+    chain = relation_poset((1, 2, 4), lambda a, b: b % a == 0)
     cx = order_complex(chain)
     assert cx.counts() == (3, 3, 1)
     assert cx.euler_characteristic() == 1
-    antichain = GPoset((2, 3), lambda a, b: a == b)
+    antichain = relation_poset((2, 3), lambda a, b: a == b)
     assert order_complex(antichain).counts() == (2,)
 
 
@@ -110,7 +126,7 @@ def test_order_complex_divisors():
 
 
 def test_order_complex_empty():
-    empty = GPoset((), lambda a, b: True)
+    empty = relation_poset((), lambda a, b: True)
     cx = order_complex(empty)
     assert cx.is_empty()
     assert cx.counts() == ()

@@ -9,8 +9,11 @@ The closing test re-runs the whole battery and enforces the overall budget.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sclab.contract import _is_beat, core_reduction
 from sclab.homology import smith_normal_form
+from sclab.poset import GPoset
 
+import _naive
 import _props
 
 # assertion counts per family, pinned from a seeded reference run
@@ -30,6 +33,9 @@ EXPECTED = {
     "check_smith_form_invariants": 1000,
     "check_brown_congruence": 21,
     "check_core_reduction_is_contractibility": 164,
+    "check_masks_are_inclusion": 3350,
+    "check_beat_test_counts_maximal_elements": 2203,
+    "check_core_reduction_matches_rescanning": 200,
 }
 
 
@@ -69,6 +75,59 @@ def test_smith_form_transpose_invariant(mat):
 def test_smith_form_unchanged_by_row_negation(mat):
     flipped = [[-x for x in mat[0]]] + [row[:] for row in mat[1:]]
     assert smith_normal_form(flipped) == smith_normal_form(mat)
+
+
+@st.composite
+def _relations(draw):
+    """A relation on range(n) whose pairs all go upward, so range(n) lists a
+    linear extension of its closure."""
+    n = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if draw(st.booleans())]
+    return n, pairs
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_relations())
+def test_abstract_masks_match_the_closure(relation):
+    n, pairs = relation
+    poset = GPoset.from_relation(range(n), pairs)
+    below = _naive.relation_closure(range(n), pairs)
+    for x in range(n):
+        assert poset.below(x, strict=True).labels == tuple(
+            y for y in range(n) if y != x and y in below[x])
+        assert poset.above(x, strict=True).labels == tuple(
+            y for y in range(n) if y != x and x in below[y])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_relations())
+def test_abstract_beat_points_and_cores_match_the_oracle(relation):
+    n, pairs = relation
+    poset = GPoset.from_relation(range(n), pairs)
+    below = _naive.relation_closure(range(n), pairs)
+    down, up = poset.order.down, poset.order.up
+    for alive in range(1 << n):
+        for i in _naive._bits(alive):
+            assert _is_beat(i, alive, down, up) == _naive.is_beat(
+                i, alive, down, up)
+    core = core_reduction(poset)
+    assert (core and (core.steps, core.point)) == _naive.core_reduction(
+        poset, lambda a, b: a in below[b])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_relations(), st.randoms(use_true_random=False))
+def test_labels_must_list_a_linear_extension(relation, rnd):
+    n, pairs = relation
+    labels = list(range(n))
+    rnd.shuffle(labels)
+    where = {x: i for i, x in enumerate(labels)}
+    if any(where[a] > where[b] for a, b in pairs):
+        with pytest.raises(ValueError, match="linear extension"):
+            GPoset.from_relation(labels, pairs)
+    else:
+        assert GPoset.from_relation(labels, pairs).labels == tuple(labels)
 
 
 # ------------------------------------------------------------ the budget

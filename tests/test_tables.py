@@ -39,6 +39,8 @@ from sclab.tables import (
     verify_table_edges,
 )
 
+from _suite import relation_poset
+
 
 @pytest.fixture(scope="module")
 def d8():
@@ -286,9 +288,9 @@ def test_d8_subgroup_tokens(d8):
 
 
 def test_expectation_tokens(d8):
-    chain = GPoset((1, 2), lambda a, b: a <= b)
-    point = GPoset((1,), lambda a, b: True)
-    empty = GPoset((), lambda a, b: True)
+    chain = relation_poset((1, 2), lambda a, b: a <= b)
+    point = relation_poset((1,), lambda a, b: True)
+    empty = relation_poset((), lambda a, b: True)
     assert _expectation_holds(empty, "empty", 100)[0]
     assert not _expectation_holds(point, "empty", 100)[0]
     assert _expectation_holds(point, "point", 100)[0]
