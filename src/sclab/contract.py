@@ -86,37 +86,6 @@ class HomologyWitness:
 
 
 @dataclass(frozen=True)
-class FiberContractibility:
-    """Per-element evidence for an inclusion X -> Y: for each y in Y (up to
-    conjugacy) the fiber X_{<=y} is contractible equivariantly under the
-    stabilizer of y."""
-
-    per_element: tuple  # ((label, stabilizer_label, Verdict), ...)
-
-    def to_json(self):
-        return {"kind": "fibers",
-                "per_element": [[_json_label(y), _json_label(s), v.to_json()]
-                                for y, s, v in self.per_element]}
-
-
-@dataclass(frozen=True)
-class LinkContractibility:
-    """Per-element evidence for pruning Y down to X: for each P in Y \\ X
-    (up to conjugacy) the punctured interval Y_{>P} (side "upper") or
-    Y_{<P} (side "lower") is contractible, equivariantly when demanded."""
-
-    side: str
-    equivariant: bool
-    per_element: tuple  # ((label, Verdict), ...)
-
-    def to_json(self):
-        return {"kind": "links", "side": self.side,
-                "equivariant": self.equivariant,
-                "per_element": [[_json_label(p), v.to_json()]
-                                for p, v in self.per_element]}
-
-
-@dataclass(frozen=True)
 class Verdict:
     status: str                 # CONTRACTIBLE | NOT_CONTRACTIBLE | UNKNOWN
     method: str

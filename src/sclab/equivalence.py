@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
-                       FiberContractibility, LinkContractibility,
                        MonotoneRetraction, Verdict, _as_mapping, _json_label,
                        _sorted_pairs, contractibility_verdict,
                        fixed_point_contractibility_scan,
@@ -53,16 +52,12 @@ def _check_subposet(sub: GPoset, ambient: GPoset) -> None:
 def _conjugacy_reps(ambient: GPoset, sub: GPoset, pool) -> list:
     """One label per conjugacy orbit, valid when both posets are invariant."""
     lat = ambient.lattice
-    if lat is None:
+    if lat is None or not (lat.is_class_union(ambient.mask)
+                           and lat.is_class_union(sub.mask)):
         return list(pool)
-    gens = lat.generating_set(lat.full)
-    if not (ambient.is_invariant_under(gens) and sub.is_invariant_under(gens)):
-        return list(pool)
-    orbit_of = {i: n for n, orbit in enumerate(lat.orbits) for i in orbit}
-    first: dict = {}
-    for y in pool:
-        first.setdefault(orbit_of[y], y)
-    return list(first.values())
+    order = ambient.order
+    firsts = lat.first_of_each_class(sum(1 << order.pos[y] for y in pool))
+    return [order.labels[i] for i in positions(firsts)]
 
 
 @dataclass(frozen=True)
@@ -72,14 +67,6 @@ class InclusionResult:
     per_element: tuple          # ((label, stabilizer_index | None, Verdict), ...)
     witnesses: tuple            # labels whose hypothesis check did not certify
     claim: str
-
-    @property
-    def certificate(self):
-        if self.mode == "fibers":
-            return FiberContractibility(self.per_element)
-        side = "lower" if self.mode == "lower" else "upper"
-        per = tuple((y, v) for y, _, v in self.per_element)
-        return LinkContractibility(side, self.mode == "upper-equivariant", per)
 
     def to_json(self):
         return {"mode": self.mode, "outcome": self.outcome, "claim": self.claim,

@@ -218,6 +218,24 @@ class SubgroupLattice:
     def orbit_representatives(self) -> tuple[SubgroupRef, ...]:
         return tuple(self.subgroups[o[0]] for o in self.orbits)
 
+    @cached_property
+    def _class_masks(self) -> tuple[int, ...]:
+        """One mask over `order` positions per entry of `orbits`."""
+        return tuple(sum(1 << i for i in orbit) for orbit in self.orbits)
+
+    def is_class_union(self, mask: int) -> bool:
+        """Conjugation permutes the subgroups, so a mask over `order`
+        positions is G-invariant exactly when it is a union of classes."""
+        return all(c & mask in (0, c) for c in self._class_masks)
+
+    def first_of_each_class(self, mask: int) -> int:
+        """The lowest position of mask in each class it meets."""
+        out = 0
+        for c in self._class_masks:
+            hit = c & mask
+            out |= hit & -hit
+        return out
+
     # ----- named operations -----------------------------------------------
 
     def normalizer(self, ref: SubgroupRef) -> SubgroupRef:

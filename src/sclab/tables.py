@@ -260,11 +260,14 @@ def _check_by_centralizer(ctx, spec, left, right, detail,
     lat = ctx.lattice
     rows = []
     worst = PASS
+    by_centralizer = {}  # the fiber check depends only on the centralizer
     for h in lat.orbit_representatives():
         cg = lat.centralizer(h)
-        res = verify_inclusion_equivalence(left.below(cg), right.below(cg),
-                                           "fibers", equivariant=False,
-                                           max_simplices=max_simplices)
+        if cg.index not in by_centralizer:
+            by_centralizer[cg.index] = verify_inclusion_equivalence(
+                left.below(cg), right.below(cg), "fibers", equivariant=False,
+                max_simplices=max_simplices)
+        res = by_centralizer[cg.index]
         rows.append({"subgroup": h.index, "order": h.order,
                      "outcome": res.outcome,
                      "witnesses": list(res.witnesses)})

@@ -371,6 +371,35 @@ def check_core_reduction_matches_rescanning(b: Budget) -> None:
                     == _naive.core_reduction(poset, leq, g), tag)
 
 
+def check_class_masks_are_invariance(b: Budget) -> None:
+    """A poset is G-invariant exactly when its mask is a union of conjugacy
+    classes, on every collection poset of the suite and on its lower and
+    upper sets at each class representative; the first label of each class
+    it meets is the first met in label order."""
+    seen = set()
+    for name, p in SUITE:
+        lat = lattice_of(name)
+        ctx = collection_context(lat, p)
+        gens = lat.generating_set(lat.full)
+        orbit_of = {i: n for n, orbit in enumerate(lat.orbits) for i in orbit}
+        for kind in KINDS:
+            whole = GPoset.from_collection(lat, ctx.collection(kind))
+            posets = [whole]
+            for h in lat.orbit_representatives():
+                posets += [whole.below(h), whole.above(h)]
+            for poset in posets:
+                invariant = poset.is_invariant_under(gens)
+                seen.add(invariant)
+                b.check(lat.is_class_union(poset.mask) == invariant,
+                        (name, p, kind, poset.labels))
+                first: dict = {}
+                for x in poset.labels:
+                    first.setdefault(orbit_of[x], x)
+                b.check(list(_naive._bits(lat.first_of_each_class(poset.mask)))
+                        == sorted(first.values()), (name, p, kind))
+    b.check(seen == {True, False}, "both answers occur")
+
+
 # ---------------------------------------------------------------- driver
 
 # (family, rng seed); None for families with no sampling. Seeds are fixed
@@ -394,6 +423,7 @@ FAMILIES = (
     (check_masks_are_inclusion, None),
     (check_beat_test_counts_maximal_elements, 116),
     (check_core_reduction_matches_rescanning, None),
+    (check_class_masks_are_invariance, None),
 )
 
 

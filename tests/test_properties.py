@@ -36,6 +36,7 @@ EXPECTED = {
     "check_masks_are_inclusion": 3350,
     "check_beat_test_counts_maximal_elements": 2203,
     "check_core_reduction_matches_rescanning": 200,
+    "check_class_masks_are_invariance": 9803,
 }
 
 

@@ -19,7 +19,7 @@ from sclab.errors import SizeCap
 from sclab.group import builtin_group
 from sclab.homology import homology
 from sclab.lattice import enumerate_subgroups
-from sclab.poset import GPoset
+from sclab.poset import DEFAULT_SIMPLEX_CAP, GPoset
 from sclab.tables import (
     SKIPPED,
     TABLE31,
@@ -118,6 +118,31 @@ def test_each_nerve_homology_is_computed_once_per_run(monkeypatch):
     # a profile computed under one cap does not stand in for a smaller one
     with pytest.raises(SizeCap):
         verify_table_edges(lat, 2, TABLE31, max_simplices=max(computed) - 1)
+
+
+def test_one_fiber_check_per_centralizer(monkeypatch):
+    # S5 at p = 2: 19 classes of subgroups, 12 distinct centralizers
+    lat = enumerate_subgroups(builtin_group("S5"))
+    ctx = collection_context(lat, 2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return verify_inclusion_equivalence(*args, **kwargs)
+
+    monkeypatch.setattr("sclab.tables.verify_inclusion_equivalence", counting)
+    specs = [s for s in TABLE31_EDGES + TABLE44_EDGES
+             if s.checker == "fibers-by-centralizer"]
+    assert len(specs) == 2
+    for spec in specs:
+        calls.clear()
+        result = _check_solid(ctx, spec, _posets_for(lat, ctx, [spec]),
+                              DEFAULT_SIMPLEX_CAP)
+        rows = result.detail["per_centralizer"]
+        assert len(calls) == 12
+        assert len(rows) == len(lat.orbits) == 19
+        assert [r["subgroup"] for r in rows] == [
+            h.index for h in lat.orbit_representatives()]
 
 
 def test_d8_reproduces_every_documented_counterexample(d8):
