@@ -182,29 +182,6 @@ def _is_beat(i: int, alive: int, down, up) -> bool:
     return bool(above) and above & ~up[bottom] == 1 << bottom
 
 
-def _orbit_masks(poset: GPoset, gens):
-    """Per position, the bitmask of its orbit under conjugation by gens, or
-    None when some generator conjugates a label out of the poset."""
-    pos = poset.order.pos
-    orbit = {}
-    for x in poset.labels:
-        if pos[x] in orbit:
-            continue
-        mask, stack = 1 << pos[x], [x]
-        while stack:
-            y = stack.pop()
-            for g in gens:
-                z = poset.conjugate_label(g, y)
-                if z not in poset:
-                    return None
-                if not mask >> pos[z] & 1:
-                    mask |= 1 << pos[z]
-                    stack.append(z)
-        for j in positions(mask):
-            orbit[j] = mask
-    return orbit
-
-
 def core_reduction(poset: GPoset, gens=None) -> CoreReduction | None:
     """Remove the first beat point in label order until none is left; when
     gens is given and the poset is invariant under conjugation by gens,
@@ -217,7 +194,7 @@ def core_reduction(poset: GPoset, gens=None) -> CoreReduction | None:
     if poset.is_empty():
         return None
     at, down, up = poset.order.labels, poset.order.down, poset.order.up
-    orbit = _orbit_masks(poset, gens) if gens is not None else None
+    orbit = poset.orbits(gens) if gens is not None else None
     alive = near = poset.mask
     beats, steps = 0, []
     while True:
@@ -243,7 +220,7 @@ def _replay_core(poset: GPoset, cert: CoreReduction, gens) -> bool:
     """Every label must be a beat point when it is removed, each step must be
     exactly one orbit when gens is given, and exactly cert.point remains."""
     pos, down, up = poset.order.pos, poset.order.down, poset.order.up
-    orbit = _orbit_masks(poset, gens) if gens is not None else None
+    orbit = poset.orbits(gens) if gens is not None else None
     if gens is not None and orbit is None:
         return False
     alive = poset.mask

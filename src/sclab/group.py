@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (CapExceeded, InternalInconsistency, ParseError,
                      UnknownBuiltin)
@@ -32,6 +33,7 @@ class PermutationGroup:
         if not self.elements[0].is_identity():
             raise InternalInconsistency("identity must sort first")
         self.generator_indices = tuple(self.index[g] for g in self.generators)
+        self._columns: dict[int, list[int]] = {}
 
     @classmethod
     def from_generators(cls, generators, *, name=None, degree=None, max_order=None):
@@ -70,11 +72,29 @@ class PermutationGroup:
 
     @cached_property
     def mul(self) -> list[list[int]]:
-        """mul[a][b] = index of elements[a] * elements[b]."""
+        """mul[a][b] = index of elements[a] * elements[b].
+
+        Only the generators' rows compose permutations. Every other row is
+        reached along the Cayley graph from the identity: if x = y * s, then
+        mul[x][b] = mul[y][mul[s][b]] (G. Butler, LNCS 559, 1991).
+        """
         images = [g.images for g in self.elements]
         idx = {img: i for i, img in enumerate(images)}
-        return [[idx[tuple(map(a.__getitem__, b))] for b in images]
-                for a in images]
+        steps = [(s, [idx[tuple(map(images[s].__getitem__, b))] for b in images])
+                 for s in dict.fromkeys(self.generator_indices) if s]
+        rows: list = [None] * self.order
+        rows[0] = list(range(self.order))
+        reached = [0]
+        for y in reached:
+            row = rows[y]
+            for s, step in steps:
+                x = row[s]  # y * s
+                if rows[x] is None:
+                    rows[x] = list(map(row.__getitem__, step))
+                    reached.append(x)
+        if len(reached) != self.order:
+            raise InternalInconsistency("generators do not generate the group")
+        return rows
 
     @cached_property
     def inv(self) -> list[int]:
@@ -89,27 +109,15 @@ class PermutationGroup:
         m = self.mul
         return m[m[g][x]][self.inv[g]]
 
-    @cached_property
-    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Element conjugacy classes as sorted index tuples, sorted by minimum."""
-        seen = [False] * self.order
-        classes = []
-        for x in range(self.order):
-            if seen[x]:
-                continue
-            orbit = {x}
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for g in range(self.order):
-                    z = self.conjugate_index(g, y)
-                    if z not in orbit:
-                        orbit.add(z)
-                        stack.append(z)
-            for y in orbit:
-                seen[y] = True
-            classes.append(tuple(sorted(orbit)))
-        return tuple(classes)
+    def conjugation_column(self, x: int) -> list[int]:
+        """col[g] = conjugate_index(g, x) for every g, built on first use."""
+        col = self._columns.get(x)
+        if col is None:
+            mul = self.mul
+            col = self._columns[x] = list(map(
+                list.__getitem__, map(mul.__getitem__, map(itemgetter(x), mul)),
+                self.inv))
+        return col
 
     # ----- bitset helpers -------------------------------------------------
 

@@ -52,6 +52,11 @@ class _LazyMasks(dict):
         return mask
 
 
+def _flags(bits: int, n: int) -> str:
+    """The bitset over n elements as a string, character i for bit i."""
+    return f"{bits:0{n}b}"[::-1]
+
+
 def p_part(n: int, p: int) -> int:
     out = 1
     while n % p == 0:
@@ -118,6 +123,8 @@ class SubgroupLattice:
         self._index = {bits: i for i, bits in enumerate(self._bitsets)}
         self._normalizer: dict[int, int] = {}
         self._centralizer: dict[int, int] = {}
+        self._generated: dict[int, int] = {}
+        self._product: dict[tuple[int, int], int | None] = {}
         self._gens: dict[int, tuple[int, ...]] = {}
         self._pcore: dict[tuple[int, int], int] = {}
         self._elem_ab: dict[tuple[int, int], bool] = {}
@@ -219,19 +226,19 @@ class SubgroupLattice:
         return tuple(self.subgroups[o[0]] for o in self.orbits)
 
     @cached_property
-    def _class_masks(self) -> tuple[int, ...]:
+    def class_masks(self) -> tuple[int, ...]:
         """One mask over `order` positions per entry of `orbits`."""
         return tuple(sum(1 << i for i in orbit) for orbit in self.orbits)
 
     def is_class_union(self, mask: int) -> bool:
         """Conjugation permutes the subgroups, so a mask over `order`
         positions is G-invariant exactly when it is a union of classes."""
-        return all(c & mask in (0, c) for c in self._class_masks)
+        return all(c & mask in (0, c) for c in self.class_masks)
 
     def first_of_each_class(self, mask: int) -> int:
         """The lowest position of mask in each class it meets."""
         out = 0
-        for c in self._class_masks:
+        for c in self.class_masks:
             hit = c & mask
             out |= hit & -hit
         return out
@@ -241,28 +248,27 @@ class SubgroupLattice:
     def normalizer(self, ref: SubgroupRef) -> SubgroupRef:
         """H^g = H exactly when g conjugates each generator of H into H."""
         if ref.index not in self._normalizer:
-            bits = ref.bitset
-            gens = self.generating_set(ref)
-            conj = self.group.conjugate_index
-            out = 0
-            for g in range(self.group.order):
-                if all(bits >> conj(g, x) & 1 for x in gens):
-                    out |= 1 << g
+            flags = _flags(ref.bitset, self.group.order)
+            out = self.group.full_bitset
+            for x in self.generating_set(ref):
+                out &= self._conjugating(x, flags)
             self._normalizer[ref.index] = self._index[out]
         return self.subgroups[self._normalizer[ref.index]]
 
     def centralizer(self, ref: SubgroupRef) -> SubgroupRef:
-        """g centralizes H exactly when it commutes with each generator."""
+        """g centralizes H exactly when conjugation by g fixes each generator."""
         if ref.index not in self._centralizer:
-            mul = self.group.mul
-            out = 0
-            gens = self.generating_set(ref)
-            for g in range(self.group.order):
-                row = mul[g]
-                if all(row[h] == mul[h][g] for h in gens):
-                    out |= 1 << g
+            out = self.group.full_bitset
+            for x in self.generating_set(ref):
+                out &= self._conjugating(x, _flags(1 << x, self.group.order))
             self._centralizer[ref.index] = self._index[out]
         return self.subgroups[self._centralizer[ref.index]]
+
+    def _conjugating(self, x: int, flags: str) -> int:
+        """The bitset of the g with g x g^-1 in the set spelled by flags,
+        read in one pass over the conjugation column of x."""
+        col = self.group.conjugation_column(x)
+        return int("".join(map(flags.__getitem__, col))[::-1], 2)
 
     def center(self, ref: SubgroupRef) -> SubgroupRef:
         return self.by_bitset(ref.bitset & self.centralizer(ref).bitset)
@@ -328,25 +334,40 @@ class SubgroupLattice:
         return all(mul[a][b] == mul[b][a] for a in hs for b in hs if a < b)
 
     def product(self, a: SubgroupRef, b: SubgroupRef) -> SubgroupRef:
-        """The product set AB, defined when one factor normalizes the other."""
+        """The product set AB, defined when one factor normalizes the other.
+        Each ordered pair is computed once; None records that neither factor
+        normalizes the other (not the exception: its traceback would hold
+        this lattice in a reference cycle)."""
+        key = (a.index, b.index)
+        if key not in self._product:
+            self._product[key] = self._product_index(a, b)
+        out = self._product[key]
+        if out is None:
+            raise NotMutuallyNormalizing(
+                f"neither subgroup {a.index} nor {b.index} normalizes the other")
+        return self.subgroups[out]
+
+    def _product_index(self, a: SubgroupRef, b: SubgroupRef) -> int | None:
         na = self.normalizer(a).bitset
         nb = self.normalizer(b).bitset
         if not (a.bitset | nb == nb or b.bitset | na == na):
-            raise NotMutuallyNormalizing(
-                f"neither subgroup {a.index} nor {b.index} normalizes the other")
+            return None
         mul = self.group.mul
         out = 0
         for x in self._members[a.bitset]:
             row = mul[x]
             for y in self._members[b.bitset]:
                 out |= 1 << row[y]
-        return self.by_bitset(out)
+        return self.by_bitset(out).index
 
     def generated(self, element_indices) -> SubgroupRef:
         seed = 1
         for x in element_indices:
             seed |= 1 << x
-        return self.by_bitset(self.group.closure_bitset(seed))
+        if seed not in self._generated:
+            self._generated[seed] = self.by_bitset(
+                self.group.closure_bitset(seed)).index
+        return self.subgroups[self._generated[seed]]
 
     def meet(self, a: SubgroupRef, b: SubgroupRef) -> SubgroupRef:
         return self.by_bitset(a.bitset & b.bitset)

@@ -150,11 +150,38 @@ class GPoset:
         lat = self._require_lattice()
         return lat.conjugate(lat.ref(label), g).index
 
+    def orbits(self, gens) -> dict | None:
+        """Per position, the bitmask of its orbit under conjugation by gens,
+        or None when some generator conjugates a label out of the poset.
+        When gens generate the whole group, the orbits are the classes."""
+        lat = self.lattice
+        if lat is not None and lat.generated(gens) == lat.full:
+            if not lat.is_class_union(self.mask):
+                return None
+            return {j: c for c in lat.class_masks if c & self.mask
+                    for j in positions(c)}
+        pos = self.order.pos
+        orbit = {}
+        for x in self.labels:
+            if pos[x] in orbit:
+                continue
+            mask, stack = 1 << pos[x], [x]
+            while stack:
+                y = stack.pop()
+                for g in gens:
+                    z = self.conjugate_label(g, y)
+                    if z not in self:
+                        return None
+                    if not mask >> pos[z] & 1:
+                        mask |= 1 << pos[z]
+                        stack.append(z)
+            for j in positions(mask):
+                orbit[j] = mask
+        return orbit
+
     def is_invariant_under(self, gens) -> bool:
         """True if conjugation by each generator maps the poset into itself."""
-        mask, pos = self.mask, self.order.pos
-        return all(mask >> pos[self.conjugate_label(g, x)] & 1
-                   for g in gens for x in self.labels)
+        return self.orbits(gens) is not None
 
 
 class OrderComplex:

@@ -67,6 +67,29 @@ def conj_set(group, g: int, h: frozenset) -> frozenset:
     return frozenset(conj(group, g, x) for x in h)
 
 
+def conjugacy_classes(group) -> tuple[tuple[int, ...], ...]:
+    """Element conjugacy classes as sorted index tuples, sorted by minimum,
+    each orbit closed under conjugation by every element."""
+    seen = [False] * group.order
+    classes = []
+    for x in range(group.order):
+        if seen[x]:
+            continue
+        orbit = {x}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for g in range(group.order):
+                z = conj(group, g, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    stack.append(z)
+        for y in orbit:
+            seen[y] = True
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
+
+
 def normalizer(group, h: frozenset) -> frozenset:
     return frozenset(g for g in range(group.order)
                      if conj_set(group, g, h) == h)

@@ -41,6 +41,14 @@ DATA = Path(__file__).parent / "data"
 Z2_4_P2_SHA256 = (
     "ac9259f32a0f4679d1d7e9294373852da04add57d1a46e7c81562bb26bd58655")
 
+# SHA-256 of the report of `sclab verify --group tests/data/psl27.grp
+# --prime 2`, recorded while normalizers and centralizers were still found
+# by conjugating with every element. PSL(2,7) is non-abelian with six
+# element classes and fifteen subgroup classes, so its normalizers and
+# centralizers differ from subgroup to subgroup, unlike those of Z2^4.
+PSL27_P2_SHA256 = (
+    "db5dc9564deaed9ca967e635d3a256c695d1a77a0e3b4ec852b1ada7530c5e47")
+
 
 def verify(*extra):
     return main(["verify", *extra])
@@ -227,6 +235,13 @@ def test_z2_4_report_is_pinned(tmp_path):
     assert verify("--group", str(DATA / "z2_4.grp"), "--prime", "2",
                   "--report", str(report)) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == Z2_4_P2_SHA256
+
+
+def test_psl27_report_is_pinned(tmp_path):
+    report = tmp_path / "psl27.json"
+    assert verify("--group", str(DATA / "psl27.grp"), "--prime", "2",
+                  "--report", str(report)) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == PSL27_P2_SHA256
 
 
 def _raises_assertion_error(node):

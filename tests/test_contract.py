@@ -24,8 +24,9 @@ from sclab.contract import (
 from sclab.errors import MapNotWellDefined
 from sclab.group import builtin_group
 from sclab.lattice import enumerate_subgroups
-from sclab.poset import GPoset, OrderComplex
+from sclab.poset import GPoset, OrderComplex, positions
 
+import _naive
 from _suite import relation_poset
 from test_homology import DUNCE_FACETS
 
@@ -351,6 +352,37 @@ def test_core_is_equivariant_where_plain_collapse_was_not():
     normal_klein = lat.ref(v.certificate.point)
     assert normal_klein.order == 4 and lat.normalizer(normal_klein).order == 24
     assert verify_certificate(poset, v, equivariance_gens=gens)
+
+
+def test_class_masks_give_the_orbits_of_the_whole_group():
+    """With generators of the whole group, invariance and orbits are read
+    from the conjugacy-class masks; they must agree with conjugating every
+    label, as they do for the generators of each proper normalizer."""
+    seen = set()
+    for name, p in (("S4", 2), ("A5", 2), ("D12", 3)):
+        lat = enumerate_subgroups(builtin_group(name))
+        whole = GPoset.from_collection(lat, collection_context(lat, p)
+                                       .collection("S"))
+        reps = lat.orbit_representatives()
+        stabs = {lat.normalizer(r) for r in reps}
+        for h in reps:
+            for poset in (whole, whole.below(h), whole.above(h),
+                          whole.fixed_points(h)):
+                for stab in stabs:
+                    gens = lat.generating_set(stab)
+                    expected = _naive._orbit_masks(poset, gens)
+                    orbits = poset.orbits(gens)
+                    invariant = poset.is_invariant_under(gens)
+                    seen.add((stab == lat.full, invariant))
+                    assert invariant == (expected is not None)
+                    assert (orbits is None) == (expected is None)
+                    if orbits is not None:
+                        at = poset.order.labels
+                        assert {tuple(at[j] for j in positions(m))
+                                for m in orbits.values()} == \
+                            {tuple(poset.labels[i] for i in _naive._bits(m))
+                             for m in expected}
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_equivariance_check_needs_a_lattice():

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from sclab.errors import CapExceeded, ParseError, UnknownBuiltin
 from sclab.perm import Permutation
 from sclab.group import (PermutationGroup, builtin_group, load_group,
                          parse_group_text)
+
+DATA = Path(__file__).parent / "data"
 
 # orders of the builtin groups are textbook facts
 BUILTIN_ORDERS = {"D8": 8, "Q8": 8, "S3": 6, "S4": 24, "S5": 120,
@@ -60,12 +63,12 @@ def test_mul_inv_tables_agree():
 
 def test_conjugacy_class_sizes_s4():
     # 1 + 6 + 3 + 8 + 6 by cycle type
-    sizes = sorted(len(c) for c in builtin_group("S4").conjugacy_classes)
+    sizes = sorted(len(c) for c in naive.conjugacy_classes(builtin_group("S4")))
     assert sizes == [1, 3, 6, 6, 8]
 
 
 def test_conjugacy_class_sizes_a5():
-    sizes = sorted(len(c) for c in builtin_group("A5").conjugacy_classes)
+    sizes = sorted(len(c) for c in naive.conjugacy_classes(builtin_group("A5")))
     assert sizes == [1, 12, 12, 15, 20]
 
 
@@ -116,12 +119,44 @@ def test_generator_indices_generate():
     assert seed == 0
 
 
+# a generator list may hold the identity and repeat an element
+REPEATS = "degree 4\ngen ()\ngen (0 1 2 3)\ngen (0 1)\ngen (0 1 2 3)\n"
+
+
+def _table_groups():
+    """Every builtin, the trivial group, two data files and generator lists
+    with the identity and repeats."""
+    groups = [builtin_group(name) for name in (*BUILTIN_ORDERS, "Zn:1")]
+    groups += [load_group(str(DATA / name)) for name in ("psl27.grp", "z2_4.grp")]
+    groups += [parse_group_text(REPEATS, source="repeats.grp"),
+               parse_group_text("degree 3\ngen ()\n", source="identity.grp")]
+    return groups
+
+
 def test_multiplication_table_matches_permutation_products():
-    for name in ("S4", "SL23"):
-        g = builtin_group(name)
+    for g in _table_groups():
         for a, pa in enumerate(g.elements):
             for b, pb in enumerate(g.elements):
-                assert g.mul[a][b] == g.index[pa * pb], (name, a, b)
+                assert g.mul[a][b] == g.index[pa * pb], (g.name, a, b)
+
+
+def test_generator_lists_with_identity_and_repeats():
+    g = parse_group_text(REPEATS)
+    assert g.order == 24 and g.generator_indices[0] == 0
+    assert len(set(g.generator_indices)) == 3
+    assert parse_group_text("degree 3\ngen ()\n").mul == [[0]]
+
+
+def test_conjugation_column_matches_naive():
+    for g in _table_groups():
+        x = g.generator_indices[-1] if g.generator_indices else 0
+        col = g.conjugation_column(x)
+        assert col == [naive.conj(g, h, x) for h in range(g.order)], g.name
+        assert g.conjugation_column(x) is col
+    s4 = builtin_group("S4")
+    for x in range(s4.order):
+        assert s4.conjugation_column(x) == [naive.conj(s4, h, x)
+                                           for h in range(s4.order)]
 
 
 def test_closure_matches_naive_on_random_seeds():

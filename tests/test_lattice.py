@@ -6,7 +6,7 @@ import _naive as naive
 from _suite import SMALL_SUITE, lattice_of
 from sclab.errors import (InternalInconsistency, NotMutuallyNormalizing,
                           PrimeDoesNotDivide)
-from sclab.group import parse_group_text
+from sclab.group import builtin_group, parse_group_text
 from sclab.lattice import enumerate_subgroups, p_part
 
 # textbook subgroup counts
@@ -94,6 +94,17 @@ def test_normalizer_by_generators_matches_all_elements(name):
             == naive.normalizer(g, h), r
 
 
+@pytest.mark.parametrize(
+    "name", sorted({name for name, _ in SMALL_SUITE} | {"S5"}))
+def test_centralizer_by_generators_matches_all_elements(name):
+    lat = lattice_of(name)
+    g = lat.group
+    for r in lat.subgroups:
+        h = frozenset(lat.members(r))
+        assert frozenset(lat.members(lat.centralizer(r))) \
+            == naive.centralizer(g, h), r
+
+
 def test_centers():
     assert lattice_of("D8").center(lattice_of("D8").full).order == 2
     assert lattice_of("Q8").center(lattice_of("Q8").full).order == 2
@@ -169,6 +180,22 @@ def test_product_and_failure():
     other = next(r for r in s3.subgroups if r.order == 2 and r != z2)
     with pytest.raises(NotMutuallyNormalizing):
         s3.product(z2, other)
+
+
+def test_product_is_computed_once_per_ordered_pair(monkeypatch):
+    s3 = enumerate_subgroups(builtin_group("S3"))
+    z3 = next(r for r in s3.subgroups if r.order == 3)
+    z2, other = [r for r in s3.subgroups if r.order == 2][:2]
+    computed = []
+    compute = s3._product_index
+    monkeypatch.setattr(s3, "_product_index",
+                        lambda a, b: computed.append((a, b)) or compute(a, b))
+    for _ in range(2):
+        assert s3.product(z2, z3) == s3.full
+        assert s3.product(z3, z2) == s3.full
+        with pytest.raises(NotMutuallyNormalizing):
+            s3.product(z2, other)
+    assert computed == [(z2, z3), (z3, z2), (z2, other)]
 
 
 def test_generated():
