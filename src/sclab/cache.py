@@ -2,8 +2,8 @@
 
 One JSON file per group, named by the content hash of the group's element
 table. A file is only trusted when its format version and its stored hash
-match and every stored bitset is closed under the group law; anything else
-falls through to re-enumeration.
+match and its stored bitsets are distinct and closed under the group law;
+anything else falls through to re-enumeration.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ def load_lattice(cache_dir: Path, group: PermutationGroup) -> SubgroupLattice | 
     except (KeyError, TypeError, ValueError):
         return None
     full = (1 << group.order) - 1
-    if 1 not in bitsets or full not in bitsets:
+    if (1 not in bitsets or full not in bitsets
+            or len(set(bitsets)) < len(bitsets)):
         return None
     if any(group.closure_bitset(b) != b for b in bitsets):
         return None

@@ -97,7 +97,10 @@ class CollectionContext:
     @property
     def E1(self) -> frozenset[int]:
         """Least superset of E0 closed under conjugation and under products of
-        commuting pairs whose product has order exactly p."""
+        commuting pairs whose product has order exactly p. E0 is a union of
+        conjugacy classes (the Sylows are conjugate), and closing a
+        conjugation-invariant set under commuting products keeps it
+        invariant, so the products alone reach E1."""
         if not hasattr(self, "_E1"):
             grp = self.lattice.group
             mul = grp.mul
@@ -106,12 +109,6 @@ class CollectionContext:
             changed = True
             while changed:
                 changed = False
-                for x in list(cur):
-                    for g in range(grp.order):
-                        y = grp.conjugate_index(g, x)
-                        if y not in cur:
-                            cur.add(y)
-                            changed = True
                 for x in list(cur):
                     for y in list(cur):
                         if mul[x][y] != mul[y][x]:

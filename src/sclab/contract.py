@@ -182,19 +182,18 @@ def _is_beat(i: int, alive: int, down, up) -> bool:
     return bool(above) and above & ~up[bottom] == 1 << bottom
 
 
-def core_reduction(poset: GPoset, gens=None) -> CoreReduction | None:
+def core_reduction(poset: GPoset, orbit=None) -> CoreReduction | None:
     """Remove the first beat point in label order until none is left; when
-    gens is given and the poset is invariant under conjugation by gens,
-    remove its whole orbit instead (an orbit of beat points is an antichain
-    of beat points). Returns the removals when a single point remains, and
-    None when the core has more than one point or the poset is empty.
+    orbit is given (the masks of `GPoset.orbits`), remove the beat point's
+    whole orbit instead (an orbit of beat points is an antichain of beat
+    points). Returns the removals when a single point remains, and None when
+    the core has more than one point or the poset is empty.
 
     A removal changes the beat status only of the points comparable to it,
     so the mask of current beat points is rechecked there alone."""
     if poset.is_empty():
         return None
     at, down, up = poset.order.labels, poset.order.down, poset.order.up
-    orbit = poset.orbits(gens) if gens is not None else None
     alive = near = poset.mask
     beats, steps = 0, []
     while True:
@@ -242,53 +241,6 @@ def _replay_core(poset: GPoset, cert: CoreReduction, gens) -> bool:
 
 
 # --------------------------------------------------------------------------
-# equivariance through fixed points
-
-
-def stabilizer_subgroup_reps(lattice, stab):
-    """Subgroups of stab, one per conjugacy class under stab itself."""
-    smembers = lattice.members(stab)
-    seen = set()
-    reps = []
-    for r in lattice.subgroups:
-        if r.bitset | stab.bitset != stab.bitset or r.index in seen:
-            continue
-        orbit = {lattice.by_bitset(lattice.conjugate_bitset(r.bitset, m)).index
-                 for m in smembers}
-        seen |= orbit
-        reps.append(r)
-    return reps
-
-
-def fixed_point_contractibility_scan(poset: GPoset, stab,
-                                     max_simplices: int = DEFAULT_SIMPLEX_CAP):
-    """Settle equivariant contractibility through fixed points: a poset with
-    an action of stab is stab-contractible exactly when every fixed subposet
-    poset^K (K up to stab-conjugacy) is plainly contractible.
-
-    Returns (overall, per) where overall is a verdict status and per lists
-    [K_index, status] rows. None when the poset is not even stab-invariant.
-    """
-    lattice = poset.lattice
-    if lattice is None:
-        return None
-    if not poset.is_invariant_under(lattice.generating_set(stab)):
-        return None
-    per = []
-    overall = CONTRACTIBLE
-    for k in stabilizer_subgroup_reps(lattice, stab):
-        v = contractibility_verdict(poset.fixed_points(k),
-                                    max_simplices=max_simplices)
-        per.append([k.index, v.status])
-        if v.status == NOT_CONTRACTIBLE:
-            overall = NOT_CONTRACTIBLE
-            break
-        if v.status == UNKNOWN:
-            overall = UNKNOWN
-    return overall, per
-
-
-# --------------------------------------------------------------------------
 # the verdict pipeline
 
 
@@ -312,8 +264,9 @@ def contractibility_verdict(poset: GPoset, *, equivariance_gens=None,
     if poset.is_empty():
         return Verdict(NOT_CONTRACTIBLE, "empty", None, None, {"size": 0})
     gens = tuple(equivariance_gens) if equivariance_gens is not None else None
-    invariant = None if gens is None else poset.is_invariant_under(gens)
-    core = core_reduction(poset, gens if invariant else None)
+    orbit = None if gens is None else poset.orbits(gens)
+    invariant = None if gens is None else orbit is not None
+    core = core_reduction(poset, orbit)
     if core is not None:
         return Verdict(CONTRACTIBLE, "core", core, invariant,
                        {"point": _json_label(core.point)})
@@ -348,19 +301,6 @@ def verify_certificate(poset: GPoset, verdict: Verdict,
         return True
     cert = verdict.certificate
     gens = equivariance_gens if verdict.equivariant else None
-
-    if verdict.method == "fixed-point-scan":
-        # equivariance settled through fixed subposets; replay the scan, then
-        # (for the contractible case) the plain certificate without gens
-        if poset.lattice is None:
-            return False
-        stab = poset.lattice.ref(verdict.detail["stabilizer"])
-        scan = fixed_point_contractibility_scan(poset, stab)
-        if scan is None or scan[0] != verdict.status:
-            return False
-        if verdict.status == NOT_CONTRACTIBLE:
-            return True
-        gens = None
 
     if verdict.status == NOT_CONTRACTIBLE:
         if verdict.method == "empty":

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
-                       MonotoneRetraction, Verdict, _as_mapping, _json_label,
+                       MonotoneRetraction, _as_mapping, _json_label,
                        _sorted_pairs, contractibility_verdict,
-                       fixed_point_contractibility_scan,
                        verify_monotone_retraction)
 from .errors import MapNotWellDefined, NotASubposet
 from .homology import homology
@@ -77,41 +76,8 @@ class InclusionResult:
                                 for y, s, v in self.per_element]}
 
 
-def _certify_element(interval: GPoset, gens, stab,
-                     max_simplices: int) -> Verdict:
-    """Contractibility of one fiber or punctured interval, equivariantly when
-    gens is not None."""
-    verdict = contractibility_verdict(interval, equivariance_gens=gens,
-                                      max_simplices=max_simplices)
-    if verdict.status != CONTRACTIBLE or gens is None or verdict.equivariant:
-        return verdict
-    upgraded = _upgrade_by_fixed_points(interval, stab, verdict, max_simplices)
-    return verdict if upgraded is None else upgraded
-
-
-def _upgrade_by_fixed_points(interval: GPoset, stab, plain: Verdict,
-                             max_simplices: int) -> Verdict | None:
-    """A plain certificate plus contractibility of every fixed subposet of
-    the stabilizer settles equivariant contractibility either way."""
-    scan = fixed_point_contractibility_scan(interval, stab, max_simplices)
-    if scan is None:
-        return None
-    overall, per = scan
-    if overall == CONTRACTIBLE:
-        detail = dict(plain.detail)
-        detail.update({"stabilizer": stab.index, "fixed_point_scan": per})
-        return Verdict(CONTRACTIBLE, "fixed-point-scan", plain.certificate,
-                       True, detail)
-    if overall == NOT_CONTRACTIBLE:
-        return Verdict(NOT_CONTRACTIBLE, "fixed-point-scan", None, False,
-                       {"stabilizer": stab.index, "fixed_point_scan": per,
-                        "plainly_contractible": True})
-    return None
-
-
 def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
                                  equivariant: bool | None = None,
-                                 reps=None,
                                  max_simplices: int = DEFAULT_SIMPLEX_CAP
                                  ) -> InclusionResult:
     """Certify that sub -> ambient induces a homotopy equivalence.
@@ -120,9 +86,9 @@ def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
     ambient poset (stabilizer-equivariantly); "upper" / "lower" check the
     punctured intervals ambient_{>P} / ambient_{<P} for P outside sub
     (plainly); "upper-equivariant" is the upper check with stabilizer
-    equivariance demanded. equivariant overrides the mode default.
-
-    reps, when given, replaces the conjugacy-representative choice.
+    equivariance demanded. equivariant overrides the mode default. An
+    equivariant verdict comes only from an orbit-wise core reduction, so a
+    pi1 certificate leaves a demanded element undecided.
 
     Aggregation: PASS when every element certifies, FAIL when some hypothesis
     poset is NOT_CONTRACTIBLE (witnesses listed), else INCONCLUSIVE.
@@ -141,8 +107,7 @@ def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
     else:
         inside = set(sub.labels)
         pool = [x for x in ambient.labels if x not in inside]
-    pool = ([ambient._label_of(r) for r in reps] if reps is not None
-            else _conjugacy_reps(ambient, sub, pool))
+    pool = _conjugacy_reps(ambient, sub, pool)
 
     per = []
     failing = []
@@ -158,7 +123,8 @@ def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
         if demand:
             stab = lat.normalizer(lat.ref(y))
             gens = lat.generating_set(stab)
-        verdict = _certify_element(interval, gens, stab, max_simplices)
+        verdict = contractibility_verdict(interval, equivariance_gens=gens,
+                                          max_simplices=max_simplices)
         per.append((y, stab.index if stab is not None else None, verdict))
         if verdict.status == NOT_CONTRACTIBLE:
             failing.append(y)

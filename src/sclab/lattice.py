@@ -294,7 +294,6 @@ class SubgroupLattice:
         """O_p(H): join of all normal p-subgroups of H."""
         key = (ref.index, p)
         if key not in self._pcore:
-            hgens = self.generating_set(ref)
             acc = 1
             for k in self.subgroups:
                 if k.order == 1 or not self.leq(k, ref):
@@ -303,7 +302,7 @@ class SubgroupLattice:
                     continue
                 if (acc | k.bitset) == acc:
                     continue
-                if all(self.conjugate_bitset(k.bitset, h) == k.bitset for h in hgens):
+                if self.leq(ref, self.normalizer(k)):
                     acc = self.group.closure_bitset(acc | k.bitset)
             self._pcore[key] = self._index[acc]
         return self.subgroups[self._pcore[key]]

@@ -179,10 +179,6 @@ class GPoset:
                 orbit[j] = mask
         return orbit
 
-    def is_invariant_under(self, gens) -> bool:
-        """True if conjugation by each generator maps the poset into itself."""
-        return self.orbits(gens) is not None
-
 
 class OrderComplex:
     """Simplicial complex whose k-simplices are the strict (k+1)-chains.

@@ -10,8 +10,8 @@ order.
 import random
 
 from sclab.collections import KINDS, collection_context
-from sclab.contract import (CONTRACTIBLE, _is_beat, core_reduction,
-                            fixed_point_contractibility_scan)
+from sclab.contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
+                            _is_beat, contractibility_verdict, core_reduction)
 from sclab.group import builtin_group
 from sclab.homology import homology, smith_normal_form
 from sclab.lattice import p_part
@@ -300,6 +300,46 @@ def _suite_posets():
                     yield lat, (name, p, kind, h.index), poset
 
 
+def stabilizer_subgroup_reps(lattice, stab):
+    """Subgroups of stab, one per conjugacy class under stab itself."""
+    smembers = lattice.members(stab)
+    seen = set()
+    reps = []
+    for r in lattice.subgroups:
+        if r.bitset | stab.bitset != stab.bitset or r.index in seen:
+            continue
+        orbit = {lattice.by_bitset(lattice.conjugate_bitset(r.bitset, m)).index
+                 for m in smembers}
+        seen |= orbit
+        reps.append(r)
+    return reps
+
+
+def fixed_point_contractibility_scan(poset: GPoset, stab):
+    """Settle equivariant contractibility through fixed points: a poset with
+    an action of stab is stab-contractible exactly when every fixed subposet
+    poset^K (K up to stab-conjugacy) is plainly contractible. The oracle for
+    the engine's orbit-wise core reduction.
+
+    Returns (overall, per) where overall is a verdict status and per lists
+    [K_index, status] rows. None when the poset is not even stab-invariant.
+    """
+    lattice = poset.lattice
+    if poset.orbits(lattice.generating_set(stab)) is None:
+        return None
+    per = []
+    overall = CONTRACTIBLE
+    for k in stabilizer_subgroup_reps(lattice, stab):
+        v = contractibility_verdict(poset.fixed_points(k))
+        per.append([k.index, v.status])
+        if v.status == NOT_CONTRACTIBLE:
+            overall = NOT_CONTRACTIBLE
+            break
+        if v.status == UNKNOWN:
+            overall = UNKNOWN
+    return overall, per
+
+
 def check_core_reduction_is_contractibility(b: Budget) -> None:
     """Every collection poset and its fixed subposets under orbit
     representatives: a beat-point core that is a point means trivial
@@ -310,9 +350,9 @@ def check_core_reduction_is_contractibility(b: Budget) -> None:
         if core_reduction(poset) is None:
             continue
         b.check(homology(order_complex(poset)).trivial, tag)
-        gens = lat.generating_set(lat.full)
-        if poset.is_invariant_under(gens):
-            b.check(core_reduction(poset, gens) is not None, tag)
+        orbit = poset.orbits(lat.generating_set(lat.full))
+        if orbit is not None:
+            b.check(core_reduction(poset, orbit) is not None, tag)
             scan = fixed_point_contractibility_scan(poset, lat.full)
             b.check(scan[0] == CONTRACTIBLE, tag)
 
@@ -366,8 +406,9 @@ def check_core_reduction_matches_rescanning(b: Budget) -> None:
     for lat, tag, poset in _suite_posets():
         leq = _inclusion(lat)
         gens = lat.generating_set(lat.full)
-        for g in (None, gens) if poset.is_invariant_under(gens) else (None,):
-            core = core_reduction(poset, g)
+        orbit = poset.orbits(gens)
+        for g in (None, gens) if orbit is not None else (None,):
+            core = core_reduction(poset, None if g is None else orbit)
             b.check((core and (core.steps, core.point))
                     == _naive.core_reduction(poset, leq, g), tag)
 

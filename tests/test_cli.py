@@ -10,6 +10,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -260,6 +261,22 @@ def test_package_has_no_assert_statements():
              or isinstance(node, ast.Raise) and node.exc is not None
              and _raises_assertion_error(node)]
     assert found == []
+
+
+def test_verdict_methods_match_the_report_schema():
+    # the method strings a Verdict can carry are exactly those the Verdict
+    # block of docs/REPORT_SCHEMA.md lists
+    package = Path(sclab.__file__).resolve().parent
+    used = {ast.literal_eval(node.args[1])
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Verdict"}
+    schema = (Path(__file__).parent.parent / "docs"
+              / "REPORT_SCHEMA.md").read_text()
+    block = schema.split("\nVerdict ", 1)[1].split("```")[1]
+    methods = block.split('"method":', 1)[1].split('"equivariant":', 1)[0]
+    assert used == set(re.findall(r'"([^"]+)"', methods))
 
 
 def test_a_finished_run_frees_its_group_without_the_collector(monkeypatch,

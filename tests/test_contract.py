@@ -17,7 +17,6 @@ from sclab.contract import (
     Verdict,
     contractibility_verdict,
     core_reduction,
-    fixed_point_contractibility_scan,
     verify_certificate,
     verify_monotone_retraction,
 )
@@ -27,6 +26,7 @@ from sclab.lattice import enumerate_subgroups
 from sclab.poset import GPoset, OrderComplex, positions
 
 import _naive
+from _props import fixed_point_contractibility_scan
 from _suite import relation_poset
 from test_homology import DUNCE_FACETS
 
@@ -354,6 +354,24 @@ def test_core_is_equivariant_where_plain_collapse_was_not():
     assert verify_certificate(poset, v, equivariance_gens=gens)
 
 
+def test_equivariant_verdict_computes_the_orbits_once(monkeypatch):
+    lat = enumerate_subgroups(builtin_group("S4"))
+    poset = GPoset.from_collection(lat, collection_context(lat, 2)
+                                   .collection("A"))
+    calls = []
+    orbits = GPoset.orbits
+
+    def counting(self, gens):
+        calls.append(gens)
+        return orbits(self, gens)
+
+    monkeypatch.setattr(GPoset, "orbits", counting)
+    v = contractibility_verdict(poset,
+                                equivariance_gens=lat.group.generator_indices)
+    assert v.method == "core" and v.equivariant is True
+    assert len(calls) == 1
+
+
 def test_class_masks_give_the_orbits_of_the_whole_group():
     """With generators of the whole group, invariance and orbits are read
     from the conjugacy-class masks; they must agree with conjugating every
@@ -372,9 +390,7 @@ def test_class_masks_give_the_orbits_of_the_whole_group():
                     gens = lat.generating_set(stab)
                     expected = _naive._orbit_masks(poset, gens)
                     orbits = poset.orbits(gens)
-                    invariant = poset.is_invariant_under(gens)
-                    seen.add((stab == lat.full, invariant))
-                    assert invariant == (expected is not None)
+                    seen.add((stab == lat.full, orbits is not None))
                     assert (orbits is None) == (expected is None)
                     if orbits is not None:
                         at = poset.order.labels

@@ -107,17 +107,6 @@ def test_lower_mode_detects_failing_hypothesis(d8):
             assert verdict.status == "NOT_CONTRACTIBLE"
 
 
-def test_explicit_reps_override_conjugacy_choice(d8):
-    lat, ctx = d8
-    sub = poset_of(lat, ctx, "tilde-B")
-    ambient = poset_of(lat, ctx, "S")
-    center = lat.center(lat.full)
-    res = verify_inclusion_equivalence(sub, ambient, "lower",
-                                       reps=[center.index])
-    assert len(res.per_element) == 1
-    assert res.per_element[0][0] == center.index
-
-
 def test_inclusion_mode_validation(d8):
     lat, ctx = d8
     sub = poset_of(lat, ctx, "E")

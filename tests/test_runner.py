@@ -243,6 +243,20 @@ def test_cache_rejects_incomplete_lattices(tmp_path):
     assert load_lattice(tmp_path, group) is None
 
 
+def test_cache_rejects_a_repeated_subgroup(tmp_path):
+    group = builtin_group("S4")
+    fresh = enumerate_subgroups(group)
+    path = store_lattice(tmp_path, fresh)
+    payload = json.loads(path.read_text())
+    payload["subgroups"].append(payload["subgroups"][3])
+    path.write_text(json.dumps(payload))
+    assert load_lattice(tmp_path, group) is None
+    lattice = lattice_for(group, cache_dir=tmp_path)
+    assert len(lattice.subgroups) == 30 and len(lattice.orbits) == 11
+    assert [r.bitset for r in lattice.subgroups] == \
+        [r.bitset for r in fresh.subgroups]
+
+
 def test_cache_rejects_a_non_subgroup_bitset(tmp_path):
     group = builtin_group("D8")
     fresh = enumerate_subgroups(group)
