@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MapNotWellDefined
 from .fundgroup import fundamental_group_trivial
 from .homology import HomologyProfile, homology
 from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex, positions
@@ -103,61 +102,6 @@ class Verdict:
 CONTRACTIBLE = "CONTRACTIBLE"
 NOT_CONTRACTIBLE = "NOT_CONTRACTIBLE"
 UNKNOWN = "UNKNOWN"
-
-
-# --------------------------------------------------------------------------
-# pointwise checkers
-
-
-def _as_mapping(poset: GPoset, f) -> dict:
-    """Evaluate f on every element; any image outside the poset is an error,
-    because nothing downstream is meaningful."""
-    out = {}
-    for x in poset.labels:
-        if callable(f):
-            y = f(x)
-        else:
-            if x not in f:
-                raise MapNotWellDefined(f"map undefined at {x!r}", element=x)
-            y = f[x]
-        if y is None or y not in poset:
-            raise MapNotWellDefined(
-                f"map sends {x!r} to {y!r}, outside the poset", element=x, image=y)
-        out[x] = y
-    return out
-
-
-def verify_monotone_retraction(poset: GPoset, f, side: str, target) -> bool:
-    """Check f: P -> P comparable with the identity with image inside target.
-
-    side ">=" means f(x) >= x pointwise, "<=" the dual. target is a GPoset or
-    an iterable of labels; it must be a subset of P containing the image.
-    A passing check shows the target is a deformation retract of P.
-    Ill-defined maps raise MapNotWellDefined; failed comparisons return False.
-    """
-    if side not in ("<=", ">="):
-        raise ValueError(f"side must be '<=' or '>=', got {side!r}")
-    fmap = _as_mapping(poset, f)
-    target_labels = set(target.labels) if isinstance(target, GPoset) else set(target)
-    pos, down, up = poset.order.pos, poset.order.down, poset.order.up
-    target_mask = 0
-    for t in target_labels:
-        if t not in poset:
-            raise MapNotWellDefined(f"target label {t!r} is not in the poset",
-                                    image=t)
-        target_mask |= 1 << pos[t]
-    image = {pos[x]: pos[y] for x, y in fmap.items()}
-    for i, fi in image.items():
-        if not target_mask >> fi & 1:
-            return False
-        if fi != i and not (up[i] if side == ">=" else down[i]) >> fi & 1:
-            return False
-        below = 0  # f(down(x)) must lie in down(f(x))
-        for j in positions(down[i] & poset.mask):
-            below |= 1 << image[j]
-        if below & ~(down[fi] | 1 << fi):
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
-                       MonotoneRetraction, _as_mapping, _json_label,
-                       _sorted_pairs, contractibility_verdict,
-                       verify_monotone_retraction)
-from .errors import MapNotWellDefined, NotASubposet
+                       MonotoneRetraction, _json_label, _sorted_pairs,
+                       contractibility_verdict)
+from .errors import NotASubposet
 from .homology import homology
 from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex, positions
 
@@ -185,10 +184,29 @@ def _profile_of(poset: GPoset, max_simplices: int):
     return homology(order_complex(poset, max_simplices))
 
 
+def _lattice_retraction(right: GPoset, side: str, k) -> dict:
+    """q -> q v K (side ">=") or q -> q ^ K (side "<=") on the positions of
+    right. Subgroups sort by order, so the join is the lowest common upper
+    bound and the meet the highest common lower bound. A join or meet with
+    a fixed element is monotone and comparable with the identity."""
+    if right.lattice is None:
+        raise ValueError("a lattice retraction needs a lattice-backed poset")
+    if side not in ("<=", ">="):
+        raise ValueError(f"side must be '<=' or '>=', got {side!r}")
+    masks = right.order.up if side == ">=" else right.order.down
+    bound = masks[k.index] | 1 << k.index
+    image = {}
+    for q in positions(right.mask):
+        common = (masks[q] | 1 << q) & bound
+        image[q] = ((common & -common) if side == ">=" else common
+                    ).bit_length() - 1
+    return image
+
+
 def _compare_pair(h, left: GPoset, right: GPoset, retraction,
                   max_simplices: int) -> FixedPointComparison:
     _check_subposet(left, right)
-    if set(left.labels) == set(right.labels):
+    if left.mask == right.mask:
         return FixedPointComparison(h.index, h.order, CERTIFIED, "equal", None,
                                     {"size": len(left)})
     if left.is_empty() != right.is_empty():
@@ -196,19 +214,17 @@ def _compare_pair(h, left: GPoset, right: GPoset, retraction,
         return FixedPointComparison(h.index, h.order, MISMATCH, "emptiness",
                                     None, sizes)
     if retraction is not None:
-        hint = retraction(h, left, right)
-        if hint is not None:
-            f, side = hint
-            try:
-                fmap = _as_mapping(right, f)
-                if verify_monotone_retraction(right, fmap, side, left):
-                    cert = MonotoneRetraction(_sorted_pairs(fmap), side,
-                                              tuple(left.labels))
-                    return FixedPointComparison(h.index, h.order, CERTIFIED,
-                                                "retraction", cert,
-                                                {"image": len(set(fmap.values()))})
-            except MapNotWellDefined:
-                pass
+        side, k = retraction(h)
+        image = _lattice_retraction(right, side, k)
+        hit = sum(1 << f for f in set(image.values()))
+        if not hit & ~left.mask:
+            at = right.order.labels
+            cert = MonotoneRetraction(
+                _sorted_pairs({at[q]: at[f] for q, f in image.items()}),
+                side, tuple(left.labels))
+            return FixedPointComparison(h.index, h.order, CERTIFIED,
+                                        "retraction", cert,
+                                        {"image": hit.bit_count()})
     vl = contractibility_verdict(left, max_simplices=max_simplices)
     vr = contractibility_verdict(right, max_simplices=max_simplices)
     if vl.status == CONTRACTIBLE and vr.status == CONTRACTIBLE:
@@ -236,10 +252,11 @@ def fixed_point_equivalence_scan(subgroups, left_of, right_of, *,
     """Compare designated avatar posets over a list of subgroup refs.
 
     left_of(h) must be a subposet of right_of(h). Grading per h: equal label
-    sets or a verified retraction (retraction(h, left, right) returning
-    (f, side), f mapping the right poset into the left one) or both posets
-    contractible give CERTIFIED; failing that, equal homology profiles give
-    HOMOLOGY-CONSISTENT, anything else MISMATCH.
+    sets, a retraction landing in the left poset, or both posets contractible
+    give CERTIFIED; failing that, equal homology profiles give
+    HOMOLOGY-CONSISTENT, anything else MISMATCH. retraction(h) returns
+    (side, K) and names the map q -> q v K (side ">=") or q -> q ^ K
+    (side "<=") on the right poset, which must be lattice-backed.
     """
     rows = []
     for h in subgroups:

@@ -48,15 +48,6 @@ class NotMutuallyNormalizing(SclabError):
     """Subgroup product AB requested but neither factor normalizes the other."""
 
 
-class MapNotWellDefined(SclabError):
-    """A poset map sent some element outside the target poset."""
-
-    def __init__(self, message, *, element=None, image=None):
-        self.element = element
-        self.image = image
-        super().__init__(message)
-
-
 class NotASubposet(SclabError):
     """An inclusion-equivalence check was handed posets that are not nested."""
 

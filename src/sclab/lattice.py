@@ -368,9 +368,6 @@ class SubgroupLattice:
                 self.group.closure_bitset(seed)).index
         return self.subgroups[self._generated[seed]]
 
-    def meet(self, a: SubgroupRef, b: SubgroupRef) -> SubgroupRef:
-        return self.by_bitset(a.bitset & b.bitset)
-
     def p_locals(self, p: int) -> tuple[SubgroupRef, ...]:
         """Normalizers of nontrivial p-subgroups, deduplicated."""
         if self.group.order % p:

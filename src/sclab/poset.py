@@ -120,12 +120,6 @@ class GPoset:
         return self._sub(self.order.down[i] | bit,
                          f"{self.name}{'<' if strict else '<='}{x}")
 
-    def between(self, lo, hi, strict: bool = False) -> "GPoset":
-        lo, i, lo_bit = self._cut(lo, strict)
-        hi, j, hi_bit = self._cut(hi, strict)
-        mask = (self.order.up[i] | lo_bit) & (self.order.down[j] | hi_bit)
-        return self._sub(mask, f"{self.name}[{lo},{hi}]")
-
     def _label_of(self, x):
         return x.index if isinstance(x, SubgroupRef) else x
 

@@ -19,7 +19,7 @@ from .contract import CONTRACTIBLE, contractibility_verdict
 from .equivalence import (CERTIFIED, FAIL, HOMOLOGY_CONSISTENT, INCONCLUSIVE,
                           MISMATCH, PASS, fixed_point_equivalence_scan,
                           verify_inclusion_equivalence)
-from .errors import InternalInconsistency, NotMutuallyNormalizing
+from .errors import InternalInconsistency
 from .homology import homology
 from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
 
@@ -129,25 +129,12 @@ def _ea_pair(lat, poset):
 
 
 def _eo_retraction(lat):
-    def retraction(h, left, right):
-        def f(q):
-            try:
-                return lat.product(lat.ref(q), h).index
-            except NotMutuallyNormalizing:
-                return None
-        return (f, ">=")
-    return retraction
+    # H normalizes every q of the H-fixed poset, so qH is the join q v H
+    return lambda h: (">=", h)
 
 
 def _ea_retraction(lat):
-    def retraction(h, left, right):
-        cg = lat.centralizer(h)
-
-        def f(q):
-            return lat.meet(lat.ref(q), cg).index
-
-        return (f, "<=")
-    return retraction
+    return lambda h: ("<=", lat.centralizer(h))
 
 
 def _subgroups_of(lat, s):

@@ -6,9 +6,10 @@ the package; only the element table itself is common input. Intended for
 groups of order <= 48. The linear-algebra oracles are dense: boundary_matrix
 writes out every boundary map in full, rank_over_rationals is Gauss-Jordan
 elimination in exact fractions and rank_mod the same over F_p. The poset
-oracles work pair by pair: relation_closure saturates a relation, and
+oracles work pair by pair: relation_closure saturates a relation,
 core_reduction rescans every label for the first beat point after each
-removal, counting the maximal elements of each down-set.
+removal, counting the maximal elements of each down-set, and
+verify_monotone_retraction checks a map on a poset position by position.
 """
 
 from __future__ import annotations
@@ -409,3 +410,52 @@ def core_reduction(poset, leq, gens=None):
         steps.append(tuple(poset.labels[j] for j in _bits(step)))
         alive &= ~step
     return tuple(steps), poset.labels[alive.bit_length() - 1]
+
+
+def _as_mapping(poset, f) -> dict:
+    """Evaluate f (a callable or a dict) on every label; any image outside
+    the poset raises ValueError, because nothing downstream is meaningful."""
+    out = {}
+    for x in poset.labels:
+        if callable(f):
+            y = f(x)
+        elif x in f:
+            y = f[x]
+        else:
+            raise ValueError(f"map undefined at {x!r}")
+        if y is None or y not in poset:
+            raise ValueError(f"map sends {x!r} to {y!r}, outside the poset")
+        out[x] = y
+    return out
+
+
+def verify_monotone_retraction(poset, f, side: str, target) -> bool:
+    """Check f: P -> P comparable with the identity, monotone, with image
+    inside target (a GPoset or an iterable of labels of P).
+
+    side ">=" means f(x) >= x pointwise, "<=" the dual. A passing check
+    shows the target is a deformation retract of P. Ill-defined maps and
+    targets outside P raise ValueError; failed comparisons return False.
+    """
+    if side not in ("<=", ">="):
+        raise ValueError(f"side must be '<=' or '>=', got {side!r}")
+    fmap = _as_mapping(poset, f)
+    targets = target.labels if hasattr(target, "labels") else tuple(target)
+    pos, down, up = poset.order.pos, poset.order.down, poset.order.up
+    target_mask = 0
+    for t in targets:
+        if t not in poset:
+            raise ValueError(f"target label {t!r} is not in the poset")
+        target_mask |= 1 << pos[t]
+    image = {pos[x]: pos[y] for x, y in fmap.items()}
+    for i, fi in image.items():
+        if not target_mask >> fi & 1:
+            return False
+        if fi != i and not (up[i] if side == ">=" else down[i]) >> fi & 1:
+            return False
+        below = 0  # f(down(x)) must lie in down(f(x))
+        for j in _bits(down[i] & poset.mask):
+            below |= 1 << image[j]
+        if below & ~(down[fi] | 1 << fi):
+            return False
+    return True

@@ -12,10 +12,14 @@ import random
 from sclab.collections import KINDS, collection_context
 from sclab.contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
                             _is_beat, contractibility_verdict, core_reduction)
+from sclab.equivalence import _lattice_retraction, fixed_point_equivalence_scan
 from sclab.group import builtin_group
 from sclab.homology import homology, smith_normal_form
 from sclab.lattice import p_part
 from sclab.poset import GPoset, order_complex
+from sclab.tables import (TABLE31_EDGES, TABLE44_EDGES, _ea_pair,
+                          _ea_retraction, _eo_pair, _eo_retraction,
+                          _subgroups_of)
 
 import _naive
 from _naive import boundary_matrix, rank_mod, rank_over_rationals
@@ -91,7 +95,7 @@ def check_meet_join_are_bounds(b: Budget, rng: random.Random) -> None:
         refs = list(lat.subgroups)
         for _ in range(200):
             x, y = rng.choice(refs), rng.choice(refs)
-            m = lat.meet(x, y)
+            m = lat.by_bitset(x.bitset & y.bitset)
             j = lat.generated(lat.members(x) + lat.members(y))
             b.check(lat.leq(m, x) and lat.leq(m, y), (name, "meet bounds"))
             b.check(lat.leq(x, j) and lat.leq(y, j), (name, "join bounds"))
@@ -177,7 +181,8 @@ def check_relative_normalizers_stay_distinguished(b: Budget) -> None:
             for qi in hS:
                 Q = lat.ref(qi)
                 if P != Q and lat.leq(P, Q):
-                    b.check(lat.meet(Q, NP).index in hS, (name, p, pi, qi))
+                    b.check(lat.by_bitset(Q.bitset & NP.bitset).index in hS,
+                            (name, p, pi, qi))
 
 
 def one_class_of_order_p(group, p: int) -> bool:
@@ -442,6 +447,61 @@ def check_class_masks_are_invariance(b: Budget) -> None:
     b.check(seen == {True, False}, "both answers occur")
 
 
+def _subgroup_map(lat, side, k, product=False):
+    """q -> q v K (side ">=") or q -> q & K from subgroup members alone, or
+    q -> qK as a subgroup product when product is set."""
+    if product:
+        return lambda q: lat.product(lat.ref(q), k).index
+    if side == ">=":
+        return lambda q: lat.generated(lat.members(lat.ref(q))
+                                       + lat.members(k)).index
+    return lambda q: lat.by_bitset(lat.ref(q).bitset & k.bitset).index
+
+
+def check_retraction_matches_oracle(b: Budget) -> None:
+    """Every dashed scan of every suite plan, at each subgroup of the first
+    two Sylow groups, gating conditions aside, with the scan's own side and
+    with the opposite one: the join or meet equals the map computed from
+    subgroup members (the subgroup product for the restriction row), and the
+    scan certifies by retraction exactly when the pointwise map checker
+    accepts that map. The opposite sides supply the rejections."""
+    answers = set()
+    for name, p in SUITE:
+        lat = lattice_of(name)
+        ctx = collection_context(lat, p)
+        scanned = {h for s in lat.sylow(p)[:2] for h in _subgroups_of(lat, s)}
+        for spec in TABLE31_EDGES + TABLE44_EDGES:
+            if spec.style != "dashed":
+                continue
+            poset = GPoset.from_collection(lat, ctx.collection(spec.kinds[0]))
+            pair, own = ((_eo_pair, _eo_retraction) if spec.checker == "eo-scan"
+                         else (_ea_pair, _ea_retraction))
+            left_of, right_of = pair(lat, poset)
+            own = own(lat)
+            for h in sorted(scanned):
+                left, right = left_of(h), right_of(h)
+                side, k = own(h)
+                for s, product in ((side, spec.checker == "eo-scan"),
+                                   ({">=": "<=", "<=": ">="}[side], False)):
+                    tag = (name, p, spec.edge_id, h.index, s)
+                    f = _subgroup_map(lat, s, k, product)
+                    b.check(_lattice_retraction(right, s, k)
+                            == {q: f(q) for q in right.labels}, tag)
+                    (row,) = fixed_point_equivalence_scan(
+                        [h], left_of, right_of,
+                        retraction=lambda _, s=s: (s, k)).per_subgroup
+                    if row.method in ("equal", "emptiness"):
+                        continue
+                    try:
+                        accepts = _naive.verify_monotone_retraction(
+                            right, f, s, left)
+                    except ValueError:  # an image outside the right poset
+                        accepts = False
+                    answers.add(accepts)
+                    b.check((row.method == "retraction") == accepts, tag)
+    b.check(answers == {True, False}, "both answers occur")
+
+
 # ---------------------------------------------------------------- driver
 
 # (family, rng seed); None for families with no sampling. Seeds are fixed
@@ -466,6 +526,7 @@ FAMILIES = (
     (check_beat_test_counts_maximal_elements, 116),
     (check_core_reduction_matches_rescanning, None),
     (check_class_masks_are_invariance, None),
+    (check_retraction_matches_oracle, None),
 )
 
 

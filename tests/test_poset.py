@@ -28,8 +28,9 @@ def test_above_below_between():
     assert set(poset.above(2).labels) == {2, 4, 6, 12}
     assert set(poset.above(2, strict=True).labels) == {4, 6, 12}
     assert set(poset.below(6).labels) == {1, 2, 3, 6}
-    assert set(poset.between(2, 12).labels) == {2, 4, 6, 12}
-    assert set(poset.between(2, 12, strict=True).labels) == {4, 6}
+    assert set(poset.above(2).below(12).labels) == {2, 4, 6, 12}
+    assert set(poset.above(2, strict=True).below(12, strict=True).labels) \
+        == {4, 6}
 
 
 def test_cut_point_need_not_be_member():

@@ -37,6 +37,7 @@ EXPECTED = {
     "check_beat_test_counts_maximal_elements": 2203,
     "check_core_reduction_matches_rescanning": 200,
     "check_class_masks_are_invariance": 9803,
+    "check_retraction_matches_oracle": 2745,
 }
 
 
