@@ -109,6 +109,25 @@ class PermutationGroup:
         m = self.mul
         return m[m[g][x]][self.inv[g]]
 
+    @cached_property
+    def generator_conjugation(self) -> list[list[int]]:
+        """Per generator g, the row x -> g x g^-1."""
+        mul, inv = self.mul, self.inv
+        return [[mul[y][inv[g]] for y in mul[g]] for g in self.generator_indices]
+
+    def subgroup_class(self, bits: int) -> list[int]:
+        """The conjugacy class of the subgroup ``bits``, which comes first,
+        closed under conjugation by each generator."""
+        orbit, seen = [bits], {bits}
+        for h in orbit:
+            members = _bits(h)
+            for row in self.generator_conjugation:
+                k = sum(1 << row[x] for x in members)
+                if k not in seen:
+                    seen.add(k)
+                    orbit.append(k)
+        return orbit
+
     def conjugation_column(self, x: int) -> list[int]:
         """col[g] = conjugate_index(g, x) for every g, built on first use."""
         col = self._columns.get(x)
@@ -118,6 +137,21 @@ class PermutationGroup:
                 list.__getitem__, map(mul.__getitem__, map(itemgetter(x), mul)),
                 self.inv))
         return col
+
+    def conjugating(self, x: int, bits: int) -> int:
+        """The bitset of the g with g x g^-1 in ``bits``, read in one pass
+        over the conjugation column of x."""
+        flags = f"{bits:0{self.order}b}"[::-1]  # character i is bit i
+        col = self.conjugation_column(x)
+        return int("".join(map(flags.__getitem__, col))[::-1], 2)
+
+    def normalizer_bitset(self, bits: int, gens) -> int:
+        """N_G(H) for H = ``bits`` generated by gens: H^g = H exactly when g
+        conjugates each generator of H into H."""
+        out = self.full_bitset
+        for x in gens:
+            out &= self.conjugating(x, bits)
+        return out
 
     # ----- bitset helpers -------------------------------------------------
 
@@ -137,15 +171,19 @@ class PermutationGroup:
         return found
 
     def extend_bitset(self, bits: int, gens) -> int:
-        """Dimino's step: the subgroup <H, x> for H = ``bits`` and x the last
-        of ``gens``, where the generators before x must generate H.
+        """The subgroup <H, x> for H = ``bits`` and x the last of ``gens``,
+        where the generators before x must generate H."""
+        return self.dimino_step(bits, list(map(self.mul.__getitem__, _bits(bits))), gens)
+
+    def dimino_step(self, bits: int, coset: list, gens) -> int:
+        """Dimino's step for `extend_bitset`, given the rows of H's members
+        in the multiplication table: H r is {row[r] for row in coset}.
 
         <H, x> is grown as a union of right cosets H r, closing the coset
         representatives under right multiplication by every generator. A
         subgroup of order > |G|/2 is G itself, so that returns the full group.
         """
         mul = self.mul
-        coset = [mul[h] for h in _bits(bits)]  # H r is {row[r] for row}
         found, count, half = bits, len(coset), self.order // 2
         reps = [0]  # the identity represents H itself
         for r in reps:

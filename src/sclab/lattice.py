@@ -52,11 +52,6 @@ class _LazyMasks(dict):
         return mask
 
 
-def _flags(bits: int, n: int) -> str:
-    """The bitset over n elements as a string, character i for bit i."""
-    return f"{bits:0{n}b}"[::-1]
-
-
 def p_part(n: int, p: int) -> int:
     out = 1
     while n % p == 0:
@@ -71,43 +66,47 @@ def enumerate_subgroups(group: PermutationGroup, *, max_order: int = DEFAULT_ORD
 
     Every subgroup is a join of cyclic subgroups, and if K = <H, c> with
     H = R^g, then <R, c^(g^-1)> is conjugate to K. So only the first subgroup
-    found in each class (with the generators it was built from) is extended,
-    by each cyclic subgroup it misses, and a new subgroup adds its whole class.
+    R found in each class (with the generators it was built from) is
+    extended, and a new subgroup adds its whole class. As <R, c^n> = <R, c>^n
+    for n in N_G(R), R is extended by one cyclic subgroup from each N_G(R)-
+    orbit of those it misses. The orbit of c is its class when R is normal,
+    {c} when c is, and otherwise is read off c's conjugation column.
     """
     if group.order > max_order:
         raise CapExceeded(f"group order {group.order} exceeds the cap {max_order}")
     cyclic: dict[int, int] = {}  # cyclic subgroup -> one generator
+    cyclic_of = [1] * group.order  # element -> the cyclic subgroup it generates
     for x in range(1, group.order):
-        cyclic.setdefault(group.cyclic_bitset(x), x)
-    conj = [[group.conjugate_index(g, x) for x in range(group.order)]
-            for g in group.generator_indices]
-    found: set[int] = set()
+        cyclic_of[x] = group.cyclic_bitset(x)
+        cyclic.setdefault(cyclic_of[x], x)
+    classes: dict[int, list[int]] = {1: [1]}  # subgroup -> its class
     reps: list[tuple[int, tuple[int, ...]]] = []  # (subgroup, its generators)
 
     def add_class(bits, gens):
-        if bits in found:
+        if bits in classes:
             return
         reps.append((bits, gens))
-        orbit = [bits]
-        found.add(bits)
-        for h in orbit:
-            members = group.bitset_members(h)
-            for table in conj:
-                k = sum(1 << table[x] for x in members)
-                if k not in found:
-                    found.add(k)
-                    orbit.append(k)
-        if len(found) > max_subgroups:
+        orbit = group.subgroup_class(bits)
+        classes.update(dict.fromkeys(orbit, orbit))
+        if len(classes) > max_subgroups:
             raise CapExceeded(f"subgroup count exceeded the cap {max_subgroups}")
 
-    add_class(1, ())
     for c, x in cyclic.items():
         add_class(c, (x,))
     for bits, gens in reps:
+        rows = list(map(group.mul.__getitem__, group.bitset_members(bits)))
+        norm, covered = None, set()  # N_G(R)'s members; orbits already met
         for c, x in cyclic.items():
-            if c | bits != bits:
-                add_class(group.extend_bitset(bits, gens + (x,)), gens + (x,))
-    return SubgroupLattice(group, found)
+            if c | bits == bits or c in covered:
+                continue
+            if len(classes[bits]) == 1:  # N_G(R) = G: c's orbit is its class
+                covered.update(classes[c])
+            elif len(classes[c]) > 1:
+                norm = norm or group.bitset_members(group.normalizer_bitset(bits, gens))
+                col = group.conjugation_column(x)
+                covered.update(map(cyclic_of.__getitem__, map(col.__getitem__, norm)))
+            add_class(group.dimino_step(bits, rows, gens + (x,)), gens + (x,))
+    return SubgroupLattice(group, classes)
 
 
 class SubgroupLattice:
@@ -192,11 +191,8 @@ class SubgroupLattice:
     # ----- conjugation ----------------------------------------------------
 
     def conjugate_bitset(self, bits: int, g: int) -> int:
-        grp = self.group
-        out = 0
-        for x in self._members[bits]:
-            out |= 1 << grp.conjugate_index(g, x)
-        return out
+        conj = self.group.conjugate_index
+        return sum(1 << conj(g, x) for x in self._members[bits])
 
     def conjugate(self, ref: SubgroupRef, g: int) -> SubgroupRef:
         return self.by_bitset(self.conjugate_bitset(ref.bitset, g))
@@ -204,22 +200,12 @@ class SubgroupLattice:
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Conjugation orbits on subgroup indices, each sorted, ordered by rep."""
-        seen = set()
-        out = []
-        for start in range(len(self.subgroups)):
-            if start in seen:
-                continue
-            orbit = {start}
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for g in self.group.generator_indices:
-                    j = self._index[self.conjugate_bitset(self._bitsets[i], g)]
-                    if j not in orbit:
-                        orbit.add(j)
-                        stack.append(j)
-            seen |= orbit
-            out.append(tuple(sorted(orbit)))
+        seen, out = set(), []
+        for bits in self._bitsets:
+            if bits not in seen:
+                orbit = self.group.subgroup_class(bits)
+                seen.update(orbit)
+                out.append(tuple(sorted(map(self._index.__getitem__, orbit))))
         return tuple(out)
 
     def orbit_representatives(self) -> tuple[SubgroupRef, ...]:
@@ -232,8 +218,13 @@ class SubgroupLattice:
 
     def is_class_union(self, mask: int) -> bool:
         """Conjugation permutes the subgroups, so a mask over `order`
-        positions is G-invariant exactly when it is a union of classes."""
-        return all(c & mask in (0, c) for c in self.class_masks)
+        positions is G-invariant exactly when it is a union of classes;
+        a class of one member never splits."""
+        return all(c & mask in (0, c) for c in self._shared_class_masks)
+
+    @cached_property
+    def _shared_class_masks(self) -> tuple[int, ...]:
+        return tuple(c for c in self.class_masks if c & (c - 1))
 
     def first_of_each_class(self, mask: int) -> int:
         """The lowest position of mask in each class it meets."""
@@ -248,11 +239,8 @@ class SubgroupLattice:
     def normalizer(self, ref: SubgroupRef) -> SubgroupRef:
         """H^g = H exactly when g conjugates each generator of H into H."""
         if ref.index not in self._normalizer:
-            flags = _flags(ref.bitset, self.group.order)
-            out = self.group.full_bitset
-            for x in self.generating_set(ref):
-                out &= self._conjugating(x, flags)
-            self._normalizer[ref.index] = self._index[out]
+            self._normalizer[ref.index] = self._index[self.group.normalizer_bitset(
+                ref.bitset, self.generating_set(ref))]
         return self.subgroups[self._normalizer[ref.index]]
 
     def centralizer(self, ref: SubgroupRef) -> SubgroupRef:
@@ -260,15 +248,9 @@ class SubgroupLattice:
         if ref.index not in self._centralizer:
             out = self.group.full_bitset
             for x in self.generating_set(ref):
-                out &= self._conjugating(x, _flags(1 << x, self.group.order))
+                out &= self.group.conjugating(x, 1 << x)
             self._centralizer[ref.index] = self._index[out]
         return self.subgroups[self._centralizer[ref.index]]
-
-    def _conjugating(self, x: int, flags: str) -> int:
-        """The bitset of the g with g x g^-1 in the set spelled by flags,
-        read in one pass over the conjugation column of x."""
-        col = self.group.conjugation_column(x)
-        return int("".join(map(flags.__getitem__, col))[::-1], 2)
 
     def center(self, ref: SubgroupRef) -> SubgroupRef:
         return self.by_bitset(ref.bitset & self.centralizer(ref).bitset)
@@ -390,12 +372,9 @@ class SubgroupLattice:
         ``normal`` must be a normal subgroup of ``big``; the action is then
         faithful for the quotient.
         """
+        if not self.leq(normal, big) or not self.leq(big, self.normalizer(normal)):
+            raise InternalInconsistency("second argument must be normal in the first")
         bgens = self.generating_set(big)
-        if not (self.leq(normal, big)
-                and all(self.conjugate_bitset(normal.bitset, g) == normal.bitset
-                        for g in bgens)):
-            raise InternalInconsistency(
-                "second argument must be normal in the first")
         mul = self.group.mul
         nmem = self._members[normal.bitset]
         coset_of: dict[int, int] = {}

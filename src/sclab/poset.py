@@ -132,13 +132,21 @@ class GPoset:
 
     def fixed_points(self, h: SubgroupRef) -> "GPoset":
         """Subposet of elements invariant under conjugation by every member
-        of H; for subgroup posets these are the subgroups normalized by H."""
-        lat, pos = self._require_lattice(), self.order.pos
-        mask = 0
-        for x in self.labels:
-            if lat.leq(h, lat.normalizer(lat.ref(x))):
-                mask |= 1 << pos[x]
+        of H; for subgroup posets these are the subgroups normalized by H,
+        the positions whose normalizer lies in up[h] | bit h."""
+        above = self.order.up[h.index] | 1 << h.index
+        mask = sum(held for n, held in self._by_normalizer.items()
+                   if above >> n & 1)  # disjoint masks: the sum is their union
         return self._sub(mask, f"{self.name}^{h.index}")
+
+    @cached_property
+    def _by_normalizer(self) -> dict[int, int]:
+        """Normalizer position -> the mask of positions with that normalizer."""
+        lat, out = self._require_lattice(), {}
+        for i in positions(self.mask):
+            n = lat.normalizer(lat.ref(i)).index
+            out[n] = out.get(n, 0) | 1 << i
+        return out
 
     def conjugate_label(self, g: int, label):
         lat = self._require_lattice()

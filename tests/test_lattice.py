@@ -3,7 +3,7 @@ import time
 import pytest
 
 import _naive as naive
-from _suite import SMALL_SUITE, lattice_of
+from _suite import SMALL_SUITE, SUITE, lattice_of
 from sclab.errors import (InternalInconsistency, NotMutuallyNormalizing,
                           PrimeDoesNotDivide)
 from sclab.group import builtin_group, parse_group_text
@@ -20,10 +20,51 @@ def test_subgroup_counts():
 
 
 def test_counts_match_naive_enumeration():
-    for name in ("D8", "Q8", "S3", "A4", "S4", "D12", "SL23"):
+    # in A5 no nontrivial cyclic subgroup is normal, so each representative
+    # is extended by one cyclic subgroup per orbit of its normalizer
+    for name in ("D8", "Q8", "S3", "A4", "S4", "D12", "SL23", "A5"):
         lat = lattice_of(name)
         brute = naive.subgroups(lat.group)
         assert {frozenset(lat.members(r)) for r in lat.subgroups} == brute, name
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in SUITE}))
+def test_lattice_is_closed_under_adding_an_element(name):
+    lat = lattice_of(name)
+    g = lat.group
+    for r in lat.subgroups:
+        for x in range(g.order):
+            if not r.bitset >> x & 1:
+                lat.by_bitset(g.closure_bitset(r.bitset | 1 << x))
+
+
+# group file text, (subgroups, classes)
+LATTICE_PINS = {
+    "A6": ("degree 6\ngen (0 1 2)\ngen (1 2 3 4 5)\n", (501, 22)),
+    "GL(2,3)": ("degree 8\ngen (0 3 6)(1 7 4)\ngen (0 2 1 5)(3 4 7 6)\n"
+                "gen (2 5)(3 6)(4 7)\n", (55, 16)),
+    "Z2^4": ("degree 8\ngen (0 1)\ngen (2 3)\ngen (4 5)\ngen (6 7)\n",
+             (67, 67)),
+    "S4xS4": ("degree 8\ngen (0 1 2 3)\ngen (0 1)\ngen (4 5 6 7)\n"
+              "gen (4 5)\n", (2976, 274)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_PINS))
+def test_lattice_sizes_are_pinned(name):
+    text, expected = LATTICE_PINS[name]
+    lat = enumerate_subgroups(parse_group_text(text))
+    assert (len(lat), len(lat.orbits)) == expected
+
+
+def test_s5_extends_once_per_normalizer_orbit(monkeypatch):
+    g = builtin_group("S5")
+    steps = []
+    step = g.dimino_step
+    monkeypatch.setattr(g, "dimino_step",
+                        lambda *args: steps.append(args) or step(*args))
+    assert len(enumerate_subgroups(g)) == 156
+    assert len(steps) <= 199  # 1,079 when extending by every cyclic subgroup
 
 
 def test_d8_times_z2_matches_naive_enumeration():
