@@ -2,8 +2,10 @@
 
 One JSON file per group, named by the content hash of the group's element
 table. A file is only trusted when its format version and its stored hash
-match and its stored bitsets are distinct and closed under the group law;
-anything else falls through to re-enumeration.
+match, and its stored bitsets are distinct subgroups, stored with their
+whole conjugacy classes; anything else falls through to re-enumeration.
+A file from which whole classes were deleted still passes: telling it
+apart would cost as much as enumerating the lattice again.
 """
 
 from __future__ import annotations
@@ -46,8 +48,16 @@ def load_lattice(cache_dir: Path, group: PermutationGroup) -> SubgroupLattice | 
     if (1 not in bitsets or full not in bitsets
             or len(set(bitsets)) < len(bitsets)):
         return None
-    if any(group.closure_bitset(b) != b for b in bitsets):
-        return None
+    stored, checked = set(bitsets), set()
+    for b in bitsets:
+        if b in checked:
+            continue
+        if group.closure_bitset(b) != b:
+            return None
+        orbit = group.subgroup_class(b)  # conjugates of a subgroup are ones too
+        if not stored.issuperset(orbit):
+            return None
+        checked.update(orbit)
     return SubgroupLattice(group, bitsets)
 
 

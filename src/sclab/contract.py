@@ -30,10 +30,6 @@ def _json_label(x):
     return x
 
 
-def _sorted_pairs(mapping: dict) -> tuple:
-    return tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0])))
-
-
 # --------------------------------------------------------------------------
 # certificate types
 
@@ -55,18 +51,17 @@ class CoreReduction:
 
 @dataclass(frozen=True)
 class MonotoneRetraction:
-    """A poset endomorphism comparable with the identity whose image lands in
-    a subposet; the subposet is then a deformation retract of the whole."""
+    """The map q -> q v K (side ">=") or q -> q ^ K (side "<=") on a subgroup
+    poset, named by its side and the lattice index of K. A join or meet with
+    a fixed subgroup is monotone and comparable with the identity, so a
+    subposet holding every image is a deformation retract of the whole."""
 
-    mapping: tuple
-    side: str    # ">=" when f(x) >= x pointwise, "<=" for the dual
-    target: tuple  # labels of the receiving subposet
+    side: str
+    subgroup: int
 
     def to_json(self):
         return {"kind": "retraction", "side": self.side,
-                "target": [_json_label(t) for t in self.target],
-                "mapping": [[_json_label(a), _json_label(b)]
-                            for a, b in self.mapping]}
+                "subgroup": self.subgroup}
 
 
 @dataclass(frozen=True)

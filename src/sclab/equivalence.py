@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
-                       MonotoneRetraction, _json_label, _sorted_pairs,
+                       MonotoneRetraction, _json_label,
                        contractibility_verdict)
 from .errors import NotASubposet
 from .homology import homology
@@ -69,9 +69,7 @@ class InclusionResult:
     def to_json(self):
         return {"mode": self.mode, "outcome": self.outcome, "claim": self.claim,
                 "witnesses": [_json_label(w) for w in self.witnesses],
-                "per_element": [[_json_label(y),
-                                 s if s is not None else None,
-                                 v.to_json()]
+                "per_element": [[_json_label(y), s, v.to_json()]
                                 for y, s, v in self.per_element]}
 
 
@@ -184,22 +182,23 @@ def _profile_of(poset: GPoset, max_simplices: int):
     return homology(order_complex(poset, max_simplices))
 
 
-def _lattice_retraction(right: GPoset, side: str, k) -> dict:
-    """q -> q v K (side ">=") or q -> q ^ K (side "<=") on the positions of
-    right. Subgroups sort by order, so the join is the lowest common upper
-    bound and the meet the highest common lower bound. A join or meet with
-    a fixed element is monotone and comparable with the identity."""
+def _lattice_retraction(right: GPoset, side: str, k) -> int:
+    """The mask of images of q -> q v K (side ">=") or q -> q ^ K (side
+    "<=") over the positions q of right. Subgroups sort by order, so the
+    join is the lowest common upper bound and the meet the highest common
+    lower bound. A join or meet with a fixed element is monotone and
+    comparable with the identity."""
     if right.lattice is None:
         raise ValueError("a lattice retraction needs a lattice-backed poset")
     if side not in ("<=", ">="):
         raise ValueError(f"side must be '<=' or '>=', got {side!r}")
     masks = right.order.up if side == ">=" else right.order.down
     bound = masks[k.index] | 1 << k.index
-    image = {}
+    image = 0
     for q in positions(right.mask):
         common = (masks[q] | 1 << q) & bound
-        image[q] = ((common & -common) if side == ">=" else common
-                    ).bit_length() - 1
+        image |= (common & -common if side == ">="
+                  else 1 << common.bit_length() - 1)
     return image
 
 
@@ -216,15 +215,11 @@ def _compare_pair(h, left: GPoset, right: GPoset, retraction,
     if retraction is not None:
         side, k = retraction(h)
         image = _lattice_retraction(right, side, k)
-        hit = sum(1 << f for f in set(image.values()))
-        if not hit & ~left.mask:
-            at = right.order.labels
-            cert = MonotoneRetraction(
-                _sorted_pairs({at[q]: at[f] for q, f in image.items()}),
-                side, tuple(left.labels))
+        if not image & ~left.mask:
             return FixedPointComparison(h.index, h.order, CERTIFIED,
-                                        "retraction", cert,
-                                        {"image": hit.bit_count()})
+                                        "retraction",
+                                        MonotoneRetraction(side, k.index),
+                                        {"image": image.bit_count()})
     vl = contractibility_verdict(left, max_simplices=max_simplices)
     vr = contractibility_verdict(right, max_simplices=max_simplices)
     if vl.status == CONTRACTIBLE and vr.status == CONTRACTIBLE:

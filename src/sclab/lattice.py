@@ -273,19 +273,14 @@ class SubgroupLattice:
         return self.by_bitset(out)
 
     def p_core(self, ref: SubgroupRef, p: int) -> SubgroupRef:
-        """O_p(H): join of all normal p-subgroups of H."""
+        """O_p(H): the intersection of the Sylow p-subgroups of H."""
         key = (ref.index, p)
         if key not in self._pcore:
-            acc = 1
+            target = p_part(ref.order, p)
+            acc = ref.bitset
             for k in self.subgroups:
-                if k.order == 1 or not self.leq(k, ref):
-                    continue
-                if p_part(k.order, p) != k.order:
-                    continue
-                if (acc | k.bitset) == acc:
-                    continue
-                if self.leq(ref, self.normalizer(k)):
-                    acc = self.group.closure_bitset(acc | k.bitset)
+                if k.order == target and k.bitset | ref.bitset == ref.bitset:
+                    acc &= k.bitset
             self._pcore[key] = self._index[acc]
         return self.subgroups[self._pcore[key]]
 

@@ -323,10 +323,9 @@ def _dotted_avatars(ctx, spec, posets, h):
             return left.above(h), right.above(h)
         cg = lat.centralizer(h)
         return left.below(cg), right.below(cg)
-    poset = posets[spec.kinds[0]]
-    if spec.row == "EO|C":
-        return poset.above(h), poset.fixed_points(h)
-    return poset.below(lat.centralizer(h)), poset.fixed_points(h)
+    pair = _eo_pair if spec.row == "EO|C" else _ea_pair
+    left_of, right_of = pair(lat, posets[spec.kinds[0]])
+    return left_of(h), right_of(h)
 
 
 def _check_dotted(ctx, spec, posets, max_simplices) -> EdgeResult:

@@ -10,6 +10,10 @@ oracles work pair by pair: relation_closure saturates a relation,
 core_reduction rescans every label for the first beat point after each
 removal, counting the maximal elements of each down-set, and
 verify_monotone_retraction checks a map on a poset position by position.
+lattice_p_core is the exception: it joins the normal p-subgroups of a
+lattice subgroup using the lattice's normalizers and the group's closure,
+a second route to O_p against which the lattice's intersection of Sylow
+subgroups is checked.
 """
 
 from __future__ import annotations
@@ -138,6 +142,21 @@ def p_core(group, all_subs, h: frozenset, p: int) -> frozenset:
     best = max(candidates, key=len)
     assert all(k <= best for k in candidates), "p-core is not unique-maximal"
     return best
+
+
+def lattice_p_core(lat, ref, p: int) -> int:
+    """The bitset of O_p(ref), the join of the normal p-subgroups of ref."""
+    acc = 1
+    for k in lat.subgroups:
+        if k.order == 1 or not lat.leq(k, ref):
+            continue
+        if p_part(k.order, p) != k.order:
+            continue
+        if (acc | k.bitset) == acc:
+            continue
+        if lat.leq(ref, lat.normalizer(k)):
+            acc = lat.group.closure_bitset(acc | k.bitset)
+    return acc
 
 
 def is_radical(group, all_subs, h: frozenset, p: int) -> bool:

@@ -461,10 +461,11 @@ def _subgroup_map(lat, side, k, product=False):
 def check_retraction_matches_oracle(b: Budget) -> None:
     """Every dashed scan of every suite plan, at each subgroup of the first
     two Sylow groups, gating conditions aside, with the scan's own side and
-    with the opposite one: the join or meet equals the map computed from
-    subgroup members (the subgroup product for the restriction row), and the
-    scan certifies by retraction exactly when the pointwise map checker
-    accepts that map. The opposite sides supply the rejections."""
+    with the opposite one: the image mask of the join or meet equals the
+    image of the map computed from subgroup members (the subgroup product
+    for the restriction row), and the scan certifies by retraction exactly
+    when the pointwise map checker accepts that map. The opposite sides
+    supply the rejections."""
     answers = set()
     for name, p in SUITE:
         lat = lattice_of(name)
@@ -486,7 +487,8 @@ def check_retraction_matches_oracle(b: Budget) -> None:
                     tag = (name, p, spec.edge_id, h.index, s)
                     f = _subgroup_map(lat, s, k, product)
                     b.check(_lattice_retraction(right, s, k)
-                            == {q: f(q) for q in right.labels}, tag)
+                            == sum({1 << right.order.pos[f(q)]
+                                    for q in right.labels}), tag)
                     (row,) = fixed_point_equivalence_scan(
                         [h], left_of, right_of,
                         retraction=lambda _, s=s: (s, k)).per_subgroup

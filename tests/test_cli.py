@@ -2,7 +2,10 @@
 
 The golden file pins the exact bytes of a small JSON report; any change
 to report content or serialization order must be deliberate enough to
-regenerate it.
+regenerate it. It and the three SHA-256 pins below were last replaced by
+`docs/report_2_to_3.py` applied to the sclab-report/2 bytes they pinned
+before, which only renames the format and names each retraction by its
+side and subgroup; the new code writes exactly those bytes.
 """
 
 import ast
@@ -36,26 +39,29 @@ GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
 
 # SHA-256 of the report of `sclab verify --group tests/data/z2_4.grp
-# --prime 2`, recorded while order queries were still pairwise. Its core
+# --prime 2`, recorded while order queries were still pairwise, then
+# carried to sclab-report/3 by docs/report_2_to_3.py. Its core
 # certificates list every beat point in removal order, so any change in
 # which beat point is removed first changes these bytes.
 Z2_4_P2_SHA256 = (
-    "ac9259f32a0f4679d1d7e9294373852da04add57d1a46e7c81562bb26bd58655")
+    "07af5552003f0eec253e9fef4e4ee918b8736b85544dcff115c397b3d771f666")
 
 # SHA-256 of the report of `sclab verify --group tests/data/psl27.grp
 # --prime 2`, recorded while normalizers and centralizers were still found
-# by conjugating with every element. PSL(2,7) is non-abelian with six
+# by conjugating with every element, then carried to sclab-report/3 by
+# docs/report_2_to_3.py. PSL(2,7) is non-abelian with six
 # element classes and fifteen subgroup classes, so its normalizers and
 # centralizers differ from subgroup to subgroup, unlike those of Z2^4.
 PSL27_P2_SHA256 = (
-    "db5dc9564deaed9ca967e635d3a256c695d1a77a0e3b4ec852b1ada7530c5e47")
+    "208fe66918960e81e009f304bfc86e8a255617e8e8bb51f36ee9a7ea9f8b5fec")
 
 # SHA-256 of the report of `sclab verify --group tests/data/d8xz2.grp
 # --prime 2`, recorded while retractions were still checked position by
-# position as explicit maps. It carries 188 retraction certificates, whose
-# mapping pairs are the images q v H and q ^ C_G(H).
+# position as explicit maps, then carried to sclab-report/3 by
+# docs/report_2_to_3.py, which checked each recorded pair against q v H
+# or q ^ C_G(H). It carries 188 retraction certificates.
 D8XZ2_P2_SHA256 = (
-    "52c2e13a7086fddb4eeabeb5cee5d32de25d861444f1885f3acc8e076203eaba")
+    "6bfa9fd3498e653660b560da0418881f49bc958e78ca50007856382af47a9f3a")
 
 
 def verify(*extra):
@@ -68,7 +74,7 @@ def test_clean_run_writes_json_to_stdout(capfdbinary):
     out = capfdbinary.readouterr().out
     assert out.endswith(b"\n")
     report = json.loads(out)
-    assert report["format"] == "sclab-report/2"
+    assert report["format"] == "sclab-report/3"
     assert report["group"]["name"] == "D8"
 
 
@@ -291,6 +297,37 @@ def test_verdict_methods_match_the_report_schema():
     block = schema.split("\nVerdict ", 1)[1].split("```")[1]
     methods = block.split('"method":', 1)[1].split('"equivariant":', 1)[0]
     assert used == set(re.findall(r'"([^"]+)"', methods))
+
+
+def _certificates(value):
+    if isinstance(value, dict):
+        if isinstance(value.get("certificate"), dict):
+            yield value["certificate"]
+        for v in value.values():
+            yield from _certificates(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _certificates(v)
+
+
+def test_certificate_keys_match_the_report_schema(capfdbinary):
+    # each certificate kind in a D8 report has exactly the keys of the
+    # docs/REPORT_SCHEMA.md block that starts with that kind
+    assert verify("--group", "builtin:D8", "--prime", "2") == 0
+    report = json.loads(capfdbinary.readouterr().out)
+    schema = (Path(__file__).parent.parent / "docs"
+              / "REPORT_SCHEMA.md").read_text()
+    blocks = {}
+    for block in schema.split("```")[1::2]:
+        kind = re.match(r'\s*\{"kind": "([a-z]+)"', block)
+        if kind:
+            blocks[kind[1]] = set(re.findall(r'"([a-z_]+)":', block))
+    keys = {}
+    for cert in _certificates(report):
+        keys.setdefault(cert["kind"], set()).add(frozenset(cert))
+    assert set(keys) == {"core", "retraction"}
+    for kind, found in keys.items():
+        assert found == {frozenset(blocks[kind])}, kind
 
 
 def test_a_finished_run_frees_its_group_without_the_collector(monkeypatch,

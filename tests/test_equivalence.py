@@ -179,7 +179,9 @@ def test_inclusion_result_to_json(d8):
 
 def test_restriction_scan_certifies_subgroup_avatars(d8):
     """above(H) versus the H-fixed subposet, over all subgroups of the
-    2-group itself: equal sets or the retraction q -> qH everywhere."""
+    2-group itself: equal sets or the retraction q -> qH everywhere. The
+    certificate names H, and the map rebuilt from it as subgroup products
+    lands in above(H)."""
     lat, ctx = d8
     poset = poset_of(lat, ctx, "tilde-S")
     scan = fixed_point_equivalence_scan(
@@ -194,15 +196,19 @@ def test_restriction_scan_certifies_subgroup_avatars(d8):
     for c in scan.per_subgroup:
         if c.method == "retraction":
             h = lat.ref(c.subgroup)
-            assert c.certificate.side == ">="
-            assert c.certificate.mapping == tuple(sorted(
-                ((q, lat.product(lat.ref(q), h).index)
-                 for q in poset.fixed_points(h).labels), key=repr))
+            cert = c.certificate
+            assert (cert.side, cert.subgroup) == (">=", h.index)
+            k = lat.ref(cert.subgroup)
+            avatar = poset.above(h)
+            assert all(lat.product(lat.ref(q), k).index in avatar
+                       for q in poset.fixed_points(h).labels)
 
 
 def test_centralizer_scan_certifies_avatars(d8):
     """below(C_G(H)) versus the H-fixed subposet: E is equal everywhere,
-    tilde-A needs the retraction q -> q ^ C_G(H) at eight subgroups."""
+    tilde-A needs the retraction q -> q ^ C_G(H) at eight subgroups. The
+    certificate names C_G(H), and the map rebuilt from it as bitset
+    intersections lands in below(C_G(H))."""
     lat, ctx = d8
     for kind, retractions in (("E", 0), ("tilde-A", 8)):
         poset = poset_of(lat, ctx, kind)
@@ -215,10 +221,14 @@ def test_centralizer_scan_certifies_avatars(d8):
         rows = [c for c in scan.per_subgroup if c.method == "retraction"]
         assert len(rows) == retractions
         for c in rows:
-            cg = lat.centralizer(lat.ref(c.subgroup)).bitset
-            assert c.certificate.side == "<="
-            assert all(lat.ref(f).bitset == lat.ref(q).bitset & cg
-                       for q, f in c.certificate.mapping)
+            h = lat.ref(c.subgroup)
+            cg = lat.centralizer(h)
+            cert = c.certificate
+            assert (cert.side, cert.subgroup) == ("<=", cg.index)
+            k = lat.ref(cert.subgroup).bitset
+            avatar = poset.below(cg)
+            assert all(lat.by_bitset(lat.ref(q).bitset & k).index in avatar
+                       for q in poset.fixed_points(h).labels)
 
 
 def test_retraction_needs_a_lattice_backed_poset(d8):

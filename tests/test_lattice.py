@@ -174,6 +174,17 @@ def test_p_cores():
     assert d12.p_core(d12.full, 3).order == 3
 
 
+def test_p_core_is_the_join_of_normal_p_subgroups():
+    # O_p(H) as the intersection of H's Sylow p-subgroups equals the join
+    # of its normal p-subgroups, for every subgroup and prime
+    for name in dict(SUITE):
+        lat = lattice_of(name)
+        for p in {p for n, p in SUITE if n == name}:
+            for h in lat.subgroups:
+                assert (lat.p_core(h, p).bitset
+                        == naive.lattice_p_core(lat, h, p)), (name, p, h)
+
+
 def test_omega1_center():
     q8 = lattice_of("Q8")
     assert q8.omega1_center(q8.full, 2).order == 2

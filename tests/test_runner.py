@@ -273,6 +273,24 @@ def test_cache_rejects_a_non_subgroup_bitset(tmp_path):
         [r.bitset for r in fresh.subgroups]
 
 
+def test_cache_rejects_a_partial_class(tmp_path):
+    # S4 has six subgroups generated by a transposition; a file holding
+    # five of them is re-enumerated, and the report is the fresh one
+    group = builtin_group("S4")
+    fresh = enumerate_subgroups(group)
+    path = store_lattice(tmp_path, fresh)
+    payload = json.loads(path.read_text())
+    transposition = next(
+        r for r in fresh.subgroups if r.order == 2
+        and fresh.generator_string(r).count("(") == 1)
+    payload["subgroups"].remove(format(transposition.bitset, "x"))
+    path.write_text(json.dumps(payload))
+    assert load_lattice(tmp_path, group) is None
+    cached = run(VerificationPlan("builtin:S4", 2, cache_dir=tmp_path))
+    assert report_to_json_bytes(cached) == report_to_json_bytes(
+        run(VerificationPlan("builtin:S4", 2)))
+
+
 def test_cached_run_reports_match(tmp_path):
     plain = run(VerificationPlan("builtin:D8", 2, "table31"))
     warm = run(VerificationPlan("builtin:D8", 2, "table31", cache_dir=tmp_path))
