@@ -37,18 +37,20 @@ def load_lattice(cache_dir: Path, group: PermutationGroup) -> SubgroupLattice | 
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if (payload.get("format") != CACHE_FORMAT
-            or payload.get("group_hash") != group.content_hash):
+    if (not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT
+            or payload.get("group_hash") != group.content_hash
+            or not isinstance(payload.get("subgroups"), list)):
         return None
     try:
         bitsets = [int(b, 16) for b in payload["subgroups"]]
-    except (KeyError, TypeError, ValueError):
+    except (TypeError, ValueError):
         return None
     full = (1 << group.order) - 1
     if (1 not in bitsets or full not in bitsets
+            or not all(1 <= b <= full for b in bitsets)
             or len(set(bitsets)) < len(bitsets)):
         return None
-    stored, checked = set(bitsets), set()
+    stored, checked, classes = set(bitsets), set(), []
     for b in bitsets:
         if b in checked:
             continue
@@ -58,7 +60,8 @@ def load_lattice(cache_dir: Path, group: PermutationGroup) -> SubgroupLattice | 
         if not stored.issuperset(orbit):
             return None
         checked.update(orbit)
-    return SubgroupLattice(group, bitsets)
+        classes.append(orbit)
+    return SubgroupLattice(group, classes)
 
 
 def store_lattice(cache_dir: Path, lattice: SubgroupLattice) -> Path:

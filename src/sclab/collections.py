@@ -158,19 +158,16 @@ class CollectionContext:
         cg = lat.centralizer(ref)
         return zp.order == p_part(cg.order, self.p)
 
-    def local_quotient(self, ref: SubgroupRef):
-        """N_G(P) / (P * C_G(P)) as a permutation group on cosets."""
-        lat = self.lattice
-        n = lat.normalizer(ref)
-        pc = lat.product(ref, lat.centralizer(ref))
-        return lat.coset_action_group(n, pc)
-
     def is_principal_p_radical(self, ref: SubgroupRef) -> bool:
-        """p-centric with O_p(N_G(P) / (P * C_G(P))) trivial."""
+        """p-centric with O_p(N_G(P) / P C_G(P)) trivial, that is with the
+        preimage of that p-core equal to P C_G(P) = P v C_G(P)."""
         if ref.index not in self._principal:
             ok = self.is_p_centric(ref)
             if ok:
-                ok = p_core_of_group(self.local_quotient(ref), self.p) == 1
+                lat = self.lattice
+                pc = lat.generated(lat.generating_set(ref) + lat.generating_set(
+                    lat.centralizer(ref)))
+                ok = p_core_of_group(lat, lat.normalizer(ref), pc, self.p) == pc
             self._principal[ref.index] = ok
         return self._principal[ref.index]
 

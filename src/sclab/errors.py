@@ -44,10 +44,6 @@ class NotAPGroup(SclabError):
     """An operation requiring a p-group was handed something else."""
 
 
-class NotMutuallyNormalizing(SclabError):
-    """Subgroup product AB requested but neither factor normalizes the other."""
-
-
 class NotASubposet(SclabError):
     """An inclusion-equivalence check was handed posets that are not nested."""
 

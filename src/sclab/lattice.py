@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (CapExceeded, InternalInconsistency, NotAPGroup,
-                     NotMutuallyNormalizing, PrimeDoesNotDivide)
+                     PrimeDoesNotDivide)
 from .group import PermutationGroup
 
 DEFAULT_ORDER_CAP = 2000
@@ -106,12 +106,15 @@ def enumerate_subgroups(group: PermutationGroup, *, max_order: int = DEFAULT_ORD
                 col = group.conjugation_column(x)
                 covered.update(map(cyclic_of.__getitem__, map(col.__getitem__, norm)))
             add_class(group.dimino_step(bits, rows, gens + (x,)), gens + (x,))
-    return SubgroupLattice(group, classes)
+    return SubgroupLattice(group, [[1]] + [classes[bits] for bits, _ in reps])
 
 
 class SubgroupLattice:
-    def __init__(self, group: PermutationGroup, bitsets):
+    def __init__(self, group: PermutationGroup, classes):
+        """classes: the conjugacy classes of subgroups, each a list of
+        bitsets, which together hold every subgroup once."""
         self.group = group
+        bitsets = [bits for orbit in classes for bits in orbit]
         members = {bits: tuple(group.bitset_members(bits)) for bits in bitsets}
         order_key = lambda bits: (len(members[bits]), members[bits])
         self._bitsets = tuple(sorted(bitsets, key=order_key))
@@ -120,10 +123,12 @@ class SubgroupLattice:
             SubgroupRef(order=len(members[bits]), index=i, bitset=bits)
             for i, bits in enumerate(self._bitsets))
         self._index = {bits: i for i, bits in enumerate(self._bitsets)}
+        # conjugation orbits on subgroup indices, each sorted, ordered by rep
+        self.orbits = tuple(sorted(tuple(sorted(map(self._index.__getitem__, orbit)))
+                                   for orbit in classes))
         self._normalizer: dict[int, int] = {}
         self._centralizer: dict[int, int] = {}
         self._generated: dict[int, int] = {}
-        self._product: dict[tuple[int, int], int | None] = {}
         self._gens: dict[int, tuple[int, ...]] = {}
         self._pcore: dict[tuple[int, int], int] = {}
         self._elem_ab: dict[tuple[int, int], bool] = {}
@@ -197,17 +202,6 @@ class SubgroupLattice:
     def conjugate(self, ref: SubgroupRef, g: int) -> SubgroupRef:
         return self.by_bitset(self.conjugate_bitset(ref.bitset, g))
 
-    @cached_property
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Conjugation orbits on subgroup indices, each sorted, ordered by rep."""
-        seen, out = set(), []
-        for bits in self._bitsets:
-            if bits not in seen:
-                orbit = self.group.subgroup_class(bits)
-                seen.update(orbit)
-                out.append(tuple(sorted(map(self._index.__getitem__, orbit))))
-        return tuple(out)
-
     def orbit_representatives(self) -> tuple[SubgroupRef, ...]:
         return tuple(self.subgroups[o[0]] for o in self.orbits)
 
@@ -276,12 +270,7 @@ class SubgroupLattice:
         """O_p(H): the intersection of the Sylow p-subgroups of H."""
         key = (ref.index, p)
         if key not in self._pcore:
-            target = p_part(ref.order, p)
-            acc = ref.bitset
-            for k in self.subgroups:
-                if k.order == target and k.bitset | ref.bitset == ref.bitset:
-                    acc &= k.bitset
-            self._pcore[key] = self._index[acc]
+            self._pcore[key] = p_core_of_group(self, ref, self.trivial, p).index
         return self.subgroups[self._pcore[key]]
 
     def sylow(self, p: int) -> tuple[SubgroupRef, ...]:
@@ -309,33 +298,6 @@ class SubgroupLattice:
         mul = self.group.mul
         return all(mul[a][b] == mul[b][a] for a in hs for b in hs if a < b)
 
-    def product(self, a: SubgroupRef, b: SubgroupRef) -> SubgroupRef:
-        """The product set AB, defined when one factor normalizes the other.
-        Each ordered pair is computed once; None records that neither factor
-        normalizes the other (not the exception: its traceback would hold
-        this lattice in a reference cycle)."""
-        key = (a.index, b.index)
-        if key not in self._product:
-            self._product[key] = self._product_index(a, b)
-        out = self._product[key]
-        if out is None:
-            raise NotMutuallyNormalizing(
-                f"neither subgroup {a.index} nor {b.index} normalizes the other")
-        return self.subgroups[out]
-
-    def _product_index(self, a: SubgroupRef, b: SubgroupRef) -> int | None:
-        na = self.normalizer(a).bitset
-        nb = self.normalizer(b).bitset
-        if not (a.bitset | nb == nb or b.bitset | na == na):
-            return None
-        mul = self.group.mul
-        out = 0
-        for x in self._members[a.bitset]:
-            row = mul[x]
-            for y in self._members[b.bitset]:
-                out |= 1 << row[y]
-        return self.by_bitset(out).index
-
     def generated(self, element_indices) -> SubgroupRef:
         seed = 1
         for x in element_indices:
@@ -359,39 +321,23 @@ class SubgroupLattice:
         return tuple(s for s in self.subgroups
                      if s.order > 1 and p_part(s.order, p) == s.order)
 
-    # ----- quotients -------------------------------------------------------
 
-    def coset_action_group(self, big: SubgroupRef, normal: SubgroupRef) -> PermutationGroup:
-        """The quotient big/normal, realized by left multiplication on cosets.
-
-        ``normal`` must be a normal subgroup of ``big``; the action is then
-        faithful for the quotient.
-        """
-        if not self.leq(normal, big) or not self.leq(big, self.normalizer(normal)):
-            raise InternalInconsistency("second argument must be normal in the first")
-        bgens = self.generating_set(big)
-        mul = self.group.mul
-        nmem = self._members[normal.bitset]
-        coset_of: dict[int, int] = {}
-        cosets: list[int] = []
-        for x in self._members[big.bitset]:
-            if x in coset_of:
-                continue
-            cid = len(cosets)
-            cosets.append(x)
-            for n in nmem:
-                coset_of[mul[x][n]] = cid
-        from .perm import Permutation
-        gens = []
-        for g in bgens:
-            images = tuple(coset_of[mul[g][rep]] for rep in cosets)
-            gens.append(Permutation(images))
-        name = f"quotient[{big.index}/{normal.index}]"
-        return PermutationGroup.from_generators(gens, degree=max(1, len(cosets)), name=name)
-
-
-def p_core_of_group(group: PermutationGroup, p: int) -> int:
-    """Order of O_p for a free-standing group (used for quotients): enumerates
-    its lattice and reuses the in-lattice computation."""
-    lat = enumerate_subgroups(group)
-    return lat.p_core(lat.full, p).order
+def p_core_of_group(lattice: SubgroupLattice, big: SubgroupRef,
+                    normal: SubgroupRef, p: int) -> SubgroupRef:
+    """The preimage in ``big`` of O_p(big/normal), for ``normal`` normal in
+    ``big``: the intersection of T v normal over the Sylow p-subgroups T of
+    ``big``, whose images are the Sylow p-subgroups of the quotient. T v
+    normal (the product T * normal) is T when normal <= T, as always for
+    the trivial subgroup, and otherwise the lowest common upper bound, as
+    subgroups sort by order."""
+    target = p_part(big.order, p)
+    acc = big.bitset
+    for t in lattice.subgroups:
+        if t.order == target and t.bitset | big.bitset == big.bitset:
+            if normal.bitset | t.bitset != t.bitset:
+                up = lattice.order.up
+                common = (up[t.index] | 1 << t.index) & (
+                    up[normal.index] | 1 << normal.index)
+                t = lattice.subgroups[(common & -common).bit_length() - 1]
+            acc &= t.bitset
+    return lattice.by_bitset(acc)

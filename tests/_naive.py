@@ -95,6 +95,12 @@ def conjugacy_classes(group) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
+def set_product(group, a, b) -> frozenset:
+    """The product set AB = {xy : x in A, y in B}."""
+    mul = group.mul
+    return frozenset(mul[x][y] for x in a for y in b)
+
+
 def normalizer(group, h: frozenset) -> frozenset:
     return frozenset(g for g in range(group.order)
                      if conj_set(group, g, h) == h)

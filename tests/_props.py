@@ -449,9 +449,10 @@ def check_class_masks_are_invariance(b: Budget) -> None:
 
 def _subgroup_map(lat, side, k, product=False):
     """q -> q v K (side ">=") or q -> q & K from subgroup members alone, or
-    q -> qK as a subgroup product when product is set."""
+    q -> qK as the set product of members when product is set."""
     if product:
-        return lambda q: lat.product(lat.ref(q), k).index
+        return lambda q: lat.by_bitset(sum(1 << x for x in _naive.set_product(
+            lat.group, lat.members(lat.ref(q)), lat.members(k)))).index
     if side == ">=":
         return lambda q: lat.generated(lat.members(lat.ref(q))
                                        + lat.members(k)).index

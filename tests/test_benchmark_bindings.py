@@ -5,6 +5,7 @@ breaks the benchmark; this test catches it in the ordinary suite."""
 import importlib.util
 from pathlib import Path
 
+import sclab.cli
 import sclab.contract
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
@@ -27,3 +28,20 @@ def test_tracer_installs_and_uninstalls_cleanly():
     finally:
         t.uninstall()
     assert sclab.contract.contractibility_verdict is original
+
+
+def test_kept_bindings_are_live(tmp_path):
+    """A traced S5 run at 2 enumerates one lattice and spends time in the
+    span the tracer names lattice.quotient, so the in-lattice p-core of a
+    quotient is still reached through collections.p_core_of_group."""
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        assert sclab.cli.main(["verify", "--group", "builtin:S5", "--prime",
+                               "2", "--report", str(tmp_path / "r.json")]) == 0
+    finally:
+        t.uninstall()
+    metrics = t.harvest(0)
+    assert metrics["lattice.enumerate_calls"] == 1
+    assert metrics["lattice.quotient_s"] > 0

@@ -144,6 +144,47 @@ def test_cache_flag_populates_directory(tmp_path, capfdbinary):
     assert list(cache.glob("lattice-*.json"))
 
 
+def _malformed_s3_cache(tmp_path, edit):
+    """A cache directory whose S3 lattice file is rewritten by edit(payload),
+    next to fresh.json, the report of the run that stored it."""
+    cache = tmp_path / "cache"
+    assert verify("--group", "builtin:S3", "--prime", "2", "--cache",
+                  str(cache), "--report", str(tmp_path / "fresh.json")) == 0
+    (path,) = cache.glob("lattice-*.json")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return cache
+
+
+def _rerun_gives_fresh_bytes(tmp_path, cache):
+    # in a child with a timeout, so that a loader that loops fails the test
+    # instead of hanging the suite
+    proc = _run_module("-m", "sclab.cli", "verify", "--group", "builtin:S3",
+                       "--prime", "2", "--cache", str(cache), "--report",
+                       str(tmp_path / "cached.json"), timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert ((tmp_path / "cached.json").read_bytes()
+            == (tmp_path / "fresh.json").read_bytes())
+
+
+def test_cache_file_that_is_not_an_object_is_re_enumerated(tmp_path):
+    _rerun_gives_fresh_bytes(
+        tmp_path, _malformed_s3_cache(tmp_path, lambda payload: []))
+
+
+def test_cache_bitset_past_the_group_order_is_re_enumerated(tmp_path):
+    # S3 has six elements, so bit 6 names none of them
+    _rerun_gives_fresh_bytes(tmp_path, _malformed_s3_cache(
+        tmp_path, lambda payload: payload | {
+            "subgroups": payload["subgroups"] + [format(1 | 1 << 6, "x")]}))
+
+
+def test_cache_negative_bitset_is_re_enumerated(tmp_path):
+    # a negative mask has infinitely many set bits
+    _rerun_gives_fresh_bytes(tmp_path, _malformed_s3_cache(
+        tmp_path, lambda payload: payload | {
+            "subgroups": payload["subgroups"] + ["-3"]}))
+
+
 def test_non_prime_rejected(capfd):
     rc = verify("--group", "builtin:D8", "--prime", "4")
     assert rc == EXIT_USAGE
@@ -222,12 +263,13 @@ def test_parser_defaults():
     assert not args.strict
 
 
-def _run_module(*flags_and_args):
+def _run_module(*flags_and_args, timeout=None):
     # the child finds the package where this process found it
     src = Path(sclab.__file__).resolve().parents[1]
     return subprocess.run(
         [sys.executable, *flags_and_args],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True)
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        timeout=timeout)
 
 
 def test_module_entry_point():

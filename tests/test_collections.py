@@ -1,10 +1,16 @@
+from pathlib import Path
+
 import pytest
 
 import _naive as naive
 from _props import one_class_of_order_p
-from _suite import SMALL_SUITE, lattice_of
+from _suite import SMALL_SUITE, SUITE, lattice_of
 from sclab.collections import CONDITIONS, KINDS, collection_context
 from sclab.errors import ConditionNotSatisfied, PrimeDoesNotDivide
+from sclab.group import load_group
+from sclab.lattice import enumerate_subgroups
+
+DATA = Path(__file__).parent / "data"
 
 
 def members_as_sets(lat, coll):
@@ -24,6 +30,26 @@ def test_engine_agrees_with_naive_oracle():
             got = members_as_sets(lat, ctx.collection(kind))
             want = naive.collection(lat.group, all_subs, p, kind)
             assert got == want, (name, p, kind)
+
+
+def test_principal_radicals_agree_with_naive_oracle():
+    """D, decided by the p-core of N_G(P) over P C_G(P) inside the lattice,
+    matches the oracle's normal subgroups between P C_G(P) and N_G(P), on
+    every p-subgroup of each suite group and of PSL(2,7) at each prime. The
+    oracle is handed the lattice's member sets, which
+    test_counts_match_naive_enumeration checks on the small groups."""
+    psl27 = enumerate_subgroups(load_group(str(DATA / "psl27.grp")))
+    plans = [(lattice_of(name), p) for name, p in SUITE]
+    plans += [(psl27, p) for p in (2, 3, 7)]
+    for lat, p in plans:
+        ctx = collection_context(lat, p)
+        all_subs = [frozenset(lat.members(r)) for r in lat.subgroups]
+        for m in lat.subgroups:
+            if lat.is_p_group(m, p):
+                h = frozenset(lat.members(m))
+                want = naive.is_principal_radical(lat.group, all_subs, h, p)
+                assert ctx.is_principal_p_radical(m) == want, (
+                    lat.group.name, p, m)
 
 
 def test_operators_agree_with_naive_oracle():

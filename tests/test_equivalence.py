@@ -25,6 +25,7 @@ from sclab.group import builtin_group
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import GPoset
 
+import _naive as naive
 from _suite import relation_poset
 
 
@@ -200,8 +201,10 @@ def test_restriction_scan_certifies_subgroup_avatars(d8):
             assert (cert.side, cert.subgroup) == (">=", h.index)
             k = lat.ref(cert.subgroup)
             avatar = poset.above(h)
-            assert all(lat.product(lat.ref(q), k).index in avatar
-                       for q in poset.fixed_points(h).labels)
+            for q in poset.fixed_points(h).labels:
+                qk = naive.set_product(lat.group, lat.members(lat.ref(q)),
+                                       lat.members(k))
+                assert lat.by_bitset(sum(1 << x for x in qk)).index in avatar
 
 
 def test_centralizer_scan_certifies_avatars(d8):

@@ -4,10 +4,9 @@ import pytest
 
 import _naive as naive
 from _suite import SMALL_SUITE, SUITE, lattice_of
-from sclab.errors import (InternalInconsistency, NotMutuallyNormalizing,
-                          PrimeDoesNotDivide)
+from sclab.errors import InternalInconsistency, PrimeDoesNotDivide
 from sclab.group import builtin_group, parse_group_text
-from sclab.lattice import enumerate_subgroups, p_part
+from sclab.lattice import enumerate_subgroups, p_core_of_group, p_part
 
 # textbook subgroup counts
 SUBGROUP_COUNTS = {"D8": 10, "Q8": 6, "S3": 6, "A4": 10, "S4": 30,
@@ -182,7 +181,19 @@ def test_p_core_is_the_join_of_normal_p_subgroups():
         for p in {p for n, p in SUITE if n == name}:
             for h in lat.subgroups:
                 assert (lat.p_core(h, p).bitset
+                        == p_core_of_group(lat, h, lat.trivial, p).bitset
                         == naive.lattice_p_core(lat, h, p)), (name, p, h)
+
+
+def test_p_core_of_quotients():
+    # the preimage of O_p(H/K): S4/V4 is S3, with O_2 trivial and O_3 the
+    # A3 whose preimage is A4; D8/Z is a Klein group, a 2-group
+    s4 = lattice_of("S4")
+    v4 = s4.p_core(s4.full, 2)
+    assert p_core_of_group(s4, s4.full, v4, 2) == v4
+    assert p_core_of_group(s4, s4.full, v4, 3).order == 12
+    d8 = lattice_of("D8")
+    assert p_core_of_group(d8, d8.full, d8.center(d8.full), 2) == d8.full
 
 
 def test_omega1_center():
@@ -224,32 +235,6 @@ def test_conjugate_matches_naive():
                 g, x, frozenset(lat.members(r)))
 
 
-def test_product_and_failure():
-    s3 = lattice_of("S3")
-    z3 = next(r for r in s3.subgroups if r.order == 3)
-    z2 = next(r for r in s3.subgroups if r.order == 2)
-    assert s3.product(z2, z3) == s3.full  # Z3 is normal
-    other = next(r for r in s3.subgroups if r.order == 2 and r != z2)
-    with pytest.raises(NotMutuallyNormalizing):
-        s3.product(z2, other)
-
-
-def test_product_is_computed_once_per_ordered_pair(monkeypatch):
-    s3 = enumerate_subgroups(builtin_group("S3"))
-    z3 = next(r for r in s3.subgroups if r.order == 3)
-    z2, other = [r for r in s3.subgroups if r.order == 2][:2]
-    computed = []
-    compute = s3._product_index
-    monkeypatch.setattr(s3, "_product_index",
-                        lambda a, b: computed.append((a, b)) or compute(a, b))
-    for _ in range(2):
-        assert s3.product(z2, z3) == s3.full
-        assert s3.product(z3, z2) == s3.full
-        with pytest.raises(NotMutuallyNormalizing):
-            s3.product(z2, other)
-    assert computed == [(z2, z3), (z3, z2), (z2, other)]
-
-
 def test_generated():
     lat = lattice_of("D8")
     gens = lat.generating_set(lat.full)
@@ -264,15 +249,6 @@ def test_p_locals_s4():
     locals3 = lat.p_locals(3)
     assert len(locals3) == 4
     assert all(r.order == 6 for r in locals3)
-
-
-def test_coset_action_group_quotients():
-    s4 = lattice_of("S4")
-    v4 = s4.p_core(s4.full, 2)
-    assert s4.coset_action_group(s4.full, v4).order == 6   # S4/V4 = S3
-    d8 = lattice_of("D8")
-    z = d8.center(d8.full)
-    assert d8.coset_action_group(d8.full, z).order == 4    # D8/Z = V4
 
 
 def test_p_part():

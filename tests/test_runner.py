@@ -291,6 +291,23 @@ def test_cache_rejects_a_partial_class(tmp_path):
         run(VerificationPlan("builtin:S4", 2)))
 
 
+def test_each_subgroup_class_is_computed_once(tmp_path, monkeypatch):
+    # S5 has 19 classes of subgroups; the enumerator computes all but the
+    # trivial one, a cache load all 19 for its partial-class check, and
+    # the lattice takes its orbits from either without computing them again
+    group = builtin_group("S5")
+    calls = []
+    compute = group.subgroup_class
+    monkeypatch.setattr(group, "subgroup_class",
+                        lambda bits: calls.append(bits) or compute(bits))
+    fresh = enumerate_subgroups(group)
+    assert len(fresh.orbits) == 19 and len(calls) == 18
+    store_lattice(tmp_path, fresh)
+    calls.clear()
+    cached = load_lattice(tmp_path, group)
+    assert cached.orbits == fresh.orbits and len(calls) == 19
+
+
 def test_cached_run_reports_match(tmp_path):
     plain = run(VerificationPlan("builtin:D8", 2, "table31"))
     warm = run(VerificationPlan("builtin:D8", 2, "table31", cache_dir=tmp_path))
