@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from functools import cache
 from pathlib import Path
 
 from .cache import cache_dir_from_env
@@ -67,10 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it costs more than half a millisecond,
+# and parse_args leaves it unchanged
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_USAGE
 

@@ -74,9 +74,9 @@ class CollectionContext:
         self._collections: dict[str, Collection] = {}
         self._conditions: dict[str, ConditionReport] = {}
         self._principal: dict[int, bool] = {}
-        # homology profile of each nerve the table checks compare, keyed by
-        # (poset labels, simplex cap); filled by the tables module
-        self.nerve_homology: dict = {}
+        # each check the tables module has run, keyed by its inputs; filled
+        # and read by tables._once
+        self.memo: dict = {}
 
     # ----- central-type elements -------------------------------------------
 

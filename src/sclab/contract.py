@@ -121,12 +121,13 @@ def _is_beat(i: int, alive: int, down, up) -> bool:
     return bool(above) and above & ~up[bottom] == 1 << bottom
 
 
-def core_reduction(poset: GPoset, orbit=None) -> CoreReduction | None:
+def core_reduction(poset: GPoset, orbit=None) -> CoreReduction | int | None:
     """Remove the first beat point in label order until none is left; when
     orbit is given (the masks of `GPoset.orbits`), remove the beat point's
     whole orbit instead (an orbit of beat points is an antichain of beat
-    points). Returns the removals when a single point remains, and None when
-    the core has more than one point or the poset is empty.
+    points). Returns the removals when a single point remains, the mask of
+    the core when more than one point is left, and None when the poset is
+    empty.
 
     A removal changes the beat status only of the points comparable to it,
     so the mask of current beat points is rechecked there alone."""
@@ -142,7 +143,7 @@ def core_reduction(poset: GPoset, orbit=None) -> CoreReduction | None:
         if not alive & (alive - 1):
             return CoreReduction(tuple(steps), at[alive.bit_length() - 1])
         if not beats:
-            return None
+            return alive
         low = beats & -beats
         step = orbit[low.bit_length() - 1] if orbit is not None else low
         steps.append(tuple(at[j] for j in positions(step)))
@@ -179,6 +180,16 @@ def _replay_core(poset: GPoset, cert: CoreReduction, gens) -> bool:
     return cert.point in poset and alive == 1 << pos[cert.point]
 
 
+def beat_core(poset: GPoset) -> GPoset:
+    """The beat-point core as a subposet of poset: one point when poset is
+    contractible. Each removal is a strong deformation retraction, so the
+    core's nerve has the homology and fundamental group of the poset's."""
+    core = core_reduction(poset)
+    if isinstance(core, CoreReduction):
+        core = 1 << poset.order.pos[core.point]
+    return GPoset(poset.order, core or 0, poset.lattice, poset.name)
+
+
 # --------------------------------------------------------------------------
 # the verdict pipeline
 
@@ -206,11 +217,13 @@ def contractibility_verdict(poset: GPoset, *, equivariance_gens=None,
     orbit = None if gens is None else poset.orbits(gens)
     invariant = None if gens is None else orbit is not None
     core = core_reduction(poset, orbit)
-    if core is not None:
+    if isinstance(core, CoreReduction):
         return Verdict(CONTRACTIBLE, "core", core, invariant,
                        {"point": _json_label(core.point)})
 
-    complex_ = order_complex(poset, max_simplices)
+    # the core has the poset's homology and fundamental group
+    complex_ = order_complex(GPoset(poset.order, core, poset.lattice,
+                                    poset.name), max_simplices)
     profile = homology(complex_)
     connected = _reduced_b0(profile) == 0
     if not connected:
@@ -244,7 +257,7 @@ def verify_certificate(poset: GPoset, verdict: Verdict,
     if verdict.status == NOT_CONTRACTIBLE:
         if verdict.method == "empty":
             return poset.is_empty()
-        profile = homology(order_complex(poset))
+        profile = homology(order_complex(beat_core(poset)))
         if verdict.method == "disconnected":
             return _reduced_b0(profile) > 0
         return not profile.trivial
@@ -252,7 +265,7 @@ def verify_certificate(poset: GPoset, verdict: Verdict,
     if isinstance(cert, CoreReduction):
         return _replay_core(poset, cert, gens)
     if isinstance(cert, HomologyWitness):
-        complex_ = order_complex(poset)
+        complex_ = order_complex(beat_core(poset))
         return (homology(complex_).trivial
                 and bool(fundamental_group_trivial(complex_)))
     return False

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
-                       MonotoneRetraction, _json_label,
+                       MonotoneRetraction, _json_label, beat_core,
                        contractibility_verdict)
 from .errors import NotASubposet
 from .homology import homology
@@ -179,7 +179,7 @@ class FixedPointScan:
 
 
 def _profile_of(poset: GPoset, max_simplices: int):
-    return homology(order_complex(poset, max_simplices))
+    return homology(order_complex(beat_core(poset), max_simplices))
 
 
 def _lattice_retraction(right: GPoset, side: str, k) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .collections import collection_context
-from .contract import CONTRACTIBLE, contractibility_verdict
+from .contract import CONTRACTIBLE, beat_core, contractibility_verdict
 from .equivalence import (CERTIFIED, FAIL, HOMOLOGY_CONSISTENT, INCONCLUSIVE,
                           MISMATCH, PASS, fixed_point_equivalence_scan,
                           verify_inclusion_equivalence)
@@ -183,19 +183,38 @@ def _squash(outcome: str) -> str:
     return {PASS: CERTIFIED, FAIL: MISMATCH, INCONCLUSIVE: INCONCLUSIVE}[outcome]
 
 
+def _once(ctx, key, compute):
+    """compute() once per (lattice, p): ctx.memo keeps each result of the
+    tables and the counterexample suite under its inputs, so the hat columns
+    reuse whatever the tilde columns already checked. Keys are
+
+        (poset mask, cap)                                 nerve homology
+        (sub mask, ambient mask, mode, equivariant, cap)  inclusion checks
+        (checker, poset mask, Sylow index, cap)           dashed scans
+
+    with masks over the lattice's one order. A SizeCap propagates and
+    stores nothing."""
+    memo = ctx.memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _inclusion(ctx, sub, ambient, mode, max_simplices, equivariant=None):
+    return _once(ctx, (sub.mask, ambient.mask, mode, equivariant,
+                       max_simplices),
+                 lambda: verify_inclusion_equivalence(
+                     sub, ambient, mode, equivariant=equivariant,
+                     max_simplices=max_simplices))
+
+
 def _compare_nerves(ctx, left: GPoset, right: GPoset, max_simplices) -> dict:
     """Homology profiles of the two posets' nerves and whether they agree.
-
-    Each profile is kept in ctx.nerve_homology under the poset's labels and
-    the simplex cap, so the tables and the counterexample suite compute it
-    once per (lattice, p); a SizeCap propagates and stores nothing."""
-    memo = ctx.nerve_homology
-
+    Each profile is taken on the poset's beat-point core, whose nerve has
+    the same homology and is often far smaller."""
     def profile(poset):
-        key = (poset.labels, max_simplices)
-        if key not in memo:
-            memo[key] = homology(order_complex(poset, max_simplices))
-        return memo[key]
+        return _once(ctx, (poset.mask, max_simplices), lambda: homology(
+            order_complex(beat_core(poset), max_simplices)))
 
     pl, pr = profile(left), profile(right)
     return {"left": pl.to_json(), "right": pr.to_json(), "agree": pl == pr}
@@ -213,17 +232,12 @@ def _check_solid(ctx, spec, posets, max_simplices) -> EdgeResult:
             return EdgeResult(spec, SKIPPED, detail)
         detail["holding"] = holding
 
-    if spec.checker == "fibers":
-        res = verify_inclusion_equivalence(left, right, "fibers",
-                                           max_simplices=max_simplices)
-    elif spec.checker == "lower":
-        res = verify_inclusion_equivalence(left, right, "lower",
-                                           max_simplices=max_simplices)
+    if spec.checker in ("fibers", "lower"):
+        res = _inclusion(ctx, left, right, spec.checker, max_simplices)
     elif spec.checker in ("prune", "prune-equivariant"):
         mode = "upper-equivariant" if spec.checker == "prune-equivariant" else "upper"
         # pruning edges read right-to-left: the smaller collection is kept
-        res = verify_inclusion_equivalence(right, left, mode,
-                                           max_simplices=max_simplices)
+        res = _inclusion(ctx, right, left, mode, max_simplices)
     elif spec.checker == "fibers-by-centralizer":
         return _check_by_centralizer(ctx, spec, left, right, detail,
                                      max_simplices)
@@ -247,14 +261,10 @@ def _check_by_centralizer(ctx, spec, left, right, detail,
     lat = ctx.lattice
     rows = []
     worst = PASS
-    by_centralizer = {}  # the fiber check depends only on the centralizer
     for h in lat.orbit_representatives():
         cg = lat.centralizer(h)
-        if cg.index not in by_centralizer:
-            by_centralizer[cg.index] = verify_inclusion_equivalence(
-                left.below(cg), right.below(cg), "fibers", equivariant=False,
-                max_simplices=max_simplices)
-        res = by_centralizer[cg.index]
+        res = _inclusion(ctx, left.below(cg), right.below(cg), "fibers",
+                         max_simplices, equivariant=False)
         rows.append({"subgroup": h.index, "order": h.order,
                      "outcome": res.outcome,
                      "witnesses": list(res.witnesses)})
@@ -290,20 +300,22 @@ def _check_dashed(ctx, spec, posets, max_simplices) -> EdgeResult:
         retraction = _ea_retraction(lat)
     else:
         raise ValueError(f"unknown dashed checker {spec.checker!r}")
+
+    def scan_of(sylow):
+        return _once(ctx, (spec.checker, poset.mask, sylow.index,
+                           max_simplices),
+                     lambda: fixed_point_equivalence_scan(
+                         _subgroups_of(lat, sylow), left_of, right_of,
+                         retraction=retraction, max_simplices=max_simplices))
+
     sylows = lat.sylow(ctx.p)
-    scan = fixed_point_equivalence_scan(_subgroups_of(lat, sylows[0]),
-                                        left_of, right_of,
-                                        retraction=retraction,
-                                        max_simplices=max_simplices)
+    scan = scan_of(sylows[0])
     detail["scan"] = scan.to_json()
     status = scan.status
     if len(sylows) > 1:
         # the restriction to a Sylow group is independent of the choice by
         # conjugacy; spot-check that on a second one
-        other = fixed_point_equivalence_scan(_subgroups_of(lat, sylows[1]),
-                                             left_of, right_of,
-                                             retraction=retraction,
-                                             max_simplices=max_simplices)
+        other = scan_of(sylows[1])
         agrees = (other.status == scan.status
                   and sorted((c.order, c.status) for c in other.per_subgroup)
                   == sorted((c.order, c.status) for c in scan.per_subgroup))

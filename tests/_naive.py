@@ -418,8 +418,8 @@ def _orbit_masks(poset, gens):
 def core_reduction(poset, leq, gens=None):
     """(steps, point) of the beat-point reduction that removes the first beat
     point in label order, or its whole orbit under gens, until none is left;
-    None when the core has more than one point or the poset is empty. leq
-    is the order relation, asked pair by pair."""
+    the labels of the core when it has more than one point, and None when
+    the poset is empty. leq is the order relation, asked pair by pair."""
     if poset.is_empty():
         return None
     below, above = _strict_order(poset, leq)
@@ -430,7 +430,7 @@ def core_reduction(poset, leq, gens=None):
         beat = next((i for i in _bits(alive)
                      if is_beat(i, alive, below, above)), None)
         if beat is None:
-            return None
+            return tuple(poset.labels[j] for j in _bits(alive))
         step = orbit[beat] if orbit is not None else 1 << beat
         steps.append(tuple(poset.labels[j] for j in _bits(step)))
         alive &= ~step

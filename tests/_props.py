@@ -11,12 +11,13 @@ import random
 
 from sclab.collections import KINDS, collection_context
 from sclab.contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
-                            _is_beat, contractibility_verdict, core_reduction)
+                            CoreReduction, _is_beat, beat_core,
+                            contractibility_verdict, core_reduction)
 from sclab.equivalence import _lattice_retraction, fixed_point_equivalence_scan
 from sclab.group import builtin_group
 from sclab.homology import homology, smith_normal_form
 from sclab.lattice import p_part
-from sclab.poset import GPoset, order_complex
+from sclab.poset import GPoset, order_complex, positions
 from sclab.tables import (TABLE31_EDGES, TABLE44_EDGES, _ea_pair,
                           _ea_retraction, _eo_pair, _eo_retraction,
                           _subgroups_of)
@@ -352,14 +353,37 @@ def check_core_reduction_is_contractibility(b: Budget) -> None:
     as well, and the independent fixed-point scan confirms that the poset is
     G-contractible (Stong's equivariant claim)."""
     for lat, tag, poset in _suite_posets():
-        if core_reduction(poset) is None:
+        if not isinstance(core_reduction(poset), CoreReduction):
             continue
         b.check(homology(order_complex(poset)).trivial, tag)
         orbit = poset.orbits(lat.generating_set(lat.full))
         if orbit is not None:
-            b.check(core_reduction(poset, orbit) is not None, tag)
+            b.check(isinstance(core_reduction(poset, orbit), CoreReduction),
+                    tag)
             scan = fixed_point_contractibility_scan(poset, lat.full)
             b.check(scan[0] == CONTRACTIBLE, tag)
+
+
+def as_oracle(poset: GPoset, core):
+    """A core_reduction answer in _naive.core_reduction's terms: (steps,
+    point), the core's labels when it has two or more points, or None."""
+    if isinstance(core, CoreReduction):
+        return core.steps, core.point
+    return core and tuple(poset.order.labels[i] for i in positions(core))
+
+
+def check_core_homology_is_the_posets(b: Budget) -> None:
+    """Every collection poset of the suite and its fixed subposets under
+    orbit representatives: the nerve of the beat-point core has the
+    homology profile of the whole poset's nerve (each removal is a strong
+    deformation retraction), and the core is a point exactly when the
+    reduction certifies contractibility."""
+    for lat, tag, poset in _suite_posets():
+        core = beat_core(poset)
+        b.check(homology(order_complex(core))
+                == homology(order_complex(poset)), tag)
+        b.check((len(core) == 1)
+                == isinstance(core_reduction(poset), CoreReduction), tag)
 
 
 def _inclusion(lat):
@@ -414,7 +438,7 @@ def check_core_reduction_matches_rescanning(b: Budget) -> None:
         orbit = poset.orbits(gens)
         for g in (None, gens) if orbit is not None else (None,):
             core = core_reduction(poset, None if g is None else orbit)
-            b.check((core and (core.steps, core.point))
+            b.check(as_oracle(poset, core)
                     == _naive.core_reduction(poset, leq, g), tag)
 
 
@@ -525,6 +549,7 @@ FAMILIES = (
     (check_smith_form_invariants, 113),
     (check_brown_congruence, None),
     (check_core_reduction_is_contractibility, None),
+    (check_core_homology_is_the_posets, None),
     (check_masks_are_inclusion, None),
     (check_beat_test_counts_maximal_elements, 116),
     (check_core_reduction_matches_rescanning, None),

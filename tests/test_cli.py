@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import sclab
+import sclab.cli
 import sclab.runner
 from sclab.cli import (
     EXIT_CAP,
@@ -238,6 +239,37 @@ def test_simplex_cap(capfd):
                 "--suite", "table31", "--max-simplices", "1")
     assert rc == EXIT_CAP
     capfd.readouterr()
+
+
+def test_simplex_cap_bounds_the_nerve_of_the_core(tmp_path, capfd):
+    # the tilde-S nerve of S5 at 2 has more than 100 simplices, but its
+    # beat-point core has 5 points, and homology is taken on the core
+    reports = {}
+    for cap in ("100", "500000"):
+        path = tmp_path / f"{cap}.json"
+        assert verify("--group", "builtin:S5", "--prime", "2",
+                      "--max-simplices", cap, "--report", str(path)) == 0
+        reports[cap] = json.loads(path.read_bytes())
+    assert reports["100"]["plan"].pop("max_simplices") == 100
+    assert reports["500000"]["plan"].pop("max_simplices") == 500000
+    assert reports["100"] == reports["500000"]
+    capfd.readouterr()
+
+
+def test_main_reuses_one_parser_without_carrying_options(monkeypatch,
+                                                          capfdbinary):
+    plans = []
+    monkeypatch.setattr(sclab.cli, "run",
+                        lambda plan: plans.append(plan) or sclab.runner.run(plan))
+    assert verify("--group", "builtin:Zn:2", "--prime", "2", "--suite",
+                  "inclusions", "--strict", "--max-simplices", "7") == 0
+    assert verify("--group", "builtin:Zn:2", "--prime", "2") == 0
+    assert sclab.cli._parser() is sclab.cli._parser()
+    assert (plans[0].suite, plans[0].strict, plans[0].max_simplices) == (
+        "inclusions", True, 7)
+    assert (plans[1].suite, plans[1].strict, plans[1].max_simplices) == (
+        "all", False, 500000)
+    capfdbinary.readouterr()
 
 
 def test_missing_group_file(tmp_path, capfd):

@@ -15,13 +15,15 @@ from sclab.contract import (
     UNKNOWN,
     CoreReduction,
     Verdict,
+    beat_core,
     contractibility_verdict,
     core_reduction,
     verify_certificate,
 )
 from sclab.group import builtin_group
+from sclab.homology import homology
 from sclab.lattice import enumerate_subgroups
-from sclab.poset import GPoset, OrderComplex, positions
+from sclab.poset import GPoset, OrderComplex, order_complex, positions
 
 import _naive
 from _naive import verify_monotone_retraction
@@ -141,7 +143,32 @@ def test_search_finds_conical_contraction():
 
 
 def test_search_fails_on_a_circle():
-    assert core_reduction(TRIANGLE_RIM) is None
+    # no point of the rim is a beat point, so the rim is its own core
+    assert core_reduction(TRIANGLE_RIM) == TRIANGLE_RIM.mask
+
+
+def test_core_of_a_circle_with_a_tail():
+    # "d" lies above "a" alone and "e" above "d" alone: both are beat
+    # points, and removing them leaves the rim
+    tailed = relation_poset(
+        ("a", "b", "c", "ab", "bc", "ca", "d", "e"),
+        lambda x, y: x == y or (len(x) == 1 and x in y)
+        or (x, y) in (("a", "d"), ("a", "e"), ("d", "e")))
+    rim = tailed.restrict(TRIANGLE_RIM.labels)
+    assert core_reduction(tailed) == rim.mask
+    core = beat_core(tailed)
+    assert core.labels == rim.labels
+    assert homology(order_complex(core)) == homology(order_complex(tailed))
+    v = contractibility_verdict(tailed)
+    assert v.method == "homology"
+    assert v.certificate.profile == homology(order_complex(tailed))
+    assert verify_certificate(tailed, v)
+
+
+def test_core_of_a_contractible_poset_is_its_point():
+    core = beat_core(BOWTIE)
+    assert core.labels == (core_reduction(BOWTIE).point,)
+    assert beat_core(BOWTIE.restrict(())).is_empty()
 
 
 def test_greedy_collapse_of_a_solid_triangle():
@@ -167,7 +194,8 @@ def test_collapse_replay_rejects_tampered_steps():
 def test_collapse_gets_stuck_on_the_dunce_hat():
     # the dunce hat is contractible but its face poset has no beat point
     # (beat-point removals are the strong collapses of the nerve)
-    assert core_reduction(face_poset(DUNCE_FACETS)) is None
+    poset = face_poset(DUNCE_FACETS)
+    assert core_reduction(poset) == poset.mask
 
 
 # --------------------------------------------------------- verdict pipeline

@@ -13,6 +13,7 @@ from sclab.equivalence import (
     CERTIFIED,
     HOMOLOGY_CONSISTENT,
     PASS,
+    fixed_point_equivalence_scan,
     verify_inclusion_equivalence,
 )
 from sclab.errors import SizeCap
@@ -20,6 +21,7 @@ from sclab.group import builtin_group
 from sclab.homology import homology
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import DEFAULT_SIMPLEX_CAP, GPoset
+from sclab.runner import VerificationPlan, run
 from sclab.tables import (
     SKIPPED,
     TABLE31,
@@ -121,7 +123,9 @@ def test_each_nerve_homology_is_computed_once_per_run(monkeypatch):
 
 
 def test_one_fiber_check_per_centralizer(monkeypatch):
-    # S5 at p = 2: 19 classes of subgroups, 12 distinct centralizers
+    # S5 at p = 2: 19 classes of subgroups, 12 distinct centralizers, and 8
+    # distinct pairs of lower sets below them; the Table 4.4 spec has the
+    # same collections and reuses every check of the Table 3.1 spec
     lat = enumerate_subgroups(builtin_group("S5"))
     ctx = collection_context(lat, 2)
     calls = []
@@ -134,15 +138,21 @@ def test_one_fiber_check_per_centralizer(monkeypatch):
     specs = [s for s in TABLE31_EDGES + TABLE44_EDGES
              if s.checker == "fibers-by-centralizer"]
     assert len(specs) == 2
+    centralizers = {lat.centralizer(h) for h in lat.orbit_representatives()}
+    assert len(centralizers) == 12
     for spec in specs:
-        calls.clear()
-        result = _check_solid(ctx, spec, _posets_for(lat, ctx, [spec]),
-                              DEFAULT_SIMPLEX_CAP)
+        posets = _posets_for(lat, ctx, [spec])
+        left, right = (posets[k] for k in spec.kinds)
+        pairs = {(left.below(c).mask, right.below(c).mask)
+                 for c in centralizers}
+        result = _check_solid(ctx, spec, posets, DEFAULT_SIMPLEX_CAP)
         rows = result.detail["per_centralizer"]
-        assert len(calls) == 12
         assert len(rows) == len(lat.orbits) == 19
         assert [r["subgroup"] for r in rows] == [
             h.index for h in lat.orbit_representatives()]
+    assert len(pairs) == 8
+    assert len(calls) == 8
+    assert {(sub.mask, ambient.mask) for sub, ambient, _ in calls} == pairs
 
 
 def test_d8_reproduces_every_documented_counterexample(d8):
@@ -215,7 +225,7 @@ class RefusingContext:
         self._real = real
         self.lattice = real.lattice
         self.p = real.p
-        self.nerve_homology = real.nerve_homology
+        self.memo = real.memo
 
     def condition(self, name):
         return ConditionReport(name, False,
@@ -345,3 +355,38 @@ def test_chain_rows_name_their_pairs(d8):
     assert ("D", "Bcen") in pairs
     assert ("hat-S", "tilde-S") in pairs
     assert ("E", "tilde-A") in pairs
+
+
+# ----------------------------------------------------------- the run memo
+
+
+def test_each_edge_check_runs_once_per_run(monkeypatch):
+    """A full S5 run at 2 checks each inclusion and scans each (checker,
+    poset, Sylow) once: Table 4.4 has Table 3.1's collections, and the
+    second-Sylow spot checks repeat scans as well."""
+    inclusions, scans = [], []
+
+    def counting_inclusion(sub, ambient, mode, **kw):
+        inclusions.append((sub.mask, ambient.mask, mode,
+                           kw.get("equivariant"), kw["max_simplices"]))
+        return verify_inclusion_equivalence(sub, ambient, mode, **kw)
+
+    def counting_scan(subgroups, left_of, right_of, **kw):
+        # the trivial subgroup fixes the whole poset; the Sylow group is
+        # the largest one scanned; the side of the retraction names the row
+        trivial = min(subgroups, key=lambda h: h.order)
+        sylow = max(subgroups, key=lambda h: h.order)
+        scans.append((kw["retraction"](trivial)[0],
+                      right_of(trivial).mask, sylow.index,
+                      kw["max_simplices"]))
+        return fixed_point_equivalence_scan(subgroups, left_of, right_of,
+                                            **kw)
+
+    monkeypatch.setattr("sclab.tables.verify_inclusion_equivalence",
+                        counting_inclusion)
+    monkeypatch.setattr("sclab.tables.fixed_point_equivalence_scan",
+                        counting_scan)
+    report = run(VerificationPlan("builtin:S5", 2))
+    assert report["summary"]["by_status"]["MISMATCH"] == 0
+    assert len(inclusions) == len(set(inclusions)) == 13
+    assert len(scans) == len(set(scans)) == 10
