@@ -47,15 +47,15 @@ def _check_subposet(sub: GPoset, ambient: GPoset) -> None:
         raise NotASubposet(f"labels {missing[:5]!r} are not in the ambient poset")
 
 
-def _conjugacy_reps(ambient: GPoset, sub: GPoset, pool) -> list:
-    """One label per conjugacy orbit, valid when both posets are invariant."""
+def _pool(ambient: GPoset, sub: GPoset) -> list:
+    """The labels of ambient outside sub, one per conjugacy orbit when both
+    posets are invariant, all of them otherwise."""
+    outside = ambient.mask & ~sub.mask
     lat = ambient.lattice
-    if lat is None or not (lat.is_class_union(ambient.mask)
-                           and lat.is_class_union(sub.mask)):
-        return list(pool)
-    order = ambient.order
-    firsts = lat.first_of_each_class(sum(1 << order.pos[y] for y in pool))
-    return [order.labels[i] for i in positions(firsts)]
+    if lat is not None and (lat.is_class_union(ambient.mask)
+                            and lat.is_class_union(sub.mask)):
+        outside = lat.first_of_each_class(outside)
+    return [ambient.order.labels[i] for i in positions(outside)]
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,16 @@ def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
                                  ) -> InclusionResult:
     """Certify that sub -> ambient induces a homotopy equivalence.
 
-    mode picks the hypothesis: "fibers" checks sub_{<=y} for every y in the
-    ambient poset (stabilizer-equivariantly); "upper" / "lower" check the
-    punctured intervals ambient_{>P} / ambient_{<P} for P outside sub
-    (plainly); "upper-equivariant" is the upper check with stabilizer
-    equivariance demanded. equivariant overrides the mode default. An
-    equivariant verdict comes only from an orbit-wise core reduction, so a
-    pi1 certificate leaves a demanded element undecided.
+    mode picks the hypothesis: "fibers" checks the fibers sub_{<=y}
+    (stabilizer-equivariantly), "upper" / "lower" the punctured intervals
+    ambient_{>y} / ambient_{<y} (plainly), and "upper-equivariant" is the
+    upper check with stabilizer equivariance demanded. Every mode checks
+    y in ambient outside sub only: for y in sub the fiber sub_{<=y} has the
+    N_G(y)-fixed maximum y, so it is an equivariant cone, and Quillen's
+    fiber lemma (Adv. Math. 28, 1978, Prop. 1.6) asks nothing more of it.
+    equivariant overrides the mode default. An equivariant verdict comes
+    only from an orbit-wise core reduction, so a pi1 certificate leaves a
+    demanded element undecided.
 
     Aggregation: PASS when every element certifies, FAIL when some hypothesis
     poset is NOT_CONTRACTIBLE (witnesses listed), else INCONCLUSIVE.
@@ -99,17 +102,10 @@ def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
     if demand and lat is None:
         raise ValueError("equivariant modes need a lattice-backed poset")
 
-    if mode == "fibers":
-        pool = list(ambient.labels)
-    else:
-        inside = set(sub.labels)
-        pool = [x for x in ambient.labels if x not in inside]
-    pool = _conjugacy_reps(ambient, sub, pool)
-
     per = []
     failing = []
     undecided = []
-    for y in pool:
+    for y in _pool(ambient, sub):
         if mode == "fibers":
             interval = sub.below(y)
         elif mode == "lower":
@@ -182,23 +178,29 @@ def _profile_of(poset: GPoset, max_simplices: int):
     return homology(order_complex(beat_core(poset), max_simplices))
 
 
-def _lattice_retraction(right: GPoset, side: str, k) -> int:
+def _lattice_retraction(right: GPoset, left: int, side: str, k) -> int | None:
     """The mask of images of q -> q v K (side ">=") or q -> q ^ K (side
-    "<=") over the positions q of right. Subgroups sort by order, so the
-    join is the lowest common upper bound and the meet the highest common
-    lower bound. A join or meet with a fixed element is monotone and
-    comparable with the identity."""
+    "<=") over the positions q of right, or None as soon as one image falls
+    outside the mask left. Subgroups sort by order, so the join is the
+    lowest common upper bound and the meet the highest common lower bound.
+    A join or meet with a fixed element is monotone and comparable with the
+    identity, and fixes the positions already above (below) K."""
     if right.lattice is None:
         raise ValueError("a lattice retraction needs a lattice-backed poset")
     if side not in ("<=", ">="):
         raise ValueError(f"side must be '<=' or '>=', got {side!r}")
     masks = right.order.up if side == ">=" else right.order.down
     bound = masks[k.index] | 1 << k.index
-    image = 0
-    for q in positions(right.mask):
-        common = (masks[q] | 1 << q) & bound
-        image |= (common & -common if side == ">="
-                  else 1 << common.bit_length() - 1)
+    outside = ~left
+    image = right.mask & bound
+    if image & outside:
+        return None
+    for q in positions(right.mask & ~bound):
+        common = masks[q] & bound
+        f = common & -common if side == ">=" else 1 << common.bit_length() - 1
+        if f & outside:
+            return None
+        image |= f
     return image
 
 
@@ -214,8 +216,8 @@ def _compare_pair(h, left: GPoset, right: GPoset, retraction,
                                     None, sizes)
     if retraction is not None:
         side, k = retraction(h)
-        image = _lattice_retraction(right, side, k)
-        if not image & ~left.mask:
+        image = _lattice_retraction(right, left.mask, side, k)
+        if image is not None:
             return FixedPointComparison(h.index, h.order, CERTIFIED,
                                         "retraction",
                                         MonotoneRetraction(side, k.index),

@@ -3,84 +3,29 @@ markdown rendering with one row per edge."""
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _quote
+import json
 
-_CONTAINERS = (dict, list, tuple)
+
+def _not_json(token: str):
+    raise TypeError(f"report value {token} is not JSON serializable")
 
 
 def report_to_json_bytes(report: dict) -> bytes:
-    """The bytes of json.dumps(report, sort_keys=True, indent=2) + "\\n".
+    """The bytes of json.dumps(report, sort_keys=True, separators=(",", ":"))
+    + "\\n", written by CPython's C encoder.
 
-    With an indent, json.dumps runs its pure-Python encoder token by token.
-    This writer emits the same text with one chunk per line, or one per
-    container that holds only scalars.
+    That encoder also writes floats, NaN and the infinities, which no report
+    holds; parsing the text back with hooks that raise on them keeps the
+    contract that any value other than a dict, list, tuple, str, int, bool
+    or None raises TypeError. The parse keeps only the size of each object
+    it reads, so it never holds a second copy of the report. Keys are
+    written as json.dumps writes them: int, float, bool and None keys
+    become strings.
     """
-    chunks: list[str] = []
-    _write(report, "", "", chunks)
-    chunks.append("\n")
-    return "".join(chunks).encode("utf-8")
-
-
-def _scalar(value) -> str:
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"report value of type {type(value).__name__} "
-                    "is not JSON serializable")
-
-
-def _key(key) -> str:
-    quoted = _quote(key) if isinstance(key, str) else '"' + _scalar(key) + '"'
-    return quoted + ": "
-
-
-def _write(value, head: str, indent: str, out: list) -> None:
-    """Append value to out, its first line preceded by head."""
-    if isinstance(value, dict):
-        keys = sorted(value)
-        items = [value[k] for k in keys]
-        prefixes = [_key(k) for k in keys]
-        opener, closer = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        items, prefixes = value, None
-        opener, closer = "[", "]"
-    else:
-        out.append(head + _scalar(value))
-        return
-    if not items:
-        out.append(head + opener + closer)
-        return
-    inner = indent + "  "
-    sep = ",\n" + inner
-    # ints and strs directly; None marks any other item
-    lines = [int.__repr__(v) if type(v) is int
-             else _quote(v) if type(v) is str else None for v in items]
-    if None not in lines:
-        if prefixes is not None:
-            lines = map(str.__add__, prefixes, lines)
-        out.append(head + opener + "\n" + inner + sep.join(lines)
-                   + "\n" + indent + closer)
-        return
-    out.append(head + opener)
-    line_head = "\n" + inner
-    for n, item in enumerate(items):
-        if prefixes is not None:
-            line_head += prefixes[n]
-        if lines[n] is not None:
-            out.append(line_head + lines[n])
-        elif isinstance(item, _CONTAINERS):
-            _write(item, line_head, inner, out)
-        else:
-            out.append(line_head + _scalar(item))
-        line_head = sep
-    out.append("\n" + indent + closer)
+    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    json.loads(text, parse_float=_not_json, parse_constant=_not_json,
+               object_hook=len)
+    return text.encode()
 
 
 def _evidence(edge: dict) -> str:
@@ -88,8 +33,10 @@ def _evidence(edge: dict) -> str:
     bits = []
     if "inclusion" in detail:
         inc = detail["inclusion"]
+        n = len(inc["per_element"])
+        noun = "fiber" if inc["mode"] == "fibers" else "interval"
         bits.append(f"{inc['mode']} {inc['outcome']}"
-                    f" ({len(inc['per_element'])} intervals)")
+                    f" ({n} {noun}{'' if n == 1 else 's'} checked)")
     if "per_centralizer" in detail:
         rows = detail["per_centralizer"]
         bits.append(f"fibers in {len(rows)} centralizers")

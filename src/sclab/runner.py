@@ -19,7 +19,7 @@ from .tables import (SKIPPED, TABLE31, TABLE44, is_dihedral8,
                      verify_counterexamples, verify_inclusion_chains,
                      verify_table_edges)
 
-REPORT_FORMAT = "sclab-report/3"
+REPORT_FORMAT = "sclab-report/4"
 
 SUITES = ("table31", "table44", "counterexamples", "inclusions",
           "conditions", "all")

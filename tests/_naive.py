@@ -484,3 +484,28 @@ def verify_monotone_retraction(poset, f, side: str, target) -> bool:
         if below & ~(down[fi] | 1 << fi):
             return False
     return True
+
+
+def fiber_outcome(lat, sub, ambient, equivariant: bool):
+    """The fibers hypothesis of sub -> ambient checked at every y of ambient,
+    cones included. Each fiber {x in sub : x <= y} is found by comparing
+    member sets and reduced by core_reduction, orbit-wise under N_G(y) when
+    equivariant. Returns the outcome and, per y, "point" when the fiber
+    reduces to a point, "empty", or "core" when more than one point is left.
+    The outcome is PASS when every fiber is a point, FAIL when some fiber is
+    empty, and None when this reduction cannot tell."""
+    def leq(a, b):
+        return lat.ref(a).bitset & ~lat.ref(b).bitset == 0
+
+    found = {}
+    for y in ambient.labels:
+        fiber = sub.restrict(x for x in sub.labels if leq(x, y))
+        gens = (lat.generating_set(lat.normalizer(lat.ref(y)))
+                if equivariant else None)
+        core = core_reduction(fiber, leq, gens)
+        found[y] = ("empty" if core is None
+                    else "point" if isinstance(core[0], tuple) else "core")
+    kinds = set(found.values())
+    outcome = ("PASS" if kinds <= {"point"}
+               else "FAIL" if "empty" in kinds else None)
+    return outcome, found

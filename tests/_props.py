@@ -488,8 +488,9 @@ def check_retraction_matches_oracle(b: Budget) -> None:
     two Sylow groups, gating conditions aside, with the scan's own side and
     with the opposite one: the image mask of the join or meet equals the
     image of the map computed from subgroup members (the subgroup product
-    for the restriction row), and the scan certifies by retraction exactly
-    when the pointwise map checker accepts that map. The opposite sides
+    for the restriction row), or is None exactly when that image leaves the
+    left poset, and the scan certifies by retraction exactly when the
+    pointwise map checker accepts that map. The opposite sides
     supply the rejections."""
     answers = set()
     for name, p in SUITE:
@@ -511,9 +512,10 @@ def check_retraction_matches_oracle(b: Budget) -> None:
                                    ({">=": "<=", "<=": ">="}[side], False)):
                     tag = (name, p, spec.edge_id, h.index, s)
                     f = _subgroup_map(lat, s, k, product)
-                    b.check(_lattice_retraction(right, s, k)
-                            == sum({1 << right.order.pos[f(q)]
-                                    for q in right.labels}), tag)
+                    image = sum({1 << right.order.pos[f(q)]
+                                 for q in right.labels})
+                    b.check(_lattice_retraction(right, left.mask, s, k)
+                            == (None if image & ~left.mask else image), tag)
                     (row,) = fixed_point_equivalence_scan(
                         [h], left_of, right_of,
                         retraction=lambda _, s=s: (s, k)).per_subgroup

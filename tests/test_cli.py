@@ -3,9 +3,10 @@
 The golden file pins the exact bytes of a small JSON report; any change
 to report content or serialization order must be deliberate enough to
 regenerate it. It and the three SHA-256 pins below were last replaced by
-`docs/report_2_to_3.py` applied to the sclab-report/2 bytes they pinned
-before, which only renames the format and names each retraction by its
-side and subgroup; the new code writes exactly those bytes.
+`docs/report_3_to_4.py` applied to the sclab-report/3 bytes they pinned
+before, which renames the format, drops the fibers-mode rows of members of
+the smaller collection after checking that each is certified, and writes
+the document compactly; the new code writes exactly those bytes.
 """
 
 import ast
@@ -41,32 +42,43 @@ DATA = Path(__file__).parent / "data"
 
 # SHA-256 of the report of `sclab verify --group tests/data/z2_4.grp
 # --prime 2`, recorded while order queries were still pairwise, then
-# carried to sclab-report/3 by docs/report_2_to_3.py. Its core
+# carried to sclab-report/3 by docs/report_2_to_3.py and to
+# sclab-report/4 by docs/report_3_to_4.py. Its core
 # certificates list every beat point in removal order, so any change in
 # which beat point is removed first changes these bytes.
 Z2_4_P2_SHA256 = (
-    "07af5552003f0eec253e9fef4e4ee918b8736b85544dcff115c397b3d771f666")
+    "8ae9e9c207bce8fb410c24c301fe7de887d17b02eabe96eee918d8350d00624f")
 
 # SHA-256 of the report of `sclab verify --group tests/data/psl27.grp
 # --prime 2`, recorded while normalizers and centralizers were still found
 # by conjugating with every element, then carried to sclab-report/3 by
-# docs/report_2_to_3.py. PSL(2,7) is non-abelian with six
+# docs/report_2_to_3.py and to sclab-report/4 by docs/report_3_to_4.py.
+# PSL(2,7) is non-abelian with six
 # element classes and fifteen subgroup classes, so its normalizers and
 # centralizers differ from subgroup to subgroup, unlike those of Z2^4.
 PSL27_P2_SHA256 = (
-    "208fe66918960e81e009f304bfc86e8a255617e8e8bb51f36ee9a7ea9f8b5fec")
+    "9482334c93e05c42de17bb1e82afdddf626c1b132d703b268d7131afbbee0572")
 
 # SHA-256 of the report of `sclab verify --group tests/data/d8xz2.grp
 # --prime 2`, recorded while retractions were still checked position by
 # position as explicit maps, then carried to sclab-report/3 by
 # docs/report_2_to_3.py, which checked each recorded pair against q v H
-# or q ^ C_G(H). It carries 188 retraction certificates.
+# or q ^ C_G(H), and to sclab-report/4 by docs/report_3_to_4.py. It
+# carries 188 retraction certificates.
 D8XZ2_P2_SHA256 = (
-    "6bfa9fd3498e653660b560da0418881f49bc958e78ca50007856382af47a9f3a")
+    "1626562190522f93d8e596382b9a3804b15d121da1539e51b15d8f5252a01d68")
 
 
 def verify(*extra):
     return main(["verify", *extra])
+
+
+def assert_golden(actual: bytes) -> None:
+    """Compare parsed first, so a failure shows a structural diff of the
+    one-line report; then the bytes themselves."""
+    golden = (GOLDEN / "d8_table31.json").read_bytes()
+    assert json.loads(actual) == json.loads(golden)
+    assert actual == golden
 
 
 def test_clean_run_writes_json_to_stdout(capfdbinary):
@@ -75,7 +87,7 @@ def test_clean_run_writes_json_to_stdout(capfdbinary):
     out = capfdbinary.readouterr().out
     assert out.endswith(b"\n")
     report = json.loads(out)
-    assert report["format"] == "sclab-report/3"
+    assert report["format"] == "sclab-report/4"
     assert report["group"]["name"] == "D8"
 
 
@@ -117,7 +129,7 @@ def test_golden_d8_table31(tmp_path, capfd):
                 "--suite", "table31", "--report", str(target))
     capfd.readouterr()
     assert rc == 0
-    assert target.read_bytes() == (GOLDEN / "d8_table31.json").read_bytes()
+    assert_golden(target.read_bytes())
 
 
 def test_reports_do_not_depend_on_the_group_file_directory(tmp_path):
@@ -315,7 +327,7 @@ def test_golden_d8_table31_under_optimize():
     proc = _run_module("-O", "-m", "sclab.cli", "verify", "--group",
                        "builtin:D8", "--prime", "2", "--suite", "table31")
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (GOLDEN / "d8_table31.json").read_bytes()
+    assert_golden(proc.stdout)
 
 
 def test_z2_4_report_is_pinned(tmp_path):

@@ -24,9 +24,10 @@ from sclab.errors import NotASubposet
 from sclab.group import builtin_group
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import GPoset
+from sclab.tables import TABLE31, TABLE44, verify_table_edges
 
 import _naive as naive
-from _suite import relation_poset
+from _suite import SUITE, lattice_of, relation_poset
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,55 @@ def test_fiber_mode_certifies_nested_collections(d8):
     assert "equivariant" in res.claim
     # fiber checks run under the stabilizer of each ambient element
     assert all(stab is not None for _, stab, _ in res.per_element)
+
+
+def test_fiber_pool_is_the_classes_outside_sub():
+    """fibers mode checks one y per conjugacy class of ambient outside sub:
+    the fiber of a y in sub is a cone on y. A sub that is not a union of
+    classes gets every y of ambient outside it."""
+    lat = lattice_of("S4")
+    ctx = collection_context(lat, 2)
+    sub, ambient = poset_of(lat, ctx, "hat-B"), poset_of(lat, ctx, "S")
+    outside = set(ambient.labels) - set(sub.labels)
+    classes = {frozenset(lat.conjugate(lat.ref(y), g).index
+                         for g in range(lat.group.order)) for y in outside}
+    res = verify_inclusion_equivalence(sub, ambient, "fibers")
+    assert [y for y, _, _ in res.per_element] == sorted(map(min, classes))
+    assert len(classes) < len(outside)
+    sylow = lat.sylow(2)[0]
+    sub, ambient = sub.below(sylow), ambient.below(sylow)
+    assert not lat.is_class_union(ambient.mask)
+    res = verify_inclusion_equivalence(sub, ambient, "fibers",
+                                       equivariant=False)
+    outside = sorted(set(ambient.labels) - set(sub.labels))
+    assert outside and [y for y, _, _ in res.per_element] == outside
+
+
+def test_fibers_outcomes_match_every_fiber_checked_by_brute_force():
+    """Over every suite plan and each fibers-mode inclusion the tables run,
+    the outcome equals that of reducing every fiber, cones included, by the
+    brute-force oracle; and every fiber at a member of sub is a point."""
+    checked = 0
+    for name, p in SUITE:
+        lat = lattice_of(name)
+        ctx = collection_context(lat, p)
+        for table in (TABLE31, TABLE44):
+            verify_table_edges(lat, p, table)
+        for key, res in ctx.memo.items():
+            if len(key) != 5 or key[2] != "fibers":
+                continue
+            sub_mask, ambient_mask, _, equivariant, _ = key
+            sub = GPoset(lat.order, sub_mask, lat)
+            ambient = GPoset(lat.order, ambient_mask, lat)
+            outcome, found = naive.fiber_outcome(
+                lat, sub, ambient, equivariant is not False)
+            assert all(found[y] == "point" for y in sub.labels), (name, p)
+            if outcome is None:
+                assert res.outcome != PASS, (name, p, key)
+            else:
+                assert res.outcome == outcome, (name, p, key)
+            checked += 1
+    assert checked > len(SUITE)
 
 
 def test_lower_mode_certifies_plainly(d8):

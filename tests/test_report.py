@@ -1,16 +1,28 @@
 """The JSON report writer against the format it defines:
-json.dumps(report, sort_keys=True, indent=2) plus a trailing newline."""
+json.dumps(report, sort_keys=True, separators=(",", ":")) plus a trailing
+newline; and docs/report_3_to_4.py, which carries an sclab-report/3
+document to that format."""
 
+import copy
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sclab.collections import collection_context
+from sclab.contract import contractibility_verdict
+from sclab.group import builtin_group
+from sclab.lattice import enumerate_subgroups
+from sclab.poset import GPoset, positions
 from sclab.report import report_to_json_bytes
+from sclab.runner import VerificationPlan, run
 
 
 def _reference(value) -> bytes:
-    return (json.dumps(value, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(value, sort_keys=True, separators=(",", ":"))
+            + "\n").encode("utf-8")
 
 
 # quotes, backslashes, control characters and non-ASCII text
@@ -56,3 +68,66 @@ def test_other_types_are_rejected(bad):
         report_to_json_bytes({"k": [bad]})
     with pytest.raises(TypeError):
         report_to_json_bytes(bad)
+
+
+def test_a_float_deep_inside_is_rejected():
+    value = {"a": [1, {"b": [[None, {"c": (2, 0.5)}]]}], "d": "x"}
+    with pytest.raises(TypeError):
+        report_to_json_bytes(value)
+
+
+# ------------------------------------------------------ the /3 -> /4 converter
+
+_spec = importlib.util.spec_from_file_location(
+    "report_3_to_4",
+    Path(__file__).resolve().parents[1] / "docs" / "report_3_to_4.py")
+report_3_to_4 = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_3_to_4)
+
+
+@pytest.fixture(scope="module")
+def d8_as_report_3():
+    """A D8 report of the current format, the same report as /3 wrote it,
+    where every fibers-mode inclusion also lists one certified cone fiber
+    per class of members of the smaller collection, and those /3 rows."""
+    report = run(VerificationPlan(group="builtin:D8", prime=2))
+    lat = enumerate_subgroups(builtin_group("D8"))
+    ctx = collection_context(lat, 2)
+    old = copy.deepcopy(report)
+    old["format"] = "sclab-report/3"
+    cones = []
+    for section in old["suites"].values():
+        for edge in section.get("edges", ()):
+            inclusion = edge["detail"].get("inclusion")
+            if inclusion is None or inclusion["mode"] != "fibers":
+                continue
+            sub = GPoset.from_collection(lat, ctx.collection(edge["kinds"][0]))
+            for i in positions(lat.first_of_each_class(sub.mask)):
+                y = sub.order.labels[i]
+                stab = lat.normalizer(lat.ref(y))
+                verdict = contractibility_verdict(
+                    sub.below(y), equivariance_gens=lat.generating_set(stab))
+                cones.append([y, stab.index, verdict.to_json()])
+                inclusion["per_element"].append(cones[-1])
+    assert cones
+    return report, old, cones
+
+
+def test_converter_drops_only_the_cone_fibers(d8_as_report_3):
+    new, old, _ = d8_as_report_3
+    upgraded = report_3_to_4.upgrade(copy.deepcopy(old))
+    assert report_to_json_bytes(upgraded) == report_to_json_bytes(new)
+
+
+@pytest.mark.parametrize("flaw", [{"status": "UNKNOWN"},
+                                  {"equivariant": False}])
+def test_converter_refuses_an_uncertified_cone_fiber(d8_as_report_3, flaw):
+    _, old, cones = d8_as_report_3
+    verdict = cones[-1][2]
+    saved = dict(verdict)
+    verdict.update(flaw)
+    try:
+        with pytest.raises(SystemExit):
+            report_3_to_4.upgrade(copy.deepcopy(old))
+    finally:
+        verdict.update(saved)
