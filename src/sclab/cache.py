@@ -56,11 +56,11 @@ def load_lattice(cache_dir: Path, group: PermutationGroup) -> SubgroupLattice | 
             continue
         if group.closure_bitset(b) != b:
             return None
-        orbit = group.subgroup_class(b)  # conjugates of a subgroup are ones too
+        orbit, moves = group.subgroup_class(b)  # conjugates of a subgroup are ones too
         if not stored.issuperset(orbit):
             return None
         checked.update(orbit)
-        classes.append(orbit)
+        classes.append((orbit, moves))
     return SubgroupLattice(group, classes)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from weakref import WeakValueDictionary
 
 from .errors import (ConditionNotSatisfied, InternalInconsistency,
@@ -73,7 +74,6 @@ class CollectionContext:
         self._hat: dict[int, int] = {}
         self._collections: dict[str, Collection] = {}
         self._conditions: dict[str, ConditionReport] = {}
-        self._principal: dict[int, bool] = {}
         # each check the tables module has run, keyed by its inputs; filled
         # and read by tables._once
         self.memo: dict = {}
@@ -161,15 +161,12 @@ class CollectionContext:
     def is_principal_p_radical(self, ref: SubgroupRef) -> bool:
         """p-centric with O_p(N_G(P) / P C_G(P)) trivial, that is with the
         preimage of that p-core equal to P C_G(P) = P v C_G(P)."""
-        if ref.index not in self._principal:
-            ok = self.is_p_centric(ref)
-            if ok:
-                lat = self.lattice
-                pc = lat.generated(lat.generating_set(ref) + lat.generating_set(
-                    lat.centralizer(ref)))
-                ok = p_core_of_group(lat, lat.normalizer(ref), pc, self.p) == pc
-            self._principal[ref.index] = ok
-        return self._principal[ref.index]
+        if not self.is_p_centric(ref):
+            return False
+        lat = self.lattice
+        pc = lat.generated(lat.generating_set(ref) + lat.generating_set(
+            lat.centralizer(ref)))
+        return p_core_of_group(lat, lat.normalizer(ref), pc, self.p) == pc
 
     # ----- collections -------------------------------------------------------
 
@@ -181,16 +178,20 @@ class CollectionContext:
         return self._collections[kind]
 
     def _build(self, kind: str) -> Collection:
+        """Membership in each kind is invariant under conjugation, so each
+        class of nontrivial p-subgroups is decided at its first member and
+        taken whole."""
         lat = self.lattice
-        if kind.startswith("tilde-"):
-            base = self.collection(kind[len("tilde-"):])
-            members = tuple(m for m in base.members if self.tilde_of(m).order > 1)
-        elif kind.startswith("hat-"):
-            base = self.collection(kind[len("hat-"):])
-            members = tuple(m for m in base.members if self.hat_of(m).order > 1)
+        if kind.startswith(("tilde-", "hat-")):
+            op, base = kind.split("-", 1)
+            held = self.collection(base).member_indices
+            operator = self.tilde_of if op == "tilde" else self.hat_of
+            keep = lambda m: m.index in held and operator(m).order > 1
         else:
-            members = tuple(m for m in lat.nontrivial_p_subgroups(self.p)
-                            if self._base_member(kind, m))
+            keep = lambda m: (m.order > 1 and lat.is_p_group(m, self.p)
+                              and self._base_member(kind, m))
+        classes = [o for o in lat.orbits if keep(lat.ref(o[0]))]
+        members = tuple(map(lat.ref, sorted(chain.from_iterable(classes))))
         return Collection(kind=kind, prime=self.p, members=members)
 
     def _base_member(self, kind: str, m: SubgroupRef) -> bool:

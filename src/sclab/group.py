@@ -115,18 +115,23 @@ class PermutationGroup:
         mul, inv = self.mul, self.inv
         return [[mul[y][inv[g]] for y in mul[g]] for g in self.generator_indices]
 
-    def subgroup_class(self, bits: int) -> list[int]:
+    def subgroup_class(self, bits: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """The conjugacy class of the subgroup ``bits``, which comes first,
-        closed under conjugation by each generator."""
-        orbit, seen = [bits], {bits}
+        closed under conjugation by each generator; and per member, the
+        positions in the class of its conjugates by the generators, in the
+        order of `generator_conjugation`."""
+        orbit, position, moves = [bits], {bits: 0}, []
         for h in orbit:
             members = _bits(h)
+            step = []
             for row in self.generator_conjugation:
                 k = sum(1 << row[x] for x in members)
-                if k not in seen:
-                    seen.add(k)
+                if k not in position:
+                    position[k] = len(orbit)
                     orbit.append(k)
-        return orbit
+                step.append(position[k])
+            moves.append(tuple(step))
+        return orbit, moves
 
     def conjugation_column(self, x: int) -> list[int]:
         """col[g] = conjugate_index(g, x) for every g, built on first use."""

@@ -8,6 +8,7 @@ element i belongs). The lattice holds every subgroup, canonically ordered by
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -81,12 +82,14 @@ def enumerate_subgroups(group: PermutationGroup, *, max_order: int = DEFAULT_ORD
         cyclic.setdefault(cyclic_of[x], x)
     classes: dict[int, list[int]] = {1: [1]}  # subgroup -> its class
     reps: list[tuple[int, tuple[int, ...]]] = []  # (subgroup, its generators)
+    found = [([1], [(0,) * len(group.generator_indices)])]  # (class, moves)
 
     def add_class(bits, gens):
         if bits in classes:
             return
         reps.append((bits, gens))
-        orbit = group.subgroup_class(bits)
+        orbit, moves = group.subgroup_class(bits)
+        found.append((orbit, moves))
         classes.update(dict.fromkeys(orbit, orbit))
         if len(classes) > max_subgroups:
             raise CapExceeded(f"subgroup count exceeded the cap {max_subgroups}")
@@ -106,15 +109,16 @@ def enumerate_subgroups(group: PermutationGroup, *, max_order: int = DEFAULT_ORD
                 col = group.conjugation_column(x)
                 covered.update(map(cyclic_of.__getitem__, map(col.__getitem__, norm)))
             add_class(group.dimino_step(bits, rows, gens + (x,)), gens + (x,))
-    return SubgroupLattice(group, [[1]] + [classes[bits] for bits, _ in reps])
+    return SubgroupLattice(group, found)
 
 
 class SubgroupLattice:
     def __init__(self, group: PermutationGroup, classes):
-        """classes: the conjugacy classes of subgroups, each a list of
-        bitsets, which together hold every subgroup once."""
+        """classes: the conjugacy classes of subgroups, which together hold
+        every subgroup once, each a pair (bitsets, moves) as
+        `PermutationGroup.subgroup_class` returns it."""
         self.group = group
-        bitsets = [bits for orbit in classes for bits in orbit]
+        bitsets = [bits for orbit, _ in classes for bits in orbit]
         members = {bits: tuple(group.bitset_members(bits)) for bits in bitsets}
         order_key = lambda bits: (len(members[bits]), members[bits])
         self._bitsets = tuple(sorted(bitsets, key=order_key))
@@ -123,14 +127,23 @@ class SubgroupLattice:
             SubgroupRef(order=len(members[bits]), index=i, bitset=bits)
             for i, bits in enumerate(self._bitsets))
         self._index = {bits: i for i, bits in enumerate(self._bitsets)}
+        # per group generator g, the permutation i -> index of g H_i g^-1
+        action = [[0] * len(bitsets) for _ in group.generator_indices]
+        orbits = []
+        for orbit, moves in classes:
+            at = list(map(self._index.__getitem__, orbit))
+            for i, step in zip(at, moves):
+                for row, k in zip(action, step):
+                    row[i] = at[k]
+            orbits.append(tuple(sorted(at)))
+        self.generator_action = tuple(map(tuple, action))
         # conjugation orbits on subgroup indices, each sorted, ordered by rep
-        self.orbits = tuple(sorted(tuple(sorted(map(self._index.__getitem__, orbit)))
-                                   for orbit in classes))
+        self.orbits = tuple(sorted(orbits))
         self._normalizer: dict[int, int] = {}
         self._centralizer: dict[int, int] = {}
         self._generated: dict[int, int] = {}
         self._gens: dict[int, tuple[int, ...]] = {}
-        self._pcore: dict[tuple[int, int], int] = {}
+        self._pcore: dict[int, dict[int, int]] = defaultdict(dict)  # p -> memo
         self._elem_ab: dict[tuple[int, int], bool] = {}
 
     def __len__(self):
@@ -230,21 +243,39 @@ class SubgroupLattice:
 
     # ----- named operations -----------------------------------------------
 
+    def _transport(self, memo: dict, ref: SubgroupRef, fact) -> int:
+        """memo[ref.index] = fact(ref), and over the rest of ref's class the
+        values g f(H) g^-1 = f(gHg^-1), read off the generators' action along
+        a breadth-first tree: fact must conjugate along with its subgroup."""
+        memo[ref.index] = fact(ref)
+        reached = [ref.index]
+        for h in reached:
+            for row in self.generator_action:
+                if row[h] not in memo:
+                    memo[row[h]] = row[memo[h]]
+                    reached.append(row[h])
+        return memo[ref.index]
+
     def normalizer(self, ref: SubgroupRef) -> SubgroupRef:
         """H^g = H exactly when g conjugates each generator of H into H."""
-        if ref.index not in self._normalizer:
-            self._normalizer[ref.index] = self._index[self.group.normalizer_bitset(
-                ref.bitset, self.generating_set(ref))]
-        return self.subgroups[self._normalizer[ref.index]]
+        i = self._normalizer.get(ref.index)
+        if i is None:
+            i = self._transport(self._normalizer, ref, lambda h: self._index[
+                self.group.normalizer_bitset(h.bitset, self.generating_set(h))])
+        return self.subgroups[i]
 
     def centralizer(self, ref: SubgroupRef) -> SubgroupRef:
         """g centralizes H exactly when conjugation by g fixes each generator."""
-        if ref.index not in self._centralizer:
-            out = self.group.full_bitset
-            for x in self.generating_set(ref):
-                out &= self.group.conjugating(x, 1 << x)
-            self._centralizer[ref.index] = self._index[out]
-        return self.subgroups[self._centralizer[ref.index]]
+        i = self._centralizer.get(ref.index)
+        if i is None:
+            i = self._transport(self._centralizer, ref, self._centralizer_of)
+        return self.subgroups[i]
+
+    def _centralizer_of(self, ref: SubgroupRef) -> int:
+        out = self.group.full_bitset
+        for x in self.generating_set(ref):
+            out &= self.group.conjugating(x, 1 << x)
+        return self._index[out]
 
     def center(self, ref: SubgroupRef) -> SubgroupRef:
         return self.by_bitset(ref.bitset & self.centralizer(ref).bitset)
@@ -268,10 +299,12 @@ class SubgroupLattice:
 
     def p_core(self, ref: SubgroupRef, p: int) -> SubgroupRef:
         """O_p(H): the intersection of the Sylow p-subgroups of H."""
-        key = (ref.index, p)
-        if key not in self._pcore:
-            self._pcore[key] = p_core_of_group(self, ref, self.trivial, p).index
-        return self.subgroups[self._pcore[key]]
+        memo = self._pcore[p]
+        i = memo.get(ref.index)
+        if i is None:
+            i = self._transport(memo, ref, lambda h: p_core_of_group(
+                self, h, self.trivial, p).index)
+        return self.subgroups[i]
 
     def sylow(self, p: int) -> tuple[SubgroupRef, ...]:
         if self.group.order % p:
@@ -316,10 +349,6 @@ class SubgroupLattice:
             if s.order > 1 and p_part(s.order, p) == s.order:
                 seen.add(self.normalizer(s).index)
         return tuple(self.subgroups[i] for i in sorted(seen))
-
-    def nontrivial_p_subgroups(self, p: int) -> tuple[SubgroupRef, ...]:
-        return tuple(s for s in self.subgroups
-                     if s.order > 1 and p_part(s.order, p) == s.order)
 
 
 def p_core_of_group(lattice: SubgroupLattice, big: SubgroupRef,

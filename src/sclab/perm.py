@@ -68,7 +68,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*map(len, self.cycles()))  # lcm() is 1
 
     def cycle_string(self) -> str:
         cycs = self.cycles()

@@ -24,7 +24,7 @@ from sclab.tables import (TABLE31_EDGES, TABLE44_EDGES, _ea_pair,
 
 import _naive
 from _naive import boundary_matrix, rank_mod, rank_over_rationals
-from _suite import SUITE, lattice_of
+from _suite import SUITE, lattice_of, nontrivial_p_subgroups
 
 GROUPS = ("D8", "Q8", "S3", "D12", "A4", "S4", "SL23", "A5")
 
@@ -115,7 +115,7 @@ def check_operator_towers(b: Budget) -> None:
     for name, p in SUITE:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
-        for P in lat.nontrivial_p_subgroups(p):
+        for P in nontrivial_p_subgroups(lat, p):
             t, h, z = ctx.tilde_of(P), ctx.hat_of(P), lat.center(P)
             b.check(lat.leq(h, t), (name, p, P.index, "hat inside tilde"))
             b.check(lat.leq(t, z) and lat.leq(z, P),
@@ -127,7 +127,7 @@ def check_operator_equivariance(b: Budget) -> None:
     for name, p in SUITE:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
-        for P in lat.nontrivial_p_subgroups(p):
+        for P in nontrivial_p_subgroups(lat, p):
             for g in lat.group.generator_indices:
                 Pg = lat.by_bitset(lat.conjugate_bitset(P.bitset, g))
                 b.check(ctx.tilde_of(Pg).bitset

@@ -1,12 +1,12 @@
-"""Shared group/prime suite, a cached lattice factory and an abstract-poset
-constructor for the tests."""
+"""Shared group/prime suite, a cached lattice factory, the nontrivial
+p-subgroups of a lattice and an abstract-poset constructor for the tests."""
 
 from __future__ import annotations
 
 import functools
 
 from sclab.group import builtin_group
-from sclab.lattice import enumerate_subgroups
+from sclab.lattice import enumerate_subgroups, p_part
 from sclab.poset import GPoset
 
 # every builtin suite group at each prime dividing its order
@@ -24,6 +24,12 @@ SMALL_SUITE = tuple((name, p) for name, p in SUITE
 @functools.lru_cache(maxsize=None)
 def lattice_of(name: str):
     return enumerate_subgroups(builtin_group(name))
+
+
+def nontrivial_p_subgroups(lat, p: int):
+    """The subgroups of lat of order a positive power of p, in index order."""
+    return tuple(s for s in lat.subgroups
+                 if s.order > 1 and p_part(s.order, p) == s.order)
 
 
 def relation_poset(labels, leq, name: str = "") -> GPoset:

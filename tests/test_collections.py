@@ -4,11 +4,12 @@ import pytest
 
 import _naive as naive
 from _props import one_class_of_order_p
-from _suite import SMALL_SUITE, SUITE, lattice_of
+from _suite import SMALL_SUITE, SUITE, lattice_of, nontrivial_p_subgroups
 from sclab.collections import CONDITIONS, KINDS, collection_context
 from sclab.errors import ConditionNotSatisfied, PrimeDoesNotDivide
 from sclab.group import load_group
 from sclab.lattice import enumerate_subgroups
+from sclab.poset import GPoset
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,12 +57,32 @@ def test_operators_agree_with_naive_oracle():
     for name, p in [("D8", 2), ("S4", 2), ("SL23", 2), ("D12", 3)]:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
-        for m in lat.nontrivial_p_subgroups(p):
+        for m in nontrivial_p_subgroups(lat, p):
             h = frozenset(lat.members(m))
             assert frozenset(lat.members(ctx.tilde_of(m))) == naive.tilde(
                 lat.group, h, p, ctx.E1), (name, p, m)
             assert frozenset(lat.members(ctx.hat_of(m))) == naive.hat(
                 lat.group, h, p, ctx.E0), (name, p, m)
+
+
+@pytest.mark.parametrize("name,p", SUITE)
+def test_every_collection_is_a_union_of_classes(name, p):
+    # the collections are built a class at a time, so decide membership
+    # at every subgroup, as the definitions read, and compare
+    lat = lattice_of(name)
+    ctx = collection_context(lat, p)
+    for kind in KINDS:
+        coll = ctx.collection(kind)
+        assert lat.is_class_union(GPoset.from_collection(lat, coll).mask), kind
+        if kind.startswith(("tilde-", "hat-")):
+            op, base = kind.split("-", 1)
+            operator = ctx.tilde_of if op == "tilde" else ctx.hat_of
+            want = [m for m in ctx.collection(base).members
+                    if operator(m).order > 1]
+        else:
+            want = [m for m in nontrivial_p_subgroups(lat, p)
+                    if ctx._base_member(kind, m)]
+        assert coll.members == tuple(want), kind
 
 
 def test_d8_collection_sizes():
@@ -81,7 +102,7 @@ def test_d8_central_type_structure():
     center = lat.center(lat.full)
     assert ctx.collection("E").members == (center,)
     # hat and tilde coincide on every 2-subgroup here
-    for m in lat.nontrivial_p_subgroups(2):
+    for m in nontrivial_p_subgroups(lat, 2):
         assert ctx.tilde_of(m) == ctx.hat_of(m)
 
 
@@ -97,7 +118,7 @@ def test_tilde_hat_tower():
     for name, p in [("S4", 2), ("A5", 2), ("S5", 2), ("SL23", 2)]:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
-        for m in lat.nontrivial_p_subgroups(p):
+        for m in nontrivial_p_subgroups(lat, p):
             assert lat.leq(ctx.hat_of(m), ctx.tilde_of(m))
             assert lat.leq(ctx.tilde_of(m), m)
 

@@ -235,6 +235,17 @@ def test_conjugate_matches_naive():
                 g, x, frozenset(lat.members(r)))
 
 
+@pytest.mark.parametrize("name", sorted({name for name, _ in SUITE}))
+def test_generator_action_is_conjugation(name):
+    # the facts carried along a class are only right if each row is
+    # the permutation H -> g H g^-1 of the subgroups for its generator g
+    lat = lattice_of(name)
+    gens = lat.group.generator_indices
+    assert len(lat.generator_action) == len(gens)
+    for row, g in zip(lat.generator_action, gens):
+        assert row == tuple(lat.conjugate(r, g).index for r in lat.subgroups)
+
+
 def test_generated():
     lat = lattice_of("D8")
     gens = lat.generating_set(lat.full)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import sclab.runner
+
 from sclab.cache import (
     CACHE_FORMAT,
     cache_dir_from_env,
@@ -294,7 +296,8 @@ def test_cache_rejects_a_partial_class(tmp_path):
 def test_each_subgroup_class_is_computed_once(tmp_path, monkeypatch):
     # S5 has 19 classes of subgroups; the enumerator computes all but the
     # trivial one, a cache load all 19 for its partial-class check, and
-    # the lattice takes its orbits from either without computing them again
+    # the lattice takes its orbits and its generator action from the
+    # classes and moves either hands it, without conjugating them again
     group = builtin_group("S5")
     calls = []
     compute = group.subgroup_class
@@ -306,6 +309,27 @@ def test_each_subgroup_class_is_computed_once(tmp_path, monkeypatch):
     calls.clear()
     cached = load_lattice(tmp_path, group)
     assert cached.orbits == fresh.orbits and len(calls) == 19
+    assert cached.generator_action == fresh.generator_action
+
+
+def test_s5_normalizers_are_computed_once_per_class(monkeypatch):
+    # a run of S5 at 2 asks for the normalizers of its 75 nontrivial
+    # 2-subgroups, which fall into 6 classes; each class costs one
+    # normalizer_bitset call, and the rest are carried along the action
+    lattice = enumerate_subgroups(builtin_group("S5"))
+    computed, asked = [], set()
+    compute, ask = lattice.group.normalizer_bitset, lattice.normalizer
+    monkeypatch.setattr(lattice.group, "normalizer_bitset", lambda bits, gens:
+                        computed.append(bits) or compute(bits, gens))
+    monkeypatch.setattr(lattice, "normalizer",
+                        lambda ref: asked.add(ref.index) or ask(ref))
+    monkeypatch.setattr(sclab.runner, "lattice_for",
+                        lambda group, **knobs: lattice)
+    report = run(VerificationPlan("builtin:S5", 2))
+    class_of = {i: n for n, orbit in enumerate(lattice.orbits) for i in orbit}
+    classes = {class_of[i] for i in asked}
+    assert (len(computed), len(classes), len(asked)) == (6, 6, 75)
+    assert exit_status(report) == 0
 
 
 def test_cached_run_reports_match(tmp_path):
