@@ -56,11 +56,11 @@ def load_lattice(cache_dir: Path, group: PermutationGroup) -> SubgroupLattice | 
             continue
         if group.closure_bitset(b) != b:
             return None
-        orbit, moves = group.subgroup_class(b)  # conjugates of a subgroup are ones too
-        if not stored.issuperset(orbit):
+        cls = group.subgroup_class(b)  # conjugates of a subgroup are ones too
+        if not stored.issuperset(cls[0]):
             return None
-        checked.update(orbit)
-        classes.append((orbit, moves))
+        checked.update(cls[0])
+        classes.append(cls)
     return SubgroupLattice(group, classes)
 
 

@@ -227,7 +227,7 @@ class CollectionContext:
                 "generators": self.lattice.generator_string(ref)}
 
     def _witness_element(self, x: int) -> str:
-        return self.lattice.group.elements[x].cycle_string()
+        return self.lattice.group.element_string(x)
 
     def _condition_M(self) -> ConditionReport:
         """Every distinguished p-subgroup's normalizer sits inside a p-local

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import cached_property
+from math import gcd
 from operator import itemgetter
 
 from .errors import (CapExceeded, InternalInconsistency, ParseError,
@@ -19,50 +20,53 @@ from .perm import Permutation, parse_cycles
 class PermutationGroup:
     """A finite permutation group on {0, ..., degree-1}.
 
-    Elements are materialized, sorted lexicographically by image tuple (which
-    puts the identity at index 0) and addressed by index throughout.
+    Elements are materialized as image tuples, sorted lexicographically
+    (which puts the identity at index 0) and addressed by index throughout.
+    Only the generators, and the lazily built `elements` and `index`, are
+    `Permutation` objects.
     """
 
-    def __init__(self, generators, elements, *, name=None):
+    def __init__(self, generators, images, *, name=None):
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
+        self.images = tuple(sorted(images))
         self.name = name
-        self.degree = self.elements[0].degree
-        self.order = len(self.elements)
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        if not self.elements[0].is_identity():
+        self.degree = len(self.images[0])
+        self.order = len(self.images)
+        if self.images[0] != tuple(range(self.degree)):
             raise InternalInconsistency("identity must sort first")
-        self.generator_indices = tuple(self.index[g] for g in self.generators)
+        self._position = {img: i for i, img in enumerate(self.images)}
+        self.generator_indices = tuple(self._position[g.images]
+                                       for g in self.generators)
         self._columns: dict[int, list[int]] = {}
 
     @classmethod
     def from_generators(cls, generators, *, name=None, degree=None, max_order=None):
+        """Close the generators' image tuples under composition."""
         gens = list(generators)
         if not gens:
-            if degree is None:
-                degree = 1
-            return cls((), (Permutation.identity(degree),), name=name)
+            return cls((), (tuple(range(degree or 1)),), name=name)
         degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise ValueError("generators must share a degree")
-        identity = Permutation.identity(degree)
-        elements = {identity}
-        frontier = [g for g in gens if g not in elements]
-        elements.update(frontier)
+        steps = [g.images for g in gens]
+        identity = tuple(range(degree))
+        images = {identity}
+        frontier = [g for g in steps if g not in images]
+        images.update(frontier)
         while frontier:
             nxt = []
             for g in frontier:
-                for h in gens:
-                    p = g * h
-                    if p not in elements:
-                        elements.add(p)
+                for h in steps:
+                    p = tuple(map(g.__getitem__, h))  # g * h
+                    if p not in images:
+                        images.add(p)
                         nxt.append(p)
-                        if max_order is not None and len(elements) > max_order:
+                        if max_order is not None and len(images) > max_order:
                             raise CapExceeded(
                                 f"group closure exceeded the order cap {max_order}"
                             )
             frontier = nxt
-        return cls(tuple(gens), elements, name=name)
+        return cls(tuple(gens), images, name=name)
 
     def __repr__(self):
         label = self.name or "PermutationGroup"
@@ -78,8 +82,7 @@ class PermutationGroup:
         reached along the Cayley graph from the identity: if x = y * s, then
         mul[x][b] = mul[y][mul[s][b]] (G. Butler, LNCS 559, 1991).
         """
-        images = [g.images for g in self.elements]
-        idx = {img: i for i, img in enumerate(images)}
+        images, idx = self.images, self._position
         steps = [(s, [idx[tuple(map(images[s].__getitem__, b))] for b in images])
                  for s in dict.fromkeys(self.generator_indices) if s]
         rows: list = [None] * self.order
@@ -98,11 +101,59 @@ class PermutationGroup:
 
     @cached_property
     def inv(self) -> list[int]:
-        return [self.index[g.inverse()] for g in self.elements]
+        return [row.index(0) for row in self.mul]
+
+    @cached_property
+    def cyclic_bitsets(self) -> list[int]:
+        """cyclic_bitsets[x] is the cyclic subgroup generated by x: one walk
+        over the powers of x serves every generator x^k, gcd(k, n) = 1, of
+        that subgroup of order n."""
+        mul = self.mul
+        cyclic = [1] * self.order  # 1 (the trivial subgroup) until walked
+        for x in range(1, self.order):
+            if cyclic[x] == 1:
+                powers, y = [0], x
+                while y:
+                    powers.append(y)
+                    y = mul[y][x]
+                n, bits = len(powers), sum(map(_SHIFT, powers))
+                for k in range(1, n):
+                    if gcd(k, n) == 1:
+                        cyclic[powers[k]] = bits
+        return cyclic
 
     @cached_property
     def element_orders(self) -> list[int]:
-        return [g.order() for g in self.elements]
+        return [c.bit_count() for c in self.cyclic_bitsets]
+
+    @cached_property
+    def cyclic_subgroups(self) -> dict[int, int]:
+        """Each nontrivial cyclic subgroup -> its lowest generator, in the
+        order of those generators."""
+        cyclic: dict[int, int] = {}
+        for x in range(1, self.order):
+            cyclic.setdefault(self.cyclic_bitsets[x], x)
+        return cyclic
+
+    @cached_property
+    def zuppos(self) -> dict[int, int]:
+        """The entries of `cyclic_subgroups` of prime-power order."""
+        return {c: x for c, x in self.cyclic_subgroups.items()
+                if _prime_power(c.bit_count())}
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        """The elements as `Permutation`s, in index order."""
+        return tuple(map(Permutation, self.images))
+
+    @cached_property
+    def index(self) -> dict[Permutation, int]:
+        """The index of each element of `elements`."""
+        return dict(zip(self.elements, range(self.order)))
+
+    def element_string(self, x: int) -> str:
+        """Element x in cycle notation."""
+        return Permutation(self.images[x]).cycle_string()
 
     def conjugate_index(self, g: int, x: int) -> int:
         """Index of elements[g] * elements[x] * elements[g]^-1."""
@@ -115,23 +166,27 @@ class PermutationGroup:
         mul, inv = self.mul, self.inv
         return [[mul[y][inv[g]] for y in mul[g]] for g in self.generator_indices]
 
-    def subgroup_class(self, bits: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    def subgroup_class(self, bits: int) -> tuple[
+            list[int], list[tuple[int, ...]], list[tuple[int, ...]]]:
         """The conjugacy class of the subgroup ``bits``, which comes first,
-        closed under conjugation by each generator; and per member, the
+        closed under conjugation by each generator; per member, the
         positions in the class of its conjugates by the generators, in the
-        order of `generator_conjugation`."""
+        order of `generator_conjugation`; and per member, its elements in
+        increasing order."""
         orbit, position, moves = [bits], {bits: 0}, []
-        for h in orbit:
-            members = _bits(h)
+        members = [tuple(_bits(bits))]
+        for hs in members:
             step = []
             for row in self.generator_conjugation:
-                k = sum(1 << row[x] for x in members)
+                image = list(map(row.__getitem__, hs))
+                k = sum(map(_SHIFT, image))
                 if k not in position:
                     position[k] = len(orbit)
                     orbit.append(k)
+                    members.append(tuple(sorted(image)))
                 step.append(position[k])
             moves.append(tuple(step))
-        return orbit, moves
+        return orbit, moves, members
 
     def conjugation_column(self, x: int) -> list[int]:
         """col[g] = conjugate_index(g, x) for every g, built on first use."""
@@ -204,15 +259,6 @@ class PermutationGroup:
                     reps.append(y)
         return found
 
-    def cyclic_bitset(self, x: int) -> int:
-        bits = 1
-        y = x
-        mul = self.mul
-        while not (bits >> y) & 1:
-            bits |= 1 << y
-            y = mul[y][x]
-        return bits
-
     def bitset_members(self, bits: int) -> list[int]:
         return _bits(bits)
 
@@ -220,11 +266,23 @@ class PermutationGroup:
 
     @cached_property
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"degree {self.degree}\n".encode())
-        for g in self.elements:
-            h.update((",".join(map(str, g.images)) + "\n").encode())
-        return h.hexdigest()
+        """SHA-256 of the degree line and one line of images per element."""
+        text = "\n".join([f"degree {self.degree}",
+                          *(",".join(map(str, img)) for img in self.images), ""])
+        return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _prime_power(n: int) -> bool:
+    """Whether n > 1 is a power of its least prime factor."""
+    p = 2
+    while n % p:
+        p += 1
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+_SHIFT = (1).__lshift__  # _SHIFT(x) is the bitset {x}
 
 
 def _bits(mask: int) -> list[int]:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
 from .errors import (CapExceeded, InternalInconsistency, NotAPGroup,
@@ -42,6 +44,10 @@ class Order(NamedTuple):
     up: object
 
 
+# maps the digits of a bitset in binary to 1 for a clear bit, 0 for a set one
+_OUTSIDE = bytes.maketrans(b"01", b"\x01\x00")
+
+
 class _LazyMasks(dict):
     """One bitmask per position, built by build(i) on first use."""
 
@@ -65,41 +71,40 @@ def enumerate_subgroups(group: PermutationGroup, *, max_order: int = DEFAULT_ORD
                         max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> "SubgroupLattice":
     """All subgroups of ``group`` by cyclic extension of class representatives.
 
-    Every subgroup is a join of cyclic subgroups, and if K = <H, c> with
-    H = R^g, then <R, c^(g^-1)> is conjugate to K. So only the first subgroup
-    R found in each class (with the generators it was built from) is
-    extended, and a new subgroup adds its whole class. As <R, c^n> = <R, c>^n
-    for n in N_G(R), R is extended by one cyclic subgroup from each N_G(R)-
-    orbit of those it misses. The orbit of c is its class when R is normal,
-    {c} when c is, and otherwise is read off c's conjugation column.
+    Every subgroup is generated by its elements of prime-power order, so it
+    is a join of cyclic subgroups of prime-power order (zuppos). Every
+    cyclic subgroup is added as a class, and if K = <H, z> with H = R^g,
+    then <R, z^(g^-1)> is conjugate to K. So only the first subgroup R found
+    in each class (with the generators it was built from) is extended, each
+    time by a zuppo, and a new subgroup adds its whole class. As
+    <R, z^n> = <R, z>^n for n in N_G(R), R is extended by one zuppo from
+    each N_G(R)-orbit of those it misses. The orbit of z is its class when R
+    is normal, {z} when z is, and otherwise is read off z's conjugation
+    column.
     """
     if group.order > max_order:
         raise CapExceeded(f"group order {group.order} exceeds the cap {max_order}")
-    cyclic: dict[int, int] = {}  # cyclic subgroup -> one generator
-    cyclic_of = [1] * group.order  # element -> the cyclic subgroup it generates
-    for x in range(1, group.order):
-        cyclic_of[x] = group.cyclic_bitset(x)
-        cyclic.setdefault(cyclic_of[x], x)
+    cyclic_of = group.cyclic_bitsets  # element -> the cyclic subgroup it generates
     classes: dict[int, list[int]] = {1: [1]}  # subgroup -> its class
-    reps: list[tuple[int, tuple[int, ...]]] = []  # (subgroup, its generators)
-    found = [([1], [(0,) * len(group.generator_indices)])]  # (class, moves)
+    reps = []  # (subgroup, its generators, its members)
+    found = [([1], [(0,) * len(group.generator_indices)], [(0,)])]
 
     def add_class(bits, gens):
         if bits in classes:
             return
-        reps.append((bits, gens))
-        orbit, moves = group.subgroup_class(bits)
-        found.append((orbit, moves))
+        orbit, moves, members = cls = group.subgroup_class(bits)
+        reps.append((bits, gens, members[0]))
+        found.append(cls)
         classes.update(dict.fromkeys(orbit, orbit))
         if len(classes) > max_subgroups:
             raise CapExceeded(f"subgroup count exceeded the cap {max_subgroups}")
 
-    for c, x in cyclic.items():
+    for c, x in group.cyclic_subgroups.items():
         add_class(c, (x,))
-    for bits, gens in reps:
-        rows = list(map(group.mul.__getitem__, group.bitset_members(bits)))
+    for bits, gens, members in reps:
+        rows = list(map(group.mul.__getitem__, members))
         norm, covered = None, set()  # N_G(R)'s members; orbits already met
-        for c, x in cyclic.items():
+        for c, x in group.zuppos.items():
             if c | bits == bits or c in covered:
                 continue
             if len(classes[bits]) == 1:  # N_G(R) = G: c's orbit is its class
@@ -115,22 +120,22 @@ def enumerate_subgroups(group: PermutationGroup, *, max_order: int = DEFAULT_ORD
 class SubgroupLattice:
     def __init__(self, group: PermutationGroup, classes):
         """classes: the conjugacy classes of subgroups, which together hold
-        every subgroup once, each a pair (bitsets, moves) as
+        every subgroup once, each a triple (bitsets, moves, members) as
         `PermutationGroup.subgroup_class` returns it."""
         self.group = group
-        bitsets = [bits for orbit, _ in classes for bits in orbit]
-        members = {bits: tuple(group.bitset_members(bits)) for bits in bitsets}
+        members = {bits: hs for orbit, _, ms in classes
+                   for bits, hs in zip(orbit, ms)}
         order_key = lambda bits: (len(members[bits]), members[bits])
-        self._bitsets = tuple(sorted(bitsets, key=order_key))
+        self._bitsets = tuple(sorted(members, key=order_key))
         self._members = members
         self.subgroups = tuple(
             SubgroupRef(order=len(members[bits]), index=i, bitset=bits)
             for i, bits in enumerate(self._bitsets))
         self._index = {bits: i for i, bits in enumerate(self._bitsets)}
         # per group generator g, the permutation i -> index of g H_i g^-1
-        action = [[0] * len(bitsets) for _ in group.generator_indices]
+        action = [[0] * len(members) for _ in group.generator_indices]
         orbits = []
-        for orbit, moves in classes:
+        for orbit, moves, _ in classes:
             at = list(map(self._index.__getitem__, orbit))
             for i, step in zip(at, moves):
                 for row, k in zip(action, step):
@@ -178,13 +183,41 @@ class SubgroupLattice:
     @cached_property
     def order(self) -> Order:
         """Strict inclusion over lattice indices, each mask built on first
-        use; subgroups sort by order, so indices are a linear extension."""
-        bits = self._bitsets  # not self: the lattice stays free of cycles
-        down = _LazyMasks(lambda i: sum(
-            1 << j for j in range(i) if bits[j] | bits[i] == bits[i]))
-        up = _LazyMasks(lambda i: sum(1 << j for j in range(i + 1, len(bits))
-                                      if bits[j] & bits[i] == bits[i]))
-        return Order(range(len(bits)), range(len(bits)), down, up)
+        use; subgroups sort by order, so indices are a linear extension.
+
+        H_j is in H_i exactly when H_j holds no zuppo outside H_i, since
+        zuppos generate every subgroup. So with holding[z] the mask of the
+        subgroups that hold z, the lowest generator of a zuppo, up[i] is the
+        AND of holding[z] over the z in H_i, and down[i] is the complement
+        of the OR of holding[z] over the z outside H_i: each mask is one fold
+        of the rows of holding."""
+        # the masks are built by closures that hold no reference to self,
+        # so the lattice stays free of cycles
+        bits, members = self._bitsets, self._members
+        holding = [0] * self.group.order  # 0 for an element that is no z
+        zuppos = list(self.group.zuppos.values())
+        held_by = set(zuppos).intersection
+        for i, b in enumerate(bits):
+            bit = 1 << i
+            for z in held_by(members[b]):
+                holding[z] |= bit
+        # the identity lies in every subgroup, so its outside flag is 0; two
+        # leading picks of it make `pick` return a tuple for any zuppo count
+        pick = itemgetter(0, 0, *zuppos)
+        rows = [0, 0, *map(holding.__getitem__, zuppos)]
+        width, full = self.group.order, (1 << len(bits)) - 1
+
+        def down(i):
+            outside = f"{bits[i]:0{width}b}".encode().translate(_OUTSIDE)[::-1]
+            meets = reduce(or_, compress(rows, pick(outside)), 0)
+            return ((1 << i) - 1) & ~meets
+
+        def up(i):
+            held = filter(None, map(holding.__getitem__, members[bits[i]]))
+            return reduce(and_, held, full) ^ 1 << i
+
+        return Order(range(len(bits)), range(len(bits)),
+                     _LazyMasks(down), _LazyMasks(up))
 
     def generating_set(self, ref: SubgroupRef) -> tuple[int, ...]:
         """A small generating set, chosen greedily in canonical element order."""
@@ -204,7 +237,7 @@ class SubgroupLattice:
         gens = self.generating_set(ref)
         if not gens:
             return "()"
-        return ", ".join(self.group.elements[x].cycle_string() for x in gens)
+        return ", ".join(map(self.group.element_string, gens))
 
     # ----- conjugation ----------------------------------------------------
 

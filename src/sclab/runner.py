@@ -65,7 +65,7 @@ class VerificationPlan:
 def _group_section(group: PermutationGroup) -> dict:
     return {"name": group.name, "degree": group.degree, "order": group.order,
             "hash": group.content_hash,
-            "generators": [group.elements[i].cycle_string()
+            "generators": [group.element_string(i)
                            for i in group.generator_indices]}
 
 

@@ -54,6 +54,18 @@ def subgroups(group) -> set[frozenset]:
     return found
 
 
+def inclusion_masks(lat) -> tuple[list[int], list[int]]:
+    """Per lattice index i, the masks of the indices of the subgroups
+    strictly inside and strictly containing subgroup i, by a scan of every
+    pair."""
+    bits = [r.bitset for r in lat.subgroups]
+    down = [sum(1 << j for j, b in enumerate(bits) if j != i and b | a == a)
+            for i, a in enumerate(bits)]
+    up = [sum(1 << j for j, b in enumerate(bits) if j != i and b & a == a)
+          for i, a in enumerate(bits)]
+    return down, up
+
+
 def element_order(group, x: int) -> int:
     mul = group.mul
     n, y = 1, x

@@ -140,6 +140,23 @@ def test_multiplication_table_matches_permutation_products():
                 assert g.mul[a][b] == g.index[pa * pb], (g.name, a, b)
 
 
+def test_tables_match_permutation_arithmetic():
+    # the tables come from image tuples: mul composes them, inv reads each
+    # mul row, and element_orders are the sizes of the cyclic subgroups
+    groups = [builtin_group(name) for name in (*BUILTIN_ORDERS, "Zn:12")]
+    groups += [load_group(str(DATA / name)) for name in ("psl27.grp", "d8xz2.grp")]
+    for g in groups:
+        perms = sorted(map(Permutation, g.images))
+        assert list(g.elements) == perms and perms[0].is_identity(), g.name
+        where = {pa: a for a, pa in enumerate(perms)}
+        assert g.generator_indices == tuple(where[s] for s in g.generators)
+        for a, pa in enumerate(perms):
+            assert g.mul[a] == [where[pa * pb] for pb in perms], (g.name, a)
+            assert g.inv[a] == where[pa.inverse()], (g.name, a)
+            assert g.element_orders[a] == pa.order(), (g.name, a)
+            assert g.element_string(a) == pa.cycle_string()
+
+
 def test_generator_lists_with_identity_and_repeats():
     g = parse_group_text(REPEATS)
     assert g.order == 24 and g.generator_indices[0] == 0

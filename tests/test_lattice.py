@@ -1,12 +1,15 @@
 import time
+from pathlib import Path
 
 import pytest
 
 import _naive as naive
 from _suite import SMALL_SUITE, SUITE, lattice_of
 from sclab.errors import InternalInconsistency, PrimeDoesNotDivide
-from sclab.group import builtin_group, parse_group_text
+from sclab.group import builtin_group, load_group, parse_group_text
 from sclab.lattice import enumerate_subgroups, p_core_of_group, p_part
+
+DATA = Path(__file__).parent / "data"
 
 # textbook subgroup counts
 SUBGROUP_COUNTS = {"D8": 10, "Q8": 6, "S3": 6, "A4": 10, "S4": 30,
@@ -20,8 +23,11 @@ def test_subgroup_counts():
 
 def test_counts_match_naive_enumeration():
     # in A5 no nontrivial cyclic subgroup is normal, so each representative
-    # is extended by one cyclic subgroup per orbit of its normalizer
-    for name in ("D8", "Q8", "S3", "A4", "S4", "D12", "SL23", "A5"):
+    # is extended by one zuppo per orbit of its normalizer; D12, Z12 and
+    # Z30 have elements of composite order, which generate cyclic subgroups
+    # that are added but never extended by
+    for name in ("D8", "Q8", "S3", "A4", "S4", "D12", "SL23", "A5",
+                 "Zn:12", "Zn:30"):
         lat = lattice_of(name)
         brute = naive.subgroups(lat.group)
         assert {frozenset(lat.members(r)) for r in lat.subgroups} == brute, name
@@ -63,7 +69,10 @@ def test_s5_extends_once_per_normalizer_orbit(monkeypatch):
     monkeypatch.setattr(g, "dimino_step",
                         lambda *args: steps.append(args) or step(*args))
     assert len(enumerate_subgroups(g)) == 156
-    assert len(steps) <= 199  # 1,079 when extending by every cyclic subgroup
+    # 199 when a representative was extended by one cyclic subgroup of any
+    # order per orbit, and 1,079 by every cyclic subgroup it misses; the
+    # prime-power ones are enough, as they generate every subgroup
+    assert len(steps) == 161
 
 
 def test_d8_times_z2_matches_naive_enumeration():
@@ -86,6 +95,21 @@ def test_s6_enumerates_within_ten_seconds():
     lat = enumerate_subgroups(g)
     assert time.perf_counter() - start < 10
     assert (len(lat), len(lat.orbits)) == (1455, 56)
+
+
+@pytest.mark.parametrize("name", [*sorted({name for name, _ in SUITE}),
+                                  "z2_5.grp", "d8xd8.grp"])
+def test_order_masks_match_inclusion_scan(name):
+    # the masks are folds of the zuppos' holding masks; the oracle scans
+    # every pair of subgroups
+    if name.endswith(".grp"):
+        lat = enumerate_subgroups(load_group(str(DATA / name)))
+    else:
+        lat = lattice_of(name)
+    down, up = naive.inclusion_masks(lat)
+    order = lat.order
+    for i in range(len(lat)):
+        assert (order.down[i], order.up[i]) == (down[i], up[i]), (name, i)
 
 
 def test_canonical_order():
