@@ -164,8 +164,7 @@ class CollectionContext:
         if not self.is_p_centric(ref):
             return False
         lat = self.lattice
-        pc = lat.generated(lat.generating_set(ref) + lat.generating_set(
-            lat.centralizer(ref)))
+        pc = lat.join(ref, lat.centralizer(ref))
         return p_core_of_group(lat, lat.normalizer(ref), pc, self.p) == pc
 
     # ----- collections -------------------------------------------------------

@@ -22,8 +22,7 @@ class PermutationGroup:
 
     Elements are materialized as image tuples, sorted lexicographically
     (which puts the identity at index 0) and addressed by index throughout.
-    Only the generators, and the lazily built `elements` and `index`, are
-    `Permutation` objects.
+    Only the generators are `Permutation` objects.
     """
 
     def __init__(self, generators, images, *, name=None):
@@ -140,16 +139,6 @@ class PermutationGroup:
         """The entries of `cyclic_subgroups` of prime-power order."""
         return {c: x for c, x in self.cyclic_subgroups.items()
                 if _prime_power(c.bit_count())}
-
-    @cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        """The elements as `Permutation`s, in index order."""
-        return tuple(map(Permutation, self.images))
-
-    @cached_property
-    def index(self) -> dict[Permutation, int]:
-        """The index of each element of `elements`."""
-        return dict(zip(self.elements, range(self.order)))
 
     def element_string(self, x: int) -> str:
         """Element x in cycle notation."""

@@ -67,8 +67,8 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
-def enumerate_subgroups(group: PermutationGroup, *, max_order: int = DEFAULT_ORDER_CAP,
-                        max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> "SubgroupLattice":
+def enumerate_subgroups(group: PermutationGroup, *,
+                        max_order: int = DEFAULT_ORDER_CAP) -> "SubgroupLattice":
     """All subgroups of ``group`` by cyclic extension of class representatives.
 
     Every subgroup is generated by its elements of prime-power order, so it
@@ -96,8 +96,9 @@ def enumerate_subgroups(group: PermutationGroup, *, max_order: int = DEFAULT_ORD
         reps.append((bits, gens, members[0]))
         found.append(cls)
         classes.update(dict.fromkeys(orbit, orbit))
-        if len(classes) > max_subgroups:
-            raise CapExceeded(f"subgroup count exceeded the cap {max_subgroups}")
+        if len(classes) > DEFAULT_SUBGROUP_CAP:
+            raise CapExceeded(
+                f"subgroup count exceeded the cap {DEFAULT_SUBGROUP_CAP}")
 
     for c, x in group.cyclic_subgroups.items():
         add_class(c, (x,))
@@ -179,6 +180,15 @@ class SubgroupLattice:
 
     def leq(self, a: SubgroupRef, b: SubgroupRef) -> bool:
         return a.bitset | b.bitset == b.bitset
+
+    def join(self, a: SubgroupRef, b: SubgroupRef) -> SubgroupRef:
+        """The subgroup generated by a and b: the larger of the two when they
+        are comparable, otherwise the lowest position common to both
+        up-masks, as subgroups sort by order."""
+        if a.bitset | b.bitset in (a.bitset, b.bitset):
+            return max(a, b)
+        common = self.order.up[a.index] & self.order.up[b.index]
+        return self.subgroups[(common & -common).bit_length() - 1]
 
     @cached_property
     def order(self) -> Order:
@@ -387,19 +397,12 @@ class SubgroupLattice:
 def p_core_of_group(lattice: SubgroupLattice, big: SubgroupRef,
                     normal: SubgroupRef, p: int) -> SubgroupRef:
     """The preimage in ``big`` of O_p(big/normal), for ``normal`` normal in
-    ``big``: the intersection of T v normal over the Sylow p-subgroups T of
-    ``big``, whose images are the Sylow p-subgroups of the quotient. T v
-    normal (the product T * normal) is T when normal <= T, as always for
-    the trivial subgroup, and otherwise the lowest common upper bound, as
-    subgroups sort by order."""
+    ``big``: the intersection of T v normal (the product T * normal) over
+    the Sylow p-subgroups T of ``big``, whose images are the Sylow
+    p-subgroups of the quotient."""
     target = p_part(big.order, p)
     acc = big.bitset
     for t in lattice.subgroups:
         if t.order == target and t.bitset | big.bitset == big.bitset:
-            if normal.bitset | t.bitset != t.bitset:
-                up = lattice.order.up
-                common = (up[t.index] | 1 << t.index) & (
-                    up[normal.index] | 1 << normal.index)
-                t = lattice.subgroups[(common & -common).bit_length() - 1]
-            acc &= t.bitset
+            acc &= lattice.join(t, normal).bitset
     return lattice.by_bitset(acc)

@@ -21,9 +21,6 @@ from .tables import (SKIPPED, TABLE31, TABLE44, is_dihedral8,
 
 REPORT_FORMAT = "sclab-report/4"
 
-SUITES = ("table31", "table44", "counterexamples", "inclusions",
-          "conditions", "all")
-
 # analyses the report deliberately leaves out; listed so a reader of the
 # report knows the boundary of what a clean run claims
 NOT_CHECKED = (
@@ -79,7 +76,7 @@ def _table_section(lattice, prime, table, max_simplices) -> dict:
     return {"edges": [r.to_json() for r in results]}
 
 
-def _counterexamples_section(lattice, prime, max_simplices) -> dict:
+def _counterexamples_section(lattice, prime, _suite, max_simplices) -> dict:
     applicable = is_dihedral8(lattice.group) and prime == 2
     results = verify_counterexamples(lattice, prime,
                                      max_simplices=max_simplices)
@@ -91,11 +88,11 @@ def _counterexamples_section(lattice, prime, max_simplices) -> dict:
     return section
 
 
-def _inclusions_section(lattice, prime) -> dict:
+def _inclusions_section(lattice, prime, _suite, _max_simplices) -> dict:
     return {"chains": verify_inclusion_chains(lattice, prime)}
 
 
-def _conditions_section(lattice, prime) -> dict:
+def _conditions_section(lattice, prime, _suite, _max_simplices) -> dict:
     ctx = collection_context(lattice, prime)
     reports = {c: ctx.condition(c).to_json() for c in CONDITIONS}
     section = {"reports": reports}
@@ -106,6 +103,16 @@ def _conditions_section(lattice, prime) -> dict:
     return section
 
 
+# suite -> its section builder, called as (lattice, prime, suite,
+# max_simplices)
+_SECTIONS = {TABLE31: _table_section, TABLE44: _table_section,
+             "counterexamples": _counterexamples_section,
+             "inclusions": _inclusions_section,
+             "conditions": _conditions_section}
+
+SUITES = (*_SECTIONS, "all")
+
+
 def run(plan: VerificationPlan) -> dict:
     """Execute the plan and return the report dictionary."""
     plan.validate()
@@ -114,19 +121,10 @@ def run(plan: VerificationPlan) -> dict:
                           max_order=plan.max_order)
     ctx = collection_context(lattice, plan.prime)
 
-    suites: dict = {}
-    wanted = SUITES[:-1] if plan.suite == "all" else (plan.suite,)
-    for suite in wanted:
-        if suite == TABLE31 or suite == TABLE44:
-            suites[suite] = _table_section(lattice, plan.prime, suite,
-                                           plan.max_simplices)
-        elif suite == "counterexamples":
-            suites[suite] = _counterexamples_section(lattice, plan.prime,
-                                                     plan.max_simplices)
-        elif suite == "inclusions":
-            suites[suite] = _inclusions_section(lattice, plan.prime)
-        elif suite == "conditions":
-            suites[suite] = _conditions_section(lattice, plan.prime)
+    wanted = _SECTIONS if plan.suite == "all" else (plan.suite,)
+    suites = {suite: _SECTIONS[suite](lattice, plan.prime, suite,
+                                      plan.max_simplices)
+              for suite in wanted}
 
     report = {
         "format": REPORT_FORMAT,

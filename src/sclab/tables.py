@@ -35,7 +35,7 @@ class EdgeSpec:
     row: str             # EO | C | EA for horizontals, EO|C | C|EA for verticals
     kinds: tuple         # two endpoint kinds, or one kind for a vertical edge
     style: str           # solid | dashed | dotted
-    checker: str
+    checker: str         # a key of _CHECKERS
     conditions: tuple = ()
     counterexample: tuple = ()   # (subgroup_token, left_expectation, right_expectation)
 
@@ -119,22 +119,31 @@ def table_edges(table: str) -> tuple:
 # avatar plumbing
 
 
-def _eo_pair(lat, poset):
-    return (lambda h: poset.above(h)), (lambda h: poset.fixed_points(h))
+def _cut(lat, row, h):
+    """The side of the subgroup K that an avatar at h keeps on row: the EO
+    rows keep the subgroups above K = h, the EA rows those below K = C_G(h).
+    The same (side, K) names the retraction q -> q v K or q -> q ^ K of the
+    h-fixed poset onto that side; H normalizes every q of that poset, so qH
+    is the join q v H."""
+    if row in ("EO", "EO|C"):
+        return ">=", h
+    if row in ("EA", "C|EA"):
+        return "<=", lat.centralizer(h)
+    raise ValueError(f"row {row!r} has no avatar cut")
 
 
-def _ea_pair(lat, poset):
-    return (lambda h: poset.below(lat.centralizer(h))), \
-           (lambda h: poset.fixed_points(h))
+def _keep(poset, side, k):
+    return poset.above(k) if side == ">=" else poset.below(k)
 
 
-def _eo_retraction(lat):
-    # H normalizes every q of the H-fixed poset, so qH is the join q v H
-    return lambda h: (">=", h)
-
-
-def _ea_retraction(lat):
-    return lambda h: ("<=", lat.centralizer(h))
+def _avatars(ctx, spec, posets, h):
+    """The two posets an edge compares at the subgroup h: both kinds cut on
+    a row, the cut against the h-fixed poset between rows."""
+    cut = _cut(ctx.lattice, spec.row, h)
+    if len(spec.kinds) == 2:
+        return tuple(_keep(posets[k], *cut) for k in spec.kinds)
+    poset = posets[spec.kinds[0]]
+    return _keep(poset, *cut), poset.fixed_points(h)
 
 
 def _subgroups_of(lat, s):
@@ -148,10 +157,7 @@ def is_dihedral8(group) -> bool:
 
 def _d8_subgroup(lat, token):
     for r in lat.subgroups:
-        if r.order != 4:
-            continue
-        elem_ab = lat.is_elementary_abelian(r, 2)
-        if (token == "V4") == elem_ab:
+        if r.order == 4 and lat.is_elementary_abelian(r, 2) == (token == "V4"):
             return r
     raise InternalInconsistency(f"no subgroup for token {token!r}")
 
@@ -220,93 +226,58 @@ def _compare_nerves(ctx, left: GPoset, right: GPoset, max_simplices) -> dict:
     return {"left": pl.to_json(), "right": pr.to_json(), "agree": pl == pr}
 
 
-def _check_solid(ctx, spec, posets, max_simplices) -> EdgeResult:
-    left, right = (posets[k] for k in spec.kinds)
-    holding = [c for c in spec.conditions if ctx.condition(c).holds]
-    detail = {}
-    if spec.conditions:
-        detail["conditions"] = {c: ctx.condition(c).to_json()
-                                for c in spec.conditions}
-        if not holding:
-            detail["note"] = "no gating condition holds"
-            return EdgeResult(spec, SKIPPED, detail)
-        detail["holding"] = holding
+# inclusion checker -> (mode, reads right-to-left); the pruning edges keep
+# the smaller collection, which stands on the right
+_INCLUSIONS = {
+    "fibers": ("fibers", False),
+    "lower": ("lower", False),
+    "prune": ("upper", True),
+    "prune-equivariant": ("upper-equivariant", True),
+}
 
-    if spec.checker in ("fibers", "lower"):
-        res = _inclusion(ctx, left, right, spec.checker, max_simplices)
-    elif spec.checker in ("prune", "prune-equivariant"):
-        mode = "upper-equivariant" if spec.checker == "prune-equivariant" else "upper"
-        # pruning edges read right-to-left: the smaller collection is kept
-        res = _inclusion(ctx, right, left, mode, max_simplices)
-    elif spec.checker == "fibers-by-centralizer":
-        return _check_by_centralizer(ctx, spec, left, right, detail,
-                                     max_simplices)
-    else:
-        raise ValueError(f"unknown solid checker {spec.checker!r}")
 
-    status = _squash(res.outcome)
+def _by_inclusion(ctx, spec, posets, max_simplices, detail) -> str:
+    mode, backwards = _INCLUSIONS[spec.checker]
+    sub, ambient = (posets[k] for k in spec.kinds[::-1 if backwards else 1])
+    res = _inclusion(ctx, sub, ambient, mode, max_simplices)
     detail["inclusion"] = res.to_json()
-    if status == CERTIFIED:
-        cross = _compare_nerves(ctx, left, right, max_simplices)
-        detail["homology"] = cross
-        if not cross["agree"]:
-            status = MISMATCH
-    return EdgeResult(spec, status, detail)
+    return _squash(res.outcome)
 
 
-def _check_by_centralizer(ctx, spec, left, right, detail,
-                          max_simplices) -> EdgeResult:
-    """Per-subgroup fiber checks inside each centralizer's lower set; this
-    certifies the centralizer-restriction row without equivariance demands."""
+def _by_centralizer(ctx, spec, posets, max_simplices, detail) -> str:
+    """Per-subgroup fiber checks between the row's avatars, inside each
+    centralizer's lower set; this certifies the centralizer-restriction row
+    without equivariance demands."""
     lat = ctx.lattice
     rows = []
-    worst = PASS
     for h in lat.orbit_representatives():
-        cg = lat.centralizer(h)
-        res = _inclusion(ctx, left.below(cg), right.below(cg), "fibers",
-                         max_simplices, equivariant=False)
+        left, right = _avatars(ctx, spec, posets, h)
+        res = _inclusion(ctx, left, right, "fibers", max_simplices,
+                         equivariant=False)
         rows.append({"subgroup": h.index, "order": h.order,
                      "outcome": res.outcome,
                      "witnesses": list(res.witnesses)})
-        if res.outcome == FAIL:
-            worst = FAIL
-        elif res.outcome == INCONCLUSIVE and worst != FAIL:
-            worst = INCONCLUSIVE
-    status = _squash(worst)
+    outcomes = {row["outcome"] for row in rows}
     detail["per_centralizer"] = rows
-    if status == CERTIFIED:
-        cross = _compare_nerves(ctx, left, right, max_simplices)
-        detail["homology"] = cross
-        if not cross["agree"]:
-            status = MISMATCH
-    return EdgeResult(spec, status, detail)
+    return _squash(FAIL if FAIL in outcomes else
+                   INCONCLUSIVE if INCONCLUSIVE in outcomes else PASS)
 
 
-def _check_dashed(ctx, spec, posets, max_simplices) -> EdgeResult:
+def _by_scan(ctx, spec, posets, max_simplices, detail) -> str:
+    """The cut avatar against the h-fixed poset at every subgroup h of a
+    Sylow group, each certified by the retraction onto the cut's side when
+    it lands in the avatar."""
     lat = ctx.lattice
-    detail = {}
-    if spec.conditions:
-        detail["conditions"] = {c: ctx.condition(c).to_json()
-                                for c in spec.conditions}
-        if not any(ctx.condition(c).holds for c in spec.conditions):
-            detail["note"] = "no gating condition holds"
-            return EdgeResult(spec, SKIPPED, detail)
     poset = posets[spec.kinds[0]]
-    if spec.checker == "eo-scan":
-        left_of, right_of = _eo_pair(lat, poset)
-        retraction = _eo_retraction(lat)
-    elif spec.checker == "ea-scan":
-        left_of, right_of = _ea_pair(lat, poset)
-        retraction = _ea_retraction(lat)
-    else:
-        raise ValueError(f"unknown dashed checker {spec.checker!r}")
+    cut = lambda h: _cut(lat, spec.row, h)
 
     def scan_of(sylow):
         return _once(ctx, (spec.checker, poset.mask, sylow.index,
                            max_simplices),
                      lambda: fixed_point_equivalence_scan(
-                         _subgroups_of(lat, sylow), left_of, right_of,
-                         retraction=retraction, max_simplices=max_simplices))
+                         _subgroups_of(lat, sylow),
+                         lambda h: _keep(poset, *cut(h)), poset.fixed_points,
+                         retraction=cut, max_simplices=max_simplices))
 
     sylows = lat.sylow(ctx.p)
     scan = scan_of(sylows[0])
@@ -323,33 +294,19 @@ def _check_dashed(ctx, spec, posets, max_simplices) -> EdgeResult:
                                   "status": other.status, "agrees": agrees}
         if not agrees:
             status = MISMATCH
-    return EdgeResult(spec, status, detail)
+    return status
 
 
-def _dotted_avatars(ctx, spec, posets, h):
-    """The two posets a dotted edge compares at the subgroup h."""
+def _by_h1(ctx, spec, posets, max_simplices, detail) -> str:
     lat = ctx.lattice
-    if spec.row in ("EO", "EA"):
-        left, right = (posets[k] for k in spec.kinds)
-        if spec.row == "EO":
-            return left.above(h), right.above(h)
-        cg = lat.centralizer(h)
-        return left.below(cg), right.below(cg)
-    pair = _eo_pair if spec.row == "EO|C" else _ea_pair
-    left_of, right_of = pair(lat, posets[spec.kinds[0]])
-    return left_of(h), right_of(h)
-
-
-def _check_dotted(ctx, spec, posets, max_simplices) -> EdgeResult:
-    lat = ctx.lattice
-    left1, right1 = _dotted_avatars(ctx, spec, posets, lat.trivial)
-    h1 = _compare_nerves(ctx, left1, right1, max_simplices)
-    detail = {"h1_homology": h1}
+    h1 = _compare_nerves(ctx, *_avatars(ctx, spec, posets, lat.trivial),
+                         max_simplices)
+    detail["h1_homology"] = h1
     status = HOMOLOGY_CONSISTENT if h1["agree"] else MISMATCH
     if spec.counterexample and is_dihedral8(lat.group) and ctx.p == 2:
         token, expect_left, expect_right = spec.counterexample
         h = _d8_subgroup(lat, token)
-        lposet, rposet = _dotted_avatars(ctx, spec, posets, h)
+        lposet, rposet = _avatars(ctx, spec, posets, h)
         ok_l, obs_l = _expectation_holds(lposet, expect_left, max_simplices)
         ok_r, obs_r = _expectation_holds(rposet, expect_right, max_simplices)
         reproduced = ok_l and ok_r
@@ -360,6 +317,36 @@ def _check_dotted(ctx, spec, posets, max_simplices) -> EdgeResult:
             "reproduced": reproduced,
         }
         if not reproduced:
+            status = MISMATCH
+    return status
+
+
+# EdgeSpec.checker -> fn(ctx, spec, posets, max_simplices, detail), which
+# fills detail and returns the edge's status
+_CHECKERS = {**dict.fromkeys(_INCLUSIONS, _by_inclusion),
+             "fibers-by-centralizer": _by_centralizer,
+             "eo-scan": _by_scan, "ea-scan": _by_scan, "h1": _by_h1}
+
+
+def _check_edge(ctx, spec, posets, max_simplices) -> EdgeResult:
+    """Gate the edge on its conditions, run its checker, and back a
+    CERTIFIED solid edge by the homology of the two nerves."""
+    detail = {}
+    if spec.conditions:
+        detail["conditions"] = {c: ctx.condition(c).to_json()
+                                for c in spec.conditions}
+        holding = [c for c in spec.conditions if ctx.condition(c).holds]
+        if not holding:
+            detail["note"] = "no gating condition holds"
+            return EdgeResult(spec, SKIPPED, detail)
+        if spec.style == "solid":
+            detail["holding"] = holding
+    status = _CHECKERS[spec.checker](ctx, spec, posets, max_simplices, detail)
+    if status == CERTIFIED and spec.style == "solid":
+        left, right = (posets[k] for k in spec.kinds)
+        cross = detail["homology"] = _compare_nerves(ctx, left, right,
+                                                     max_simplices)
+        if not cross["agree"]:
             status = MISMATCH
     return EdgeResult(spec, status, detail)
 
@@ -374,21 +361,16 @@ def _posets_for(lattice, ctx, specs) -> dict:
             for k in kinds}
 
 
+def _check_edges(lattice, p, specs, max_simplices) -> list:
+    ctx = collection_context(lattice, p)
+    posets = _posets_for(lattice, ctx, specs)
+    return [_check_edge(ctx, spec, posets, max_simplices) for spec in specs]
+
+
 def verify_table_edges(lattice, p: int, table: str, *,
                        max_simplices: int = DEFAULT_SIMPLEX_CAP) -> list:
     """Run every edge check of one table; returns EdgeResults in table order."""
-    ctx = collection_context(lattice, p)
-    specs = table_edges(table)
-    posets = _posets_for(lattice, ctx, specs)
-    out = []
-    for spec in specs:
-        if spec.style == "solid":
-            out.append(_check_solid(ctx, spec, posets, max_simplices))
-        elif spec.style == "dashed":
-            out.append(_check_dashed(ctx, spec, posets, max_simplices))
-        else:
-            out.append(_check_dotted(ctx, spec, posets, max_simplices))
-    return out
+    return _check_edges(lattice, p, table_edges(table), max_simplices)
 
 
 def counterexample_edges() -> tuple:
@@ -402,10 +384,7 @@ def verify_counterexamples(lattice, p: int, *,
     dihedral group of order 8 at p = 2 has documented ones."""
     if not (is_dihedral8(lattice.group) and p == 2):
         return []
-    ctx = collection_context(lattice, p)
-    specs = counterexample_edges()
-    posets = _posets_for(lattice, ctx, specs)
-    return [_check_dotted(ctx, spec, posets, max_simplices) for spec in specs]
+    return _check_edges(lattice, p, counterexample_edges(), max_simplices)
 
 
 _CHAINS = (

@@ -18,8 +18,7 @@ from sclab.group import builtin_group
 from sclab.homology import homology, smith_normal_form
 from sclab.lattice import p_part
 from sclab.poset import GPoset, order_complex, positions
-from sclab.tables import (TABLE31_EDGES, TABLE44_EDGES, _ea_pair,
-                          _ea_retraction, _eo_pair, _eo_retraction,
+from sclab.tables import (TABLE31_EDGES, TABLE44_EDGES, _cut, _keep,
                           _subgroups_of)
 
 import _naive
@@ -501,13 +500,9 @@ def check_retraction_matches_oracle(b: Budget) -> None:
             if spec.style != "dashed":
                 continue
             poset = GPoset.from_collection(lat, ctx.collection(spec.kinds[0]))
-            pair, own = ((_eo_pair, _eo_retraction) if spec.checker == "eo-scan"
-                         else (_ea_pair, _ea_retraction))
-            left_of, right_of = pair(lat, poset)
-            own = own(lat)
             for h in sorted(scanned):
-                left, right = left_of(h), right_of(h)
-                side, k = own(h)
+                side, k = _cut(lat, spec.row, h)
+                left, right = _keep(poset, side, k), poset.fixed_points(h)
                 for s, product in ((side, spec.checker == "eo-scan"),
                                    ({">=": "<=", "<=": ">="}[side], False)):
                     tag = (name, p, spec.edge_id, h.index, s)
@@ -517,7 +512,7 @@ def check_retraction_matches_oracle(b: Budget) -> None:
                     b.check(_lattice_retraction(right, left.mask, s, k)
                             == (None if image & ~left.mask else image), tag)
                     (row,) = fixed_point_equivalence_scan(
-                        [h], left_of, right_of,
+                        [h], lambda _: left, lambda _: right,
                         retraction=lambda _, s=s: (s, k)).per_subgroup
                     if row.method in ("equal", "emptiness"):
                         continue

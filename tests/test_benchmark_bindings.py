@@ -33,7 +33,10 @@ def test_tracer_installs_and_uninstalls_cleanly():
 def test_kept_bindings_are_live(tmp_path):
     """A traced S5 run at 2 enumerates one lattice and spends time in the
     span the tracer names lattice.quotient, so the in-lattice p-core of a
-    quotient is still reached through collections.p_core_of_group."""
+    quotient is still reached through collections.p_core_of_group. The edge
+    checkers, verdicts and nerve homology are reached through the names the
+    tracer patches in sclab.tables, so a dispatch table that captured a
+    function object at import would leave these at 0."""
     tracer = load_tracer()
     t = tracer.Tracer()
     try:
@@ -45,3 +48,6 @@ def test_kept_bindings_are_live(tmp_path):
     metrics = t.harvest(0)
     assert metrics["lattice.enumerate_calls"] == 1
     assert metrics["lattice.quotient_s"] > 0
+    for name in ("equivalence.inclusion_s", "equivalence.scan_s",
+                 "contract.verdicts", "homology.calls", "tables.table31_s"):
+        assert metrics[name] > 0, name

@@ -38,7 +38,7 @@ def test_unknown_builtin_lists_choices():
 def test_identity_is_index_zero():
     for name in BUILTIN_ORDERS:
         g = builtin_group(name)
-        assert g.elements[0].is_identity()
+        assert Permutation(g.images[0]).is_identity()
 
 
 def test_element_orders_q8():
@@ -135,9 +135,11 @@ def _table_groups():
 
 def test_multiplication_table_matches_permutation_products():
     for g in _table_groups():
-        for a, pa in enumerate(g.elements):
-            for b, pb in enumerate(g.elements):
-                assert g.mul[a][b] == g.index[pa * pb], (g.name, a, b)
+        perms = list(map(Permutation, g.images))
+        where = {pa: a for a, pa in enumerate(perms)}
+        for a, pa in enumerate(perms):
+            for b, pb in enumerate(perms):
+                assert g.mul[a][b] == where[pa * pb], (g.name, a, b)
 
 
 def test_tables_match_permutation_arithmetic():
@@ -147,7 +149,8 @@ def test_tables_match_permutation_arithmetic():
     groups += [load_group(str(DATA / name)) for name in ("psl27.grp", "d8xz2.grp")]
     for g in groups:
         perms = sorted(map(Permutation, g.images))
-        assert list(g.elements) == perms and perms[0].is_identity(), g.name
+        assert perms == list(map(Permutation, g.images)), g.name
+        assert perms[0].is_identity(), g.name
         where = {pa: a for a, pa in enumerate(perms)}
         assert g.generator_indices == tuple(where[s] for s in g.generators)
         for a, pa in enumerate(perms):

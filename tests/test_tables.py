@@ -13,6 +13,7 @@ from sclab.equivalence import (
     CERTIFIED,
     HOMOLOGY_CONSISTENT,
     PASS,
+    _lattice_retraction,
     fixed_point_equivalence_scan,
     verify_inclusion_equivalence,
 )
@@ -28,9 +29,10 @@ from sclab.tables import (
     TABLE31_EDGES,
     TABLE44,
     TABLE44_EDGES,
-    _check_dashed,
-    _check_solid,
+    _check_edge,
+    _cut,
     _d8_subgroup,
+    _keep,
     _expectation_holds,
     _posets_for,
     counterexample_edges,
@@ -41,7 +43,7 @@ from sclab.tables import (
     verify_table_edges,
 )
 
-from _suite import relation_poset
+from _suite import SUITE, lattice_of, relation_poset
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +147,7 @@ def test_one_fiber_check_per_centralizer(monkeypatch):
         left, right = (posets[k] for k in spec.kinds)
         pairs = {(left.below(c).mask, right.below(c).mask)
                  for c in centralizers}
-        result = _check_solid(ctx, spec, posets, DEFAULT_SIMPLEX_CAP)
+        result = _check_edge(ctx, spec, posets, DEFAULT_SIMPLEX_CAP)
         rows = result.detail["per_centralizer"]
         assert len(rows) == len(lat.orbits) == 19
         assert [r["subgroup"] for r in rows] == [
@@ -176,6 +178,13 @@ def test_gated_edges_record_what_held(d8):
     assert prune.spec.conditions == ("Cl", "Ch", "M")
     assert prune.detail["holding"] == ["Cl", "Ch", "M"]
     assert set(prune.detail["conditions"]) == {"Cl", "Ch", "M"}
+    # a gated dashed edge that runs records its conditions, not what held
+    dashed = [r for r in results if r.spec.style == "dashed"]
+    assert dashed
+    for r in dashed:
+        assert r.status == CERTIFIED
+        assert set(r.detail["conditions"]) == set(r.spec.conditions)
+        assert "holding" not in r.detail
 
 
 def test_gating_with_partial_conditions():
@@ -186,6 +195,39 @@ def test_gating_with_partial_conditions():
     assert prune.detail["holding"] == ["Cl", "M"]
     assert prune.status == CERTIFIED
     assert not prune.detail["conditions"]["Ch"]["holds"]
+
+
+def test_retractions_name_the_cut():
+    """Every dashed-scan row certified by a retraction, on every suite
+    plan, names the side and subgroup of the row's cut at its subgroup:
+    q -> q v h on the EO side, q -> q ^ C_G(h) on the EA side. A row that
+    the scan grades past the retraction is one where that cut's
+    retraction leaves the avatar."""
+    sides = set()
+    for name, p in SUITE:
+        lat = lattice_of(name)
+        ctx = collection_context(lat, p)
+        for table in (TABLE31, TABLE44):
+            for r in verify_table_edges(lat, p, table):
+                if r.spec.style != "dashed" or r.status == SKIPPED:
+                    continue
+                poset = GPoset.from_collection(
+                    lat, ctx.collection(r.spec.kinds[0]))
+                for row in r.detail["scan"]["per_subgroup"]:
+                    h = lat.ref(row["subgroup"])
+                    side, k = _cut(lat, r.spec.row, h)
+                    tag = (name, p, r.spec.edge_id, h.index)
+                    if row["method"] == "retraction":
+                        assert row["certificate"] == {
+                            "kind": "retraction", "side": side,
+                            "subgroup": k.index}, tag
+                        sides.add(side)
+                    elif row["method"] not in ("equal", "emptiness"):
+                        right = poset.fixed_points(h)
+                        left = _keep(poset, side, k)
+                        image = _lattice_retraction(right, left.mask, side, k)
+                        assert image is None, tag
+    assert sides == {">=", "<="}
 
 
 def test_second_sylow_spot_check_fires(s4):
@@ -242,7 +284,7 @@ def test_solid_edges_skip_when_no_condition_holds(d8):
     gated = [s for s in specs if s.style == "solid" and s.conditions]
     assert gated
     for spec in gated:
-        result = _check_solid(ctx, spec, posets, 10_000)
+        result = _check_edge(ctx, spec, posets, 10_000)
         assert result.status == SKIPPED
         assert result.detail["note"] == "no gating condition holds"
         for name in spec.conditions:
@@ -258,9 +300,10 @@ def test_dashed_edges_skip_when_no_condition_holds(d8):
     gated = [s for s in specs if s.style == "dashed"]
     assert gated
     for spec in gated:
-        result = _check_dashed(ctx, spec, posets, 10_000)
+        result = _check_edge(ctx, spec, posets, 10_000)
         assert result.status == SKIPPED
         assert "scan" not in result.detail
+        assert "holding" not in result.detail
 
 
 def test_ungated_edges_never_skip(d8):
@@ -269,7 +312,7 @@ def test_ungated_edges_never_skip(d8):
     specs = table_edges(TABLE31)
     posets = _posets_for(d8, ctx, specs)
     free = next(s for s in specs if s.checker == "prune" and not s.conditions)
-    result = _check_solid(ctx, free, posets, 10_000)
+    result = _check_edge(ctx, free, posets, 10_000)
     assert result.status == CERTIFIED
 
 
