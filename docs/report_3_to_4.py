@@ -36,7 +36,7 @@ def _context(report):
     ctx = collection_context(enumerate_subgroups(group),
                              report["plan"]["prime"])
     for kind, size in report["collections"].items():
-        if len(ctx.collection(kind).members) != size:
+        if len(ctx.collection(kind)) != size:
             raise SystemExit(f"rebuilt collection {kind} has another size")
     return ctx
 
@@ -57,9 +57,9 @@ def upgrade(report):
     ctx = None
     for edge, detail in _fiber_edges(report):
         ctx = ctx or _context(report)
-        inside = ctx.collection(edge["kinds"][0]).member_indices
+        inside = ctx.collection(edge["kinds"][0]).mask
         for row in detail.get("per_centralizer", ()):
-            if inside.intersection(row["witnesses"]):
+            if any(inside >> w & 1 for w in row["witnesses"]):
                 raise SystemExit(f"{edge['edge']}: a fiber at a member of "
                                  f"the smaller collection failed")
         if "inclusion" not in detail:
@@ -68,7 +68,7 @@ def upgrade(report):
         kept = []
         for row in inclusion["per_element"]:
             label, _, verdict = row
-            if label not in inside:
+            if not inside >> label & 1:
                 kept.append(row)
             elif (verdict["status"] != "CONTRACTIBLE"
                   or verdict["equivariant"] is not True):

@@ -1,7 +1,7 @@
 """Collections of p-subgroups of a finite group, and certified verification
 of the homotopy comparisons between them."""
 
-from .collections import (CONDITIONS, KINDS, Collection, CollectionContext,
+from .collections import (CONDITIONS, KINDS, CollectionContext,
                           ConditionReport, collection_context)
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
                        CoreReduction, HomologyWitness, MonotoneRetraction,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONDITIONS", "CONTRACTIBLE", "KINDS", "NOT_CONTRACTIBLE", "UNKNOWN",
-    "Collection", "CollectionContext", "ConditionReport", "CoreReduction",
+    "CollectionContext", "ConditionReport", "CoreReduction",
     "EdgeResult", "EdgeSpec",
     "FixedPointScan", "GPoset", "HomologyProfile", "HomologyWitness",
     "InclusionResult", "MonotoneRetraction", "OrderComplex",

@@ -16,38 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from weakref import WeakValueDictionary
 
 from .errors import (ConditionNotSatisfied, InternalInconsistency,
                      PrimeDoesNotDivide)
 from .lattice import SubgroupLattice, SubgroupRef, p_part, p_core_of_group
+from .poset import GPoset, positions
 
 KINDS = ("A", "S", "B", "Ce", "Bcen", "D", "E",
          "tilde-A", "tilde-S", "tilde-B", "hat-A", "hat-S", "hat-B")
 
 CONDITIONS = ("M", "Cl", "Ch")
-
-
-@dataclass(frozen=True)
-class Collection:
-    kind: str
-    prime: int
-    members: tuple[SubgroupRef, ...]  # sorted by lattice index
-
-    @cached_property
-    def member_indices(self) -> frozenset[int]:
-        return frozenset(m.index for m in self.members)
-
-    def __contains__(self, ref: SubgroupRef) -> bool:
-        return ref.index in self.member_indices
-
-    def __len__(self):
-        return len(self.members)
-
-    def describe(self, lattice: SubgroupLattice) -> list[dict]:
-        return [{"index": m.index, "order": m.order,
-                 "generators": lattice.generator_string(m)} for m in self.members]
 
 
 @dataclass(frozen=True)
@@ -72,7 +51,7 @@ class CollectionContext:
         self.p = p
         self._tilde: dict[int, int] = {}
         self._hat: dict[int, int] = {}
-        self._collections: dict[str, Collection] = {}
+        self._collections: dict[str, GPoset] = {}
         self._conditions: dict[str, ConditionReport] = {}
         # each check the tables module has run, keyed by its inputs; filled
         # and read by tables._once
@@ -169,29 +148,32 @@ class CollectionContext:
 
     # ----- collections -------------------------------------------------------
 
-    def collection(self, kind: str) -> Collection:
+    def collection(self, kind: str) -> GPoset:
+        """The kind's poset, named f"{kind}_{p}", built once per context."""
         if kind not in KINDS:
             raise ValueError(f"unknown collection kind {kind!r}; expected one of {KINDS}")
         if kind not in self._collections:
             self._collections[kind] = self._build(kind)
         return self._collections[kind]
 
-    def _build(self, kind: str) -> Collection:
+    def _build(self, kind: str) -> GPoset:
         """Membership in each kind is invariant under conjugation, so each
         class of nontrivial p-subgroups is decided at its first member and
-        taken whole."""
+        its class mask taken whole."""
         lat = self.lattice
         if kind.startswith(("tilde-", "hat-")):
             op, base = kind.split("-", 1)
-            held = self.collection(base).member_indices
+            held = self.collection(base).mask
             operator = self.tilde_of if op == "tilde" else self.hat_of
-            keep = lambda m: m.index in held and operator(m).order > 1
+            keep = lambda m: held >> m.index & 1 and operator(m).order > 1
         else:
             keep = lambda m: (m.order > 1 and lat.is_p_group(m, self.p)
                               and self._base_member(kind, m))
-        classes = [o for o in lat.orbits if keep(lat.ref(o[0]))]
-        members = tuple(map(lat.ref, sorted(chain.from_iterable(classes))))
-        return Collection(kind=kind, prime=self.p, members=members)
+        mask = 0
+        for orbit, c in zip(lat.orbits, lat.class_masks):
+            if keep(lat.ref(orbit[0])):
+                mask |= c
+        return GPoset(lat.order, mask, lat, name=f"{kind}_{self.p}")
 
     def _base_member(self, kind: str, m: SubgroupRef) -> bool:
         lat = self.lattice
@@ -211,6 +193,14 @@ class CollectionContext:
             return (lat.is_elementary_abelian(m, self.p)
                     and all(x in self.E1 for x in lat.members(m) if x))
         raise InternalInconsistency(f"unknown collection kind {kind!r}")
+
+    @cached_property
+    def p_locals(self) -> tuple[SubgroupRef, ...]:
+        """The normalizers of the nontrivial p-subgroups, each once, in
+        index order."""
+        lat = self.lattice
+        return tuple(map(lat.ref, sorted({lat.normalizer(m).index
+                                          for m in self.collection("S").members})))
 
     # ----- conditions ---------------------------------------------------------
 
@@ -233,7 +223,7 @@ class CollectionContext:
         subgroup that contains a Sylow p-subgroup of G."""
         lat = self.lattice
         full_p = p_part(lat.group.order, self.p)
-        hosts = [m for m in lat.p_locals(self.p) if p_part(m.order, self.p) == full_p]
+        hosts = [m for m in self.p_locals if p_part(m.order, self.p) == full_p]
         for P in self.collection("hat-S").members:
             n = lat.normalizer(P)
             if not any(lat.leq(n, m) for m in hosts):
@@ -265,7 +255,7 @@ class CollectionContext:
     def _condition_Ch(self) -> ConditionReport:
         """Local characteristic p: C_H(O_p(H)) <= O_p(H) for every p-local H."""
         lat = self.lattice
-        for h in lat.p_locals(self.p):
+        for h in self.p_locals:
             core = lat.p_core(h, self.p)
             ch = lat.centralizer(core).bitset & h.bitset
             if ch | core.bitset != core.bitset:
@@ -273,7 +263,7 @@ class CollectionContext:
                     "Ch", False, (self._witness_subgroup(h),),
                     "centralizer of O_p escapes O_p in the witness p-local subgroup")
         return ConditionReport("Ch", True, (),
-                               f"checked {len(lat.p_locals(self.p))} p-local subgroups")
+                               f"checked {len(self.p_locals)} p-local subgroups")
 
     def equalities_under_Ch(self) -> dict:
         """Under local characteristic p, radicals, distinguished radicals and
@@ -282,18 +272,16 @@ class CollectionContext:
         if not self.condition("Ch").holds:
             raise ConditionNotSatisfied(
                 "the local characteristic p condition fails for this group")
-        b = self.collection("B").member_indices
-        bh = self.collection("hat-B").member_indices
-        bc = self.collection("Bcen").member_indices
+        b, bh, bc = (self.collection(k).mask for k in ("B", "hat-B", "Bcen"))
         if b == bh == bc:
-            common = self.collection("B").describe(self.lattice)
-            return {"equal": True, "common": common}
-        sep = min((b | bh | bc) - (b & bh & bc))
-        ref = self.lattice.ref(sep)
+            return {"equal": True, "common": list(map(
+                self._witness_subgroup, self.collection("B").members))}
+        sep = next(positions((b | bh | bc) & ~(b & bh & bc)))
         return {"equal": False,
-                "counterexample": {**self._witness_subgroup(ref),
-                                   "in_B": sep in b, "in_hat_B": sep in bh,
-                                   "in_Bcen": sep in bc}}
+                "counterexample": {**self._witness_subgroup(self.lattice.ref(sep)),
+                                   "in_B": bool(b >> sep & 1),
+                                   "in_hat_B": bool(bh >> sep & 1),
+                                   "in_Bcen": bool(bc >> sep & 1)}}
 
 
 def collection_context(lattice: SubgroupLattice, p: int) -> CollectionContext:

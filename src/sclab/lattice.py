@@ -383,16 +383,6 @@ class SubgroupLattice:
                 self.group.closure_bitset(seed)).index
         return self.subgroups[self._generated[seed]]
 
-    def p_locals(self, p: int) -> tuple[SubgroupRef, ...]:
-        """Normalizers of nontrivial p-subgroups, deduplicated."""
-        if self.group.order % p:
-            raise PrimeDoesNotDivide(p, self.group.order)
-        seen = set()
-        for s in self.subgroups:
-            if s.order > 1 and p_part(s.order, p) == s.order:
-                seen.add(self.normalizer(s).index)
-        return tuple(self.subgroups[i] for i in sorted(seen))
-
 
 def p_core_of_group(lattice: SubgroupLattice, big: SubgroupRef,
                     normal: SubgroupRef, p: int) -> SubgroupRef:

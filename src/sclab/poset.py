@@ -39,20 +39,6 @@ class GPoset:
     # ----- constructors ------------------------------------------------------
 
     @classmethod
-    def from_collection(cls, lattice: SubgroupLattice, collection) -> "GPoset":
-        return cls.from_lattice_indices(
-            lattice, (m.index for m in collection.members),
-            name=f"{collection.kind}_{collection.prime}")
-
-    @classmethod
-    def from_lattice_indices(cls, lattice: SubgroupLattice, indices,
-                             name: str = "") -> "GPoset":
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return cls(lattice.order, mask, lattice, name=name)
-
-    @classmethod
     def from_relation(cls, labels, strict_pairs, name: str = "") -> "GPoset":
         """Abstract poset ordered by the transitive closure of strict_pairs;
         the labels must list a linear extension of it."""
@@ -129,6 +115,11 @@ class GPoset:
         if self.lattice is None:
             raise ValueError("abstract poset has no subgroup refs")
         return self.lattice
+
+    @cached_property
+    def members(self) -> tuple[SubgroupRef, ...]:
+        """The subgroups at the mask's positions, in index order."""
+        return tuple(map(self._require_lattice().ref, positions(self.mask)))
 
     def fixed_points(self, h: SubgroupRef) -> "GPoset":
         """Subposet of elements invariant under conjugation by every member

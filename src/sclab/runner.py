@@ -47,6 +47,9 @@ class VerificationPlan:
                              + ", ".join(SUITES))
         if self.prime < 2:
             raise ValueError(f"prime must be at least 2, got {self.prime}")
+        for cap in ("max_order", "max_simplices"):
+            if getattr(self, cap) < 0:
+                raise ValueError(f"{cap} must be at least 0, got {getattr(self, cap)}")
 
     def to_json(self) -> dict:
         # a file is named by its base name, so the report does not depend
@@ -67,7 +70,7 @@ def _group_section(group: PermutationGroup) -> dict:
 
 
 def _collections_section(ctx) -> dict:
-    return {kind: len(ctx.collection(kind).members) for kind in KINDS}
+    return {kind: len(ctx.collection(kind)) for kind in KINDS}
 
 
 def _table_section(lattice, prime, table, max_simplices) -> dict:

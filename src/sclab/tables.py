@@ -21,7 +21,7 @@ from .equivalence import (CERTIFIED, FAIL, HOMOLOGY_CONSISTENT, INCONCLUSIVE,
                           verify_inclusion_equivalence)
 from .errors import InternalInconsistency
 from .homology import homology
-from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
+from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex, positions
 
 SKIPPED = "SKIPPED"
 
@@ -136,13 +136,13 @@ def _keep(poset, side, k):
     return poset.above(k) if side == ">=" else poset.below(k)
 
 
-def _avatars(ctx, spec, posets, h):
+def _avatars(ctx, spec, h):
     """The two posets an edge compares at the subgroup h: both kinds cut on
     a row, the cut against the h-fixed poset between rows."""
     cut = _cut(ctx.lattice, spec.row, h)
     if len(spec.kinds) == 2:
-        return tuple(_keep(posets[k], *cut) for k in spec.kinds)
-    poset = posets[spec.kinds[0]]
+        return tuple(_keep(ctx.collection(k), *cut) for k in spec.kinds)
+    poset = ctx.collection(spec.kinds[0])
     return _keep(poset, *cut), poset.fixed_points(h)
 
 
@@ -236,22 +236,22 @@ _INCLUSIONS = {
 }
 
 
-def _by_inclusion(ctx, spec, posets, max_simplices, detail) -> str:
+def _by_inclusion(ctx, spec, max_simplices, detail) -> str:
     mode, backwards = _INCLUSIONS[spec.checker]
-    sub, ambient = (posets[k] for k in spec.kinds[::-1 if backwards else 1])
+    sub, ambient = map(ctx.collection, spec.kinds[::-1 if backwards else 1])
     res = _inclusion(ctx, sub, ambient, mode, max_simplices)
     detail["inclusion"] = res.to_json()
     return _squash(res.outcome)
 
 
-def _by_centralizer(ctx, spec, posets, max_simplices, detail) -> str:
+def _by_centralizer(ctx, spec, max_simplices, detail) -> str:
     """Per-subgroup fiber checks between the row's avatars, inside each
     centralizer's lower set; this certifies the centralizer-restriction row
     without equivariance demands."""
     lat = ctx.lattice
     rows = []
     for h in lat.orbit_representatives():
-        left, right = _avatars(ctx, spec, posets, h)
+        left, right = _avatars(ctx, spec, h)
         res = _inclusion(ctx, left, right, "fibers", max_simplices,
                          equivariant=False)
         rows.append({"subgroup": h.index, "order": h.order,
@@ -263,12 +263,12 @@ def _by_centralizer(ctx, spec, posets, max_simplices, detail) -> str:
                    INCONCLUSIVE if INCONCLUSIVE in outcomes else PASS)
 
 
-def _by_scan(ctx, spec, posets, max_simplices, detail) -> str:
+def _by_scan(ctx, spec, max_simplices, detail) -> str:
     """The cut avatar against the h-fixed poset at every subgroup h of a
     Sylow group, each certified by the retraction onto the cut's side when
     it lands in the avatar."""
     lat = ctx.lattice
-    poset = posets[spec.kinds[0]]
+    poset = ctx.collection(spec.kinds[0])
     cut = lambda h: _cut(lat, spec.row, h)
 
     def scan_of(sylow):
@@ -297,16 +297,16 @@ def _by_scan(ctx, spec, posets, max_simplices, detail) -> str:
     return status
 
 
-def _by_h1(ctx, spec, posets, max_simplices, detail) -> str:
+def _by_h1(ctx, spec, max_simplices, detail) -> str:
     lat = ctx.lattice
-    h1 = _compare_nerves(ctx, *_avatars(ctx, spec, posets, lat.trivial),
+    h1 = _compare_nerves(ctx, *_avatars(ctx, spec, lat.trivial),
                          max_simplices)
     detail["h1_homology"] = h1
     status = HOMOLOGY_CONSISTENT if h1["agree"] else MISMATCH
     if spec.counterexample and is_dihedral8(lat.group) and ctx.p == 2:
         token, expect_left, expect_right = spec.counterexample
         h = _d8_subgroup(lat, token)
-        lposet, rposet = _avatars(ctx, spec, posets, h)
+        lposet, rposet = _avatars(ctx, spec, h)
         ok_l, obs_l = _expectation_holds(lposet, expect_left, max_simplices)
         ok_r, obs_r = _expectation_holds(rposet, expect_right, max_simplices)
         reproduced = ok_l and ok_r
@@ -321,14 +321,14 @@ def _by_h1(ctx, spec, posets, max_simplices, detail) -> str:
     return status
 
 
-# EdgeSpec.checker -> fn(ctx, spec, posets, max_simplices, detail), which
+# EdgeSpec.checker -> fn(ctx, spec, max_simplices, detail), which
 # fills detail and returns the edge's status
 _CHECKERS = {**dict.fromkeys(_INCLUSIONS, _by_inclusion),
              "fibers-by-centralizer": _by_centralizer,
              "eo-scan": _by_scan, "ea-scan": _by_scan, "h1": _by_h1}
 
 
-def _check_edge(ctx, spec, posets, max_simplices) -> EdgeResult:
+def _check_edge(ctx, spec, max_simplices) -> EdgeResult:
     """Gate the edge on its conditions, run its checker, and back a
     CERTIFIED solid edge by the homology of the two nerves."""
     detail = {}
@@ -341,9 +341,9 @@ def _check_edge(ctx, spec, posets, max_simplices) -> EdgeResult:
             return EdgeResult(spec, SKIPPED, detail)
         if spec.style == "solid":
             detail["holding"] = holding
-    status = _CHECKERS[spec.checker](ctx, spec, posets, max_simplices, detail)
+    status = _CHECKERS[spec.checker](ctx, spec, max_simplices, detail)
     if status == CERTIFIED and spec.style == "solid":
-        left, right = (posets[k] for k in spec.kinds)
+        left, right = map(ctx.collection, spec.kinds)
         cross = detail["homology"] = _compare_nerves(ctx, left, right,
                                                      max_simplices)
         if not cross["agree"]:
@@ -355,16 +355,9 @@ def _check_edge(ctx, spec, posets, max_simplices) -> EdgeResult:
 # entry points
 
 
-def _posets_for(lattice, ctx, specs) -> dict:
-    kinds = {k for spec in specs for k in spec.kinds}
-    return {k: GPoset.from_collection(lattice, ctx.collection(k))
-            for k in kinds}
-
-
 def _check_edges(lattice, p, specs, max_simplices) -> list:
     ctx = collection_context(lattice, p)
-    posets = _posets_for(lattice, ctx, specs)
-    return [_check_edge(ctx, spec, posets, max_simplices) for spec in specs]
+    return [_check_edge(ctx, spec, max_simplices) for spec in specs]
 
 
 def verify_table_edges(lattice, p: int, table: str, *,
@@ -404,9 +397,8 @@ def verify_inclusion_chains(lattice, p: int) -> list:
     rows = []
     for chain in _CHAINS:
         for a, b in zip(chain, chain[1:]):
-            small = ctx.collection(a).member_indices
-            big = ctx.collection(b).member_indices
-            violations = sorted(small - big)
+            small, big = ctx.collection(a), ctx.collection(b)
+            violations = list(positions(small.mask & ~big.mask))
             rows.append({"smaller": a, "larger": b,
                          "holds": not violations,
                          "violations": violations})

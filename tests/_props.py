@@ -156,12 +156,12 @@ def check_distinguished_upward_closure(b: Budget) -> None:
     for name, p in SUITE:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
-        S = ctx.collection("S").member_indices
-        tS = ctx.collection("tilde-S").member_indices
-        for pi in tS:
+        S = ctx.collection("S")
+        tS = ctx.collection("tilde-S")
+        for pi in tS.labels:
             P = lat.ref(pi)
             NP = lat.normalizer(P)
-            for qi in S:
+            for qi in S.labels:
                 Q = lat.ref(qi)
                 if lat.leq(P, Q) and lat.leq(Q, NP):
                     b.check(qi in tS, (name, p, pi, qi))
@@ -173,12 +173,12 @@ def check_relative_normalizers_stay_distinguished(b: Budget) -> None:
     for name, p in SUITE:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
-        S = ctx.collection("S").member_indices
-        hS = ctx.collection("hat-S").member_indices
-        for pi in S:
+        S = ctx.collection("S")
+        hS = ctx.collection("hat-S")
+        for pi in S.labels:
             P = lat.ref(pi)
             NP = lat.normalizer(P)
-            for qi in hS:
+            for qi in hS.labels:
                 Q = lat.ref(qi)
                 if P != Q and lat.leq(P, Q):
                     b.check(lat.by_bitset(Q.bitset & NP.bitset).index in hS,
@@ -201,10 +201,10 @@ def check_one_class_collapses_the_towers(b: Budget) -> None:
         if not one_class_of_order_p(lat.group, p):
             continue
         for kind in ("A", "S", "B"):
-            base = ctx.collection(kind).member_indices
-            b.check(ctx.collection("tilde-" + kind).member_indices == base,
+            base = ctx.collection(kind).mask
+            b.check(ctx.collection("tilde-" + kind).mask == base,
                     (name, p, kind, "tilde"))
-            b.check(ctx.collection("hat-" + kind).member_indices == base,
+            b.check(ctx.collection("hat-" + kind).mask == base,
                     (name, p, kind, "hat"))
 
 
@@ -214,10 +214,10 @@ def check_sylow_normalizer_criterion(b: Budget) -> None:
     for name, p in SUITE:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
-        tS = ctx.collection("tilde-S").member_indices
-        hS = ctx.collection("hat-S").member_indices
+        tS = ctx.collection("tilde-S")
+        hS = ctx.collection("hat-S")
         full = p_part(lat.group.order, p)
-        for ri in ctx.collection("S").member_indices:
+        for ri in ctx.collection("S").labels:
             if p_part(lat.normalizer(lat.ref(ri)).order, p) == full:
                 b.check(ri in hS, (name, p, ri, "hat"))
                 b.check(ri in tS, (name, p, ri, "tilde"))
@@ -248,7 +248,7 @@ def check_boundary_squares_to_zero(b: Budget, rng: random.Random) -> None:
     for name, p in SUITE:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
-        poset = GPoset.from_collection(lat, ctx.collection("tilde-S"))
+        poset = ctx.collection("tilde-S")
         complexes.append((order_complex(poset), (name, p)))
     for k in range(40):
         complexes.append((order_complex(_random_poset(rng, 7)), ("random", k)))
@@ -283,7 +283,7 @@ def check_brown_congruence(b: Budget) -> None:
     for name, p in SUITE:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
-        poset = GPoset.from_collection(lat, ctx.collection("S"))
+        poset = ctx.collection("S")
         chi = homology(order_complex(poset)).euler_characteristic
         b.check((chi - 1) % p_part(lat.group.order, p) == 0, (name, p, chi))
 
@@ -297,7 +297,7 @@ def _suite_posets():
         ctx = collection_context(lat, p)
         seen = set()
         for kind in KINDS:
-            whole = GPoset.from_collection(lat, ctx.collection(kind))
+            whole = ctx.collection(kind)
             for h in lat.orbit_representatives():
                 poset = whole.fixed_points(h)
                 if poset.labels not in seen:
@@ -401,7 +401,7 @@ def check_masks_are_inclusion(b: Budget) -> None:
         ctx = collection_context(lat, p)
         leq = _inclusion(lat)
         for kind in KINDS:
-            poset = GPoset.from_collection(lat, ctx.collection(kind))
+            poset = ctx.collection(kind)
             for x in poset.labels:
                 b.check(poset.below(x, strict=True).labels
                         == tuple(y for y in poset.labels
@@ -453,7 +453,7 @@ def check_class_masks_are_invariance(b: Budget) -> None:
         gens = lat.generating_set(lat.full)
         orbit_of = {i: n for n, orbit in enumerate(lat.orbits) for i in orbit}
         for kind in KINDS:
-            whole = GPoset.from_collection(lat, ctx.collection(kind))
+            whole = ctx.collection(kind)
             posets = [whole]
             for h in lat.orbit_representatives():
                 posets += [whole.below(h), whole.above(h)]
@@ -499,7 +499,7 @@ def check_retraction_matches_oracle(b: Budget) -> None:
         for spec in TABLE31_EDGES + TABLE44_EDGES:
             if spec.style != "dashed":
                 continue
-            poset = GPoset.from_collection(lat, ctx.collection(spec.kinds[0]))
+            poset = ctx.collection(spec.kinds[0])
             for h in sorted(scanned):
                 side, k = _cut(lat, spec.row, h)
                 left, right = _keep(poset, side, k), poset.fixed_points(h)

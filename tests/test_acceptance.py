@@ -61,7 +61,7 @@ def criterion(announce, number: int, label: str):
 
 
 def _poset(lat, ctx, kind: str) -> GPoset:
-    return GPoset.from_collection(lat, ctx.collection(kind))
+    return ctx.collection(kind)
 
 
 def _contractible(poset: GPoset) -> bool:
@@ -190,9 +190,9 @@ def test_criterion_6_radical_equalities_under_ch(announce):
                 with pytest.raises(ConditionNotSatisfied):
                     ctx.equalities_under_Ch()
                 continue
-            b = ctx.collection("B").member_indices
-            assert ctx.collection("hat-B").member_indices == b, (name, p)
-            assert ctx.collection("Bcen").member_indices == b, (name, p)
+            b = ctx.collection("B").mask
+            assert ctx.collection("hat-B").mask == b, (name, p)
+            assert ctx.collection("Bcen").mask == b, (name, p)
             assert ctx.equalities_under_Ch()["equal"]
         assert failing == CH_FAILS
 

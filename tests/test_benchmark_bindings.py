@@ -3,6 +3,7 @@ that binds them. A refactor that removes or renames one of those names
 breaks the benchmark; this test catches it in the ordinary suite."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import sclab.cli
@@ -36,7 +37,9 @@ def test_kept_bindings_are_live(tmp_path):
     quotient is still reached through collections.p_core_of_group. The edge
     checkers, verdicts and nerve homology are reached through the names the
     tracer patches in sclab.tables, so a dispatch table that captured a
-    function object at import would leave these at 0."""
+    function object at import would leave these at 0. The tracer counts
+    len(...members) of each CollectionContext._build result, so those must
+    add up to the report's collection sizes."""
     tracer = load_tracer()
     t = tracer.Tracer()
     try:
@@ -46,6 +49,9 @@ def test_kept_bindings_are_live(tmp_path):
     finally:
         t.uninstall()
     metrics = t.harvest(0)
+    report = json.loads((tmp_path / "r.json").read_bytes())
+    assert metrics["collections.members"] == sum(
+        report["collections"].values())
     assert metrics["lattice.enumerate_calls"] == 1
     assert metrics["lattice.quotient_s"] > 0
     for name in ("equivalence.inclusion_s", "equivalence.scan_s",

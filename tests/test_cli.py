@@ -253,6 +253,23 @@ def test_simplex_cap(capfd):
     capfd.readouterr()
 
 
+@pytest.mark.parametrize("flag,cap,value", [
+    ("--max-order", "max_order", "-3"),
+    ("--max-simplices", "max_simplices", "-1"),
+])
+def test_negative_caps_are_usage_errors(flag, cap, value, capfd):
+    rc = verify("--group", "builtin:S3", "--prime", "2", flag, value)
+    assert rc == EXIT_USAGE
+    assert f"{cap} must be at least 0, got {value}" in capfd.readouterr().err
+
+
+def test_zero_simplex_cap_is_legal(capfd):
+    # the inclusion chains build no complex, so a cap of 0 is reachable
+    assert verify("--group", "builtin:S3", "--prime", "2", "--suite",
+                  "inclusions", "--max-simplices", "0") == 0
+    capfd.readouterr()
+
+
 def test_simplex_cap_bounds_the_nerve_of_the_core(tmp_path, capfd):
     # the tilde-S nerve of S5 at 2 has more than 100 simplices, but its
     # beat-point core has 5 points, and homology is taken on the core

@@ -9,7 +9,7 @@ from sclab.collections import CONDITIONS, KINDS, collection_context
 from sclab.errors import ConditionNotSatisfied, PrimeDoesNotDivide
 from sclab.group import load_group
 from sclab.lattice import enumerate_subgroups
-from sclab.poset import GPoset
+from sclab.poset import GPoset, positions
 
 DATA = Path(__file__).parent / "data"
 
@@ -73,7 +73,11 @@ def test_every_collection_is_a_union_of_classes(name, p):
     ctx = collection_context(lat, p)
     for kind in KINDS:
         coll = ctx.collection(kind)
-        assert lat.is_class_union(GPoset.from_collection(lat, coll).mask), kind
+        assert isinstance(coll, GPoset) and coll.order is lat.order, kind
+        assert coll.lattice is lat and coll.name == f"{kind}_{p}", kind
+        assert ctx.collection(kind) is coll, kind
+        assert coll.members == tuple(map(lat.ref, positions(coll.mask))), kind
+        assert lat.is_class_union(coll.mask), kind
         if kind.startswith(("tilde-", "hat-")):
             op, base = kind.split("-", 1)
             operator = ctx.tilde_of if op == "tilde" else ctx.hat_of
@@ -177,10 +181,11 @@ def test_one_class_shortcut_examples():
 
 def test_collection_membership_api():
     lat = lattice_of("D8")
-    coll = collection_context(lat, 2).collection("tilde-S")
-    assert lat.full in coll
-    assert lat.trivial not in coll
-    described = coll.describe(lat)
+    ctx = collection_context(lat, 2)
+    coll = ctx.collection("tilde-S")
+    assert lat.full.index in coll
+    assert lat.trivial.index not in coll
+    described = list(map(ctx._witness_subgroup, coll.members))
     assert len(described) == len(coll)
     assert all({"index", "order", "generators"} <= d.keys() for d in described)
 
@@ -203,6 +208,23 @@ def test_context_facts_on_q8():
     assert ctx.E0 == ctx.E1
     assert len(ctx.collection("S")) == 5
     assert ctx.condition("M").holds
+
+
+def test_p_locals_s4():
+    # the 3-locals of S4 are the four S3 point stabilizers and N(Sylow3)...
+    # N(Z3) = S3 of order 6, so exactly the four order-6 subgroups
+    ctx = collection_context(lattice_of("S4"), 3)
+    locals3 = ctx.p_locals
+    assert len(locals3) == 4
+    assert all(r.order == 6 for r in locals3)
+
+
+@pytest.mark.parametrize("name,p", SUITE)
+def test_p_locals_are_the_normalizers_of_the_p_subgroups(name, p):
+    lat = lattice_of(name)
+    want = sorted({lat.normalizer(m) for m in nontrivial_p_subgroups(lat, p)},
+                  key=lambda r: r.index)
+    assert collection_context(lat, p).p_locals == tuple(want)
 
 
 def test_context_is_memoized():

@@ -343,7 +343,7 @@ def lattice_of_d8():
 def d8_nontrivial():
     lat = lattice_of_d8()
     nontrivial = [r for r in lat.subgroups if r.order > 1]
-    poset = GPoset.from_lattice_indices(lat, [r.index for r in nontrivial])
+    poset = GPoset(lat.order, sum(1 << r.index for r in nontrivial), lat)
     return lat, poset, lat.group.generator_indices
 
 
@@ -358,7 +358,7 @@ def test_cone_verdict_tracks_invariance():
     # a lone non-normal reflection subgroup is a point, but not a fixed one
     refl = next(r for r in lat.subgroups
                 if r.order == 2 and lat.normalizer(r).order < 8)
-    single = GPoset.from_lattice_indices(lat, [refl.index])
+    single = GPoset(lat.order, 1 << refl.index, lat)
     v = contractibility_verdict(single, equivariance_gens=gens)
     assert v.method == "core"
     assert v.equivariant is False
@@ -370,7 +370,7 @@ def test_core_is_equivariant_where_plain_collapse_was_not():
     points still reduce the poset to that fixed point."""
     lat = enumerate_subgroups(builtin_group("S4"))
     ctx = collection_context(lat, 2)
-    poset = GPoset.from_collection(lat, ctx.collection("A"))
+    poset = ctx.collection("A")
     gens = lat.group.generator_indices
     assert len(poset) == 13
     v = contractibility_verdict(poset, equivariance_gens=gens)
@@ -383,8 +383,7 @@ def test_core_is_equivariant_where_plain_collapse_was_not():
 
 def test_equivariant_verdict_computes_the_orbits_once(monkeypatch):
     lat = enumerate_subgroups(builtin_group("S4"))
-    poset = GPoset.from_collection(lat, collection_context(lat, 2)
-                                   .collection("A"))
+    poset = collection_context(lat, 2).collection("A")
     calls = []
     orbits = GPoset.orbits
 
@@ -406,8 +405,7 @@ def test_class_masks_give_the_orbits_of_the_whole_group():
     seen = set()
     for name, p in (("S4", 2), ("A5", 2), ("D12", 3)):
         lat = enumerate_subgroups(builtin_group(name))
-        whole = GPoset.from_collection(lat, collection_context(lat, p)
-                                       .collection("S"))
+        whole = collection_context(lat, p).collection("S")
         reps = lat.orbit_representatives()
         stabs = {lat.normalizer(r) for r in reps}
         for h in reps:
@@ -450,6 +448,6 @@ def test_fixed_point_scan_rejects_non_invariant_poset():
     # a single non-normal reflection subgroup is not conjugation-stable
     refl = next(r for r in lat.subgroups
                 if r.order == 2 and lat.normalizer(r).order < 8)
-    poset = GPoset.from_lattice_indices(lat, [refl.index])
+    poset = GPoset(lat.order, 1 << refl.index, lat)
     full = lat.subgroups[-1]
     assert fixed_point_contractibility_scan(poset, full) is None

@@ -37,7 +37,7 @@ def d8():
 
 
 def poset_of(lat, ctx, kind):
-    return GPoset.from_collection(lat, ctx.collection(kind))
+    return ctx.collection(kind)
 
 
 def klein_four(lat):
@@ -202,9 +202,9 @@ def test_subposet_orders_are_compared_unless_one_lattice_fixes_them(d8):
                                          lambda h: right)
     # the same labels on two lattices order different subgroups
     q8 = enumerate_subgroups(builtin_group("Q8"))
-    labels = range(len(q8))
-    on_d8 = GPoset.from_lattice_indices(lat, labels)
-    on_q8 = GPoset.from_lattice_indices(q8, labels)
+    mask = (1 << len(q8)) - 1
+    on_d8 = GPoset(lat.order, mask, lat)
+    on_q8 = GPoset(q8.order, mask, q8)
     with pytest.raises(NotASubposet, match="order disagrees"):
         verify_inclusion_equivalence(on_q8, on_d8, "upper")
     # posets on one lattice are both ordered by inclusion

@@ -27,7 +27,7 @@ from sclab.homology import (
     homology,
     smith_normal_form,
 )
-from sclab.poset import GPoset, OrderComplex, order_complex
+from sclab.poset import OrderComplex, order_complex
 from sclab.tables import TABLE31_EDGES
 
 from _naive import boundary_matrix, rank_mod, rank_over_rationals
@@ -314,7 +314,7 @@ def test_sparse_homology_matches_dense_on_table31_nerves(name, p):
     lat = lattice_of(name)
     ctx = collection_context(lat, p)
     for kind in TABLE31_KINDS:
-        cx = order_complex(GPoset.from_collection(lat, ctx.collection(kind)))
+        cx = order_complex(ctx.collection(kind))
         if cx.is_empty():
             continue
         assert homology(cx) == _dense_profile(cx), kind

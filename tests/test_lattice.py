@@ -278,15 +278,6 @@ def test_generated():
     assert lat.generated([]) == lat.trivial
 
 
-def test_p_locals_s4():
-    # the 3-locals of S4 are the four S3 point stabilizers and N(Sylow3)...
-    # N(Z3) = S3 of order 6, so exactly the four order-6 subgroups
-    lat = lattice_of("S4")
-    locals3 = lat.p_locals(3)
-    assert len(locals3) == 4
-    assert all(r.order == 6 for r in locals3)
-
-
 def test_p_part():
     assert p_part(48, 2) == 16
     assert p_part(48, 3) == 3

@@ -17,7 +17,7 @@ from sclab.collections import collection_context
 from sclab.group import load_group
 from sclab.homology import homology
 from sclab.lattice import enumerate_subgroups
-from sclab.poset import GPoset, order_complex
+from sclab.poset import order_complex
 
 DATA = Path(__file__).parent / "data"
 
@@ -30,7 +30,7 @@ def lattice_from_file(name: str):
 def nerve(name: str, p: int, kind: str):
     lat = lattice_from_file(name)
     ctx = collection_context(lat, p)
-    return order_complex(GPoset.from_collection(lat, ctx.collection(kind)))
+    return order_complex(ctx.collection(kind))
 
 
 @pytest.mark.parametrize("kind", ["S", "A"])

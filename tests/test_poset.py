@@ -64,7 +64,7 @@ def test_labels_must_list_a_linear_extension():
 def test_lattice_backed_poset():
     lat = lattice_of("D8")
     ctx = collection_context(lat, 2)
-    poset = GPoset.from_collection(lat, ctx.collection("S"))
+    poset = ctx.collection("S")
     assert len(poset) == 9
     z = lat.center(lat.full)
     assert set(r.order for r in map(lat.ref, poset.above(z).labels)) == {2, 4, 8}
@@ -73,7 +73,7 @@ def test_lattice_backed_poset():
 def test_fixed_points_matches_naive_normalization():
     lat = lattice_of("S4")
     ctx = collection_context(lat, 2)
-    poset = GPoset.from_collection(lat, ctx.collection("S"))
+    poset = ctx.collection("S")
     for h in lat.subgroups[::5]:
         fixed = poset.fixed_points(h)
         expected = {i for i in poset.labels
@@ -85,7 +85,7 @@ def test_fixed_points_matches_naive_normalization():
 def test_invariance_and_conjugation():
     lat = lattice_of("S4")
     ctx = collection_context(lat, 2)
-    poset = GPoset.from_collection(lat, ctx.collection("B"))
+    poset = ctx.collection("B")
     gens = lat.group.generator_indices
     assert poset.orbits(gens) is not None
     for g in gens:
@@ -99,7 +99,7 @@ def test_invariance_and_conjugation():
 def test_restrict_keeps_backing():
     lat = lattice_of("D8")
     ctx = collection_context(lat, 2)
-    poset = GPoset.from_collection(lat, ctx.collection("S"))
+    poset = ctx.collection("S")
     sub = poset.restrict(poset.labels[:3])
     assert sub.lattice is lat and sub.order is poset.order
     assert sub.labels == poset.labels[:3]
@@ -136,7 +136,7 @@ def test_order_complex_empty():
 def test_order_complex_cap():
     lat = lattice_of("S4")
     ctx = collection_context(lat, 2)
-    poset = GPoset.from_collection(lat, ctx.collection("S"))
+    poset = ctx.collection("S")
     with pytest.raises(SizeCap):
         order_complex(poset, 3)
 

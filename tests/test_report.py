@@ -15,7 +15,7 @@ from sclab.collections import collection_context
 from sclab.contract import contractibility_verdict
 from sclab.group import builtin_group
 from sclab.lattice import enumerate_subgroups
-from sclab.poset import GPoset, positions
+from sclab.poset import positions
 from sclab.report import report_to_json_bytes
 from sclab.runner import VerificationPlan, run
 
@@ -101,7 +101,7 @@ def d8_as_report_3():
             inclusion = edge["detail"].get("inclusion")
             if inclusion is None or inclusion["mode"] != "fibers":
                 continue
-            sub = GPoset.from_collection(lat, ctx.collection(edge["kinds"][0]))
+            sub = ctx.collection(edge["kinds"][0])
             for i in positions(lat.first_of_each_class(sub.mask)):
                 y = sub.order.labels[i]
                 stab = lat.normalizer(lat.ref(y))

@@ -21,7 +21,7 @@ from sclab.errors import SizeCap
 from sclab.group import builtin_group
 from sclab.homology import homology
 from sclab.lattice import enumerate_subgroups
-from sclab.poset import DEFAULT_SIMPLEX_CAP, GPoset
+from sclab.poset import DEFAULT_SIMPLEX_CAP
 from sclab.runner import VerificationPlan, run
 from sclab.tables import (
     SKIPPED,
@@ -34,7 +34,6 @@ from sclab.tables import (
     _d8_subgroup,
     _keep,
     _expectation_holds,
-    _posets_for,
     counterexample_edges,
     is_dihedral8,
     table_edges,
@@ -115,7 +114,7 @@ def test_each_nerve_homology_is_computed_once_per_run(monkeypatch):
     verify_table_edges(lat, 2, TABLE44)
     verify_counterexamples(lat, 2)
     kinds = {k for spec in TABLE31_EDGES + TABLE44_EDGES for k in spec.kinds}
-    nerves = {ctx.collection(k).member_indices for k in kinds}
+    nerves = {ctx.collection(k).mask for k in kinds}
     assert len(kinds) == 7
     assert len(computed) == len(nerves) == 4
 
@@ -143,11 +142,10 @@ def test_one_fiber_check_per_centralizer(monkeypatch):
     centralizers = {lat.centralizer(h) for h in lat.orbit_representatives()}
     assert len(centralizers) == 12
     for spec in specs:
-        posets = _posets_for(lat, ctx, [spec])
-        left, right = (posets[k] for k in spec.kinds)
+        left, right = map(ctx.collection, spec.kinds)
         pairs = {(left.below(c).mask, right.below(c).mask)
                  for c in centralizers}
-        result = _check_edge(ctx, spec, posets, DEFAULT_SIMPLEX_CAP)
+        result = _check_edge(ctx, spec, DEFAULT_SIMPLEX_CAP)
         rows = result.detail["per_centralizer"]
         assert len(rows) == len(lat.orbits) == 19
         assert [r["subgroup"] for r in rows] == [
@@ -211,8 +209,7 @@ def test_retractions_name_the_cut():
             for r in verify_table_edges(lat, p, table):
                 if r.spec.style != "dashed" or r.status == SKIPPED:
                     continue
-                poset = GPoset.from_collection(
-                    lat, ctx.collection(r.spec.kinds[0]))
+                poset = ctx.collection(r.spec.kinds[0])
                 for row in r.detail["scan"]["per_subgroup"]:
                     h = lat.ref(row["subgroup"])
                     side, k = _cut(lat, r.spec.row, h)
@@ -280,11 +277,10 @@ class RefusingContext:
 def test_solid_edges_skip_when_no_condition_holds(d8):
     ctx = RefusingContext(collection_context(d8, 2))
     specs = table_edges(TABLE44)
-    posets = _posets_for(d8, ctx, specs)
     gated = [s for s in specs if s.style == "solid" and s.conditions]
     assert gated
     for spec in gated:
-        result = _check_edge(ctx, spec, posets, 10_000)
+        result = _check_edge(ctx, spec, 10_000)
         assert result.status == SKIPPED
         assert result.detail["note"] == "no gating condition holds"
         for name in spec.conditions:
@@ -296,11 +292,10 @@ def test_solid_edges_skip_when_no_condition_holds(d8):
 def test_dashed_edges_skip_when_no_condition_holds(d8):
     ctx = RefusingContext(collection_context(d8, 2))
     specs = table_edges(TABLE44)
-    posets = _posets_for(d8, ctx, specs)
     gated = [s for s in specs if s.style == "dashed"]
     assert gated
     for spec in gated:
-        result = _check_edge(ctx, spec, posets, 10_000)
+        result = _check_edge(ctx, spec, 10_000)
         assert result.status == SKIPPED
         assert "scan" not in result.detail
         assert "holding" not in result.detail
@@ -310,9 +305,8 @@ def test_ungated_edges_never_skip(d8):
     # an edge without condition tags must run even if every condition fails
     ctx = RefusingContext(collection_context(d8, 2))
     specs = table_edges(TABLE31)
-    posets = _posets_for(d8, ctx, specs)
     free = next(s for s in specs if s.checker == "prune" and not s.conditions)
-    result = _check_edge(ctx, free, posets, 10_000)
+    result = _check_edge(ctx, free, 10_000)
     assert result.status == CERTIFIED
 
 
@@ -334,8 +328,8 @@ def test_pruning_certifies_without_local_characteristic():
     for name in ("D8", "D12", "S4"):
         lat = enumerate_subgroups(builtin_group(name))
         ctx = collection_context(lat, 2)
-        sub = GPoset.from_collection(lat, ctx.collection("hat-B"))
-        ambient = GPoset.from_collection(lat, ctx.collection("hat-S"))
+        sub = ctx.collection("hat-B")
+        ambient = ctx.collection("hat-S")
         for mode in ("upper", "upper-equivariant"):
             res = verify_inclusion_equivalence(sub, ambient, mode)
             assert res.outcome == PASS, (name, mode)
