@@ -79,7 +79,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_USAGE
 
-    if not _is_prime(args.prime):
+    # a p above the order cap divides no admissible group order, which the
+    # run reports without trial division up to the square root of p
+    if args.prime <= args.max_order and not _is_prime(args.prime):
         print(f"sclab: --prime {args.prime} is not a prime", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,8 +14,8 @@ cut each classical collection down to its "distinguished" part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 from weakref import WeakValueDictionary
 
 from .errors import (ConditionNotSatisfied, InternalInconsistency,
@@ -29,8 +29,7 @@ KINDS = ("A", "S", "B", "Ce", "Bcen", "D", "E",
 CONDITIONS = ("M", "Cl", "Ch")
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     condition: str
     holds: bool
     witnesses: tuple[dict, ...] = ()

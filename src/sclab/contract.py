@@ -17,7 +17,7 @@ Discrete Math. 49, 1984).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fundgroup import fundamental_group_trivial
 from .homology import HomologyProfile, homology
@@ -34,8 +34,7 @@ def _json_label(x):
 # certificate types
 
 
-@dataclass(frozen=True)
-class CoreReduction:
+class CoreReduction(NamedTuple):
     """Beat points removed step by step until only point is left. A step is
     one label, or one whole orbit when the reduction is equivariant; each
     removal is a strong deformation retraction, so the poset contracts."""
@@ -49,8 +48,7 @@ class CoreReduction:
                           for step in self.steps]}
 
 
-@dataclass(frozen=True)
-class MonotoneRetraction:
+class MonotoneRetraction(NamedTuple):
     """The map q -> q v K (side ">=") or q -> q ^ K (side "<=") on a subgroup
     poset, named by its side and the lattice index of K. A join or meet with
     a fixed subgroup is monotone and comparable with the identity, so a
@@ -64,8 +62,7 @@ class MonotoneRetraction:
                 "subgroup": self.subgroup}
 
 
-@dataclass(frozen=True)
-class HomologyWitness:
+class HomologyWitness(NamedTuple):
     """Homology-level evidence: nontriviality or disconnection refutes
     contractibility; triviality plus a verified trivial fundamental group
     establishes it (simply connected and acyclic complexes are contractible)."""
@@ -79,13 +76,12 @@ class HomologyWitness:
                 "connected": self.connected, "pi1_trivial": self.pi1_trivial}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str                 # CONTRACTIBLE | NOT_CONTRACTIBLE | UNKNOWN
     method: str
-    certificate: object | None = None
-    equivariant: bool | None = None
-    detail: dict = field(default_factory=dict)
+    certificate: object | None
+    equivariant: bool | None
+    detail: dict
 
     def to_json(self):
         cert = self.certificate.to_json() if self.certificate is not None else None

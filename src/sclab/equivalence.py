@@ -10,7 +10,7 @@ CERTIFIED, HOMOLOGY-CONSISTENT, or MISMATCH.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
                        MonotoneRetraction, _json_label, beat_core,
@@ -58,8 +58,7 @@ def _pool(ambient: GPoset, sub: GPoset) -> list:
     return [ambient.order.labels[i] for i in positions(outside)]
 
 
-@dataclass(frozen=True)
-class InclusionResult:
+class InclusionResult(NamedTuple):
     mode: str
     outcome: str                # PASS | FAIL | INCONCLUSIVE
     per_element: tuple          # ((label, stabilizer_index | None, Verdict), ...)
@@ -137,8 +136,7 @@ def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
 # fixed-point avatar comparisons
 
 
-@dataclass(frozen=True)
-class FixedPointComparison:
+class FixedPointComparison(NamedTuple):
     subgroup: int
     order: int
     status: str          # CERTIFIED | HOMOLOGY-CONSISTENT | MISMATCH
@@ -153,8 +151,7 @@ class FixedPointComparison:
                 "certificate": cert, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class FixedPointScan:
+class FixedPointScan(NamedTuple):
     per_subgroup: tuple
 
     @property
@@ -184,23 +181,31 @@ def _lattice_retraction(right: GPoset, left: int, side: str, k) -> int | None:
     outside the mask left. Subgroups sort by order, so the join is the
     lowest common upper bound and the meet the highest common lower bound.
     A join or meet with a fixed element is monotone and comparable with the
-    identity, and fixes the positions already above (below) K."""
+    identity, and fixes the positions already above (below) K.
+
+    The image of any other q is the lowest (highest) position of the bound
+    above (below) q, so the positions of the bound are walked upwards
+    (downwards), each taking the remaining positions below (above) it."""
     if right.lattice is None:
         raise ValueError("a lattice retraction needs a lattice-backed poset")
     if side not in ("<=", ">="):
         raise ValueError(f"side must be '<=' or '>=', got {side!r}")
-    masks = right.order.up if side == ">=" else right.order.down
+    up, down = right.order.up, right.order.down
+    masks, takes = (up, down) if side == ">=" else (down, up)
     bound = masks[k.index] | 1 << k.index
-    outside = ~left
     image = right.mask & bound
-    if image & outside:
+    if image & ~left:
         return None
-    for q in positions(right.mask & ~bound):
-        common = masks[q] & bound
-        f = common & -common if side == ">=" else 1 << common.bit_length() - 1
-        if f & outside:
-            return None
-        image |= f
+    rest = right.mask & ~bound
+    while rest:  # the top (bottom) of the lattice takes every q left
+        j = (bound & -bound if side == ">=" else bound).bit_length() - 1
+        bound ^= 1 << j
+        taken = rest & takes[j]
+        if taken:
+            if not left >> j & 1:
+                return None
+            image |= 1 << j
+            rest &= ~taken
     return image
 
 

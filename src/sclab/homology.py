@@ -23,7 +23,7 @@ complex, so a point has trivial profile and the circle gets reduced_betti
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInconsistency
 from .poset import OrderComplex
@@ -145,8 +145,7 @@ def eliminate(columns: list[dict[int, int]], q: int | None = None
     return pivots, [col for col in cols if col]
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     reduced_betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
     euler_characteristic: int

@@ -9,7 +9,6 @@ element i belongs). The lattice holds every subgroup, canonically ordered by
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import and_, itemgetter, or_
@@ -23,8 +22,7 @@ DEFAULT_ORDER_CAP = 2000
 DEFAULT_SUBGROUP_CAP = 100_000
 
 
-@dataclass(frozen=True, order=True)
-class SubgroupRef:
+class SubgroupRef(NamedTuple):
     """A subgroup of the ambient group, addressed within its lattice."""
     order: int
     index: int

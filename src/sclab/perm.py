@@ -7,47 +7,26 @@ degree, which the group code relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import lcm
+from typing import NamedTuple
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
+class _Images(NamedTuple):
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a bijection of 0..{len(self.images) - 1}: {self.images!r}")
+
+class Permutation(_Images):
+    __slots__ = ()
+
+    def __new__(cls, images):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images!r}")
+        return super().__new__(cls, images)
 
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (self * other)(x) = self(other(x))
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        o = other.images
-        s = self.images
-        return Permutation(tuple(s[o[x]] for x in range(len(s))))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point, sorted."""
@@ -66,9 +45,6 @@ class Permutation:
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def order(self) -> int:
-        return lcm(*map(len, self.cycles()))  # lcm() is 1
 
     def cycle_string(self) -> str:
         cycs = self.cycles()

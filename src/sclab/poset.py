@@ -12,7 +12,6 @@ boundary matrices.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
 
 from .errors import SizeCap
 from .lattice import Order, SubgroupLattice, SubgroupRef
@@ -36,30 +35,6 @@ class GPoset:
         self.lattice = lattice
         self.name = name
 
-    # ----- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_relation(cls, labels, strict_pairs, name: str = "") -> "GPoset":
-        """Abstract poset ordered by the transitive closure of strict_pairs;
-        the labels must list a linear extension of it."""
-        labels = tuple(labels)
-        pos = {x: i for i, x in enumerate(labels)}
-        down = [0] * len(labels)
-        for a, b in strict_pairs:
-            if pos[a] > pos[b]:
-                raise ValueError(
-                    f"labels are not a linear extension: {a!r} < {b!r}")
-            if a != b:  # a reflexive pair adds nothing
-                down[pos[b]] |= 1 << pos[a]
-        up = [0] * len(labels)
-        for j in range(len(labels)):
-            for i in positions(down[j]):  # i < j, so down[i] is closed
-                down[j] |= down[i]
-            for i in positions(down[j]):
-                up[i] |= 1 << j
-        return cls(Order(labels, pos, down, up), (1 << len(labels)) - 1,
-                   name=name)
-
     # ----- basic queries ------------------------------------------------------
 
     @cached_property
@@ -79,14 +54,6 @@ class GPoset:
 
     def _sub(self, mask: int, name: str) -> "GPoset":
         return GPoset(self.order, mask & self.mask, self.lattice, name)
-
-    def restrict(self, keep, name: str = "") -> "GPoset":
-        pos = self.order.pos
-        mask = 0
-        for x in keep:
-            if x in pos:
-                mask |= 1 << pos[x]
-        return self._sub(mask, name or self.name)
 
     # ----- intervals (the cut point may lie outside the poset) -----------------
 
@@ -204,17 +171,6 @@ class OrderComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(v) for k, v in self.simplices.items())
-
-    @classmethod
-    def from_maximal_simplices(cls, maximal, name: str = "") -> "OrderComplex":
-        """Close the given simplices under faces; vertices sort by label."""
-        store: dict[int, set] = {}
-        for simplex in maximal:
-            verts = tuple(sorted(set(simplex)))
-            for k in range(len(verts)):
-                for face in combinations(verts, k + 1):
-                    store.setdefault(k, set()).add(face)
-        return cls({k: sorted(v) for k, v in store.items()}, name=name)
 
 
 def order_complex(poset: GPoset, max_simplices: int = DEFAULT_SIMPLEX_CAP,

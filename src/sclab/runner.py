@@ -7,11 +7,12 @@ same plan on the same inputs serialize byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .cache import lattice_for
 from .collections import CONDITIONS, KINDS, collection_context
+from .errors import PrimeDoesNotDivide
 from .group import PermutationGroup, load_group
 from .lattice import DEFAULT_ORDER_CAP
 from .poset import DEFAULT_SIMPLEX_CAP
@@ -31,8 +32,7 @@ NOT_CHECKED = (
 )
 
 
-@dataclass(frozen=True)
-class VerificationPlan:
+class VerificationPlan(NamedTuple):
     group: str                     # file path or builtin:NAME
     prime: int
     suite: str = "all"
@@ -120,6 +120,8 @@ def run(plan: VerificationPlan) -> dict:
     """Execute the plan and return the report dictionary."""
     plan.validate()
     group = load_group(plan.group, max_order=plan.max_order)
+    if group.order % plan.prime:
+        raise PrimeDoesNotDivide(plan.prime, group.order)
     lattice = lattice_for(group, cache_dir=plan.cache_dir,
                           max_order=plan.max_order)
     ctx = collection_context(lattice, plan.prime)

@@ -12,7 +12,7 @@ counterexamples on the dihedral group of order 8, which are reproduced).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .collections import collection_context
 from .contract import CONTRACTIBLE, beat_core, contractibility_verdict
@@ -29,8 +29,7 @@ TABLE31 = "table31"
 TABLE44 = "table44"
 
 
-@dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(NamedTuple):
     table: str
     row: str             # EO | C | EA for horizontals, EO|C | C|EA for verticals
     kinds: tuple         # two endpoint kinds, or one kind for a vertical edge
@@ -44,8 +43,7 @@ class EdgeSpec:
         return f"{self.table}:{self.row}:{'--'.join(self.kinds)}"
 
 
-@dataclass(frozen=True)
-class EdgeResult:
+class EdgeResult(NamedTuple):
     spec: EdgeSpec
     status: str          # CERTIFIED | HOMOLOGY-CONSISTENT | MISMATCH | INCONCLUSIVE | SKIPPED
     detail: dict

@@ -20,6 +20,43 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from _suite import restrict
+
+
+# permutation arithmetic, the oracle for the group tables; a permutation
+# is its image tuple, p[x] the image of point x
+
+
+def compose(a, b) -> tuple:
+    """a * b, which applies b first: (a * b)[x] = a[b[x]]."""
+    if len(a) != len(b):
+        raise ValueError("degree mismatch")
+    return tuple(a[x] for x in b)
+
+
+def inverse(a) -> tuple:
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+def identity(degree: int) -> tuple:
+    return tuple(range(degree))
+
+
+def is_identity(a) -> bool:
+    return a == identity(len(a))
+
+
+def permutation_order(a) -> int:
+    """The least n >= 1 with a^n the identity, by repeated composition."""
+    n, power = 1, a
+    while not is_identity(power):
+        power = compose(power, a)
+        n += 1
+    return n
+
 
 def closure(mul, seed) -> frozenset:
     cur = {0} | set(seed)
@@ -511,7 +548,7 @@ def fiber_outcome(lat, sub, ambient, equivariant: bool):
 
     found = {}
     for y in ambient.labels:
-        fiber = sub.restrict(x for x in sub.labels if leq(x, y))
+        fiber = restrict(sub, [x for x in sub.labels if leq(x, y)])
         gens = (lat.generating_set(lat.normalizer(lat.ref(y)))
                 if equivariant else None)
         core = core_reduction(fiber, leq, gens)

@@ -23,7 +23,7 @@ from sclab.tables import (TABLE31_EDGES, TABLE44_EDGES, _cut, _keep,
 
 import _naive
 from _naive import boundary_matrix, rank_mod, rank_over_rationals
-from _suite import SUITE, lattice_of, nontrivial_p_subgroups
+from _suite import SUITE, from_relation, lattice_of, nontrivial_p_subgroups
 
 GROUPS = ("D8", "Q8", "S3", "D12", "A4", "S4", "SL23", "A5")
 
@@ -240,7 +240,7 @@ def _matrix_product_is_zero(b: Budget, upper, lower, tag) -> None:
 def _random_poset(rng: random.Random, n: int) -> GPoset:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < 0.4]
-    return GPoset.from_relation(tuple(range(n)), pairs)
+    return from_relation(tuple(range(n)), pairs)
 
 
 def check_boundary_squares_to_zero(b: Budget, rng: random.Random) -> None:

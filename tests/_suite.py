@@ -1,13 +1,15 @@
 """Shared group/prime suite, a cached lattice factory, the nontrivial
-p-subgroups of a lattice and an abstract-poset constructor for the tests."""
+p-subgroups of a lattice, and constructors of abstract posets, subposets and
+simplicial complexes for the tests."""
 
 from __future__ import annotations
 
 import functools
+from itertools import combinations
 
 from sclab.group import builtin_group
-from sclab.lattice import enumerate_subgroups, p_part
-from sclab.poset import GPoset
+from sclab.lattice import Order, enumerate_subgroups, p_part
+from sclab.poset import GPoset, OrderComplex, positions
 
 # every builtin suite group at each prime dividing its order
 SUITE = (
@@ -32,10 +34,51 @@ def nontrivial_p_subgroups(lat, p: int):
                  if s.order > 1 and p_part(s.order, p) == s.order)
 
 
+def from_relation(labels, strict_pairs, name: str = "") -> GPoset:
+    """Abstract poset ordered by the transitive closure of strict_pairs;
+    the labels must list a linear extension of it."""
+    labels = tuple(labels)
+    pos = {x: i for i, x in enumerate(labels)}
+    down = [0] * len(labels)
+    for a, b in strict_pairs:
+        if pos[a] > pos[b]:
+            raise ValueError(
+                f"labels are not a linear extension: {a!r} < {b!r}")
+        if a != b:  # a reflexive pair adds nothing
+            down[pos[b]] |= 1 << pos[a]
+    up = [0] * len(labels)
+    for j in range(len(labels)):
+        for i in positions(down[j]):  # i < j, so down[i] is closed
+            down[j] |= down[i]
+        for i in positions(down[j]):
+            up[i] |= 1 << j
+    return GPoset(Order(labels, pos, down, up), (1 << len(labels)) - 1,
+                  name=name)
+
+
 def relation_poset(labels, leq, name: str = "") -> GPoset:
     """The abstract poset on labels ordered by leq(a, b); the labels must list
     a linear extension."""
     labels = tuple(labels)
-    return GPoset.from_relation(
+    return from_relation(
         labels, [(a, b) for a in labels for b in labels
                  if a != b and leq(a, b)], name=name)
+
+
+def restrict(poset: GPoset, keep, name: str = "") -> GPoset:
+    """The subposet of poset on the labels in keep that it holds."""
+    pos = poset.order.pos
+    mask = sum(1 << pos[x] for x in set(keep) if x in pos)
+    return GPoset(poset.order, mask & poset.mask, poset.lattice,
+                  name or poset.name)
+
+
+def from_maximal_simplices(maximal, name: str = "") -> OrderComplex:
+    """Close the given simplices under faces; vertices sort by label."""
+    store: dict[int, set] = {}
+    for simplex in maximal:
+        verts = tuple(sorted(set(simplex)))
+        for k in range(len(verts)):
+            for face in combinations(verts, k + 1):
+                store.setdefault(k, set()).add(face)
+    return OrderComplex({k: sorted(v) for k, v in store.items()}, name=name)

@@ -3,8 +3,9 @@
 Runs `python -m sclab.cli verify --group tests/data/NAME.grp --prime 2`
 for S4 x S4, D8 x D8, Z2^5, Z2^6 and S6 x Z2, one child process each, and
 prints the wall time, the exit code, the child's peak resident set size,
-and the size and SHA-256 of the report. Pytest does not collect this
-file; run it by hand:
+and the size and SHA-256 of the report. A first "startup" row times a
+child that only runs `import sclab.cli`, the floor under every run; no
+pin covers it. Pytest does not collect this file; run it by hand:
 
     python tests/frontier.py [--check] [NAME ...]
 
@@ -37,17 +38,13 @@ PINS = {
 }
 
 
-def run_one(name: str, workdir: Path) -> tuple[float, int, float, bytes]:
-    """Wall time, exit code, peak RSS in MB and report bytes of one run."""
-    report = workdir / f"{name}.json"
+def run_child(args) -> tuple[float, int, float]:
+    """Wall time, exit code and peak RSS in MB of `python ARGS` in a child."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "sclab.cli", "verify",
-             "--group", str(DATA / f"{name}.grp"), "--prime", str(PRIME),
-             "--report", str(report)],
-            env=env, stdout=subprocess.DEVNULL, stderr=err)
+        proc = subprocess.Popen([sys.executable, *args], env=env,
+                                stdout=subprocess.DEVNULL, stderr=err)
         # wait4 gives this child's own resource usage
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
@@ -55,9 +52,18 @@ def run_one(name: str, workdir: Path) -> tuple[float, int, float, bytes]:
         err.seek(0)
         if proc.returncode:
             sys.stderr.write(err.read().decode(errors="replace"))
-    payload = report.read_bytes() if report.exists() else b""
     # ru_maxrss is in kilobytes on Linux
-    return wall, proc.returncode, usage.ru_maxrss / 1024, payload
+    return wall, proc.returncode, usage.ru_maxrss / 1024
+
+
+def run_one(name: str, workdir: Path) -> tuple[float, int, float, bytes]:
+    """Wall time, exit code, peak RSS in MB and report bytes of one run."""
+    report = workdir / f"{name}.json"
+    wall, code, rss = run_child(
+        ["-m", "sclab.cli", "verify", "--group", str(DATA / f"{name}.grp"),
+         "--prime", str(PRIME), "--report", str(report)])
+    payload = report.read_bytes() if report.exists() else b""
+    return wall, code, rss, payload
 
 
 def main(argv) -> int:
@@ -68,6 +74,9 @@ def main(argv) -> int:
     args = parser.parse_args(argv)
     print(f"{'input':<8} {'p':>2} {'wall_s':>8} {'exit':>4} {'rss_mb':>7} "
           f"{'bytes':>10}  sha256")
+    wall, code, rss = run_child(["-c", "import sclab.cli"])
+    print(f"{'startup':<8} {'-':>2} {wall:>8.2f} {code:>4} {rss:>7.0f} "
+          f"{'-':>10}  -", flush=True)
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.names:

@@ -210,6 +210,18 @@ def test_prime_must_divide_the_order(capfd):
     assert "divide" in capfd.readouterr().err
 
 
+def test_a_prime_above_the_order_cap_is_not_trial_divided(tmp_path):
+    # 2^61 - 1 is prime, and trial division up to its square root takes
+    # minutes; such a p divides no group order under the cap, and the run
+    # stops before it enumerates (and caches) a lattice
+    proc = _run_module("-m", "sclab.cli", "verify", "--group", "builtin:S3",
+                       "--prime", str(2 ** 61 - 1), "--cache", str(tmp_path),
+                       timeout=10)
+    assert proc.returncode == EXIT_USAGE
+    assert b"does not divide" in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def test_usage_errors(capfd):
     assert main([]) == EXIT_USAGE
     assert main(["verify"]) == EXIT_USAGE
@@ -338,6 +350,14 @@ def test_module_entry_point():
                        "--prime", "2", "--suite", "inclusions")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["chain_violations"] == 0
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # both weigh on the start-up of every run
+    proc = _run_module("-c", "import sys, sclab.cli; print(sorted("
+                       "{'dataclasses', 'inspect'} & sys.modules.keys()))")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.strip() == b"[]"
 
 
 def test_golden_d8_table31_under_optimize():

@@ -4,8 +4,6 @@ Every CONTRACTIBLE verdict must carry evidence that replays; the tamper
 tests alter one part of a good certificate and demand rejection.
 """
 
-import dataclasses
-
 import pytest
 
 from sclab.collections import collection_context
@@ -23,12 +21,13 @@ from sclab.contract import (
 from sclab.group import builtin_group
 from sclab.homology import homology
 from sclab.lattice import enumerate_subgroups
-from sclab.poset import GPoset, OrderComplex, order_complex, positions
+from sclab.poset import GPoset, order_complex, positions
 
 import _naive
 from _naive import verify_monotone_retraction
 from _props import fixed_point_contractibility_scan
-from _suite import relation_poset
+from _suite import (from_maximal_simplices, from_relation, relation_poset,
+                    restrict)
 from test_homology import DUNCE_FACETS
 
 DIVISORS_OF_12 = relation_poset((1, 2, 3, 4, 6, 12), lambda a, b: b % a == 0)
@@ -49,16 +48,16 @@ TRIANGLE_RIM = relation_poset(
 def face_poset(maximal):
     """The nonempty faces of the complex spanned by the given simplices,
     ordered by inclusion; its order complex subdivides that complex."""
-    cx = OrderComplex.from_maximal_simplices(maximal)
+    cx = from_maximal_simplices(maximal)
     faces = [s for k in sorted(cx.simplices) for s in cx.simplices[k]]
     covers = [(s[:i] + s[i + 1:], s)
               for s in faces if len(s) > 1 for i in range(len(s))]
-    return GPoset.from_relation(faces, covers)
+    return from_relation(faces, covers)
 
 
 def core_verdict(steps, point, equivariant=None):
     return Verdict(CONTRACTIBLE, "core", CoreReduction(steps, point),
-                   equivariant)
+                   equivariant, {})
 
 
 # ------------------------------------------------ the map-checker oracle
@@ -119,18 +118,18 @@ def test_retraction_oracle_checks_the_target():
 
 
 def test_empty_poset_has_no_contraction():
-    empty = DIVISORS_OF_12.restrict(())
+    empty = restrict(DIVISORS_OF_12, ())
     assert core_reduction(empty) is None
     assert not verify_certificate(empty, core_verdict((), 1))
 
 
 def test_stepless_core_reduction_is_a_point():
     # a reduction without steps contracts exactly the one-point posets
-    point = DIVISORS_OF_12.restrict((1,))
+    point = restrict(DIVISORS_OF_12, (1,))
     assert core_reduction(point) == CoreReduction((), 1)
     assert verify_certificate(point, core_verdict((), 1))
     assert not verify_certificate(DIVISORS_OF_12, core_verdict((), 1))
-    assert not verify_certificate(DIVISORS_OF_12.restrict(()),
+    assert not verify_certificate(restrict(DIVISORS_OF_12, ()),
                                   core_verdict((), 1))
 
 
@@ -154,7 +153,7 @@ def test_core_of_a_circle_with_a_tail():
         ("a", "b", "c", "ab", "bc", "ca", "d", "e"),
         lambda x, y: x == y or (len(x) == 1 and x in y)
         or (x, y) in (("a", "d"), ("a", "e"), ("d", "e")))
-    rim = tailed.restrict(TRIANGLE_RIM.labels)
+    rim = restrict(tailed, TRIANGLE_RIM.labels)
     assert core_reduction(tailed) == rim.mask
     core = beat_core(tailed)
     assert core.labels == rim.labels
@@ -168,7 +167,7 @@ def test_core_of_a_circle_with_a_tail():
 def test_core_of_a_contractible_poset_is_its_point():
     core = beat_core(BOWTIE)
     assert core.labels == (core_reduction(BOWTIE).point,)
-    assert beat_core(BOWTIE.restrict(())).is_empty()
+    assert beat_core(restrict(BOWTIE, ())).is_empty()
 
 
 def test_greedy_collapse_of_a_solid_triangle():
@@ -202,10 +201,10 @@ def test_collapse_gets_stuck_on_the_dunce_hat():
 
 
 def test_verdict_empty():
-    v = contractibility_verdict(DIVISORS_OF_12.restrict(()))
+    v = contractibility_verdict(restrict(DIVISORS_OF_12, ()))
     assert v.status == NOT_CONTRACTIBLE
     assert v.method == "empty"
-    assert verify_certificate(DIVISORS_OF_12.restrict(()), v)
+    assert verify_certificate(restrict(DIVISORS_OF_12, ()), v)
 
 
 def test_verdict_cone_from_unique_maximum():
@@ -220,7 +219,7 @@ def test_verdict_cone_from_unique_maximum():
 
 
 def test_verdict_cone_from_unique_minimum():
-    no_top = DIVISORS_OF_12.restrict((1, 2, 3, 4, 6))
+    no_top = restrict(DIVISORS_OF_12, (1, 2, 3, 4, 6))
     v = contractibility_verdict(no_top)
     assert v.method == "core"
     assert v.certificate == CoreReduction(((2,), (3,), (4,), (1,)), 6)
@@ -294,12 +293,10 @@ def test_verdict_to_json_shapes():
 
 def test_tampered_cone_certificate_is_rejected():
     v = contractibility_verdict(DIVISORS_OF_12)
-    wrong_point = dataclasses.replace(
-        v, certificate=dataclasses.replace(v.certificate, point=6))
+    wrong_point = v._replace(certificate=v.certificate._replace(point=6))
     assert not verify_certificate(DIVISORS_OF_12, wrong_point)
-    dropped = dataclasses.replace(
-        v, certificate=dataclasses.replace(v.certificate,
-                                           steps=v.certificate.steps[:-1]))
+    dropped = v._replace(certificate=v.certificate._replace(
+        steps=v.certificate.steps[:-1]))
     assert not verify_certificate(DIVISORS_OF_12, dropped)
 
 
@@ -308,8 +305,7 @@ def test_tampered_conical_certificate_is_rejected():
     # "a" lies below both maximal elements, so it is no beat point at first
     steps = (("a",),) + tuple(s for s in v.certificate.steps if s != ("a",))
     assert v.certificate.steps != steps
-    bad = dataclasses.replace(
-        v, certificate=dataclasses.replace(v.certificate, steps=steps))
+    bad = v._replace(certificate=v.certificate._replace(steps=steps))
     assert not verify_certificate(BOWTIE, bad)
 
 
@@ -321,15 +317,14 @@ def test_tampered_zigzag_certificate_is_rejected():
     steps = v.certificate.steps
     k = next(i for i, step in enumerate(steps) if len(step) > 1)
     split = steps[:k] + tuple((x,) for x in steps[k]) + steps[k + 1:]
-    bad = dataclasses.replace(
-        v, certificate=dataclasses.replace(v.certificate, steps=split))
+    bad = v._replace(certificate=v.certificate._replace(steps=split))
     assert verify_certificate(poset, bad)
     assert not verify_certificate(poset, bad, equivariance_gens=gens)
 
 
 def test_certificate_against_wrong_object_fails():
     v = contractibility_verdict(DIVISORS_OF_12)
-    other = DIVISORS_OF_12.restrict((1, 2, 3, 6))
+    other = restrict(DIVISORS_OF_12, (1, 2, 3, 6))
     assert not verify_certificate(other, v)
 
 

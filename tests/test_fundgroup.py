@@ -14,11 +14,12 @@ from sclab.fundgroup import (
 )
 from sclab.poset import OrderComplex
 
+from _suite import from_maximal_simplices
 from test_homology import DUNCE_FACETS, MOORE3_FACETS, RP2_FACETS
 
 
 def complex_of(maximal):
-    return OrderComplex.from_maximal_simplices(maximal)
+    return from_maximal_simplices(maximal)
 
 
 def test_point_and_cone_are_simply_connected():

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from sclab.contract import _is_beat, core_reduction
 from sclab.homology import smith_normal_form
-from sclab.poset import GPoset
 
 import _naive
 import _props
+from _suite import from_relation
 
 # assertion counts per family, pinned from a seeded reference run
 EXPECTED = {
@@ -94,7 +94,7 @@ def _relations(draw):
 @given(_relations())
 def test_abstract_masks_match_the_closure(relation):
     n, pairs = relation
-    poset = GPoset.from_relation(range(n), pairs)
+    poset = from_relation(range(n), pairs)
     below = _naive.relation_closure(range(n), pairs)
     for x in range(n):
         assert poset.below(x, strict=True).labels == tuple(
@@ -107,7 +107,7 @@ def test_abstract_masks_match_the_closure(relation):
 @given(_relations())
 def test_abstract_beat_points_and_cores_match_the_oracle(relation):
     n, pairs = relation
-    poset = GPoset.from_relation(range(n), pairs)
+    poset = from_relation(range(n), pairs)
     below = _naive.relation_closure(range(n), pairs)
     down, up = poset.order.down, poset.order.up
     for alive in range(1 << n):
@@ -128,9 +128,9 @@ def test_labels_must_list_a_linear_extension(relation, rnd):
     where = {x: i for i, x in enumerate(labels)}
     if any(where[a] > where[b] for a, b in pairs):
         with pytest.raises(ValueError, match="linear extension"):
-            GPoset.from_relation(labels, pairs)
+            from_relation(labels, pairs)
     else:
-        assert GPoset.from_relation(labels, pairs).labels == tuple(labels)
+        assert from_relation(labels, pairs).labels == tuple(labels)
 
 
 # ------------------------------------------------------------ the budget
