@@ -20,8 +20,9 @@ from weakref import WeakValueDictionary
 
 from .errors import (ConditionNotSatisfied, InternalInconsistency,
                      PrimeDoesNotDivide)
+from .group import positions
 from .lattice import SubgroupLattice, SubgroupRef, p_part, p_core_of_group
-from .poset import GPoset, positions
+from .poset import GPoset
 
 KINDS = ("A", "S", "B", "Ce", "Bcen", "D", "E",
          "tilde-A", "tilde-S", "tilde-B", "hat-A", "hat-S", "hat-B")
@@ -58,45 +59,41 @@ class CollectionContext:
 
     # ----- central-type elements -------------------------------------------
 
-    @property
+    @cached_property
     def E0(self) -> frozenset[int]:
         """Element indices of order p lying in the center of some Sylow."""
-        if not hasattr(self, "_E0"):
-            lat = self.lattice
-            orders = lat.group.element_orders
-            out = set()
-            for s in lat.sylow(self.p):
-                for x in lat.members(lat.center(s)):
-                    if orders[x] == self.p:
-                        out.add(x)
-            self._E0 = frozenset(out)
-        return self._E0
+        lat = self.lattice
+        orders = lat.group.element_orders
+        out = set()
+        for s in lat.sylow(self.p):
+            for x in lat.members(lat.center(s)):
+                if orders[x] == self.p:
+                    out.add(x)
+        return frozenset(out)
 
-    @property
+    @cached_property
     def E1(self) -> frozenset[int]:
         """Least superset of E0 closed under conjugation and under products of
         commuting pairs whose product has order exactly p. E0 is a union of
         conjugacy classes (the Sylows are conjugate), and closing a
         conjugation-invariant set under commuting products keeps it
         invariant, so the products alone reach E1."""
-        if not hasattr(self, "_E1"):
-            grp = self.lattice.group
-            mul = grp.mul
-            orders = grp.element_orders
-            cur = set(self.E0)
-            changed = True
-            while changed:
-                changed = False
-                for x in list(cur):
-                    for y in list(cur):
-                        if mul[x][y] != mul[y][x]:
-                            continue
-                        z = mul[x][y]
-                        if orders[z] == self.p and z not in cur:
-                            cur.add(z)
-                            changed = True
-            self._E1 = frozenset(cur)
-        return self._E1
+        grp = self.lattice.group
+        mul = grp.mul
+        orders = grp.element_orders
+        cur = set(self.E0)
+        changed = True
+        while changed:
+            changed = False
+            for x in list(cur):
+                for y in list(cur):
+                    if mul[x][y] != mul[y][x]:
+                        continue
+                    z = mul[x][y]
+                    if orders[z] == self.p and z not in cur:
+                        cur.add(z)
+                        changed = True
+        return frozenset(cur)
 
     # ----- operators --------------------------------------------------------
 

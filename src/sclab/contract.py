@@ -20,14 +20,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fundgroup import fundamental_group_trivial
+from .group import positions
 from .homology import HomologyProfile, homology
-from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex, positions
-
-
-def _json_label(x):
-    if isinstance(x, tuple):
-        return list(x)
-    return x
+from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
 
 
 # --------------------------------------------------------------------------
@@ -36,16 +31,15 @@ def _json_label(x):
 
 class CoreReduction(NamedTuple):
     """Beat points removed step by step until only point is left. A step is
-    one label, or one whole orbit when the reduction is equivariant; each
+    one position, or one whole orbit when the reduction is equivariant; each
     removal is a strong deformation retraction, so the poset contracts."""
 
-    steps: tuple  # ((label, ...), ...)
-    point: object
+    steps: tuple  # ((position, ...), ...)
+    point: int
 
     def to_json(self):
-        return {"kind": "core", "point": _json_label(self.point),
-                "steps": [[_json_label(x) for x in step]
-                          for step in self.steps]}
+        return {"kind": "core", "point": self.point,
+                "steps": list(map(list, self.steps))}
 
 
 class MonotoneRetraction(NamedTuple):
@@ -98,9 +92,8 @@ UNKNOWN = "UNKNOWN"
 # --------------------------------------------------------------------------
 # beat-point core reduction
 #
-# Labels are handled by their position in the poset's order, a linear
-# extension; a set of labels is a bitmask over positions, so a beat-point
-# test is a few bit operations.
+# Positions follow the poset's order, a linear extension; a set of positions
+# is a bitmask, so a beat-point test is a few bit operations.
 
 
 def _is_beat(i: int, alive: int, down, up) -> bool:
@@ -118,10 +111,10 @@ def _is_beat(i: int, alive: int, down, up) -> bool:
 
 
 def core_reduction(poset: GPoset, orbit=None) -> CoreReduction | int | None:
-    """Remove the first beat point in label order until none is left; when
-    orbit is given (the masks of `GPoset.orbits`), remove the beat point's
-    whole orbit instead (an orbit of beat points is an antichain of beat
-    points). Returns the removals when a single point remains, the mask of
+    """Remove the lowest beat point until none is left; when orbit is given
+    (the masks of `GPoset.orbits`), remove the beat point's whole orbit
+    instead (an orbit of beat points is an antichain of beat points).
+    Returns the removals when a single point remains, the mask of
     the core when more than one point is left, and None when the poset is
     empty.
 
@@ -129,7 +122,7 @@ def core_reduction(poset: GPoset, orbit=None) -> CoreReduction | int | None:
     so the mask of current beat points is rechecked there alone."""
     if poset.is_empty():
         return None
-    at, down, up = poset.order.labels, poset.order.down, poset.order.up
+    down, up = poset.order.down, poset.order.up
     alive = near = poset.mask
     beats, steps = 0, []
     while True:
@@ -137,12 +130,12 @@ def core_reduction(poset: GPoset, orbit=None) -> CoreReduction | int | None:
             if _is_beat(j, alive, down, up):
                 beats |= 1 << j
         if not alive & (alive - 1):
-            return CoreReduction(tuple(steps), at[alive.bit_length() - 1])
+            return CoreReduction(tuple(steps), alive.bit_length() - 1)
         if not beats:
             return alive
         low = beats & -beats
         step = orbit[low.bit_length() - 1] if orbit is not None else low
-        steps.append(tuple(at[j] for j in positions(step)))
+        steps.append(tuple(positions(step)))
         alive &= ~step
         near = 0
         for j in positions(step):
@@ -152,9 +145,10 @@ def core_reduction(poset: GPoset, orbit=None) -> CoreReduction | int | None:
 
 
 def _replay_core(poset: GPoset, cert: CoreReduction, gens) -> bool:
-    """Every label must be a beat point when it is removed, each step must be
-    exactly one orbit when gens is given, and exactly cert.point remains."""
-    pos, down, up = poset.order.pos, poset.order.down, poset.order.up
+    """Every position must be a beat point when it is removed, each step must
+    be exactly one orbit when gens is given, and exactly cert.point remains;
+    a position outside the poset, negative ones included, fails."""
+    down, up = poset.order.down, poset.order.up
     orbit = poset.orbits(gens) if gens is not None else None
     if gens is not None and orbit is None:
         return False
@@ -163,17 +157,14 @@ def _replay_core(poset: GPoset, cert: CoreReduction, gens) -> bool:
         if not step:
             return False
         mask = 0
-        for x in step:
-            if x not in poset:
-                return False
-            i = pos[x]
-            if not alive >> i & 1 or not _is_beat(i, alive, down, up):
+        for i in step:
+            if i < 0 or not alive >> i & 1 or not _is_beat(i, alive, down, up):
                 return False
             alive &= ~(1 << i)
             mask |= 1 << i
         if orbit is not None and orbit[i] != mask:
             return False
-    return cert.point in poset and alive == 1 << pos[cert.point]
+    return alive.bit_count() == 1 and alive.bit_length() - 1 == cert.point
 
 
 def beat_core(poset: GPoset) -> GPoset:
@@ -182,7 +173,7 @@ def beat_core(poset: GPoset) -> GPoset:
     core's nerve has the homology and fundamental group of the poset's."""
     core = core_reduction(poset)
     if isinstance(core, CoreReduction):
-        core = 1 << poset.order.pos[core.point]
+        core = 1 << core.point
     return GPoset(poset.order, core or 0, poset.lattice, poset.name)
 
 
@@ -215,7 +206,7 @@ def contractibility_verdict(poset: GPoset, *, equivariance_gens=None,
     core = core_reduction(poset, orbit)
     if isinstance(core, CoreReduction):
         return Verdict(CONTRACTIBLE, "core", core, invariant,
-                       {"point": _json_label(core.point)})
+                       {"point": core.point})
 
     # the core has the poset's homology and fundamental group
     complex_ = order_complex(GPoset(poset.order, core, poset.lattice,

@@ -13,11 +13,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
-                       MonotoneRetraction, _json_label, beat_core,
-                       contractibility_verdict)
+                       MonotoneRetraction, beat_core, contractibility_verdict)
 from .errors import NotASubposet
+from .group import positions
 from .homology import homology
-from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex, positions
+from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
 
 MODES = ("fibers", "upper", "lower", "upper-equivariant")
 
@@ -41,34 +41,34 @@ def _check_subposet(sub: GPoset, ambient: GPoset) -> None:
     if sub.order is not ambient.order:
         raise NotASubposet(
             "order disagrees: sub and ambient do not share one order")
-    missing = [sub.order.labels[i]
-               for i in positions(sub.mask & ~ambient.mask)]
+    missing = list(positions(sub.mask & ~ambient.mask))
     if missing:
-        raise NotASubposet(f"labels {missing[:5]!r} are not in the ambient poset")
+        raise NotASubposet(
+            f"positions {missing[:5]!r} are not in the ambient poset")
 
 
 def _pool(ambient: GPoset, sub: GPoset) -> list:
-    """The labels of ambient outside sub, one per conjugacy orbit when both
+    """The positions of ambient outside sub, one per conjugacy orbit when both
     posets are invariant, all of them otherwise."""
     outside = ambient.mask & ~sub.mask
     lat = ambient.lattice
     if lat is not None and (lat.is_class_union(ambient.mask)
                             and lat.is_class_union(sub.mask)):
         outside = lat.first_of_each_class(outside)
-    return [ambient.order.labels[i] for i in positions(outside)]
+    return list(positions(outside))
 
 
 class InclusionResult(NamedTuple):
     mode: str
     outcome: str                # PASS | FAIL | INCONCLUSIVE
-    per_element: tuple          # ((label, stabilizer_index | None, Verdict), ...)
-    witnesses: tuple            # labels whose hypothesis check did not certify
+    per_element: tuple          # ((position, stabilizer_index | None, Verdict), ...)
+    witnesses: tuple            # positions whose hypothesis check did not certify
     claim: str
 
     def to_json(self):
         return {"mode": self.mode, "outcome": self.outcome, "claim": self.claim,
-                "witnesses": [_json_label(w) for w in self.witnesses],
-                "per_element": [[_json_label(y), s, v.to_json()]
+                "witnesses": list(self.witnesses),
+                "per_element": [[y, s, v.to_json()]
                                 for y, s, v in self.per_element]}
 
 
@@ -163,9 +163,6 @@ class FixedPointScan(NamedTuple):
             return HOMOLOGY_CONSISTENT
         return CERTIFIED
 
-    def mismatches(self) -> tuple:
-        return tuple(c for c in self.per_subgroup if c.status == MISMATCH)
-
     def to_json(self):
         return {"status": self.status,
                 "per_subgroup": [c.to_json() for c in self.per_subgroup]}
@@ -253,8 +250,8 @@ def fixed_point_equivalence_scan(subgroups, left_of, right_of, *,
                                  ) -> FixedPointScan:
     """Compare designated avatar posets over a list of subgroup refs.
 
-    left_of(h) must be a subposet of right_of(h). Grading per h: equal label
-    sets, a retraction landing in the left poset, or both posets contractible
+    left_of(h) must be a subposet of right_of(h). Grading per h: equal
+    masks, a retraction landing in the left poset, or both posets contractible
     give CERTIFIED; failing that, equal homology profiles give
     HOMOLOGY-CONSISTENT, anything else MISMATCH. retraction(h) returns
     (side, K) and names the map q -> q v K (side ">=") or q -> q ^ K

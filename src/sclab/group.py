@@ -163,7 +163,7 @@ class PermutationGroup:
         order of `generator_conjugation`; and per member, its elements in
         increasing order."""
         orbit, position, moves = [bits], {bits: 0}, []
-        members = [tuple(_bits(bits))]
+        members = [tuple(positions(bits))]
         for hs in members:
             step = []
             for row in self.generator_conjugation:
@@ -213,7 +213,7 @@ class PermutationGroup:
         one extension step per seed element not yet reached."""
         found = 1  # identity is index 0
         gens: list[int] = []
-        for x in _bits(seed):
+        for x in positions(seed):
             if not (found >> x) & 1:
                 gens.append(x)
                 found = self.extend_bitset(found, gens)
@@ -222,7 +222,7 @@ class PermutationGroup:
     def extend_bitset(self, bits: int, gens) -> int:
         """The subgroup <H, x> for H = ``bits`` and x the last of ``gens``,
         where the generators before x must generate H."""
-        return self.dimino_step(bits, list(map(self.mul.__getitem__, _bits(bits))), gens)
+        return self.dimino_step(bits, list(map(self.mul.__getitem__, positions(bits))), gens)
 
     def dimino_step(self, bits: int, coset: list, gens) -> int:
         """Dimino's step for `extend_bitset`, given the rows of H's members
@@ -248,9 +248,6 @@ class PermutationGroup:
                     reps.append(y)
         return found
 
-    def bitset_members(self, bits: int) -> list[int]:
-        return _bits(bits)
-
     # ----- identity -------------------------------------------------------
 
     @cached_property
@@ -274,13 +271,12 @@ def _prime_power(n: int) -> bool:
 _SHIFT = (1).__lshift__  # _SHIFT(x) is the bitset {x}
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
+def positions(mask: int):
+    """The positions of the set bits of mask, lowest first."""
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
-    return out
 
 
 # ----- builtin groups -----------------------------------------------------

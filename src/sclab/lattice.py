@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import (CapExceeded, InternalInconsistency, NotAPGroup,
                      PrimeDoesNotDivide)
-from .group import PermutationGroup
+from .group import PermutationGroup, positions
 
 DEFAULT_ORDER_CAP = 2000
 DEFAULT_SUBGROUP_CAP = 100_000
@@ -33,11 +33,8 @@ class SubgroupRef(NamedTuple):
 
 
 class Order(NamedTuple):
-    """A strict order on the positions of a linear extension: labels[i] is
-    the label at position i, pos[label] its position, and down[i], up[i] the
-    bitmasks of the positions strictly below and above i."""
-    labels: object
-    pos: object
+    """A strict order on the positions of a linear extension: down[i] and
+    up[i] are the bitmasks of the positions strictly below and above i."""
     down: object
     up: object
 
@@ -109,7 +106,7 @@ def enumerate_subgroups(group: PermutationGroup, *,
             if len(classes[bits]) == 1:  # N_G(R) = G: c's orbit is its class
                 covered.update(classes[c])
             elif len(classes[c]) > 1:
-                norm = norm or group.bitset_members(group.normalizer_bitset(bits, gens))
+                norm = norm or list(positions(group.normalizer_bitset(bits, gens)))
                 col = group.conjugation_column(x)
                 covered.update(map(cyclic_of.__getitem__, map(col.__getitem__, norm)))
             add_class(group.dimino_step(bits, rows, gens + (x,)), gens + (x,))
@@ -224,8 +221,7 @@ class SubgroupLattice:
             held = filter(None, map(holding.__getitem__, members[bits[i]]))
             return reduce(and_, held, full) ^ 1 << i
 
-        return Order(range(len(bits)), range(len(bits)),
-                     _LazyMasks(down), _LazyMasks(up))
+        return Order(_LazyMasks(down), _LazyMasks(up))
 
     def generating_set(self, ref: SubgroupRef) -> tuple[int, ...]:
         """A small generating set, chosen greedily in canonical element order."""

@@ -1,10 +1,10 @@
 """Finite posets with a group action, and their order complexes.
 
 A GPoset is a mask of positions in one shared `Order`, the strict down- and
-up-masks of a linear extension. It is either backed by a subgroup lattice
-(labels are lattice indices, the order is inclusion, the action is
-conjugation) or abstract (arbitrary hashable labels with an explicit
-relation, no action). Order complexes list every strict chain; chains are
+up-masks of a linear extension; a position is the element's only name. It
+is either backed by a subgroup lattice (positions are lattice indices, the
+order is inclusion, the action is conjugation) or abstract (an explicit
+order, no action). Order complexes list every strict chain; chains are
 stored in increasing order, which fixes the orientation used by the
 boundary matrices.
 """
@@ -14,17 +14,10 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import SizeCap
+from .group import positions
 from .lattice import Order, SubgroupLattice, SubgroupRef
 
 DEFAULT_SIMPLEX_CAP = 500_000
-
-
-def positions(mask: int):
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class GPoset:
@@ -37,17 +30,11 @@ class GPoset:
 
     # ----- basic queries ------------------------------------------------------
 
-    @cached_property
-    def labels(self) -> tuple:
-        at = self.order.labels
-        return tuple(at[i] for i in positions(self.mask))
-
     def __len__(self):
         return self.mask.bit_count()
 
-    def __contains__(self, label):
-        pos = self.order.pos
-        return label in pos and bool(self.mask >> pos[label] & 1)
+    def __contains__(self, i: int):
+        return bool(self.mask >> i & 1)
 
     def is_empty(self) -> bool:
         return not self.mask
@@ -57,24 +44,13 @@ class GPoset:
 
     # ----- intervals (the cut point may lie outside the poset) -----------------
 
-    def _cut(self, x, strict: bool):
-        """The cut point's label, its position, and its bit unless strict."""
-        x = self._label_of(x)
-        i = self.order.pos[x]
-        return x, i, 0 if strict else 1 << i
+    def above(self, i: int, strict: bool = False) -> "GPoset":
+        return self._sub(self.order.up[i] | (0 if strict else 1 << i),
+                         f"{self.name}{'>' if strict else '>='}{i}")
 
-    def above(self, x, strict: bool = False) -> "GPoset":
-        x, i, bit = self._cut(x, strict)
-        return self._sub(self.order.up[i] | bit,
-                         f"{self.name}{'>' if strict else '>='}{x}")
-
-    def below(self, x, strict: bool = False) -> "GPoset":
-        x, i, bit = self._cut(x, strict)
-        return self._sub(self.order.down[i] | bit,
-                         f"{self.name}{'<' if strict else '<='}{x}")
-
-    def _label_of(self, x):
-        return x.index if isinstance(x, SubgroupRef) else x
+    def below(self, i: int, strict: bool = False) -> "GPoset":
+        return self._sub(self.order.down[i] | (0 if strict else 1 << i),
+                         f"{self.name}{'<' if strict else '<='}{i}")
 
     # ----- lattice-backed extras ------------------------------------------------
 
@@ -106,13 +82,9 @@ class GPoset:
             out[n] = out.get(n, 0) | 1 << i
         return out
 
-    def conjugate_label(self, g: int, label):
-        lat = self._require_lattice()
-        return lat.conjugate(lat.ref(label), g).index
-
     def orbits(self, gens) -> dict | None:
         """Per position, the bitmask of its orbit under conjugation by gens,
-        or None when some generator conjugates a label out of the poset.
+        or None when some generator conjugates a member out of the poset.
         When gens generate the whole group, the orbits are the classes."""
         lat = self.lattice
         if lat is not None and lat.generated(gens) == lat.full:
@@ -120,20 +92,21 @@ class GPoset:
                 return None
             return {j: c for c in lat.class_masks if c & self.mask
                     for j in positions(c)}
-        pos = self.order.pos
+        if gens:
+            lat = self._require_lattice()
         orbit = {}
-        for x in self.labels:
-            if pos[x] in orbit:
+        for i in positions(self.mask):
+            if i in orbit:
                 continue
-            mask, stack = 1 << pos[x], [x]
+            mask, stack = 1 << i, [i]
             while stack:
                 y = stack.pop()
                 for g in gens:
-                    z = self.conjugate_label(g, y)
-                    if z not in self:
+                    z = lat.conjugate(lat.ref(y), g).index
+                    if not self.mask >> z & 1:
                         return None
-                    if not mask >> pos[z] & 1:
-                        mask |= 1 << pos[z]
+                    if not mask >> z & 1:
+                        mask |= 1 << z
                         stack.append(z)
             for j in positions(mask):
                 orbit[j] = mask
@@ -144,7 +117,7 @@ class OrderComplex:
     """Simplicial complex whose k-simplices are the strict (k+1)-chains.
 
     simplices[k] lists k-simplices as tuples; each tuple is ordered (by the
-    poset for chains, by label otherwise) and that ordering orients it.
+    poset for chains, by vertex otherwise) and that ordering orients it.
     """
 
     def __init__(self, simplices: dict[int, list[tuple]], name: str = ""):
@@ -176,12 +149,11 @@ class OrderComplex:
 def order_complex(poset: GPoset, max_simplices: int = DEFAULT_SIMPLEX_CAP,
                   name: str = "") -> OrderComplex:
     """All strict chains of the poset, grouped by dimension."""
-    at, up, mask = poset.order.labels, poset.order.up, poset.mask
-    succ = {at[i]: [at[j] for j in positions(up[i] & mask)]
-            for i in positions(mask)}
+    up, mask = poset.order.up, poset.mask
+    succ = {i: list(positions(up[i] & mask)) for i in positions(mask)}
     simplices: dict[int, list[tuple]] = {}
     total = 0
-    frontier = [(x,) for x in poset.labels]
+    frontier = [(i,) for i in positions(mask)]
     dim = 0
     while frontier:
         total += len(frontier)

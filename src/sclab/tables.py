@@ -20,8 +20,9 @@ from .equivalence import (CERTIFIED, FAIL, HOMOLOGY_CONSISTENT, INCONCLUSIVE,
                           MISMATCH, PASS, fixed_point_equivalence_scan,
                           verify_inclusion_equivalence)
 from .errors import InternalInconsistency
+from .group import positions
 from .homology import homology
-from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex, positions
+from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
 
 SKIPPED = "SKIPPED"
 
@@ -131,7 +132,7 @@ def _cut(lat, row, h):
 
 
 def _keep(poset, side, k):
-    return poset.above(k) if side == ">=" else poset.below(k)
+    return poset.above(k.index) if side == ">=" else poset.below(k.index)
 
 
 def _avatars(ctx, spec, h):

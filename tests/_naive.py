@@ -7,7 +7,7 @@ groups of order <= 48. The linear-algebra oracles are dense: boundary_matrix
 writes out every boundary map in full, rank_over_rationals is Gauss-Jordan
 elimination in exact fractions and rank_mod the same over F_p. The poset
 oracles work pair by pair: relation_closure saturates a relation,
-core_reduction rescans every label for the first beat point after each
+core_reduction rescans every element for the first beat point after each
 removal, counting the maximal elements of each down-set, and
 verify_monotone_retraction checks a map on a poset position by position.
 lattice_p_core is the exception: it joins the normal p-subgroups of a
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from _suite import restrict
+from _suite import elements, restrict
 
 
 # permutation arithmetic, the oracle for the group tables; a permutation
@@ -414,12 +414,13 @@ def _bits(mask: int):
 
 
 def _strict_order(poset, leq):
-    """Per position, the bitmasks of the positions strictly below and above."""
-    labels = poset.labels
-    below = [0] * len(labels)
-    above = [0] * len(labels)
-    for i, x in enumerate(labels):
-        for j, y in enumerate(labels):
+    """Per element, the bitmasks of the elements strictly below and above;
+    bit k stands for the k-th element of the poset, lowest first."""
+    xs = elements(poset)
+    below = [0] * len(xs)
+    above = [0] * len(xs)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
             if i != j and leq(x, y):
                 below[j] |= 1 << i
                 above[i] |= 1 << j
@@ -438,12 +439,14 @@ def is_beat(i: int, alive: int, below, above) -> bool:
 
 
 def _orbit_masks(poset, gens):
-    """Per position, the bitmask of its orbit under conjugation by gens, or
-    None when some generator conjugates a label out of the poset."""
-    pos = {x: i for i, x in enumerate(poset.labels)}
+    """Per element, the bitmask of its orbit under conjugation by gens, or
+    None when some generator conjugates an element out of the poset; bit k
+    stands for the k-th element of the poset, lowest first."""
+    xs, lat = elements(poset), poset.lattice
+    pos = {x: i for i, x in enumerate(xs)}
     images = []
     for g in gens:
-        image = [pos.get(poset.conjugate_label(g, x)) for x in poset.labels]
+        image = [pos.get(lat.conjugate(lat.ref(x), g).index) for x in xs]
         if None in image:
             return None
         images.append(image)
@@ -466,11 +469,13 @@ def _orbit_masks(poset, gens):
 
 def core_reduction(poset, leq, gens=None):
     """(steps, point) of the beat-point reduction that removes the first beat
-    point in label order, or its whole orbit under gens, until none is left;
-    the labels of the core when it has more than one point, and None when
-    the poset is empty. leq is the order relation, asked pair by pair."""
+    point in position order, or its whole orbit under gens, until none is
+    left; the positions of the core when it has more than one point, and
+    None when the poset is empty. leq is the order relation on positions,
+    asked pair by pair."""
     if poset.is_empty():
         return None
+    xs = elements(poset)
     below, above = _strict_order(poset, leq)
     orbit = _orbit_masks(poset, gens) if gens is not None else None
     alive = (1 << len(poset)) - 1
@@ -479,25 +484,25 @@ def core_reduction(poset, leq, gens=None):
         beat = next((i for i in _bits(alive)
                      if is_beat(i, alive, below, above)), None)
         if beat is None:
-            return tuple(poset.labels[j] for j in _bits(alive))
+            return tuple(xs[j] for j in _bits(alive))
         step = orbit[beat] if orbit is not None else 1 << beat
-        steps.append(tuple(poset.labels[j] for j in _bits(step)))
+        steps.append(tuple(xs[j] for j in _bits(step)))
         alive &= ~step
-    return tuple(steps), poset.labels[alive.bit_length() - 1]
+    return tuple(steps), xs[alive.bit_length() - 1]
 
 
 def _as_mapping(poset, f) -> dict:
-    """Evaluate f (a callable or a dict) on every label; any image outside
+    """Evaluate f (a callable or a dict) on every position; any image outside
     the poset raises ValueError, because nothing downstream is meaningful."""
-    out = {}
-    for x in poset.labels:
+    xs, out = elements(poset), {}
+    for x in xs:
         if callable(f):
             y = f(x)
         elif x in f:
             y = f[x]
         else:
             raise ValueError(f"map undefined at {x!r}")
-        if y is None or y not in poset:
+        if y not in xs:
             raise ValueError(f"map sends {x!r} to {y!r}, outside the poset")
         out[x] = y
     return out
@@ -505,7 +510,7 @@ def _as_mapping(poset, f) -> dict:
 
 def verify_monotone_retraction(poset, f, side: str, target) -> bool:
     """Check f: P -> P comparable with the identity, monotone, with image
-    inside target (a GPoset or an iterable of labels of P).
+    inside target (a GPoset or an iterable of positions of P).
 
     side ">=" means f(x) >= x pointwise, "<=" the dual. A passing check
     shows the target is a deformation retract of P. Ill-defined maps and
@@ -514,22 +519,21 @@ def verify_monotone_retraction(poset, f, side: str, target) -> bool:
     if side not in ("<=", ">="):
         raise ValueError(f"side must be '<=' or '>=', got {side!r}")
     fmap = _as_mapping(poset, f)
-    targets = target.labels if hasattr(target, "labels") else tuple(target)
-    pos, down, up = poset.order.pos, poset.order.down, poset.order.up
+    targets = elements(target) if hasattr(target, "mask") else tuple(target)
+    down, up = poset.order.down, poset.order.up
     target_mask = 0
     for t in targets:
-        if t not in poset:
-            raise ValueError(f"target label {t!r} is not in the poset")
-        target_mask |= 1 << pos[t]
-    image = {pos[x]: pos[y] for x, y in fmap.items()}
-    for i, fi in image.items():
+        if t not in fmap:
+            raise ValueError(f"target position {t!r} is not in the poset")
+        target_mask |= 1 << t
+    for i, fi in fmap.items():
         if not target_mask >> fi & 1:
             return False
         if fi != i and not (up[i] if side == ">=" else down[i]) >> fi & 1:
             return False
         below = 0  # f(down(x)) must lie in down(f(x))
         for j in _bits(down[i] & poset.mask):
-            below |= 1 << image[j]
+            below |= 1 << fmap[j]
         if below & ~(down[fi] | 1 << fi):
             return False
     return True
@@ -547,8 +551,8 @@ def fiber_outcome(lat, sub, ambient, equivariant: bool):
         return lat.ref(a).bitset & ~lat.ref(b).bitset == 0
 
     found = {}
-    for y in ambient.labels:
-        fiber = restrict(sub, [x for x in sub.labels if leq(x, y)])
+    for y in elements(ambient):
+        fiber = restrict(sub, [x for x in elements(sub) if leq(x, y)])
         gens = (lat.generating_set(lat.normalizer(lat.ref(y)))
                 if equivariant else None)
         core = core_reduction(fiber, leq, gens)

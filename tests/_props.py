@@ -14,16 +14,17 @@ from sclab.contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
                             CoreReduction, _is_beat, beat_core,
                             contractibility_verdict, core_reduction)
 from sclab.equivalence import _lattice_retraction, fixed_point_equivalence_scan
-from sclab.group import builtin_group
+from sclab.group import builtin_group, positions
 from sclab.homology import homology, smith_normal_form
 from sclab.lattice import p_part
-from sclab.poset import GPoset, order_complex, positions
+from sclab.poset import GPoset, order_complex
 from sclab.tables import (TABLE31_EDGES, TABLE44_EDGES, _cut, _keep,
                           _subgroups_of)
 
 import _naive
 from _naive import boundary_matrix, rank_mod, rank_over_rationals
-from _suite import SUITE, from_relation, lattice_of, nontrivial_p_subgroups
+from _suite import (SUITE, elements, from_relation, lattice_of,
+                    nontrivial_p_subgroups)
 
 GROUPS = ("D8", "Q8", "S3", "D12", "A4", "S4", "SL23", "A5")
 
@@ -158,10 +159,10 @@ def check_distinguished_upward_closure(b: Budget) -> None:
         ctx = collection_context(lat, p)
         S = ctx.collection("S")
         tS = ctx.collection("tilde-S")
-        for pi in tS.labels:
+        for pi in elements(tS):
             P = lat.ref(pi)
             NP = lat.normalizer(P)
-            for qi in S.labels:
+            for qi in elements(S):
                 Q = lat.ref(qi)
                 if lat.leq(P, Q) and lat.leq(Q, NP):
                     b.check(qi in tS, (name, p, pi, qi))
@@ -175,10 +176,10 @@ def check_relative_normalizers_stay_distinguished(b: Budget) -> None:
         ctx = collection_context(lat, p)
         S = ctx.collection("S")
         hS = ctx.collection("hat-S")
-        for pi in S.labels:
+        for pi in elements(S):
             P = lat.ref(pi)
             NP = lat.normalizer(P)
-            for qi in hS.labels:
+            for qi in elements(hS):
                 Q = lat.ref(qi)
                 if P != Q and lat.leq(P, Q):
                     b.check(lat.by_bitset(Q.bitset & NP.bitset).index in hS,
@@ -217,7 +218,7 @@ def check_sylow_normalizer_criterion(b: Budget) -> None:
         tS = ctx.collection("tilde-S")
         hS = ctx.collection("hat-S")
         full = p_part(lat.group.order, p)
-        for ri in ctx.collection("S").labels:
+        for ri in elements(ctx.collection("S")):
             if p_part(lat.normalizer(lat.ref(ri)).order, p) == full:
                 b.check(ri in hS, (name, p, ri, "hat"))
                 b.check(ri in tS, (name, p, ri, "tilde"))
@@ -290,8 +291,7 @@ def check_brown_congruence(b: Budget) -> None:
 
 def _suite_posets():
     """(lattice, tag, poset) for every collection poset of the suite and its
-    fixed subposets under orbit representatives, each label set once per
-    plan."""
+    fixed subposets under orbit representatives, each mask once per plan."""
     for name, p in SUITE:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
@@ -300,8 +300,8 @@ def _suite_posets():
             whole = ctx.collection(kind)
             for h in lat.orbit_representatives():
                 poset = whole.fixed_points(h)
-                if poset.labels not in seen:
-                    seen.add(poset.labels)
+                if poset.mask not in seen:
+                    seen.add(poset.mask)
                     yield lat, (name, p, kind, h.index), poset
 
 
@@ -365,10 +365,10 @@ def check_core_reduction_is_contractibility(b: Budget) -> None:
 
 def as_oracle(poset: GPoset, core):
     """A core_reduction answer in _naive.core_reduction's terms: (steps,
-    point), the core's labels when it has two or more points, or None."""
+    point), the core's positions when it has two or more points, or None."""
     if isinstance(core, CoreReduction):
         return core.steps, core.point
-    return core and tuple(poset.order.labels[i] for i in positions(core))
+    return core and tuple(positions(core))
 
 
 def check_core_homology_is_the_posets(b: Budget) -> None:
@@ -394,21 +394,22 @@ def _inclusion(lat):
 
 def check_masks_are_inclusion(b: Budget) -> None:
     """On every collection poset of the suite, the strict down- and up-set
-    of each label are the labels whose subgroups it properly contains, and
-    those properly containing it, pair by pair."""
+    of each position are the positions whose subgroups it properly
+    contains, and those properly containing it, pair by pair."""
     for name, p in SUITE:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
         leq = _inclusion(lat)
         for kind in KINDS:
             poset = ctx.collection(kind)
-            for x in poset.labels:
-                b.check(poset.below(x, strict=True).labels
-                        == tuple(y for y in poset.labels
-                                 if y != x and leq(y, x)), (name, p, kind, x))
-                b.check(poset.above(x, strict=True).labels
-                        == tuple(y for y in poset.labels
-                                 if y != x and leq(x, y)), (name, p, kind, x))
+            xs = elements(poset)
+            for x in xs:
+                b.check(elements(poset.below(x, strict=True))
+                        == tuple(y for y in xs if y != x and leq(y, x)),
+                        (name, p, kind, x))
+                b.check(elements(poset.above(x, strict=True))
+                        == tuple(y for y in xs if y != x and leq(x, y)),
+                        (name, p, kind, x))
 
 
 def check_beat_test_counts_maximal_elements(b: Budget,
@@ -430,7 +431,7 @@ def check_beat_test_counts_maximal_elements(b: Budget,
 
 def check_core_reduction_matches_rescanning(b: Budget) -> None:
     """Incremental core reduction removes the same beat points, plainly and
-    orbit-wise, as rescanning from the first label after each removal."""
+    orbit-wise, as rescanning from the first position after each removal."""
     for lat, tag, poset in _suite_posets():
         leq = _inclusion(lat)
         gens = lat.generating_set(lat.full)
@@ -444,8 +445,8 @@ def check_core_reduction_matches_rescanning(b: Budget) -> None:
 def check_class_masks_are_invariance(b: Budget) -> None:
     """A poset is G-invariant exactly when its mask is a union of conjugacy
     classes, on every collection poset of the suite and on its lower and
-    upper sets at each class representative; the first label of each class
-    it meets is the first met in label order."""
+    upper sets at each class representative; the first position of each
+    class it meets is the first met in position order."""
     seen = set()
     for name, p in SUITE:
         lat = lattice_of(name)
@@ -456,14 +457,14 @@ def check_class_masks_are_invariance(b: Budget) -> None:
             whole = ctx.collection(kind)
             posets = [whole]
             for h in lat.orbit_representatives():
-                posets += [whole.below(h), whole.above(h)]
+                posets += [whole.below(h.index), whole.above(h.index)]
             for poset in posets:
                 invariant = _naive._orbit_masks(poset, gens) is not None
                 seen.add(invariant)
                 b.check(lat.is_class_union(poset.mask) == invariant,
-                        (name, p, kind, poset.labels))
+                        (name, p, kind, elements(poset)))
                 first: dict = {}
-                for x in poset.labels:
+                for x in elements(poset):
                     first.setdefault(orbit_of[x], x)
                 b.check(list(_naive._bits(lat.first_of_each_class(poset.mask)))
                         == sorted(first.values()), (name, p, kind))
@@ -507,8 +508,7 @@ def check_retraction_matches_oracle(b: Budget) -> None:
                                    ({">=": "<=", "<=": ">="}[side], False)):
                     tag = (name, p, spec.edge_id, h.index, s)
                     f = _subgroup_map(lat, s, k, product)
-                    image = sum({1 << right.order.pos[f(q)]
-                                 for q in right.labels})
+                    image = sum({1 << f(q) for q in elements(right)})
                     b.check(_lattice_retraction(right, left.mask, s, k)
                             == (None if image & ~left.mask else image), tag)
                     (row,) = fixed_point_equivalence_scan(

@@ -1,15 +1,16 @@
 """Shared group/prime suite, a cached lattice factory, the nontrivial
 p-subgroups of a lattice, and constructors of abstract posets, subposets and
-simplicial complexes for the tests."""
+simplicial complexes for the tests. A poset element is its position: an
+abstract poset built from readable labels puts labels[i] at position i."""
 
 from __future__ import annotations
 
 import functools
 from itertools import combinations
 
-from sclab.group import builtin_group
+from sclab.group import builtin_group, positions
 from sclab.lattice import Order, enumerate_subgroups, p_part
-from sclab.poset import GPoset, OrderComplex, positions
+from sclab.poset import GPoset, OrderComplex
 
 # every builtin suite group at each prime dividing its order
 SUITE = (
@@ -34,9 +35,15 @@ def nontrivial_p_subgroups(lat, p: int):
                  if s.order > 1 and p_part(s.order, p) == s.order)
 
 
+def elements(poset: GPoset) -> tuple[int, ...]:
+    """The positions of poset, lowest first."""
+    return tuple(positions(poset.mask))
+
+
 def from_relation(labels, strict_pairs, name: str = "") -> GPoset:
-    """Abstract poset ordered by the transitive closure of strict_pairs;
-    the labels must list a linear extension of it."""
+    """Abstract poset on the positions 0..n-1 of labels, ordered by the
+    transitive closure of strict_pairs, pairs of labels; the labels must
+    list a linear extension of it."""
     labels = tuple(labels)
     pos = {x: i for i, x in enumerate(labels)}
     down = [0] * len(labels)
@@ -52,13 +59,12 @@ def from_relation(labels, strict_pairs, name: str = "") -> GPoset:
             down[j] |= down[i]
         for i in positions(down[j]):
             up[i] |= 1 << j
-    return GPoset(Order(labels, pos, down, up), (1 << len(labels)) - 1,
-                  name=name)
+    return GPoset(Order(down, up), (1 << len(labels)) - 1, name=name)
 
 
 def relation_poset(labels, leq, name: str = "") -> GPoset:
-    """The abstract poset on labels ordered by leq(a, b); the labels must list
-    a linear extension."""
+    """The abstract poset on the positions of labels ordered by leq(a, b) on
+    the labels; the labels must list a linear extension."""
     labels = tuple(labels)
     return from_relation(
         labels, [(a, b) for a in labels for b in labels
@@ -66,9 +72,8 @@ def relation_poset(labels, leq, name: str = "") -> GPoset:
 
 
 def restrict(poset: GPoset, keep, name: str = "") -> GPoset:
-    """The subposet of poset on the labels in keep that it holds."""
-    pos = poset.order.pos
-    mask = sum(1 << pos[x] for x in set(keep) if x in pos)
+    """The subposet of poset on the positions in keep that it holds."""
+    mask = sum(1 << i for i in set(keep))
     return GPoset(poset.order, mask & poset.mask, poset.lattice,
                   name or poset.name)
 

@@ -7,9 +7,9 @@ from _props import one_class_of_order_p
 from _suite import SMALL_SUITE, SUITE, lattice_of, nontrivial_p_subgroups
 from sclab.collections import CONDITIONS, KINDS, collection_context
 from sclab.errors import ConditionNotSatisfied, PrimeDoesNotDivide
-from sclab.group import load_group
+from sclab.group import load_group, positions
 from sclab.lattice import enumerate_subgroups
-from sclab.poset import GPoset, positions
+from sclab.poset import GPoset
 
 DATA = Path(__file__).parent / "data"
 

@@ -18,25 +18,31 @@ from sclab.contract import (
     core_reduction,
     verify_certificate,
 )
-from sclab.group import builtin_group
+from sclab.group import builtin_group, positions
 from sclab.homology import homology
 from sclab.lattice import enumerate_subgroups
-from sclab.poset import GPoset, order_complex, positions
+from sclab.poset import GPoset, order_complex
 
 import _naive
 from _naive import verify_monotone_retraction
 from _props import fixed_point_contractibility_scan
-from _suite import (from_maximal_simplices, from_relation, relation_poset,
-                    restrict)
+from _suite import (elements, from_maximal_simplices, from_relation,
+                    relation_poset, restrict)
 from test_homology import DUNCE_FACETS
 
-DIVISORS_OF_12 = relation_poset((1, 2, 3, 4, 6, 12), lambda a, b: b % a == 0)
+# each abstract poset puts the i-th of its labels at position i; div and bow
+# give the position of a label
+DIVISORS = (1, 2, 3, 4, 6, 12)
+DIVISORS_OF_12 = relation_poset(DIVISORS, lambda a, b: b % a == 0)
+div = DIVISORS.index
 
 # two maximal and three minimal elements, but joining with "a" stays inside
+BOWTIE_LABELS = ("a", "b", "c", "ab", "ac")
 BOWTIE = relation_poset(
-    ("a", "b", "c", "ab", "ac"),
+    BOWTIE_LABELS,
     lambda x, y: x == y or (len(x) == 1 and x in y),
 )
+bow = BOWTIE_LABELS.index
 
 # face poset of a hollow triangle: connected, H1 = Z
 TRIANGLE_RIM = relation_poset(
@@ -55,6 +61,11 @@ def face_poset(maximal):
     return from_relation(faces, covers)
 
 
+def relabel(f, at):
+    """The map f between labels as a map between their positions."""
+    return {at(x): at(y) for x, y in f.items()}
+
+
 def core_verdict(steps, point, equivariant=None):
     return Verdict(CONTRACTIBLE, "core", CoreReduction(steps, point),
                    equivariant, {})
@@ -66,52 +77,59 @@ def core_verdict(steps, point, equivariant=None):
 def test_retraction_oracle_accepts_join_map():
     # joining with "a" is comparable with the identity and lands in the
     # star of "a", which a retraction checker must accept
-    f = {"a": "a", "b": "ab", "c": "ac", "ab": "ab", "ac": "ac"}
-    assert verify_monotone_retraction(BOWTIE, f, ">=", ("a", "ab", "ac"))
+    f = relabel({"a": "a", "b": "ab", "c": "ac", "ab": "ab", "ac": "ac"}, bow)
+    assert verify_monotone_retraction(BOWTIE, f, ">=",
+                                      tuple(map(bow, ("a", "ab", "ac"))))
 
 
 def test_retraction_oracle_rejects_non_monotone():
     # a <= ac, but ab is not below ac
-    f = {"a": "ab", "b": "b", "c": "c", "ab": "ab", "ac": "ac"}
-    assert not verify_monotone_retraction(BOWTIE, f, ">=", BOWTIE.labels)
+    f = relabel({"a": "ab", "b": "b", "c": "c", "ab": "ab", "ac": "ac"}, bow)
+    assert not verify_monotone_retraction(BOWTIE, f, ">=", elements(BOWTIE))
 
 
 def test_ill_defined_maps_raise_even_when_not_strict():
+    # position 5 lies outside the five-element bowtie
     with pytest.raises(ValueError):
-        verify_monotone_retraction(BOWTIE, {"a": "a"}, ">=", ("a",))
+        verify_monotone_retraction(BOWTIE, {bow("a"): bow("a")}, ">=",
+                                   (bow("a"),))
     with pytest.raises(ValueError):
         verify_monotone_retraction(
-            BOWTIE, {x: "zz" for x in BOWTIE.labels}, ">=", ("a",))
+            BOWTIE, {x: 5 for x in elements(BOWTIE)}, ">=", (bow("a"),))
     with pytest.raises(ValueError):
         verify_monotone_retraction(
-            BOWTIE, {x: x for x in BOWTIE.labels}, ">=", ("zz",))
+            BOWTIE, {x: x for x in elements(BOWTIE)}, ">=", (5,))
 
 
 def test_monotone_retraction():
-    f = {1: 2, 2: 2, 3: 6, 4: 4, 6: 6, 12: 12}
-    assert verify_monotone_retraction(DIVISORS_OF_12, f, ">=", (2, 4, 6, 12))
+    f = relabel({1: 2, 2: 2, 3: 6, 4: 4, 6: 6, 12: 12}, div)
+    target = tuple(map(div, (2, 4, 6, 12)))
+    assert verify_monotone_retraction(DIVISORS_OF_12, f, ">=", target)
     # image escapes a smaller target
-    assert not verify_monotone_retraction(DIVISORS_OF_12, f, ">=", (4, 6, 12))
+    assert not verify_monotone_retraction(DIVISORS_OF_12, f, ">=", target[1:])
+    # position 6 lies outside the six divisors
     with pytest.raises(ValueError):
-        verify_monotone_retraction(DIVISORS_OF_12, f, ">=", (2, 5))
+        verify_monotone_retraction(DIVISORS_OF_12, f, ">=", (div(2), 6))
     with pytest.raises(ValueError):
-        verify_monotone_retraction(DIVISORS_OF_12, f, "==", (2, 4, 6, 12))
+        verify_monotone_retraction(DIVISORS_OF_12, f, "==", target)
 
 
 def test_retraction_oracle_accepts_constant_map():
     # one constant map comparable with the identity retracts onto a point
-    const_one = {x: 1 for x in DIVISORS_OF_12.labels}
-    assert verify_monotone_retraction(DIVISORS_OF_12, const_one, "<=", (1,))
+    const_one = {x: div(1) for x in elements(DIVISORS_OF_12)}
+    assert verify_monotone_retraction(DIVISORS_OF_12, const_one, "<=",
+                                      (div(1),))
     # wrong comparison direction
     assert not verify_monotone_retraction(DIVISORS_OF_12, const_one, ">=",
-                                          (1,))
+                                          (div(1),))
 
 
 def test_retraction_oracle_checks_the_target():
-    ident = {x: x for x in DIVISORS_OF_12.labels}
+    ident = {x: x for x in elements(DIVISORS_OF_12)}
     assert verify_monotone_retraction(DIVISORS_OF_12, ident, "<=",
-                                      DIVISORS_OF_12.labels)
-    assert not verify_monotone_retraction(DIVISORS_OF_12, ident, "<=", (12,))
+                                      DIVISORS_OF_12)
+    assert not verify_monotone_retraction(DIVISORS_OF_12, ident, "<=",
+                                          (div(12),))
 
 
 # --------------------------------------------------------------- searches
@@ -120,17 +138,17 @@ def test_retraction_oracle_checks_the_target():
 def test_empty_poset_has_no_contraction():
     empty = restrict(DIVISORS_OF_12, ())
     assert core_reduction(empty) is None
-    assert not verify_certificate(empty, core_verdict((), 1))
+    assert not verify_certificate(empty, core_verdict((), div(1)))
 
 
 def test_stepless_core_reduction_is_a_point():
     # a reduction without steps contracts exactly the one-point posets
-    point = restrict(DIVISORS_OF_12, (1,))
-    assert core_reduction(point) == CoreReduction((), 1)
-    assert verify_certificate(point, core_verdict((), 1))
-    assert not verify_certificate(DIVISORS_OF_12, core_verdict((), 1))
+    point = restrict(DIVISORS_OF_12, (div(1),))
+    assert core_reduction(point) == CoreReduction((), div(1))
+    assert verify_certificate(point, core_verdict((), div(1)))
+    assert not verify_certificate(DIVISORS_OF_12, core_verdict((), div(1)))
     assert not verify_certificate(restrict(DIVISORS_OF_12, ()),
-                                  core_verdict((), 1))
+                                  core_verdict((), div(1)))
 
 
 def test_search_finds_conical_contraction():
@@ -148,15 +166,15 @@ def test_search_fails_on_a_circle():
 
 def test_core_of_a_circle_with_a_tail():
     # "d" lies above "a" alone and "e" above "d" alone: both are beat
-    # points, and removing them leaves the rim
+    # points, and removing them leaves the rim at the first six positions
     tailed = relation_poset(
         ("a", "b", "c", "ab", "bc", "ca", "d", "e"),
         lambda x, y: x == y or (len(x) == 1 and x in y)
         or (x, y) in (("a", "d"), ("a", "e"), ("d", "e")))
-    rim = restrict(tailed, TRIANGLE_RIM.labels)
+    rim = restrict(tailed, range(6))
     assert core_reduction(tailed) == rim.mask
     core = beat_core(tailed)
-    assert core.labels == rim.labels
+    assert elements(core) == elements(rim)
     assert homology(order_complex(core)) == homology(order_complex(tailed))
     v = contractibility_verdict(tailed)
     assert v.method == "homology"
@@ -166,7 +184,7 @@ def test_core_of_a_circle_with_a_tail():
 
 def test_core_of_a_contractible_poset_is_its_point():
     core = beat_core(BOWTIE)
-    assert core.labels == (core_reduction(BOWTIE).point,)
+    assert elements(core) == (core_reduction(BOWTIE).point,)
     assert beat_core(restrict(BOWTIE, ())).is_empty()
 
 
@@ -183,9 +201,9 @@ def test_collapse_replay_rejects_tampered_steps():
     cert = core_reduction(poset)
     assert not verify_certificate(
         poset, core_verdict(cert.steps[1:], cert.point))
-    # a vertex lies below two edges, so it is no beat point at first
-    vertex_first = ((((0,),),)
-                    + tuple(s for s in cert.steps if s != ((0,),)))
+    # a vertex lies below two edges, so it is no beat point at first; faces
+    # are listed by dimension, so position 0 holds the vertex (0,)
+    vertex_first = ((0,),) + tuple(s for s in cert.steps if s != (0,))
     assert not verify_certificate(
         poset, core_verdict(vertex_first, cert.point))
 
@@ -211,18 +229,20 @@ def test_verdict_cone_from_unique_maximum():
     v = contractibility_verdict(DIVISORS_OF_12)
     assert v.status == CONTRACTIBLE
     assert v.method == "core"
-    # the first beat point in label order goes first: 1 only becomes one
-    # once 2, 3 and 4 are gone and 6 is the least element above it
-    assert v.certificate == CoreReduction(((2,), (3,), (4,), (1,), (6,)), 12)
-    assert v.detail == {"point": 12}
+    # the lowest beat point goes first: 1 only becomes one once 2, 3 and 4
+    # are gone and 6 is the least element above it
+    assert v.certificate == CoreReduction(
+        tuple((div(d),) for d in (2, 3, 4, 1, 6)), div(12))
+    assert v.detail == {"point": div(12)}
     assert verify_certificate(DIVISORS_OF_12, v)
 
 
 def test_verdict_cone_from_unique_minimum():
-    no_top = restrict(DIVISORS_OF_12, (1, 2, 3, 4, 6))
+    no_top = restrict(DIVISORS_OF_12, map(div, (1, 2, 3, 4, 6)))
     v = contractibility_verdict(no_top)
     assert v.method == "core"
-    assert v.certificate == CoreReduction(((2,), (3,), (4,), (1,)), 6)
+    assert v.certificate == CoreReduction(
+        tuple((div(d),) for d in (2, 3, 4, 1)), div(6))
     assert verify_certificate(no_top, v)
 
 
@@ -283,9 +303,10 @@ def test_verdict_to_json_shapes():
     js = v.to_json()
     assert js["status"] == CONTRACTIBLE
     assert js["method"] == "core"
-    assert js["detail"] == {"point": 12}
-    assert js["certificate"] == {"kind": "core", "point": 12,
-                                 "steps": [[2], [3], [4], [1], [6]]}
+    # the positions of 12 and of 2, 3, 4, 1, 6
+    assert js["detail"] == {"point": 5}
+    assert js["certificate"] == {"kind": "core", "point": 5,
+                                 "steps": [[1], [2], [3], [0], [4]]}
 
 
 # ------------------------------------------------------- tamper rejection
@@ -293,24 +314,33 @@ def test_verdict_to_json_shapes():
 
 def test_tampered_cone_certificate_is_rejected():
     v = contractibility_verdict(DIVISORS_OF_12)
-    wrong_point = v._replace(certificate=v.certificate._replace(point=6))
+    wrong_point = v._replace(certificate=v.certificate._replace(
+        point=div(6)))
     assert not verify_certificate(DIVISORS_OF_12, wrong_point)
     dropped = v._replace(certificate=v.certificate._replace(
         steps=v.certificate.steps[:-1]))
     assert not verify_certificate(DIVISORS_OF_12, dropped)
+    # positions outside the poset fail instead of raising
+    for cert in (v.certificate._replace(point=-1),
+                 v.certificate._replace(point=6),
+                 v.certificate._replace(steps=((-1,),) + v.certificate.steps),
+                 v.certificate._replace(steps=((6,),) + v.certificate.steps)):
+        assert not verify_certificate(DIVISORS_OF_12,
+                                      v._replace(certificate=cert))
 
 
 def test_tampered_conical_certificate_is_rejected():
     v = contractibility_verdict(BOWTIE)
     # "a" lies below both maximal elements, so it is no beat point at first
-    steps = (("a",),) + tuple(s for s in v.certificate.steps if s != ("a",))
+    a = (bow("a"),)
+    steps = (a,) + tuple(s for s in v.certificate.steps if s != a)
     assert v.certificate.steps != steps
     bad = v._replace(certificate=v.certificate._replace(steps=steps))
     assert not verify_certificate(BOWTIE, bad)
 
 
 def test_tampered_zigzag_certificate_is_rejected():
-    # split one orbit step of an equivariant reduction into single labels:
+    # split one orbit step of an equivariant reduction into single positions:
     # every removal is still a beat point, but no longer a whole orbit
     lat, poset, gens = d8_nontrivial()
     v = contractibility_verdict(poset, equivariance_gens=gens)
@@ -324,7 +354,7 @@ def test_tampered_zigzag_certificate_is_rejected():
 
 def test_certificate_against_wrong_object_fails():
     v = contractibility_verdict(DIVISORS_OF_12)
-    other = restrict(DIVISORS_OF_12, (1, 2, 3, 6))
+    other = restrict(DIVISORS_OF_12, map(div, (1, 2, 3, 6)))
     assert not verify_certificate(other, v)
 
 
@@ -396,7 +426,7 @@ def test_equivariant_verdict_computes_the_orbits_once(monkeypatch):
 def test_class_masks_give_the_orbits_of_the_whole_group():
     """With generators of the whole group, invariance and orbits are read
     from the conjugacy-class masks; they must agree with conjugating every
-    label, as they do for the generators of each proper normalizer."""
+    member, as they do for the generators of each proper normalizer."""
     seen = set()
     for name, p in (("S4", 2), ("A5", 2), ("D12", 3)):
         lat = enumerate_subgroups(builtin_group(name))
@@ -404,7 +434,7 @@ def test_class_masks_give_the_orbits_of_the_whole_group():
         reps = lat.orbit_representatives()
         stabs = {lat.normalizer(r) for r in reps}
         for h in reps:
-            for poset in (whole, whole.below(h), whole.above(h),
+            for poset in (whole, whole.below(h.index), whole.above(h.index),
                           whole.fixed_points(h)):
                 for stab in stabs:
                     gens = lat.generating_set(stab)
@@ -413,10 +443,10 @@ def test_class_masks_give_the_orbits_of_the_whole_group():
                     seen.add((stab == lat.full, orbits is not None))
                     assert (orbits is None) == (expected is None)
                     if orbits is not None:
-                        at = poset.order.labels
-                        assert {tuple(at[j] for j in positions(m))
+                        xs = elements(poset)
+                        assert {tuple(positions(m))
                                 for m in orbits.values()} == \
-                            {tuple(poset.labels[i] for i in _naive._bits(m))
+                            {tuple(xs[i] for i in _naive._bits(m))
                              for m in expected}
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 

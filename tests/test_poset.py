@@ -1,53 +1,63 @@
 import pytest
 
-from _suite import (from_maximal_simplices, from_relation, lattice_of,
-                    relation_poset, restrict)
+from _suite import (elements, from_maximal_simplices, from_relation,
+                    lattice_of, relation_poset, restrict)
 from sclab.collections import collection_context
 from sclab.errors import SizeCap
-from sclab.poset import order_complex
+from sclab.poset import GPoset, order_complex
 
-# the divisor poset of 12 under divisibility, a handy 6-element example
+# the divisor poset of 12 under divisibility, a handy 6-element example;
+# the divisor DIVISORS[i] sits at position i
 DIVISORS = (1, 2, 3, 4, 6, 12)
+at = DIVISORS.index
 
 
 def divisor_poset():
     return relation_poset(DIVISORS, lambda a, b: b % a == 0, name="div12")
 
 
+def divisors(poset):
+    return {DIVISORS[i] for i in elements(poset)}
+
+
 def test_membership_and_relation():
     poset = divisor_poset()
     assert len(poset) == 6
-    assert 4 in poset and 5 not in poset
-    assert 4 in poset.above(2) and 2 not in poset.above(4)
-    assert 4 in poset.above(2, strict=True)
-    assert 4 not in poset.above(4, strict=True)
-    assert 3 not in poset.above(2) and 2 not in poset.below(3)
+    assert at(12) in poset and 6 not in poset  # positions 0 to 5
+    assert at(4) in poset.above(at(2)) and at(2) not in poset.above(at(4))
+    assert at(4) in poset.above(at(2), strict=True)
+    assert at(4) not in poset.above(at(4), strict=True)
+    assert at(3) not in poset.above(at(2))
+    assert at(2) not in poset.below(at(3))
 
 
 def test_above_below_between():
     poset = divisor_poset()
-    assert set(poset.above(2).labels) == {2, 4, 6, 12}
-    assert set(poset.above(2, strict=True).labels) == {4, 6, 12}
-    assert set(poset.below(6).labels) == {1, 2, 3, 6}
-    assert set(poset.above(2).below(12).labels) == {2, 4, 6, 12}
-    assert set(poset.above(2, strict=True).below(12, strict=True).labels) \
-        == {4, 6}
+    assert divisors(poset.above(at(2))) == {2, 4, 6, 12}
+    assert divisors(poset.above(at(2), strict=True)) == {4, 6, 12}
+    assert divisors(poset.below(at(6))) == {1, 2, 3, 6}
+    assert divisors(poset.above(at(2)).below(at(12))) == {2, 4, 6, 12}
+    assert divisors(poset.above(at(2), strict=True)
+                    .below(at(12), strict=True)) == {4, 6}
 
 
 def test_cut_point_need_not_be_member():
-    poset = restrict(divisor_poset(), [2, 3, 4, 6, 12])
-    assert set(poset.above(1).labels) == {2, 3, 4, 6, 12}
+    poset = restrict(divisor_poset(), map(at, [2, 3, 4, 6, 12]))
+    assert at(1) not in poset
+    assert divisors(poset.above(at(1))) == {2, 3, 4, 6, 12}
+    assert divisors(poset.below(at(1))) == set()
 
 
 def test_from_relation():
     poset = from_relation("abc", [("a", "b"), ("b", "c")])
-    assert "c" in poset.above("a")  # transitive closure is applied
-    assert poset.above("a", strict=True).labels == ("b", "c")
-    assert "a" not in poset.above("c")
+    assert elements(poset) == (0, 1, 2)
+    assert 2 in poset.above(0)  # transitive closure is applied
+    assert elements(poset.above(0, strict=True)) == (1, 2)
+    assert 0 not in poset.above(2)
     # a reflexive pair is accepted and adds nothing
     looped = from_relation("ab", [("a", "a"), ("a", "b"), ("b", "b")])
-    assert looped.above("a", strict=True).labels == ("b",)
-    assert looped.below("b", strict=True).labels == ("a",)
+    assert elements(looped.above(0, strict=True)) == (1,)
+    assert elements(looped.below(1, strict=True)) == (0,)
 
 
 def test_from_relation_rejects_cycles():
@@ -68,7 +78,7 @@ def test_lattice_backed_poset():
     poset = ctx.collection("S")
     assert len(poset) == 9
     z = lat.center(lat.full)
-    assert set(r.order for r in map(lat.ref, poset.above(z).labels)) == {2, 4, 8}
+    assert set(r.order for r in poset.above(z.index).members) == {2, 4, 8}
 
 
 def test_fixed_points_matches_naive_normalization():
@@ -77,10 +87,10 @@ def test_fixed_points_matches_naive_normalization():
     poset = ctx.collection("S")
     for h in lat.subgroups[::5]:
         fixed = poset.fixed_points(h)
-        expected = {i for i in poset.labels
+        expected = {i for i in elements(poset)
                     if all(lat.conjugate_bitset(lat.ref(i).bitset, g)
                            == lat.ref(i).bitset for g in lat.members(h))}
-        assert set(fixed.labels) == expected
+        assert set(elements(fixed)) == expected
 
 
 def test_invariance_and_conjugation():
@@ -88,22 +98,33 @@ def test_invariance_and_conjugation():
     ctx = collection_context(lat, 2)
     poset = ctx.collection("B")
     gens = lat.group.generator_indices
-    assert poset.orbits(gens) is not None
+    orbits = poset.orbits(gens)
+    assert orbits is not None
     for g in gens:
-        for x in poset.labels:
-            image = poset.conjugate_label(g, x)
-            assert image in poset.labels
-            assert lat.ref(image).bitset == lat.conjugate_bitset(
-                lat.ref(x).bitset, g)
+        for x in elements(poset):
+            image = lat.by_bitset(lat.conjugate_bitset(lat.ref(x).bitset, g))
+            assert image.index in poset
+            assert orbits[image.index] == orbits[x]
+
+
+def test_orbits_need_a_lattice_only_to_act():
+    """Without a lattice no generator can act, empty poset or not; with no
+    generators every element is its own orbit."""
+    poset = relation_poset("abc", lambda a, b: a == b or b == "c")
+    for sub in (poset, GPoset(poset.order, 0)):
+        with pytest.raises(ValueError):
+            sub.orbits((0,))
+    assert poset.orbits(()) == {0: 1, 1: 2, 2: 4}
+    assert restrict(poset, (0, 2)).orbits(()) == {0: 1, 2: 4}
 
 
 def test_restrict_keeps_backing():
     lat = lattice_of("D8")
     ctx = collection_context(lat, 2)
     poset = ctx.collection("S")
-    sub = restrict(poset, poset.labels[:3])
+    sub = restrict(poset, elements(poset)[:3])
     assert sub.lattice is lat and sub.order is poset.order
-    assert sub.labels == poset.labels[:3]
+    assert elements(sub) == elements(poset)[:3]
 
 
 def test_order_complex_of_chain_and_antichain():

@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from sclab.collections import collection_context
 from sclab.contract import contractibility_verdict
-from sclab.group import builtin_group
+from sclab.group import builtin_group, positions
 from sclab.lattice import enumerate_subgroups
-from sclab.poset import positions
 from sclab.report import report_to_json_bytes
 from sclab.runner import VerificationPlan, run
 
@@ -102,8 +101,7 @@ def d8_as_report_3():
             if inclusion is None or inclusion["mode"] != "fibers":
                 continue
             sub = ctx.collection(edge["kinds"][0])
-            for i in positions(lat.first_of_each_class(sub.mask)):
-                y = sub.order.labels[i]
+            for y in positions(lat.first_of_each_class(sub.mask)):
                 stab = lat.normalizer(lat.ref(y))
                 verdict = contractibility_verdict(
                     sub.below(y), equivariance_gens=lat.generating_set(stab))

@@ -143,7 +143,7 @@ def test_one_fiber_check_per_centralizer(monkeypatch):
     assert len(centralizers) == 12
     for spec in specs:
         left, right = map(ctx.collection, spec.kinds)
-        pairs = {(left.below(c).mask, right.below(c).mask)
+        pairs = {(left.below(c.index).mask, right.below(c.index).mask)
                  for c in centralizers}
         result = _check_edge(ctx, spec, DEFAULT_SIMPLEX_CAP)
         rows = result.detail["per_centralizer"]
@@ -333,11 +333,11 @@ def test_pruning_certifies_without_local_characteristic():
         for mode in ("upper", "upper-equivariant"):
             res = verify_inclusion_equivalence(sub, ambient, mode)
             assert res.outcome == PASS, (name, mode)
-            for label, stab, verdict in res.per_element:
-                assert verdict.method == "core", (name, mode, label)
+            for y, stab, verdict in res.per_element:
+                assert verdict.method == "core", (name, mode, y)
                 gens = (lat.generating_set(lat.ref(stab))
                         if stab is not None else None)
-                assert verify_certificate(ambient.above(label, strict=True),
+                assert verify_certificate(ambient.above(y, strict=True),
                                           verdict, equivariance_gens=gens)
 
 
