@@ -147,7 +147,7 @@ def core_reduction(poset: GPoset, orbit=None) -> CoreReduction | int | None:
 def _replay_core(poset: GPoset, cert: CoreReduction, gens) -> bool:
     """Every position must be a beat point when it is removed, each step must
     be exactly one orbit when gens is given, and exactly cert.point remains;
-    a position outside the poset, negative ones included, fails."""
+    a position that is not an int, or lies outside the poset, fails."""
     down, up = poset.order.down, poset.order.up
     orbit = poset.orbits(gens) if gens is not None else None
     if gens is not None and orbit is None:
@@ -158,13 +158,15 @@ def _replay_core(poset: GPoset, cert: CoreReduction, gens) -> bool:
             return False
         mask = 0
         for i in step:
-            if i < 0 or not alive >> i & 1 or not _is_beat(i, alive, down, up):
+            if (type(i) is not int or i < 0 or not alive >> i & 1
+                    or not _is_beat(i, alive, down, up)):
                 return False
             alive &= ~(1 << i)
             mask |= 1 << i
         if orbit is not None and orbit[i] != mask:
             return False
-    return alive.bit_count() == 1 and alive.bit_length() - 1 == cert.point
+    return (type(cert.point) is int and alive.bit_count() == 1
+            and alive.bit_length() - 1 == cert.point)
 
 
 def beat_core(poset: GPoset) -> GPoset:

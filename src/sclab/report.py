@@ -4,28 +4,98 @@ markdown rendering with one row per edge."""
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 
 def _not_json(token: str):
     raise TypeError(f"report value {token} is not JSON serializable")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# keeps only the size of each object it reads, so a check never holds a
+# second copy of what it checks
+_CHECKER = json.JSONDecoder(parse_float=_not_json, parse_constant=_not_json,
+                            object_hook=len)
+# the values of each edge's detail sit this deep in a report
+_WALK_DEPTH = 6
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _key(key) -> str:
+    """A dict key as json.dumps writes it: int, float, bool and None keys
+    become strings."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _ENCODER.encode(key)
+    return encode_basestring_ascii(key) + ":"
+
+
 def report_to_json_bytes(report: dict) -> bytes:
     """The bytes of json.dumps(report, sort_keys=True, separators=(",", ":"))
-    + "\\n", written by CPython's C encoder.
+    + "\\n".
 
-    That encoder also writes floats, NaN and the infinities, which no report
-    holds; parsing the text back with hooks that raise on them keeps the
-    contract that any value other than a dict, list, tuple, str, int, bool
-    or None raises TypeError. The parse keeps only the size of each object
-    it reads, so it never holds a second copy of the report. Keys are
-    written as json.dumps writes them: int, float, bool and None keys
-    become strings.
+    Edges cite shared evidence: two edges that rest on one check hold one
+    object in their details. So the writer walks the dicts and lists of the
+    report in Python down to the values of each edge's detail, six levels
+    in, writing the keys and scalars on the way itself, and hands each
+    distinct subtree below that depth to CPython's C encoder once, memoised
+    by id while the report is alive. The text between two such pieces is
+    joined into one part, and the parts are joined once.
+
+    The C encoder also writes floats, NaN and the infinities, which no
+    report holds; parsing each piece back once with hooks that raise on
+    them, as the walk does for what it writes itself, keeps the contract
+    that any value other than a dict, list, tuple, str, int, bool or None
+    raises TypeError. Keys are written as json.dumps writes them, and keys
+    of mixed types raise TypeError as its sort does.
     """
-    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-    json.loads(text, parse_float=_not_json, parse_constant=_not_json,
-               object_hook=len)
-    return text.encode()
+    # bytes.join takes an 80-byte buffer view per part, more than most walked
+    # tokens weigh, so the walk's own text goes into parts only between pieces
+    text, parts, pieces = [], [], {}
+
+    def piece(value) -> bytes:
+        out = pieces.get(id(value))
+        if out is None:
+            encoded = _ENCODER.encode(value)
+            _CHECKER.decode(encoded)
+            out = pieces[id(value)] = encoded.encode()
+        return out
+
+    def walk(value, depth: int) -> None:
+        if value is None or value is True or value is False:
+            text.append(_LITERALS[value])
+        elif isinstance(value, str):
+            text.append(encode_basestring_ascii(value))
+        elif isinstance(value, int):
+            text.append(int.__repr__(value))
+        elif not isinstance(value, (list, tuple, dict)):
+            _not_json(repr(value))
+        elif depth == _WALK_DEPTH:
+            parts.append("".join(text).encode())
+            text.clear()
+            parts.append(piece(value))
+        elif isinstance(value, dict):
+            text.append("{")
+            for n, (key, item) in enumerate(sorted(value.items())):
+                if n:
+                    text.append(",")
+                text.append(_key(key))
+                walk(item, depth + 1)
+            text.append("}")
+        else:
+            text.append("[")
+            for n, item in enumerate(value):
+                if n:
+                    text.append(",")
+                walk(item, depth + 1)
+            text.append("]")
+
+    walk(report, 0)
+    text.append("\n")
+    parts.append("".join(text).encode())
+    return b"".join(parts)
 
 
 def _evidence(edge: dict) -> str:

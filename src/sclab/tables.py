@@ -196,6 +196,7 @@ def _once(ctx, key, compute):
         (poset mask, cap)                                 nerve homology
         (sub mask, ambient mask, mode, equivariant, cap)  inclusion checks
         (checker, poset mask, Sylow index, cap)           dashed scans
+        ("json", key)                                     what _cited built
 
     with masks over the lattice's one order. A SizeCap propagates and
     stores nothing."""
@@ -205,12 +206,21 @@ def _once(ctx, key, compute):
     return memo[key]
 
 
-def _inclusion(ctx, sub, ambient, mode, max_simplices, equivariant=None):
-    return _once(ctx, (sub.mask, ambient.mask, mode, equivariant,
-                       max_simplices),
-                 lambda: verify_inclusion_equivalence(
-                     sub, ambient, mode, equivariant=equivariant,
-                     max_simplices=max_simplices))
+def _cited(ctx, key, compute):
+    """_once(ctx, key, compute) and the JSON of it that the report cites,
+    built the first time an edge cites the check: every edge that cites it
+    holds that one object. In first-use order, these are the run's pieces
+    of evidence."""
+    result = _once(ctx, key, compute)
+    return result, _once(ctx, ("json", key), result.to_json)
+
+
+def _inclusion(sub, ambient, mode, max_simplices, equivariant=None):
+    """The memo key and the computation of one inclusion check."""
+    return ((sub.mask, ambient.mask, mode, equivariant, max_simplices),
+            lambda: verify_inclusion_equivalence(
+                sub, ambient, mode, equivariant=equivariant,
+                max_simplices=max_simplices))
 
 
 def _compare_nerves(ctx, left: GPoset, right: GPoset, max_simplices) -> dict:
@@ -218,11 +228,11 @@ def _compare_nerves(ctx, left: GPoset, right: GPoset, max_simplices) -> dict:
     Each profile is taken on the poset's beat-point core, whose nerve has
     the same homology and is often far smaller."""
     def profile(poset):
-        return _once(ctx, (poset.mask, max_simplices), lambda: homology(
+        return _cited(ctx, (poset.mask, max_simplices), lambda: homology(
             order_complex(beat_core(poset), max_simplices)))
 
-    pl, pr = profile(left), profile(right)
-    return {"left": pl.to_json(), "right": pr.to_json(), "agree": pl == pr}
+    (pl, left_json), (pr, right_json) = profile(left), profile(right)
+    return {"left": left_json, "right": right_json, "agree": pl == pr}
 
 
 # inclusion checker -> (mode, reads right-to-left); the pruning edges keep
@@ -238,8 +248,8 @@ _INCLUSIONS = {
 def _by_inclusion(ctx, spec, max_simplices, detail) -> str:
     mode, backwards = _INCLUSIONS[spec.checker]
     sub, ambient = map(ctx.collection, spec.kinds[::-1 if backwards else 1])
-    res = _inclusion(ctx, sub, ambient, mode, max_simplices)
-    detail["inclusion"] = res.to_json()
+    res, detail["inclusion"] = _cited(
+        ctx, *_inclusion(sub, ambient, mode, max_simplices))
     return _squash(res.outcome)
 
 
@@ -251,8 +261,8 @@ def _by_centralizer(ctx, spec, max_simplices, detail) -> str:
     rows = []
     for h in lat.orbit_representatives():
         left, right = _avatars(ctx, spec, h)
-        res = _inclusion(ctx, left, right, "fibers", max_simplices,
-                         equivariant=False)
+        res = _once(ctx, *_inclusion(left, right, "fibers", max_simplices,
+                                     equivariant=False))
         rows.append({"subgroup": h.index, "order": h.order,
                      "outcome": res.outcome,
                      "witnesses": list(res.witnesses)})
@@ -271,21 +281,19 @@ def _by_scan(ctx, spec, max_simplices, detail) -> str:
     cut = lambda h: _cut(lat, spec.row, h)
 
     def scan_of(sylow):
-        return _once(ctx, (spec.checker, poset.mask, sylow.index,
-                           max_simplices),
-                     lambda: fixed_point_equivalence_scan(
-                         _subgroups_of(lat, sylow),
-                         lambda h: _keep(poset, *cut(h)), poset.fixed_points,
-                         retraction=cut, max_simplices=max_simplices))
+        return ((spec.checker, poset.mask, sylow.index, max_simplices),
+                lambda: fixed_point_equivalence_scan(
+                    _subgroups_of(lat, sylow),
+                    lambda h: _keep(poset, *cut(h)), poset.fixed_points,
+                    retraction=cut, max_simplices=max_simplices))
 
     sylows = lat.sylow(ctx.p)
-    scan = scan_of(sylows[0])
-    detail["scan"] = scan.to_json()
+    scan, detail["scan"] = _cited(ctx, *scan_of(sylows[0]))
     status = scan.status
     if len(sylows) > 1:
         # the restriction to a Sylow group is independent of the choice by
         # conjugacy; spot-check that on a second one
-        other = scan_of(sylows[1])
+        other = _once(ctx, *scan_of(sylows[1]))
         agrees = (other.status == scan.status
                   and sorted((c.order, c.status) for c in other.per_subgroup)
                   == sorted((c.order, c.status) for c in scan.per_subgroup))

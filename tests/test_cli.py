@@ -37,6 +37,8 @@ from sclab.cli import (
     main,
 )
 
+from frontier import PINS
+
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
 
@@ -386,6 +388,16 @@ def test_d8xz2_report_is_pinned(tmp_path):
     assert verify("--group", str(DATA / "d8xz2.grp"), "--prime", "2",
                   "--report", str(report)) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == D8XZ2_P2_SHA256
+
+
+@pytest.mark.parametrize("name", ["d8xd8", "z2_5"])
+def test_large_reports_match_the_frontier_pins(tmp_path, name):
+    # 0.75 MB reports, where edges share the most evidence; the pins are
+    # the ones tests/frontier.py checks
+    report = tmp_path / f"{name}.json"
+    assert verify("--group", str(DATA / f"{name}.grp"), "--prime", "2",
+                  "--report", str(report)) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == PINS[name]
 
 
 def _raises_assertion_error(node):

@@ -320,11 +320,15 @@ def test_tampered_cone_certificate_is_rejected():
     dropped = v._replace(certificate=v.certificate._replace(
         steps=v.certificate.steps[:-1]))
     assert not verify_certificate(DIVISORS_OF_12, dropped)
-    # positions outside the poset fail instead of raising
+    # positions outside the poset, or not ints, fail instead of raising; a
+    # replay of certificates read back from a file meets both
     for cert in (v.certificate._replace(point=-1),
                  v.certificate._replace(point=6),
+                 v.certificate._replace(point=float(v.certificate.point)),
                  v.certificate._replace(steps=((-1,),) + v.certificate.steps),
-                 v.certificate._replace(steps=((6,),) + v.certificate.steps)):
+                 v.certificate._replace(steps=((6,),) + v.certificate.steps),
+                 v.certificate._replace(steps=(("zz",),) + v.certificate.steps),
+                 v.certificate._replace(steps=((1.0,),) + v.certificate.steps)):
         assert not verify_certificate(DIVISORS_OF_12,
                                       v._replace(certificate=cert))
 

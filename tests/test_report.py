@@ -6,6 +6,7 @@ document to that format."""
 import copy
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,68 @@ def test_a_float_deep_inside_is_rejected():
     value = {"a": [1, {"b": [[None, {"c": (2, 0.5)}]]}], "d": "x"}
     with pytest.raises(TypeError):
         report_to_json_bytes(value)
+
+
+# The writer walks the report down to the values of each edge's detail, six
+# levels in, and encodes each distinct subtree below that once; the cases
+# below put what it writes itself and what it hands over on either side.
+
+
+def _nest(value, depth: int):
+    """value under depth levels of one-key dicts and one-item lists."""
+    for level in range(depth):
+        value = {"k": value} if level % 2 else [value]
+    return value
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_values, st.integers(0, 8), st.integers(0, 3))
+def test_a_shared_subtree_is_written_at_each_place(shared, depth, gap):
+    # it sits twice at depth + 1 and once at depth + 2 + gap, above, at and
+    # below the depth the walk stops at
+    value = _nest({"a": shared, "b": _nest([shared], gap), "c": 1,
+                   "d": shared}, depth)
+    assert report_to_json_bytes(value) == _reference(value)
+
+
+@pytest.mark.parametrize("keys", [(0, -3, 2**70), (True, False), (None,)])
+def test_non_string_keys_at_walked_levels(keys):
+    for depth in range(9):
+        value = _nest(dict.fromkeys(keys, [depth]), depth)
+        assert report_to_json_bytes(value) == _reference(value)
+
+
+@pytest.mark.parametrize("depth", [0, 3, 5, 6, 9])
+def test_mixed_key_types_are_rejected_at_every_level(depth):
+    value = _nest({1: "a", "b": 2}, depth)
+    with pytest.raises(TypeError):
+        _reference(value)
+    with pytest.raises(TypeError):
+        report_to_json_bytes(value)
+
+
+@pytest.mark.parametrize("depth", [0, 4, 5, 6, 7])
+def test_a_float_in_a_shared_subtree_is_rejected(depth):
+    shared = {"x": [1, {"f": 0.5}]}
+    value = _nest({"a": shared, "b": [[shared]]}, depth)
+    with pytest.raises(TypeError):
+        report_to_json_bytes(value)
+
+
+def test_the_writer_holds_little_beside_its_output():
+    """Each distinct subtree of the D8 report is encoded once and the parts
+    are joined once: the writer's peak stays under six times the bytes it
+    returns (one C-encoder call over the whole report peaked at 9.0)."""
+    report = run(VerificationPlan(group="builtin:D8", prime=2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = report_to_json_bytes(report)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out == _reference(report)
+    assert peak < 6 * len(out)
 
 
 # ------------------------------------------------------ the /3 -> /4 converter

@@ -13,13 +13,15 @@ from sclab.equivalence import (
     CERTIFIED,
     HOMOLOGY_CONSISTENT,
     PASS,
+    FixedPointScan,
+    InclusionResult,
     _lattice_retraction,
     fixed_point_equivalence_scan,
     verify_inclusion_equivalence,
 )
 from sclab.errors import SizeCap
 from sclab.group import builtin_group
-from sclab.homology import homology
+from sclab.homology import HomologyProfile, homology
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import DEFAULT_SIMPLEX_CAP
 from sclab.runner import VerificationPlan, run
@@ -427,3 +429,42 @@ def test_each_edge_check_runs_once_per_run(monkeypatch):
     assert report["summary"]["by_status"]["MISMATCH"] == 0
     assert len(inclusions) == len(set(inclusions)) == 13
     assert len(scans) == len(set(scans)) == 10
+
+
+def test_each_piece_of_evidence_is_built_once(monkeypatch):
+    """A full S5 run at 2 builds the JSON of each cited check once, and
+    every edge that cites a check holds that one object; the checks read
+    only inside the tables (fibers per centralizer, the second Sylow's
+    scan) build none."""
+    contexts, built = [], []
+
+    def holding_context(lattice, p):
+        contexts.append(collection_context(lattice, p))
+        return contexts[-1]
+
+    for cls in (InclusionResult, FixedPointScan, HomologyProfile):
+        def counting(self, to_json=cls.to_json):
+            built.append(self)
+            return to_json(self)
+        monkeypatch.setattr(cls, "to_json", counting)
+    monkeypatch.setattr("sclab.tables.collection_context", holding_context)
+    report = run(VerificationPlan("builtin:S5", 2))
+
+    (memo,) = {id(ctx.memo): ctx.memo for ctx in contexts}.values()
+    cited = [value for key, value in memo.items() if key[0] == "json"]
+    results = [value for key, value in memo.items() if key[0] != "json"]
+    assert cited
+    for result in results:
+        assert sum(b is result for b in built) <= 1
+    assert sum(any(b is r for r in results) for b in built) == len(cited)
+
+    citations = []
+    for section in report["suites"].values():
+        for edge in section.get("edges", ()):
+            detail = edge["detail"]
+            citations += [detail[k] for k in ("inclusion", "scan")
+                          if k in detail]
+            citations += [detail[k][side] for k in ("homology", "h1_homology")
+                          if k in detail for side in ("left", "right")]
+    assert all(any(c is e for e in cited) for c in citations)
+    assert len({id(c) for c in citations}) == len(cited) < len(citations)
