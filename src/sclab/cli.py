@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 clean, 1 a MISMATCH was found, 2 INCONCLUSIVE results under
---strict, 10 usage, 11 group file parse error, 12 unknown builtin, 13 a cap
-was exceeded, 14 I/O failure, 20 unexpected internal error.
+--strict, 14 I/O failure; each error class of `sclab.errors` carries its own
+(10 usage, 11 parse, 12 unknown builtin, 13 cap, 20 internal error).
 """
 
 from __future__ import annotations
@@ -15,18 +15,18 @@ from pathlib import Path
 
 from .cache import cache_dir_from_env
 from .errors import (CapExceeded, ParseError, PrimeDoesNotDivide, SclabError,
-                     SizeCap, UnknownBuiltin)
+                     UnknownBuiltin)
 from .lattice import DEFAULT_ORDER_CAP
 from .poset import DEFAULT_SIMPLEX_CAP
 from .report import emit_report
 from .runner import SUITES, VerificationPlan, exit_status, run
 
-EXIT_USAGE = 10
-EXIT_PARSE = 11
-EXIT_UNKNOWN_BUILTIN = 12
-EXIT_CAP = 13
+EXIT_USAGE = PrimeDoesNotDivide.exit_code
+EXIT_PARSE = ParseError.exit_code
+EXIT_UNKNOWN_BUILTIN = UnknownBuiltin.exit_code
+EXIT_CAP = CapExceeded.exit_code
 EXIT_IO = 14
-EXIT_INTERNAL = 20
+EXIT_INTERNAL = SclabError.exit_code
 
 
 def _is_prime(n: int) -> bool:
@@ -100,24 +100,13 @@ def main(argv=None) -> int:
     try:
         report = run(plan)
         payload = emit_report(report, args.format)
-    except ParseError as exc:
-        print(f"sclab: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnknownBuiltin as exc:
-        print(f"sclab: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_BUILTIN
-    except (CapExceeded, SizeCap) as exc:
-        print(f"sclab: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except PrimeDoesNotDivide as exc:
-        print(f"sclab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SclabError as exc:
+        fault = "internal error: " if exc.exit_code == EXIT_INTERNAL else ""
+        print(f"sclab: {fault}{exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"sclab: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SclabError as exc:
-        print(f"sclab: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:
         # any other exception is a fault in the engine; it must not surface
         # as Python's exit status 1, which here means a MISMATCH was found

@@ -1,13 +1,19 @@
-"""Typed errors shared across the engine, kept in one place so the CLI can map
-each class to a distinct exit code."""
+"""Typed errors shared across the engine. Each class carries the exit code
+the CLI returns for it: 10 usage, 11 group file parse error, 12 unknown
+builtin, 13 a cap was exceeded, 20 internal error."""
 
 
 class SclabError(Exception):
-    """Base class for all errors raised deliberately by this package."""
+    """Base class for all errors raised deliberately by this package; one
+    that no subclass names is a fault in the engine."""
+
+    exit_code = 20
 
 
 class ParseError(SclabError):
     """Malformed group file. Carries source name, line and column (1-based)."""
+
+    exit_code = 11
 
     def __init__(self, message, *, source="<string>", line=0, column=0):
         self.source = source
@@ -17,6 +23,8 @@ class ParseError(SclabError):
 
 
 class UnknownBuiltin(SclabError):
+    exit_code = 12
+
     def __init__(self, name, available):
         self.name = name
         self.available = tuple(available)
@@ -28,12 +36,18 @@ class UnknownBuiltin(SclabError):
 class CapExceeded(SclabError):
     """Group order or lattice size exceeded a configured cap."""
 
+    exit_code = 13
+
 
 class SizeCap(SclabError):
     """Simplex count exceeded a configured cap during complex construction."""
 
+    exit_code = 13
+
 
 class PrimeDoesNotDivide(SclabError):
+    exit_code = 10  # a usage error
+
     def __init__(self, p, order):
         self.p = p
         self.order = order

@@ -281,78 +281,42 @@ def positions(mask: int):
 
 # ----- builtin groups -----------------------------------------------------
 
-def _cycle_group(*cycle_lists, degree, name):
-    gens = []
-    for cycles in cycle_lists:
-        images = list(range(degree))
-        for cyc in cycles:
-            for i, p in enumerate(cyc):
-                images[p] = cyc[(i + 1) % len(cyc)]
-        gens.append(Permutation(tuple(images)))
-    return PermutationGroup.from_generators(gens, name=name)
-
-
-def _dihedral(n):
-    # symmetries of a regular n-gon on points 0..n-1, order 2n;
-    # the reflection i -> 2-i makes D8 come out as <(0 1 2 3), (0 2)>
-    rot = Permutation(tuple((i + 1) % n for i in range(n)))
-    ref = Permutation(tuple((2 - i) % n for i in range(n)))
-    return PermutationGroup.from_generators([rot, ref], name=f"D{2 * n}")
-
-
-def _quaternion8():
-    # left regular action on {1,-1,i,-i,j,-j,k,-k} indexed 0..7
-    left_i = Permutation((2, 3, 1, 0, 6, 7, 5, 4))
-    left_j = Permutation((4, 5, 7, 6, 1, 0, 2, 3))
-    return PermutationGroup.from_generators([left_i, left_j], name="Q8")
-
-
-def _sl23():
-    # SL(2,3) acting on the 8 nonzero vectors of F_3^2, listed in lex order
-    vectors = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
-    vec_index = {v: i for i, v in enumerate(vectors)}
-
-    def mat_perm(a, b, c, d):
-        images = []
-        for x, y in vectors:
-            images.append(vec_index[((a * x + b * y) % 3, (c * x + d * y) % 3)])
-        return Permutation(tuple(images))
-
-    gens = [mat_perm(1, 1, 0, 1), mat_perm(0, 2, 1, 0)]
-    return PermutationGroup.from_generators(gens, name="SL23")
-
-
-def _cyclic(n):
-    if n < 1:
-        raise UnknownBuiltin(f"Zn:{n}", sorted(_BUILTINS) + ["Zn:<n>"])
-    if n == 1:
-        return PermutationGroup.from_generators([], degree=1, name="Z1")
-    return _cycle_group([tuple(range(n))], degree=n, name=f"Z{n}")
-
-
+# name -> (degree, generators in cycle notation), read by the file parser
 _BUILTINS = {
-    "D8": lambda: _dihedral(4),
-    "D12": lambda: _dihedral(6),
-    "Q8": _quaternion8,
-    "S3": lambda: _cycle_group([(0, 1, 2)], [(0, 1)], degree=3, name="S3"),
-    "S4": lambda: _cycle_group([(0, 1, 2, 3)], [(0, 1)], degree=4, name="S4"),
-    "S5": lambda: _cycle_group([(0, 1, 2, 3, 4)], [(0, 1)], degree=5, name="S5"),
-    "A4": lambda: _cycle_group([(0, 1, 2)], [(1, 2, 3)], degree=4, name="A4"),
-    "A5": lambda: _cycle_group([(0, 1, 2, 3, 4)], [(0, 1, 2)], degree=5, name="A5"),
-    "SL23": _sl23,
+    # symmetries of the square and the hexagon: i -> i+1 and i -> 2-i
+    "D8": (4, ("(0 1 2 3)", "(0 2)")),
+    "D12": (6, ("(0 1 2 3 4 5)", "(0 2)(3 5)")),
+    # left multiplication by i and j on 1, -1, i, -i, j, -j, k, -k
+    "Q8": (8, ("(0 2 1 3)(4 6 5 7)", "(0 4 1 5)(2 7 3 6)")),
+    # [[1,1],[0,1]] and [[0,2],[1,0]] on the nonzero vectors of F_3^2,
+    # listed in lexicographic order
+    "SL23": (8, ("(0 3 6)(1 7 4)", "(0 5 1 2)(3 6 7 4)")),
+    # symmetric groups: the n-cycle and a transposition
+    "S3": (3, ("(0 1 2)", "(0 1)")),
+    "S4": (4, ("(0 1 2 3)", "(0 1)")),
+    "S5": (5, ("(0 1 2 3 4)", "(0 1)")),
+    # alternating groups: two 3-cycles on 4 points, a 5-cycle and a 3-cycle
+    "A4": (4, ("(0 1 2)", "(1 2 3)")),
+    "A5": (5, ("(0 1 2 3 4)", "(0 1 2)")),
 }
 
 
-def builtin_group(name: str) -> PermutationGroup:
+def builtin_group(name: str, *, max_order=None) -> PermutationGroup:
+    """The builtin ``name``, or for ``Zn:<n>`` the cyclic group Z<n> on one
+    n-cycle, closed under the order cap as a group file is."""
     if name in _BUILTINS:
-        return _BUILTINS[name]()
-    if name.startswith("Zn:"):
+        degree, gens = _BUILTINS[name]
+    else:
         try:
-            n = int(name[3:])
+            degree = int(name[3:]) if name.startswith("Zn:") else 0
         except ValueError:
-            raise UnknownBuiltin(name, sorted(_BUILTINS) + ["Zn:<n>"]) from None
-        return _cyclic(n)
-    raise UnknownBuiltin(name, sorted(_BUILTINS) + ["Zn:<n>"])
+            degree = 0
+        if degree < 1:
+            raise UnknownBuiltin(name, sorted(_BUILTINS) + ["Zn:<n>"])
+        name = f"Z{degree}"
+        gens = [f"({' '.join(map(str, range(degree)))})"] if degree > 1 else []
+    text = "\n".join([f"degree {degree}", *(f"gen {g}" for g in gens)])
+    return parse_group_text(text, source=name, max_order=max_order)
 
 
 # ----- group files --------------------------------------------------------
@@ -401,10 +365,7 @@ def parse_group_text(text: str, *, source="<string>", max_order=None) -> Permuta
 def load_group(spec: str, *, max_order=None) -> PermutationGroup:
     """Load ``builtin:NAME`` or a group file path."""
     if spec.startswith("builtin:"):
-        group = builtin_group(spec[len("builtin:"):])
-        if max_order is not None and group.order > max_order:
-            raise CapExceeded(f"group order {group.order} exceeds the cap {max_order}")
-        return group
+        return builtin_group(spec[len("builtin:"):], max_order=max_order)
     with open(spec, encoding="utf-8") as fh:
         text = fh.read()
     return parse_group_text(text, source=spec, max_order=max_order)

@@ -260,6 +260,15 @@ class SubgroupLattice:
         """One mask over `order` positions per entry of `orbits`."""
         return tuple(sum(1 << i for i in orbit) for orbit in self.orbits)
 
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        """Per position, the mask of its conjugacy class."""
+        out = [0] * len(self)
+        for orbit, c in zip(self.orbits, self.class_masks):
+            for i in orbit:
+                out[i] = c
+        return tuple(out)
+
     def is_class_union(self, mask: int) -> bool:
         """Conjugation permutes the subgroups, so a mask over `order`
         positions is G-invariant exactly when it is a union of classes;

@@ -79,6 +79,7 @@ def parse_cycles(text: str, degree: int, *, source="<string>", line=1, offset=0)
             err(f"expected '(' but found {ch!r}", i)
         i += 1
         cyc: list[int] = []
+        seen: set[int] = set()
         while True:
             while i < n and (text[i].isspace() or text[i] == ","):
                 i += 1
@@ -95,18 +96,19 @@ def parse_cycles(text: str, degree: int, *, source="<string>", line=1, offset=0)
             point = int(text[i:j])
             if point >= degree:
                 err(f"point {point} out of range for degree {degree}", i)
-            if point in cyc:
+            if point in seen:
                 err(f"point {point} repeated within a cycle", i)
+            seen.add(point)
             cyc.append(point)
             i = j
         if cyc:
             cycles.append(cyc)
 
-    images = list(range(degree))
-    for x in range(degree):
-        y = x
-        for cyc in cycles:
-            if y in cyc:
-                y = cyc[(cyc.index(y) + 1) % len(cyc)]
-        images[x] = y
+    # compose left to right: after each cycle, the point that reached
+    # cyc[k] (its preimage, pre[cyc[k]]) goes on to cyc[k + 1]
+    images, pre = list(range(degree)), list(range(degree))
+    for cyc in cycles:
+        sources = [pre[y] for y in cyc]
+        for x, y in zip(sources, cyc[1:] + cyc[:1]):
+            images[x], pre[y] = y, x
     return Permutation(tuple(images))

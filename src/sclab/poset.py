@@ -82,16 +82,14 @@ class GPoset:
             out[n] = out.get(n, 0) | 1 << i
         return out
 
-    def orbits(self, gens) -> dict | None:
+    def orbits(self, gens) -> tuple[int, ...] | dict[int, int] | None:
         """Per position, the bitmask of its orbit under conjugation by gens,
         or None when some generator conjugates a member out of the poset.
-        When gens generate the whole group, the orbits are the classes."""
+        When gens generate the whole group, the orbits are the classes, and
+        the lattice's `class_of` answers for every position."""
         lat = self.lattice
         if lat is not None and lat.generated(gens) == lat.full:
-            if not lat.is_class_union(self.mask):
-                return None
-            return {j: c for c in lat.class_masks if c & self.mask
-                    for j in positions(c)}
+            return lat.class_of if lat.is_class_union(self.mask) else None
         if gens:
             lat = self._require_lattice()
         orbit = {}

@@ -16,9 +16,9 @@ from .errors import PrimeDoesNotDivide
 from .group import PermutationGroup, load_group
 from .lattice import DEFAULT_ORDER_CAP
 from .poset import DEFAULT_SIMPLEX_CAP
-from .tables import (SKIPPED, TABLE31, TABLE44, is_dihedral8,
-                     verify_counterexamples, verify_inclusion_chains,
-                     verify_table_edges)
+from .tables import (SKIPPED, TABLE31, TABLE44, condition_json,
+                     is_dihedral8, verify_counterexamples,
+                     verify_inclusion_chains, verify_table_edges)
 
 REPORT_FORMAT = "sclab-report/4"
 
@@ -97,7 +97,7 @@ def _inclusions_section(lattice, prime, _suite, _max_simplices) -> dict:
 
 def _conditions_section(lattice, prime, _suite, _max_simplices) -> dict:
     ctx = collection_context(lattice, prime)
-    reports = {c: ctx.condition(c).to_json() for c in CONDITIONS}
+    reports = {c: condition_json(ctx, c) for c in CONDITIONS}
     section = {"reports": reports}
     if ctx.condition("Ch").holds:
         section["radical_collections_coincide"] = ctx.equalities_under_Ch()

@@ -197,6 +197,9 @@ def _once(ctx, key, compute):
         (sub mask, ambient mask, mode, equivariant, cap)  inclusion checks
         (checker, poset mask, Sylow index, cap)           dashed scans
         ("json", key)                                     what _cited built
+        ("per_centralizer", row, left mask, right mask, cap)
+                                                          _by_centralizer rows
+        ("condition", name)                               condition_json
 
     with masks over the lattice's one order. A SizeCap propagates and
     stores nothing."""
@@ -213,6 +216,12 @@ def _cited(ctx, key, compute):
     of evidence."""
     result = _once(ctx, key, compute)
     return result, _once(ctx, ("json", key), result.to_json)
+
+
+def condition_json(ctx, which: str) -> dict:
+    """The JSON of ctx.condition(which), built once per context: every edge
+    it gates and the conditions section hold that one object."""
+    return _once(ctx, ("condition", which), ctx.condition(which).to_json)
 
 
 def _inclusion(sub, ambient, mode, max_simplices, equivariant=None):
@@ -257,17 +266,21 @@ def _by_centralizer(ctx, spec, max_simplices, detail) -> str:
     """Per-subgroup fiber checks between the row's avatars, inside each
     centralizer's lower set; this certifies the centralizer-restriction row
     without equivariance demands."""
-    lat = ctx.lattice
-    rows = []
-    for h in lat.orbit_representatives():
-        left, right = _avatars(ctx, spec, h)
-        res = _once(ctx, *_inclusion(left, right, "fibers", max_simplices,
-                                     equivariant=False))
-        rows.append({"subgroup": h.index, "order": h.order,
-                     "outcome": res.outcome,
-                     "witnesses": list(res.witnesses)})
+    def compute():
+        rows = []
+        for h in ctx.lattice.orbit_representatives():
+            left, right = _avatars(ctx, spec, h)
+            res = _once(ctx, *_inclusion(left, right, "fibers", max_simplices,
+                                         equivariant=False))
+            rows.append({"subgroup": h.index, "order": h.order,
+                         "outcome": res.outcome,
+                         "witnesses": list(res.witnesses)})
+        return rows
+
+    masks = tuple(ctx.collection(k).mask for k in spec.kinds)
+    rows = detail["per_centralizer"] = _once(
+        ctx, ("per_centralizer", spec.row, *masks, max_simplices), compute)
     outcomes = {row["outcome"] for row in rows}
-    detail["per_centralizer"] = rows
     return _squash(FAIL if FAIL in outcomes else
                    INCONCLUSIVE if INCONCLUSIVE in outcomes else PASS)
 
@@ -340,7 +353,7 @@ def _check_edge(ctx, spec, max_simplices) -> EdgeResult:
     CERTIFIED solid edge by the homology of the two nerves."""
     detail = {}
     if spec.conditions:
-        detail["conditions"] = {c: ctx.condition(c).to_json()
+        detail["conditions"] = {c: condition_json(ctx, c)
                                 for c in spec.conditions}
         holding = [c for c in spec.conditions if ctx.condition(c).holds]
         if not holding:

@@ -29,6 +29,64 @@ def test_cyclic_builtin():
     assert sorted(z12.element_orders) == [1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12]
 
 
+def _dihedral(n):
+    # the rotation i -> i+1 and the reflection i -> 2-i of the n-gon
+    return [tuple((i + 1) % n for i in range(n)),
+            tuple((2 - i) % n for i in range(n))]
+
+
+def _quaternion8():
+    # left multiplication by i and j on 1, -1, i, -i, j, -j, k, -k, each
+    # unit a sign and one of 1, i, j, k, with ij = k, jk = i, ki = j
+    units = [(s, u) for u in "1ijk" for s in (1, -1)]
+
+    def times(a, b):
+        (sa, ua), (sb, ub) = a, b
+        if "1" in (ua, ub):
+            return sa * sb, ua if ub == "1" else ub
+        if ua == ub:
+            return -sa * sb, "1"
+        cyclic = "ijk".index(ub) == ("ijk".index(ua) + 1) % 3
+        (w,) = set("ijk") - {ua, ub}
+        return (sa * sb if cyclic else -sa * sb), w
+
+    return [tuple(units.index(times(x, y)) for y in units)
+            for x in ((1, "i"), (1, "j"))]
+
+
+def _sl23():
+    # [[1,1],[0,1]] and [[0,2],[1,0]] on the nonzero vectors of F_3^2 in
+    # lexicographic order
+    vectors = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
+    return [tuple(vectors.index(((a * x + b * y) % 3, (c * x + d * y) % 3))
+                  for x, y in vectors)
+            for a, b, c, d in ((1, 1, 0, 1), (0, 2, 1, 0))]
+
+
+@pytest.mark.parametrize("name,group,degree,images", [
+    ("D8", "D8", 4, _dihedral(4)),
+    ("D12", "D12", 6, _dihedral(6)),
+    ("Q8", "Q8", 8, _quaternion8()),
+    ("SL23", "SL23", 8, _sl23()),
+    ("Zn:7", "Z7", 7, [tuple((i + 1) % 7 for i in range(7))]),
+    ("Zn:1", "Z1", 1, []),
+])
+def test_builtins_match_their_definitions(name, group, degree, images):
+    """Each builtin's generator text is the group its definition builds."""
+    g = builtin_group(name)
+    assert (g.name, g.degree) == (group, degree)
+    assert [s.images for s in g.generators] == images
+
+
+def test_order_cap_stops_a_builtin_closure():
+    # the closure stops past the cap, as it does for a group file, rather
+    # than materializing all 3,000 elements first
+    with pytest.raises(CapExceeded,
+                       match="group closure exceeded the order cap 2000"):
+        load_group("builtin:Zn:3000", max_order=2000)
+    assert load_group("builtin:S5", max_order=120).order == 120
+
+
 def test_unknown_builtin_lists_choices():
     with pytest.raises(UnknownBuiltin) as exc:
         builtin_group("M11")

@@ -6,6 +6,11 @@ Lie type in characteristic p and of rank r, the nerve of S_p(G) has reduced
 homology free of rank |G|_p, in degree r - 1 only, and so does the nerve of
 A_p(G), which is homotopy equivalent to it. The group files under
 tests/data are written by hand.
+
+P. Hall's Möbius function (Quart. J. Math. 7, 1936) gives the reduced
+Euler characteristic of A_p(G), and so of S_p(G) and of the radical
+subgroups B_p(G) (S. Bouc, 1984), from the elementary abelian p-subgroups
+alone; K. S. Brown (Invent. Math. 29, 1975) shows that |G|_p divides it.
 """
 
 import functools
@@ -13,7 +18,10 @@ from pathlib import Path
 
 import pytest
 
+import _naive as naive
+from _suite import SUITE, lattice_of
 from sclab.collections import collection_context
+from sclab.contract import beat_core
 from sclab.group import load_group
 from sclab.homology import homology
 from sclab.lattice import enumerate_subgroups
@@ -56,3 +64,21 @@ def test_psl27_has_rank_one_at_p7():
     # PSL(2,7) in characteristic 7: rank 1 and |G|_7 = 7, so eight points
     prof = homology(nerve("psl27.grp", 7, "S"))
     assert (prof.reduced_betti, prof.torsion) == ((7,), ())
+
+
+@pytest.mark.parametrize("name,p", SUITE)
+def test_hall_euler_characteristic(name, p):
+    """The reduced Euler characteristic of the nerves of S, A and B is
+    -sum over the elementary abelian p-subgroups E, 1 included, of
+    mu(1, E) = (-1)^r p^(r(r-1)/2) for E of rank r, and |G|_p divides it."""
+    lat = lattice_of(name)
+    ranks = [0]  # E = 1
+    for r in lat.subgroups:
+        if naive.is_elementary_abelian(lat.group, frozenset(lat.members(r)), p):
+            ranks.append(next(k for k in range(r.order) if p ** k == r.order))
+    hall = -sum((-1) ** k * p ** (k * (k - 1) // 2) for k in ranks)
+    assert hall % naive.p_part(lat.group.order, p) == 0
+    ctx = collection_context(lat, p)
+    for kind in ("S", "A", "B"):
+        core = beat_core(ctx.collection(kind))
+        assert order_complex(core).euler_characteristic() - 1 == hall, kind

@@ -79,3 +79,17 @@ def test_parse_error_carries_position():
 def test_not_a_bijection_rejected():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+def test_overlapping_cycles_apply_left_to_right():
+    # (0 1) then (1 2): 0 -> 1 -> 2, 1 -> 0, 2 -> 1
+    assert parse_cycles("(0 1)(1 2)", 3).images == (2, 0, 1)
+    assert parse_cycles("(0 1 2)(0 2 1)", 3).images == (0, 1, 2)
+    assert parse_cycles("(0 1)(0 1)(1 2 3)", 4).images == (0, 2, 3, 1)
+
+
+def test_long_cycle_parses():
+    # one cycle through 16,000 points; parsing is linear in its length
+    n = 16_000
+    text = "(" + " ".join(map(str, range(n))) + ")"
+    assert parse_cycles(text, n).images == tuple(range(1, n)) + (0,)
