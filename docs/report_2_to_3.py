@@ -48,16 +48,16 @@ def upgrade(report):
         if not cert or cert["kind"] != "retraction":
             continue
         lat = lat or _lattice(report["group"])
-        h = lat.ref(row["subgroup"])
+        h = row["subgroup"]
         k = h if cert["side"] == ">=" else lat.centralizer(h)
         for q, f in cert["mapping"]:
-            bits = lat.ref(q).bitset
-            image = (lat.group.closure_bitset(bits | k.bitset)
-                     if cert["side"] == ">=" else bits & k.bitset)
-            if lat.ref(f).bitset != image:
+            bits, k_bits = lat.bitsets[q], lat.bitsets[k]
+            image = (lat.group.closure_bitset(bits | k_bits)
+                     if cert["side"] == ">=" else bits & k_bits)
+            if lat.bitsets[f] != image:
                 raise SystemExit(f"pair {[q, f]} is not the named map")
         row["certificate"] = {"kind": "retraction", "side": cert["side"],
-                              "subgroup": k.index}
+                              "subgroup": k}
     return report
 
 

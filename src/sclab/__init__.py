@@ -13,7 +13,7 @@ from .equivalence import (FixedPointScan, InclusionResult,
 from .errors import SclabError
 from .group import PermutationGroup, builtin_group, load_group, parse_group_text
 from .homology import HomologyProfile, homology
-from .lattice import SubgroupLattice, SubgroupRef, enumerate_subgroups
+from .lattice import SubgroupLattice, enumerate_subgroups
 from .poset import GPoset, OrderComplex, order_complex
 from .report import emit_report
 from .runner import VerificationPlan, exit_status, run
@@ -28,7 +28,7 @@ __all__ = [
     "EdgeResult", "EdgeSpec",
     "FixedPointScan", "GPoset", "HomologyProfile", "HomologyWitness",
     "InclusionResult", "MonotoneRetraction", "OrderComplex",
-    "PermutationGroup", "SclabError", "SubgroupLattice", "SubgroupRef",
+    "PermutationGroup", "SclabError", "SubgroupLattice",
     "Verdict", "VerificationPlan", "builtin_group",
     "collection_context", "contractibility_verdict", "core_reduction",
     "emit_report",

@@ -70,7 +70,7 @@ def store_lattice(cache_dir: Path, lattice: SubgroupLattice) -> Path:
     payload = {
         "format": CACHE_FORMAT,
         "group_hash": lattice.group.content_hash,
-        "subgroups": [format(r.bitset, "x") for r in lattice.subgroups],
+        "subgroups": [format(bits, "x") for bits in lattice.bitsets],
     }
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(payload))

@@ -29,17 +29,6 @@ EXIT_IO = 14
 EXIT_INTERNAL = SclabError.exit_code
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sclab",
@@ -78,12 +67,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_USAGE
-
-    # a p above the order cap divides no admissible group order, which the
-    # run reports without trial division up to the square root of p
-    if args.prime <= args.max_order and not _is_prime(args.prime):
-        print(f"sclab: --prime {args.prime} is not a prime", file=sys.stderr)
-        return EXIT_USAGE
 
     plan = VerificationPlan(
         group=args.group, prime=args.prime, suite=args.suite,

@@ -21,7 +21,7 @@ from weakref import WeakValueDictionary
 from .errors import (ConditionNotSatisfied, InternalInconsistency,
                      PrimeDoesNotDivide)
 from .group import positions
-from .lattice import SubgroupLattice, SubgroupRef, p_part, p_core_of_group
+from .lattice import SubgroupLattice, p_part, p_core_of_group
 from .poset import GPoset
 
 KINDS = ("A", "S", "B", "Ce", "Bcen", "D", "E",
@@ -97,50 +97,48 @@ class CollectionContext:
 
     # ----- operators --------------------------------------------------------
 
-    def tilde_of(self, ref: SubgroupRef) -> SubgroupRef:
+    def tilde_of(self, h: int) -> int:
         """Omega_1 Z(P) ∩ E1, together with the identity; always a subgroup."""
-        if ref.index not in self._tilde:
+        if h not in self._tilde:
             lat = self.lattice
-            omega = lat.omega1_center(ref, self.p)
             bits = 1
-            for x in lat.members(omega):
+            for x in lat.members(lat.omega1_center(h, self.p)):
                 if x in self.E1:
                     bits |= 1 << x
-            sub = lat.by_bitset(bits)  # closed because E1 is commuting-closed
-            self._tilde[ref.index] = sub.index
-        return self.lattice.ref(self._tilde[ref.index])
+            # closed because E1 is commuting-closed
+            self._tilde[h] = lat.index(bits)
+        return self._tilde[h]
 
-    def hat_of(self, ref: SubgroupRef) -> SubgroupRef:
+    def hat_of(self, h: int) -> int:
         """Subgroup generated by Omega_1 Z(P) ∩ E0."""
-        if ref.index not in self._hat:
+        if h not in self._hat:
             lat = self.lattice
-            omega = lat.omega1_center(ref, self.p)
-            gens = [x for x in lat.members(omega) if x in self.E0]
-            self._hat[ref.index] = lat.generated(gens).index
-        return self.lattice.ref(self._hat[ref.index])
+            omega = lat.omega1_center(h, self.p)
+            self._hat[h] = lat.generated(
+                x for x in lat.members(omega) if x in self.E0)
+        return self._hat[h]
 
     # ----- membership predicates --------------------------------------------
 
-    def is_p_radical(self, ref: SubgroupRef) -> bool:
+    def is_p_radical(self, h: int) -> bool:
         """P = O_p(N_G(P))."""
         lat = self.lattice
-        return lat.p_core(lat.normalizer(ref), self.p).index == ref.index
+        return lat.p_core(lat.normalizer(h), self.p) == h
 
-    def is_p_centric(self, ref: SubgroupRef) -> bool:
+    def is_p_centric(self, h: int) -> bool:
         """Z(P) is a Sylow p-subgroup of C_G(P)."""
         lat = self.lattice
-        zp = lat.center(ref)
-        cg = lat.centralizer(ref)
-        return zp.order == p_part(cg.order, self.p)
+        sizes = lat.sizes
+        return sizes[lat.center(h)] == p_part(sizes[lat.centralizer(h)], self.p)
 
-    def is_principal_p_radical(self, ref: SubgroupRef) -> bool:
+    def is_principal_p_radical(self, h: int) -> bool:
         """p-centric with O_p(N_G(P) / P C_G(P)) trivial, that is with the
         preimage of that p-core equal to P C_G(P) = P v C_G(P)."""
-        if not self.is_p_centric(ref):
+        if not self.is_p_centric(h):
             return False
         lat = self.lattice
-        pc = lat.join(ref, lat.centralizer(ref))
-        return p_core_of_group(lat, lat.normalizer(ref), pc, self.p) == pc
+        pc = lat.join(h, lat.centralizer(h))
+        return p_core_of_group(lat, lat.normalizer(h), pc, self.p) == pc
 
     # ----- collections -------------------------------------------------------
 
@@ -161,17 +159,17 @@ class CollectionContext:
             op, base = kind.split("-", 1)
             held = self.collection(base).mask
             operator = self.tilde_of if op == "tilde" else self.hat_of
-            keep = lambda m: held >> m.index & 1 and operator(m).order > 1
+            keep = lambda m: held >> m & 1 and operator(m) != lat.trivial
         else:
-            keep = lambda m: (m.order > 1 and lat.is_p_group(m, self.p)
+            keep = lambda m: (m != lat.trivial and lat.is_p_group(m, self.p)
                               and self._base_member(kind, m))
         mask = 0
-        for orbit, c in zip(lat.orbits, lat.class_masks):
-            if keep(lat.ref(orbit[0])):
+        for rep, c in zip(lat.class_representatives(), lat.class_masks):
+            if keep(rep):
                 mask |= c
         return GPoset(lat.order, mask, lat, name=f"{kind}_{self.p}")
 
-    def _base_member(self, kind: str, m: SubgroupRef) -> bool:
+    def _base_member(self, kind: str, m: int) -> bool:
         lat = self.lattice
         if kind == "S":
             return True
@@ -191,12 +189,11 @@ class CollectionContext:
         raise InternalInconsistency(f"unknown collection kind {kind!r}")
 
     @cached_property
-    def p_locals(self) -> tuple[SubgroupRef, ...]:
+    def p_locals(self) -> tuple[int, ...]:
         """The normalizers of the nontrivial p-subgroups, each once, in
         index order."""
-        lat = self.lattice
-        return tuple(map(lat.ref, sorted({lat.normalizer(m).index
-                                          for m in self.collection("S").members})))
+        return tuple(sorted(set(map(self.lattice.normalizer,
+                                    self.collection("S").members))))
 
     # ----- conditions ---------------------------------------------------------
 
@@ -207,9 +204,9 @@ class CollectionContext:
             self._conditions[which] = getattr(self, f"_condition_{which}")()
         return self._conditions[which]
 
-    def _witness_subgroup(self, ref: SubgroupRef) -> dict:
-        return {"index": ref.index, "order": ref.order,
-                "generators": self.lattice.generator_string(ref)}
+    def _witness_subgroup(self, h: int) -> dict:
+        return {"index": h, "order": self.lattice.sizes[h],
+                "generators": self.lattice.generator_string(h)}
 
     def _witness_element(self, x: int) -> str:
         return self.lattice.group.element_string(x)
@@ -219,7 +216,8 @@ class CollectionContext:
         subgroup that contains a Sylow p-subgroup of G."""
         lat = self.lattice
         full_p = p_part(lat.group.order, self.p)
-        hosts = [m for m in self.p_locals if p_part(m.order, self.p) == full_p]
+        hosts = [m for m in self.p_locals
+                 if p_part(lat.sizes[m], self.p) == full_p]
         for P in self.collection("hat-S").members:
             n = lat.normalizer(P)
             if not any(lat.leq(n, m) for m in hosts):
@@ -251,10 +249,11 @@ class CollectionContext:
     def _condition_Ch(self) -> ConditionReport:
         """Local characteristic p: C_H(O_p(H)) <= O_p(H) for every p-local H."""
         lat = self.lattice
+        bits = lat.bitsets
         for h in self.p_locals:
             core = lat.p_core(h, self.p)
-            ch = lat.centralizer(core).bitset & h.bitset
-            if ch | core.bitset != core.bitset:
+            ch = bits[lat.centralizer(core)] & bits[h]
+            if ch | bits[core] != bits[core]:
                 return ConditionReport(
                     "Ch", False, (self._witness_subgroup(h),),
                     "centralizer of O_p escapes O_p in the witness p-local subgroup")
@@ -274,7 +273,7 @@ class CollectionContext:
                 self._witness_subgroup, self.collection("B").members))}
         sep = next(positions((b | bh | bc) & ~(b & bh & bc)))
         return {"equal": False,
-                "counterexample": {**self._witness_subgroup(self.lattice.ref(sep)),
+                "counterexample": {**self._witness_subgroup(sep),
                                    "in_B": bool(b >> sep & 1),
                                    "in_hat_B": bool(bh >> sep & 1),
                                    "in_Bcen": bool(bc >> sep & 1)}}

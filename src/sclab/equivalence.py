@@ -113,11 +113,11 @@ def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
             interval = ambient.above(y, strict=True)
         stab = gens = None
         if demand:
-            stab = lat.normalizer(lat.ref(y))
+            stab = lat.normalizer(y)
             gens = lat.generating_set(stab)
         verdict = contractibility_verdict(interval, equivariance_gens=gens,
                                           max_simplices=max_simplices)
-        per.append((y, stab.index if stab is not None else None, verdict))
+        per.append((y, stab, verdict))
         if verdict.status == NOT_CONTRACTIBLE:
             failing.append(y)
         elif verdict.status == UNKNOWN or (demand and not verdict.equivariant):
@@ -189,7 +189,7 @@ def _lattice_retraction(right: GPoset, left: int, side: str, k) -> int | None:
         raise ValueError(f"side must be '<=' or '>=', got {side!r}")
     up, down = right.order.up, right.order.down
     masks, takes = (up, down) if side == ">=" else (down, up)
-    bound = masks[k.index] | 1 << k.index
+    bound = masks[k] | 1 << k
     image = right.mask & bound
     if image & ~left:
         return None
@@ -206,49 +206,43 @@ def _lattice_retraction(right: GPoset, left: int, side: str, k) -> int | None:
     return image
 
 
-def _compare_pair(h, left: GPoset, right: GPoset, retraction,
-                  max_simplices: int) -> FixedPointComparison:
+def _compare_pair(h: int, left: GPoset, right: GPoset, retraction,
+                  max_simplices: int):
+    """(status, method, certificate, detail) of one scan row."""
     _check_subposet(left, right)
     if left.mask == right.mask:
-        return FixedPointComparison(h.index, h.order, CERTIFIED, "equal", None,
-                                    {"size": len(left)})
+        return CERTIFIED, "equal", None, {"size": len(left)}
     if left.is_empty() != right.is_empty():
         sizes = {"left": len(left), "right": len(right)}
-        return FixedPointComparison(h.index, h.order, MISMATCH, "emptiness",
-                                    None, sizes)
+        return MISMATCH, "emptiness", None, sizes
     if retraction is not None:
         side, k = retraction(h)
         image = _lattice_retraction(right, left.mask, side, k)
         if image is not None:
-            return FixedPointComparison(h.index, h.order, CERTIFIED,
-                                        "retraction",
-                                        MonotoneRetraction(side, k.index),
-                                        {"image": image.bit_count()})
+            return (CERTIFIED, "retraction", MonotoneRetraction(side, k),
+                    {"image": image.bit_count()})
     vl = contractibility_verdict(left, max_simplices=max_simplices)
     vr = contractibility_verdict(right, max_simplices=max_simplices)
     if vl.status == CONTRACTIBLE and vr.status == CONTRACTIBLE:
-        return FixedPointComparison(h.index, h.order, CERTIFIED,
-                                    "both-contractible", None,
-                                    {"left": vl.method, "right": vr.method})
+        return (CERTIFIED, "both-contractible", None,
+                {"left": vl.method, "right": vr.method})
     statuses = {vl.status, vr.status}
     if statuses == {CONTRACTIBLE, NOT_CONTRACTIBLE}:
-        return FixedPointComparison(h.index, h.order, MISMATCH,
-                                    "contractibility", None,
-                                    {"left": vl.status, "right": vr.status})
+        return (MISMATCH, "contractibility", None,
+                {"left": vl.status, "right": vr.status})
     pl = _profile_of(left, max_simplices)
     pr = _profile_of(right, max_simplices)
-    agree = pl == pr
     detail = {"left": pl.to_json(), "right": pr.to_json()}
-    return FixedPointComparison(h.index, h.order,
-                                HOMOLOGY_CONSISTENT if agree else MISMATCH,
-                                "homology", None, detail)
+    return (HOMOLOGY_CONSISTENT if pl == pr else MISMATCH, "homology", None,
+            detail)
 
 
-def fixed_point_equivalence_scan(subgroups, left_of, right_of, *,
+def fixed_point_equivalence_scan(lattice, subgroups, left_of, right_of, *,
                                  retraction=None,
                                  max_simplices: int = DEFAULT_SIMPLEX_CAP
                                  ) -> FixedPointScan:
-    """Compare designated avatar posets over a list of subgroup refs.
+    """Compare designated avatar posets over a list of subgroups, given by
+    their indices in lattice.
 
     left_of(h) must be a subposet of right_of(h). Grading per h: equal
     masks, a retraction landing in the left poset, or both posets contractible
@@ -257,8 +251,7 @@ def fixed_point_equivalence_scan(subgroups, left_of, right_of, *,
     (side, K) and names the map q -> q v K (side ">=") or q -> q ^ K
     (side "<=") on the right poset, which must be lattice-backed.
     """
-    rows = []
-    for h in subgroups:
-        rows.append(_compare_pair(h, left_of(h), right_of(h), retraction,
-                                  max_simplices))
-    return FixedPointScan(tuple(rows))
+    return FixedPointScan(tuple(
+        FixedPointComparison(h, lattice.sizes[h], *_compare_pair(
+            h, left_of(h), right_of(h), retraction, max_simplices))
+        for h in subgroups))

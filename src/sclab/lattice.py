@@ -1,9 +1,10 @@
 """Exhaustive subgroup lattices for groups at desk scale.
 
-Subgroups are bitsets over the group's canonical element order (bit i set means
-element i belongs). The lattice holds every subgroup, canonically ordered by
-(order, member index tuple), so a bitset identifies a subgroup uniquely and
-`SubgroupRef`s with equal bitsets always carry the same index.
+A subgroup is named by its index in the lattice, which holds every subgroup
+canonically ordered by (order, member index tuple); every method takes and
+returns indices. Per index the lattice keeps the subgroup's bitset over the
+group's canonical element order (bit i set means element i belongs), its
+members and its order.
 """
 
 from __future__ import annotations
@@ -20,16 +21,6 @@ from .group import PermutationGroup, positions
 
 DEFAULT_ORDER_CAP = 2000
 DEFAULT_SUBGROUP_CAP = 100_000
-
-
-class SubgroupRef(NamedTuple):
-    """A subgroup of the ambient group, addressed within its lattice."""
-    order: int
-    index: int
-    bitset: int
-
-    def __repr__(self):
-        return f"SubgroupRef(index={self.index}, order={self.order})"
 
 
 class Order(NamedTuple):
@@ -114,6 +105,8 @@ def enumerate_subgroups(group: PermutationGroup, *,
 
 
 class SubgroupLattice:
+    trivial = 0  # the index of the trivial subgroup; `full` is the last
+
     def __init__(self, group: PermutationGroup, classes):
         """classes: the conjugacy classes of subgroups, which together hold
         every subgroup once, each a triple (bitsets, moves, members) as
@@ -122,24 +115,24 @@ class SubgroupLattice:
         members = {bits: hs for orbit, _, ms in classes
                    for bits, hs in zip(orbit, ms)}
         order_key = lambda bits: (len(members[bits]), members[bits])
-        self._bitsets = tuple(sorted(members, key=order_key))
-        self._members = members
-        self.subgroups = tuple(
-            SubgroupRef(order=len(members[bits]), index=i, bitset=bits)
-            for i, bits in enumerate(self._bitsets))
-        self._index = {bits: i for i, bits in enumerate(self._bitsets)}
+        # per index, the subgroup's bitset, its members and its order
+        self.bitsets = tuple(sorted(members, key=order_key))
+        self._members = tuple(map(members.__getitem__, self.bitsets))
+        self.sizes = tuple(map(len, self._members))
+        self.full = len(self.bitsets) - 1
+        self._index = {bits: i for i, bits in enumerate(self.bitsets)}
         # per group generator g, the permutation i -> index of g H_i g^-1
         action = [[0] * len(members) for _ in group.generator_indices]
-        orbits = []
+        masks = []
         for orbit, moves, _ in classes:
             at = list(map(self._index.__getitem__, orbit))
             for i, step in zip(at, moves):
                 for row, k in zip(action, step):
                     row[i] = at[k]
-            orbits.append(tuple(sorted(at)))
+            masks.append(sum(1 << i for i in at))
         self.generator_action = tuple(map(tuple, action))
-        # conjugation orbits on subgroup indices, each sorted, ordered by rep
-        self.orbits = tuple(sorted(orbits))
+        # one mask of indices per conjugacy class, ordered by lowest index
+        self.class_masks = tuple(sorted(masks, key=lambda c: c & -c))
         self._normalizer: dict[int, int] = {}
         self._centralizer: dict[int, int] = {}
         self._generated: dict[int, int] = {}
@@ -148,42 +141,32 @@ class SubgroupLattice:
         self._elem_ab: dict[tuple[int, int], bool] = {}
 
     def __len__(self):
-        return len(self.subgroups)
+        return len(self.bitsets)
 
     # ----- lookup ---------------------------------------------------------
 
-    def ref(self, index: int) -> SubgroupRef:
-        return self.subgroups[index]
-
-    def by_bitset(self, bits: int) -> SubgroupRef:
+    def index(self, bits: int) -> int:
         try:
-            return self.subgroups[self._index[bits]]
+            return self._index[bits]
         except KeyError:
             raise InternalInconsistency(
                 "bitset is not a subgroup of the lattice") from None
 
-    @property
-    def trivial(self) -> SubgroupRef:
-        return self.subgroups[0]
+    def members(self, h: int) -> tuple[int, ...]:
+        return self._members[h]
 
-    @property
-    def full(self) -> SubgroupRef:
-        return self.subgroups[-1]
+    def leq(self, a: int, b: int) -> bool:
+        return self.bitsets[a] | self.bitsets[b] == self.bitsets[b]
 
-    def members(self, ref: SubgroupRef) -> tuple[int, ...]:
-        return self._members[ref.bitset]
-
-    def leq(self, a: SubgroupRef, b: SubgroupRef) -> bool:
-        return a.bitset | b.bitset == b.bitset
-
-    def join(self, a: SubgroupRef, b: SubgroupRef) -> SubgroupRef:
+    def join(self, a: int, b: int) -> int:
         """The subgroup generated by a and b: the larger of the two when they
         are comparable, otherwise the lowest position common to both
         up-masks, as subgroups sort by order."""
-        if a.bitset | b.bitset in (a.bitset, b.bitset):
+        a_bits, b_bits = self.bitsets[a], self.bitsets[b]
+        if a_bits | b_bits in (a_bits, b_bits):
             return max(a, b)
-        common = self.order.up[a.index] & self.order.up[b.index]
-        return self.subgroups[(common & -common).bit_length() - 1]
+        common = self.order.up[a] & self.order.up[b]
+        return (common & -common).bit_length() - 1
 
     @cached_property
     def order(self) -> Order:
@@ -198,13 +181,13 @@ class SubgroupLattice:
         of the rows of holding."""
         # the masks are built by closures that hold no reference to self,
         # so the lattice stays free of cycles
-        bits, members = self._bitsets, self._members
+        bits, members = self.bitsets, self._members
         holding = [0] * self.group.order  # 0 for an element that is no z
         zuppos = list(self.group.zuppos.values())
         held_by = set(zuppos).intersection
-        for i, b in enumerate(bits):
+        for i, hs in enumerate(members):
             bit = 1 << i
-            for z in held_by(members[b]):
+            for z in held_by(hs):
                 holding[z] |= bit
         # the identity lies in every subgroup, so its outside flag is 0; two
         # leading picks of it make `pick` return a tuple for any zuppo count
@@ -218,54 +201,47 @@ class SubgroupLattice:
             return ((1 << i) - 1) & ~meets
 
         def up(i):
-            held = filter(None, map(holding.__getitem__, members[bits[i]]))
+            held = filter(None, map(holding.__getitem__, members[i]))
             return reduce(and_, held, full) ^ 1 << i
 
         return Order(_LazyMasks(down), _LazyMasks(up))
 
-    def generating_set(self, ref: SubgroupRef) -> tuple[int, ...]:
+    def generating_set(self, h: int) -> tuple[int, ...]:
         """A small generating set, chosen greedily in canonical element order."""
-        if ref.index not in self._gens:
+        if h not in self._gens:
             gens: list[int] = []
             reach = 1
-            for x in self._members[ref.bitset]:
+            for x in self._members[h]:
                 if not (reach >> x) & 1:
                     gens.append(x)
                     reach = self.group.extend_bitset(reach, gens)
-                    if reach == ref.bitset:
+                    if reach == self.bitsets[h]:
                         break
-            self._gens[ref.index] = tuple(gens)
-        return self._gens[ref.index]
+            self._gens[h] = tuple(gens)
+        return self._gens[h]
 
-    def generator_string(self, ref: SubgroupRef) -> str:
-        gens = self.generating_set(ref)
+    def generator_string(self, h: int) -> str:
+        gens = self.generating_set(h)
         if not gens:
             return "()"
         return ", ".join(map(self.group.element_string, gens))
 
     # ----- conjugation ----------------------------------------------------
 
-    def conjugate_bitset(self, bits: int, g: int) -> int:
+    def conjugate(self, h: int, g: int) -> int:
         conj = self.group.conjugate_index
-        return sum(1 << conj(g, x) for x in self._members[bits])
+        return self.index(sum(1 << conj(g, x) for x in self._members[h]))
 
-    def conjugate(self, ref: SubgroupRef, g: int) -> SubgroupRef:
-        return self.by_bitset(self.conjugate_bitset(ref.bitset, g))
-
-    def orbit_representatives(self) -> tuple[SubgroupRef, ...]:
-        return tuple(self.subgroups[o[0]] for o in self.orbits)
-
-    @cached_property
-    def class_masks(self) -> tuple[int, ...]:
-        """One mask over `order` positions per entry of `orbits`."""
-        return tuple(sum(1 << i for i in orbit) for orbit in self.orbits)
+    def class_representatives(self) -> tuple[int, ...]:
+        """The lowest index of each class, in `class_masks` order."""
+        return tuple((c & -c).bit_length() - 1 for c in self.class_masks)
 
     @cached_property
     def class_of(self) -> tuple[int, ...]:
         """Per position, the mask of its conjugacy class."""
         out = [0] * len(self)
-        for orbit, c in zip(self.orbits, self.class_masks):
-            for i in orbit:
+        for c in self.class_masks:
+            for i in positions(c):
                 out[i] = c
         return tuple(out)
 
@@ -289,113 +265,115 @@ class SubgroupLattice:
 
     # ----- named operations -----------------------------------------------
 
-    def _transport(self, memo: dict, ref: SubgroupRef, fact) -> int:
-        """memo[ref.index] = fact(ref), and over the rest of ref's class the
-        values g f(H) g^-1 = f(gHg^-1), read off the generators' action along
-        a breadth-first tree: fact must conjugate along with its subgroup."""
-        memo[ref.index] = fact(ref)
-        reached = [ref.index]
-        for h in reached:
+    def _transport(self, memo: dict, h: int, fact) -> int:
+        """memo[h] = fact(h), and over the rest of h's class the values
+        g f(H) g^-1 = f(gHg^-1), read off the generators' action along a
+        breadth-first tree: fact must conjugate along with its subgroup."""
+        memo[h] = fact(h)
+        reached = [h]
+        for k in reached:
             for row in self.generator_action:
-                if row[h] not in memo:
-                    memo[row[h]] = row[memo[h]]
-                    reached.append(row[h])
-        return memo[ref.index]
+                if row[k] not in memo:
+                    memo[row[k]] = row[memo[k]]
+                    reached.append(row[k])
+        return memo[h]
 
-    def normalizer(self, ref: SubgroupRef) -> SubgroupRef:
+    def normalizer(self, h: int) -> int:
         """H^g = H exactly when g conjugates each generator of H into H."""
-        i = self._normalizer.get(ref.index)
+        i = self._normalizer.get(h)
         if i is None:
-            i = self._transport(self._normalizer, ref, lambda h: self._index[
-                self.group.normalizer_bitset(h.bitset, self.generating_set(h))])
-        return self.subgroups[i]
+            i = self._transport(self._normalizer, h, lambda k: self._index[
+                self.group.normalizer_bitset(self.bitsets[k],
+                                             self.generating_set(k))])
+        return i
 
-    def centralizer(self, ref: SubgroupRef) -> SubgroupRef:
+    def centralizer(self, h: int) -> int:
         """g centralizes H exactly when conjugation by g fixes each generator."""
-        i = self._centralizer.get(ref.index)
+        i = self._centralizer.get(h)
         if i is None:
-            i = self._transport(self._centralizer, ref, self._centralizer_of)
-        return self.subgroups[i]
+            i = self._transport(self._centralizer, h, self._centralizer_of)
+        return i
 
-    def _centralizer_of(self, ref: SubgroupRef) -> int:
+    def _centralizer_of(self, h: int) -> int:
         out = self.group.full_bitset
-        for x in self.generating_set(ref):
+        for x in self.generating_set(h):
             out &= self.group.conjugating(x, 1 << x)
         return self._index[out]
 
-    def center(self, ref: SubgroupRef) -> SubgroupRef:
-        return self.by_bitset(ref.bitset & self.centralizer(ref).bitset)
+    def center(self, h: int) -> int:
+        return self.index(self.bitsets[h] & self.bitsets[self.centralizer(h)])
 
-    def is_p_group(self, ref: SubgroupRef, p: int) -> bool:
-        return ref.order == p_part(ref.order, p)
+    def is_p_group(self, h: int, p: int) -> bool:
+        return self.sizes[h] == p_part(self.sizes[h], p)
 
-    def omega1_center(self, ref: SubgroupRef, p: int) -> SubgroupRef:
+    def omega1_center(self, h: int, p: int) -> int:
         """Bottom layer of the center: elements of Z(P) of order dividing p.
 
         For abelian Z(P) this set is already a subgroup; requires P a p-group.
         """
-        if not self.is_p_group(ref, p):
-            raise NotAPGroup(f"subgroup of order {ref.order} is not a {p}-group")
+        if not self.is_p_group(h, p):
+            raise NotAPGroup(f"subgroup of order {self.sizes[h]} is not a {p}-group")
         orders = self.group.element_orders
         out = 0
-        for x in self._members[self.center(ref).bitset]:
+        for x in self._members[self.center(h)]:
             if orders[x] in (1, p):
                 out |= 1 << x
-        return self.by_bitset(out)
+        return self.index(out)
 
-    def p_core(self, ref: SubgroupRef, p: int) -> SubgroupRef:
+    def p_core(self, h: int, p: int) -> int:
         """O_p(H): the intersection of the Sylow p-subgroups of H."""
         memo = self._pcore[p]
-        i = memo.get(ref.index)
+        i = memo.get(h)
         if i is None:
-            i = self._transport(memo, ref, lambda h: p_core_of_group(
-                self, h, self.trivial, p).index)
-        return self.subgroups[i]
+            i = self._transport(memo, h, lambda k: p_core_of_group(
+                self, k, self.trivial, p))
+        return i
 
-    def sylow(self, p: int) -> tuple[SubgroupRef, ...]:
+    def sylow(self, p: int) -> tuple[int, ...]:
         if self.group.order % p:
             raise PrimeDoesNotDivide(p, self.group.order)
         target = p_part(self.group.order, p)
-        return tuple(s for s in self.subgroups if s.order == target)
+        return tuple(i for i, n in enumerate(self.sizes) if n == target)
 
-    def is_elementary_abelian(self, ref: SubgroupRef, p: int) -> bool:
+    def is_elementary_abelian(self, h: int, p: int) -> bool:
         """Abelian with every non-identity element of order exactly p."""
-        key = (ref.index, p)
+        key = (h, p)
         if key not in self._elem_ab:
-            self._elem_ab[key] = self._elementary_abelian(ref, p)
+            self._elem_ab[key] = self._elementary_abelian(h, p)
         return self._elem_ab[key]
 
-    def _elementary_abelian(self, ref: SubgroupRef, p: int) -> bool:
-        if ref.order == 1:
+    def _elementary_abelian(self, h: int, p: int) -> bool:
+        n = self.sizes[h]
+        if n == 1:
             return True
-        if p_part(ref.order, p) != ref.order:
+        if p_part(n, p) != n:
             return False
         orders = self.group.element_orders
-        hs = self._members[ref.bitset]
+        hs = self._members[h]
         if any(orders[x] != p for x in hs if x):
             return False
         mul = self.group.mul
         return all(mul[a][b] == mul[b][a] for a in hs for b in hs if a < b)
 
-    def generated(self, element_indices) -> SubgroupRef:
+    def generated(self, element_indices) -> int:
         seed = 1
         for x in element_indices:
             seed |= 1 << x
         if seed not in self._generated:
-            self._generated[seed] = self.by_bitset(
-                self.group.closure_bitset(seed)).index
-        return self.subgroups[self._generated[seed]]
+            self._generated[seed] = self.index(self.group.closure_bitset(seed))
+        return self._generated[seed]
 
 
-def p_core_of_group(lattice: SubgroupLattice, big: SubgroupRef,
-                    normal: SubgroupRef, p: int) -> SubgroupRef:
+def p_core_of_group(lattice: SubgroupLattice, big: int, normal: int,
+                    p: int) -> int:
     """The preimage in ``big`` of O_p(big/normal), for ``normal`` normal in
     ``big``: the intersection of T v normal (the product T * normal) over
     the Sylow p-subgroups T of ``big``, whose images are the Sylow
     p-subgroups of the quotient."""
-    target = p_part(big.order, p)
-    acc = big.bitset
-    for t in lattice.subgroups:
-        if t.order == target and t.bitset | big.bitset == big.bitset:
-            acc &= lattice.join(t, normal).bitset
-    return lattice.by_bitset(acc)
+    target = p_part(lattice.sizes[big], p)
+    bits = lattice.bitsets
+    acc = bits[big]
+    for t, n in enumerate(lattice.sizes):
+        if n == target and bits[t] | bits[big] == bits[big]:
+            acc &= bits[lattice.join(t, normal)]
+    return lattice.index(acc)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import SizeCap
 from .group import positions
-from .lattice import Order, SubgroupLattice, SubgroupRef
+from .lattice import Order, SubgroupLattice
 
 DEFAULT_SIMPLEX_CAP = 500_000
 
@@ -52,33 +52,33 @@ class GPoset:
         return self._sub(self.order.down[i] | (0 if strict else 1 << i),
                          f"{self.name}{'<' if strict else '<='}{i}")
 
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        """The mask's positions, lowest first."""
+        return tuple(positions(self.mask))
+
     # ----- lattice-backed extras ------------------------------------------------
 
     def _require_lattice(self) -> SubgroupLattice:
         if self.lattice is None:
-            raise ValueError("abstract poset has no subgroup refs")
+            raise ValueError("abstract poset has no subgroup lattice")
         return self.lattice
 
-    @cached_property
-    def members(self) -> tuple[SubgroupRef, ...]:
-        """The subgroups at the mask's positions, in index order."""
-        return tuple(map(self._require_lattice().ref, positions(self.mask)))
-
-    def fixed_points(self, h: SubgroupRef) -> "GPoset":
+    def fixed_points(self, h: int) -> "GPoset":
         """Subposet of elements invariant under conjugation by every member
-        of H; for subgroup posets these are the subgroups normalized by H,
-        the positions whose normalizer lies in up[h] | bit h."""
-        above = self.order.up[h.index] | 1 << h.index
+        of the subgroup h; for subgroup posets these are the subgroups
+        normalized by h, the positions whose normalizer lies in up[h] | bit h."""
+        above = self.order.up[h] | 1 << h
         mask = sum(held for n, held in self._by_normalizer.items()
                    if above >> n & 1)  # disjoint masks: the sum is their union
-        return self._sub(mask, f"{self.name}^{h.index}")
+        return self._sub(mask, f"{self.name}^{h}")
 
     @cached_property
     def _by_normalizer(self) -> dict[int, int]:
         """Normalizer position -> the mask of positions with that normalizer."""
         lat, out = self._require_lattice(), {}
         for i in positions(self.mask):
-            n = lat.normalizer(lat.ref(i)).index
+            n = lat.normalizer(i)
             out[n] = out.get(n, 0) | 1 << i
         return out
 
@@ -86,7 +86,9 @@ class GPoset:
         """Per position, the bitmask of its orbit under conjugation by gens,
         or None when some generator conjugates a member out of the poset.
         When gens generate the whole group, the orbits are the classes, and
-        the lattice's `class_of` answers for every position."""
+        the lattice's `class_of` answers for every position. gens is read
+        once, so it may be an iterator."""
+        gens = tuple(gens)
         lat = self.lattice
         if lat is not None and lat.generated(gens) == lat.full:
             return lat.class_of if lat.is_class_union(self.mask) else None
@@ -100,7 +102,7 @@ class GPoset:
             while stack:
                 y = stack.pop()
                 for g in gens:
-                    z = lat.conjugate(lat.ref(y), g).index
+                    z = lat.conjugate(y, g)
                     if not self.mask >> z & 1:
                         return None
                     if not mask >> z & 1:

@@ -7,6 +7,7 @@ same plan on the same inputs serialize byte-identically.
 
 from __future__ import annotations
 
+from math import isqrt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,8 +46,11 @@ class VerificationPlan(NamedTuple):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; expected one of "
                              + ", ".join(SUITES))
-        if self.prime < 2:
-            raise ValueError(f"prime must be at least 2, got {self.prime}")
+        # a p above the order cap divides no admissible group order, which
+        # the run reports without trial division up to the square root of p
+        if self.prime < 2 or (self.prime <= self.max_order and any(
+                self.prime % d == 0 for d in range(2, isqrt(self.prime) + 1))):
+            raise ValueError(f"{self.prime} is not a prime")
         for cap in ("max_order", "max_simplices"):
             if getattr(self, cap) < 0:
                 raise ValueError(f"{cap} must be at least 0, got {getattr(self, cap)}")
@@ -136,7 +140,7 @@ def run(plan: VerificationPlan) -> dict:
         "plan": plan.to_json(),
         "group": _group_section(group),
         "lattice": {"subgroups": len(lattice),
-                    "conjugacy_classes": len(lattice.orbit_representatives())},
+                    "conjugacy_classes": len(lattice.class_masks)},
         "collections": _collections_section(ctx),
         "suites": suites,
         "not_checked": list(NOT_CHECKED),

@@ -132,7 +132,7 @@ def _cut(lat, row, h):
 
 
 def _keep(poset, side, k):
-    return poset.above(k.index) if side == ">=" else poset.below(k.index)
+    return poset.above(k) if side == ">=" else poset.below(k)
 
 
 def _avatars(ctx, spec, h):
@@ -146,7 +146,7 @@ def _avatars(ctx, spec, h):
 
 
 def _subgroups_of(lat, s):
-    return [r for r in lat.subgroups if r.bitset | s.bitset == s.bitset]
+    return list(positions(lat.order.down[s] | 1 << s))
 
 
 def is_dihedral8(group) -> bool:
@@ -155,8 +155,8 @@ def is_dihedral8(group) -> bool:
 
 
 def _d8_subgroup(lat, token):
-    for r in lat.subgroups:
-        if r.order == 4 and lat.is_elementary_abelian(r, 2) == (token == "V4"):
+    for r, n in enumerate(lat.sizes):
+        if n == 4 and lat.is_elementary_abelian(r, 2) == (token == "V4"):
             return r
     raise InternalInconsistency(f"no subgroup for token {token!r}")
 
@@ -268,11 +268,11 @@ def _by_centralizer(ctx, spec, max_simplices, detail) -> str:
     without equivariance demands."""
     def compute():
         rows = []
-        for h in ctx.lattice.orbit_representatives():
+        for h in ctx.lattice.class_representatives():
             left, right = _avatars(ctx, spec, h)
             res = _once(ctx, *_inclusion(left, right, "fibers", max_simplices,
                                          equivariant=False))
-            rows.append({"subgroup": h.index, "order": h.order,
+            rows.append({"subgroup": h, "order": ctx.lattice.sizes[h],
                          "outcome": res.outcome,
                          "witnesses": list(res.witnesses)})
         return rows
@@ -294,9 +294,9 @@ def _by_scan(ctx, spec, max_simplices, detail) -> str:
     cut = lambda h: _cut(lat, spec.row, h)
 
     def scan_of(sylow):
-        return ((spec.checker, poset.mask, sylow.index, max_simplices),
+        return ((spec.checker, poset.mask, sylow, max_simplices),
                 lambda: fixed_point_equivalence_scan(
-                    _subgroups_of(lat, sylow),
+                    lat, _subgroups_of(lat, sylow),
                     lambda h: _keep(poset, *cut(h)), poset.fixed_points,
                     retraction=cut, max_simplices=max_simplices))
 
@@ -310,7 +310,7 @@ def _by_scan(ctx, spec, max_simplices, detail) -> str:
         agrees = (other.status == scan.status
                   and sorted((c.order, c.status) for c in other.per_subgroup)
                   == sorted((c.order, c.status) for c in scan.per_subgroup))
-        detail["second_sylow"] = {"subgroup": sylows[1].index,
+        detail["second_sylow"] = {"subgroup": sylows[1],
                                   "status": other.status, "agrees": agrees}
         if not agrees:
             status = MISMATCH
@@ -331,7 +331,7 @@ def _by_h1(ctx, spec, max_simplices, detail) -> str:
         ok_r, obs_r = _expectation_holds(rposet, expect_right, max_simplices)
         reproduced = ok_l and ok_r
         detail["counterexample"] = {
-            "subgroup": h.index, "subgroup_token": token,
+            "subgroup": h, "subgroup_token": token,
             "expected": {"left": expect_left, "right": expect_right},
             "observed": {"left": obs_l, "right": obs_r},
             "reproduced": reproduced,

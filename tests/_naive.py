@@ -95,7 +95,7 @@ def inclusion_masks(lat) -> tuple[list[int], list[int]]:
     """Per lattice index i, the masks of the indices of the subgroups
     strictly inside and strictly containing subgroup i, by a scan of every
     pair."""
-    bits = [r.bitset for r in lat.subgroups]
+    bits = lat.bitsets
     down = [sum(1 << j for j, b in enumerate(bits) if j != i and b | a == a)
             for i, a in enumerate(bits)]
     up = [sum(1 << j for j, b in enumerate(bits) if j != i and b & a == a)
@@ -199,18 +199,18 @@ def p_core(group, all_subs, h: frozenset, p: int) -> frozenset:
     return best
 
 
-def lattice_p_core(lat, ref, p: int) -> int:
-    """The bitset of O_p(ref), the join of the normal p-subgroups of ref."""
+def lattice_p_core(lat, h: int, p: int) -> int:
+    """The bitset of O_p(h), the join of the normal p-subgroups of h."""
     acc = 1
-    for k in lat.subgroups:
-        if k.order == 1 or not lat.leq(k, ref):
+    for k, order in enumerate(lat.sizes):
+        if order == 1 or not lat.leq(k, h):
             continue
-        if p_part(k.order, p) != k.order:
+        if p_part(order, p) != order:
             continue
-        if (acc | k.bitset) == acc:
+        if (acc | lat.bitsets[k]) == acc:
             continue
-        if lat.leq(ref, lat.normalizer(k)):
-            acc = lat.group.closure_bitset(acc | k.bitset)
+        if lat.leq(h, lat.normalizer(k)):
+            acc = lat.group.closure_bitset(acc | lat.bitsets[k])
     return acc
 
 
@@ -446,7 +446,7 @@ def _orbit_masks(poset, gens):
     pos = {x: i for i, x in enumerate(xs)}
     images = []
     for g in gens:
-        image = [pos.get(lat.conjugate(lat.ref(x), g).index) for x in xs]
+        image = [pos.get(lat.conjugate(x, g)) for x in xs]
         if None in image:
             return None
         images.append(image)
@@ -548,12 +548,12 @@ def fiber_outcome(lat, sub, ambient, equivariant: bool):
     The outcome is PASS when every fiber is a point, FAIL when some fiber is
     empty, and None when this reduction cannot tell."""
     def leq(a, b):
-        return lat.ref(a).bitset & ~lat.ref(b).bitset == 0
+        return lat.bitsets[a] & ~lat.bitsets[b] == 0
 
     found = {}
     for y in elements(ambient):
         fiber = restrict(sub, [x for x in elements(sub) if leq(x, y)])
-        gens = (lat.generating_set(lat.normalizer(lat.ref(y)))
+        gens = (lat.generating_set(lat.normalizer(y))
                 if equivariant else None)
         core = core_reduction(fiber, leq, gens)
         found[y] = ("empty" if core is None

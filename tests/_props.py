@@ -73,13 +73,13 @@ def check_conjugation_is_automorphism(b: Budget, rng: random.Random) -> None:
 def check_lattice_order_axioms(b: Budget, rng: random.Random) -> None:
     for name in GROUPS:
         lat = lattice_of(name)
-        refs = list(lat.subgroups)
+        refs = range(len(lat))
         for r in refs:
-            b.check(lat.leq(r, r), (name, r.index, "reflexive"))
+            b.check(lat.leq(r, r), (name, r, "reflexive"))
         for _ in range(200):
             x, y = rng.choice(refs), rng.choice(refs)
             if lat.leq(x, y) and lat.leq(y, x):
-                b.check(x.index == y.index, (name, "antisymmetry"))
+                b.check(x == y, (name, "antisymmetry"))
             else:
                 b.check(True)
         for _ in range(300):
@@ -93,10 +93,10 @@ def check_lattice_order_axioms(b: Budget, rng: random.Random) -> None:
 def check_meet_join_are_bounds(b: Budget, rng: random.Random) -> None:
     for name in GROUPS:
         lat = lattice_of(name)
-        refs = list(lat.subgroups)
+        refs = range(len(lat))
         for _ in range(200):
             x, y = rng.choice(refs), rng.choice(refs)
-            m = lat.by_bitset(x.bitset & y.bitset)
+            m = lat.index(lat.bitsets[x] & lat.bitsets[y])
             j = lat.generated(lat.members(x) + lat.members(y))
             b.check(lat.leq(m, x) and lat.leq(m, y), (name, "meet bounds"))
             b.check(lat.leq(x, j) and lat.leq(y, j), (name, "join bounds"))
@@ -117,9 +117,9 @@ def check_operator_towers(b: Budget) -> None:
         ctx = collection_context(lat, p)
         for P in nontrivial_p_subgroups(lat, p):
             t, h, z = ctx.tilde_of(P), ctx.hat_of(P), lat.center(P)
-            b.check(lat.leq(h, t), (name, p, P.index, "hat inside tilde"))
+            b.check(lat.leq(h, t), (name, p, P, "hat inside tilde"))
             b.check(lat.leq(t, z) and lat.leq(z, P),
-                    (name, p, P.index, "tilde central"))
+                    (name, p, P, "tilde central"))
 
 
 def check_operator_equivariance(b: Budget) -> None:
@@ -129,13 +129,11 @@ def check_operator_equivariance(b: Budget) -> None:
         ctx = collection_context(lat, p)
         for P in nontrivial_p_subgroups(lat, p):
             for g in lat.group.generator_indices:
-                Pg = lat.by_bitset(lat.conjugate_bitset(P.bitset, g))
-                b.check(ctx.tilde_of(Pg).bitset
-                        == lat.conjugate_bitset(ctx.tilde_of(P).bitset, g),
-                        (name, p, P.index, g, "tilde"))
-                b.check(ctx.hat_of(Pg).bitset
-                        == lat.conjugate_bitset(ctx.hat_of(P).bitset, g),
-                        (name, p, P.index, g, "hat"))
+                Pg = lat.conjugate(P, g)
+                b.check(ctx.tilde_of(Pg) == lat.conjugate(ctx.tilde_of(P), g),
+                        (name, p, P, g, "tilde"))
+                b.check(ctx.hat_of(Pg) == lat.conjugate(ctx.hat_of(P), g),
+                        (name, p, P, g, "hat"))
 
 
 def check_central_type_sets_closed(b: Budget) -> None:
@@ -159,13 +157,11 @@ def check_distinguished_upward_closure(b: Budget) -> None:
         ctx = collection_context(lat, p)
         S = ctx.collection("S")
         tS = ctx.collection("tilde-S")
-        for pi in elements(tS):
-            P = lat.ref(pi)
+        for P in elements(tS):
             NP = lat.normalizer(P)
-            for qi in elements(S):
-                Q = lat.ref(qi)
+            for Q in elements(S):
                 if lat.leq(P, Q) and lat.leq(Q, NP):
-                    b.check(qi in tS, (name, p, pi, qi))
+                    b.check(Q in tS, (name, p, P, Q))
 
 
 def check_relative_normalizers_stay_distinguished(b: Budget) -> None:
@@ -176,14 +172,12 @@ def check_relative_normalizers_stay_distinguished(b: Budget) -> None:
         ctx = collection_context(lat, p)
         S = ctx.collection("S")
         hS = ctx.collection("hat-S")
-        for pi in elements(S):
-            P = lat.ref(pi)
+        for P in elements(S):
             NP = lat.normalizer(P)
-            for qi in elements(hS):
-                Q = lat.ref(qi)
+            for Q in elements(hS):
                 if P != Q and lat.leq(P, Q):
-                    b.check(lat.by_bitset(Q.bitset & NP.bitset).index in hS,
-                            (name, p, pi, qi))
+                    b.check(lat.index(lat.bitsets[Q] & lat.bitsets[NP]) in hS,
+                            (name, p, P, Q))
 
 
 def one_class_of_order_p(group, p: int) -> bool:
@@ -219,7 +213,7 @@ def check_sylow_normalizer_criterion(b: Budget) -> None:
         hS = ctx.collection("hat-S")
         full = p_part(lat.group.order, p)
         for ri in elements(ctx.collection("S")):
-            if p_part(lat.normalizer(lat.ref(ri)).order, p) == full:
+            if p_part(lat.sizes[lat.normalizer(ri)], p) == full:
                 b.check(ri in hS, (name, p, ri, "hat"))
                 b.check(ri in tS, (name, p, ri, "tilde"))
 
@@ -298,11 +292,11 @@ def _suite_posets():
         seen = set()
         for kind in KINDS:
             whole = ctx.collection(kind)
-            for h in lat.orbit_representatives():
+            for h in lat.class_representatives():
                 poset = whole.fixed_points(h)
                 if poset.mask not in seen:
                     seen.add(poset.mask)
-                    yield lat, (name, p, kind, h.index), poset
+                    yield lat, (name, p, kind, h), poset
 
 
 def stabilizer_subgroup_reps(lattice, stab):
@@ -310,11 +304,10 @@ def stabilizer_subgroup_reps(lattice, stab):
     smembers = lattice.members(stab)
     seen = set()
     reps = []
-    for r in lattice.subgroups:
-        if r.bitset | stab.bitset != stab.bitset or r.index in seen:
+    for r in range(len(lattice)):
+        if not lattice.leq(r, stab) or r in seen:
             continue
-        orbit = {lattice.by_bitset(lattice.conjugate_bitset(r.bitset, m)).index
-                 for m in smembers}
+        orbit = {lattice.conjugate(r, m) for m in smembers}
         seen |= orbit
         reps.append(r)
     return reps
@@ -336,7 +329,7 @@ def fixed_point_contractibility_scan(poset: GPoset, stab):
     overall = CONTRACTIBLE
     for k in stabilizer_subgroup_reps(lattice, stab):
         v = contractibility_verdict(poset.fixed_points(k))
-        per.append([k.index, v.status])
+        per.append([k, v.status])
         if v.status == NOT_CONTRACTIBLE:
             overall = NOT_CONTRACTIBLE
             break
@@ -387,7 +380,7 @@ def check_core_homology_is_the_posets(b: Budget) -> None:
 
 def _inclusion(lat):
     def leq(a, b):
-        x, y = lat.ref(a).bitset, lat.ref(b).bitset
+        x, y = lat.bitsets[a], lat.bitsets[b]
         return x | y == y
     return leq
 
@@ -452,12 +445,13 @@ def check_class_masks_are_invariance(b: Budget) -> None:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
         gens = lat.generating_set(lat.full)
-        orbit_of = {i: n for n, orbit in enumerate(lat.orbits) for i in orbit}
+        orbit_of = {i: n for n, c in enumerate(lat.class_masks)
+                    for i in positions(c)}
         for kind in KINDS:
             whole = ctx.collection(kind)
             posets = [whole]
-            for h in lat.orbit_representatives():
-                posets += [whole.below(h.index), whole.above(h.index)]
+            for h in lat.class_representatives():
+                posets += [whole.below(h), whole.above(h)]
             for poset in posets:
                 invariant = _naive._orbit_masks(poset, gens) is not None
                 seen.add(invariant)
@@ -475,12 +469,11 @@ def _subgroup_map(lat, side, k, product=False):
     """q -> q v K (side ">=") or q -> q & K from subgroup members alone, or
     q -> qK as the set product of members when product is set."""
     if product:
-        return lambda q: lat.by_bitset(sum(1 << x for x in _naive.set_product(
-            lat.group, lat.members(lat.ref(q)), lat.members(k)))).index
+        return lambda q: lat.index(sum(1 << x for x in _naive.set_product(
+            lat.group, lat.members(q), lat.members(k))))
     if side == ">=":
-        return lambda q: lat.generated(lat.members(lat.ref(q))
-                                       + lat.members(k)).index
-    return lambda q: lat.by_bitset(lat.ref(q).bitset & k.bitset).index
+        return lambda q: lat.generated(lat.members(q) + lat.members(k))
+    return lambda q: lat.index(lat.bitsets[q] & lat.bitsets[k])
 
 
 def check_retraction_matches_oracle(b: Budget) -> None:
@@ -506,13 +499,13 @@ def check_retraction_matches_oracle(b: Budget) -> None:
                 left, right = _keep(poset, side, k), poset.fixed_points(h)
                 for s, product in ((side, spec.checker == "eo-scan"),
                                    ({">=": "<=", "<=": ">="}[side], False)):
-                    tag = (name, p, spec.edge_id, h.index, s)
+                    tag = (name, p, spec.edge_id, h, s)
                     f = _subgroup_map(lat, s, k, product)
                     image = sum({1 << f(q) for q in elements(right)})
                     b.check(_lattice_retraction(right, left.mask, s, k)
                             == (None if image & ~left.mask else image), tag)
                     (row,) = fixed_point_equivalence_scan(
-                        [h], lambda _: left, lambda _: right,
+                        lat, [h], lambda _: left, lambda _: right,
                         retraction=lambda _, s=s: (s, k)).per_subgroup
                     if row.method in ("equal", "emptiness"):
                         continue

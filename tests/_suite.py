@@ -31,8 +31,8 @@ def lattice_of(name: str):
 
 def nontrivial_p_subgroups(lat, p: int):
     """The subgroups of lat of order a positive power of p, in index order."""
-    return tuple(s for s in lat.subgroups
-                 if s.order > 1 and p_part(s.order, p) == s.order)
+    return tuple(h for h, n in enumerate(lat.sizes)
+                 if n > 1 and p_part(n, p) == n)
 
 
 def elements(poset: GPoset) -> tuple[int, ...]:

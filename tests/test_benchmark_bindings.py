@@ -4,12 +4,15 @@ breaks the benchmark; this test catches it in the ordinary suite."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import sclab.cli
 import sclab.contract
 
-TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "benchmark" / "tracer.py"
 
 
 def load_tracer():
@@ -57,3 +60,13 @@ def test_kept_bindings_are_live(tmp_path):
     for name in ("equivalence.inclusion_s", "equivalence.scan_s",
                  "contract.verdicts", "homology.calls", "tables.table31_s"):
         assert metrics[name] > 0, name
+
+
+def test_benchmark_self_tests_pass():
+    """The benchmark's own self-tests: traced and untraced reports are
+    byte-equal, every benchmark plan matches its fingerprint, and the
+    fingerprints survive relabelling the points. They write only under
+    the ignored benchmark/.work directory."""
+    proc = subprocess.run([sys.executable, "benchmark/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

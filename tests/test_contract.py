@@ -371,8 +371,8 @@ def lattice_of_d8():
 
 def d8_nontrivial():
     lat = lattice_of_d8()
-    nontrivial = [r for r in lat.subgroups if r.order > 1]
-    poset = GPoset(lat.order, sum(1 << r.index for r in nontrivial), lat)
+    nontrivial = [r for r, n in enumerate(lat.sizes) if n > 1]
+    poset = GPoset(lat.order, sum(1 << r for r in nontrivial), lat)
     return lat, poset, lat.group.generator_indices
 
 
@@ -382,12 +382,12 @@ def test_cone_verdict_tracks_invariance():
     assert v.status == CONTRACTIBLE
     assert v.method == "core"
     assert v.equivariant is True
-    assert v.certificate.point == lat.full.index
+    assert v.certificate.point == lat.full
     assert verify_certificate(poset, v, equivariance_gens=gens)
     # a lone non-normal reflection subgroup is a point, but not a fixed one
-    refl = next(r for r in lat.subgroups
-                if r.order == 2 and lat.normalizer(r).order < 8)
-    single = GPoset(lat.order, 1 << refl.index, lat)
+    refl = next(r for r, n in enumerate(lat.sizes)
+                if n == 2 and lat.sizes[lat.normalizer(r)] < 8)
+    single = GPoset(lat.order, 1 << refl, lat)
     v = contractibility_verdict(single, equivariance_gens=gens)
     assert v.method == "core"
     assert v.equivariant is False
@@ -405,8 +405,9 @@ def test_core_is_equivariant_where_plain_collapse_was_not():
     v = contractibility_verdict(poset, equivariance_gens=gens)
     assert v.method == "core"
     assert v.equivariant is True
-    normal_klein = lat.ref(v.certificate.point)
-    assert normal_klein.order == 4 and lat.normalizer(normal_klein).order == 24
+    normal_klein = v.certificate.point
+    assert (lat.sizes[normal_klein] == 4
+            and lat.sizes[lat.normalizer(normal_klein)] == 24)
     assert verify_certificate(poset, v, equivariance_gens=gens)
 
 
@@ -427,6 +428,32 @@ def test_equivariant_verdict_computes_the_orbits_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_orbits_read_their_generators_once():
+    """Generators read from a file may arrive as an iterator. The orbits
+    must not depend on that, so a plain single-point core certificate
+    re-marked equivariant replays False either way on each interval of S
+    for S4 at 2 whose stabilizer is proper and whose orbits it splits."""
+    lat = enumerate_subgroups(builtin_group("S4"))
+    whole = collection_context(lat, 2).collection("S")
+    forged_rejected = 0
+    for y in elements(whole):
+        stab = lat.normalizer(y)
+        if stab == lat.full:
+            continue
+        gens = lat.generating_set(stab)
+        for interval in (whole.below(y, strict=True),
+                         whole.above(y, strict=True)):
+            assert interval.orbits(iter(gens)) == interval.orbits(gens)
+            v = contractibility_verdict(interval)
+            if v.method != "core":
+                continue
+            forged = v._replace(equivariant=True)
+            if not verify_certificate(interval, forged, gens):
+                forged_rejected += 1
+                assert not verify_certificate(interval, forged, iter(gens))
+    assert forged_rejected == 6
+
+
 def test_class_masks_give_the_orbits_of_the_whole_group():
     """With generators of the whole group, invariance and orbits are read
     from the conjugacy-class masks; they must agree with conjugating every
@@ -435,10 +462,10 @@ def test_class_masks_give_the_orbits_of_the_whole_group():
     for name, p in (("S4", 2), ("A5", 2), ("D12", 3)):
         lat = enumerate_subgroups(builtin_group(name))
         whole = collection_context(lat, p).collection("S")
-        reps = lat.orbit_representatives()
+        reps = lat.class_representatives()
         stabs = {lat.normalizer(r) for r in reps}
         for h in reps:
-            for poset in (whole, whole.below(h.index), whole.above(h.index),
+            for poset in (whole, whole.below(h), whole.above(h),
                           whole.fixed_points(h)):
                 for stab in stabs:
                     gens = lat.generating_set(stab)
@@ -462,7 +489,7 @@ def test_equivariance_check_needs_a_lattice():
 
 def test_fixed_point_scan_on_invariant_poset():
     lat, poset, _ = d8_nontrivial()
-    full = lat.subgroups[-1]
+    full = lat.full
     scan = fixed_point_contractibility_scan(poset, full)
     assert scan is not None
     overall, per = scan
@@ -475,8 +502,8 @@ def test_fixed_point_scan_on_invariant_poset():
 def test_fixed_point_scan_rejects_non_invariant_poset():
     lat = lattice_of_d8()
     # a single non-normal reflection subgroup is not conjugation-stable
-    refl = next(r for r in lat.subgroups
-                if r.order == 2 and lat.normalizer(r).order < 8)
-    poset = GPoset(lat.order, 1 << refl.index, lat)
-    full = lat.subgroups[-1]
+    refl = next(r for r, n in enumerate(lat.sizes)
+                if n == 2 and lat.sizes[lat.normalizer(r)] < 8)
+    poset = GPoset(lat.order, 1 << refl, lat)
+    full = lat.full
     assert fixed_point_contractibility_scan(poset, full) is None

@@ -44,8 +44,8 @@ def poset_of(lat, ctx, kind):
 
 
 def klein_four(lat):
-    return next(r for r in lat.subgroups
-                if r.order == 4 and lat.is_elementary_abelian(r, 2))
+    return next(r for r, n in enumerate(lat.sizes)
+                if n == 4 and lat.is_elementary_abelian(r, 2))
 
 
 # ------------------------------------------------------ inclusion checking
@@ -71,13 +71,13 @@ def test_fiber_pool_is_the_classes_outside_sub():
     ctx = collection_context(lat, 2)
     sub, ambient = poset_of(lat, ctx, "hat-B"), poset_of(lat, ctx, "S")
     outside = set(elements(ambient)) - set(elements(sub))
-    classes = {frozenset(lat.conjugate(lat.ref(y), g).index
+    classes = {frozenset(lat.conjugate(y, g)
                          for g in range(lat.group.order)) for y in outside}
     res = verify_inclusion_equivalence(sub, ambient, "fibers")
     assert [y for y, _, _ in res.per_element] == sorted(map(min, classes))
     assert len(classes) < len(outside)
     sylow = lat.sylow(2)[0]
-    sub, ambient = sub.below(sylow.index), ambient.below(sylow.index)
+    sub, ambient = sub.below(sylow), ambient.below(sylow)
     assert not lat.is_class_union(ambient.mask)
     res = verify_inclusion_equivalence(sub, ambient, "fibers",
                                        equivariant=False)
@@ -142,7 +142,7 @@ def test_upper_equivariant_mode(d8):
     assert res.outcome == PASS
     assert all(v.equivariant for _, _, v in res.per_element)
     for y, stab, verdict in res.per_element:
-        gens = lat.generating_set(lat.ref(stab))
+        gens = lat.generating_set(stab)
         interval = ambient.above(y, strict=True)
         assert verify_certificate(interval, verdict, equivariance_gens=gens)
 
@@ -155,7 +155,7 @@ def test_lower_mode_detects_failing_hypothesis(d8):
     # minimal members of S have empty strict lower intervals
     assert res.outcome == FAIL
     center = lat.center(lat.full)
-    assert center.index in res.witnesses
+    assert center in res.witnesses
     for y, _, verdict in res.per_element:
         if y in res.witnesses:
             assert verdict.status == "NOT_CONTRACTIBLE"
@@ -207,7 +207,7 @@ def test_subposet_orders_are_compared_unless_one_lattice_fixes_them(d8):
         with pytest.raises(NotASubposet):
             verify_inclusion_equivalence(left, right, "upper")
         with pytest.raises(NotASubposet):
-            fixed_point_equivalence_scan([lat.trivial], lambda h: left,
+            fixed_point_equivalence_scan(lat, [lat.trivial], lambda h: left,
                                          lambda h: right)
     # the same positions on two lattices order different subgroups
     q8 = enumerate_subgroups(builtin_group("Q8"))
@@ -245,8 +245,8 @@ def test_restriction_scan_certifies_subgroup_avatars(d8):
     lat, ctx = d8
     poset = poset_of(lat, ctx, "tilde-S")
     scan = fixed_point_equivalence_scan(
-        lat.subgroups,
-        lambda h: poset.above(h.index),
+        lat, range(len(lat)),
+        lambda h: poset.above(h),
         lambda h: poset.fixed_points(h),
         retraction=lambda h: (">=", h))
     assert scan.status == CERTIFIED
@@ -255,15 +255,15 @@ def test_restriction_scan_certifies_subgroup_avatars(d8):
     assert methods <= {"equal", "retraction"}
     for c in scan.per_subgroup:
         if c.method == "retraction":
-            h = lat.ref(c.subgroup)
+            h = c.subgroup
             cert = c.certificate
-            assert (cert.side, cert.subgroup) == (">=", h.index)
-            k = lat.ref(cert.subgroup)
-            avatar = poset.above(h.index)
+            assert (cert.side, cert.subgroup) == (">=", h)
+            k = cert.subgroup
+            avatar = poset.above(h)
             for q in elements(poset.fixed_points(h)):
-                qk = naive.set_product(lat.group, lat.members(lat.ref(q)),
+                qk = naive.set_product(lat.group, lat.members(q),
                                        lat.members(k))
-                assert lat.by_bitset(sum(1 << x for x in qk)).index in avatar
+                assert lat.index(sum(1 << x for x in qk)) in avatar
 
 
 def test_centralizer_scan_certifies_avatars(d8):
@@ -275,21 +275,21 @@ def test_centralizer_scan_certifies_avatars(d8):
     for kind, retractions in (("E", 0), ("tilde-A", 8)):
         poset = poset_of(lat, ctx, kind)
         scan = fixed_point_equivalence_scan(
-            lat.subgroups,
-            lambda h: poset.below(lat.centralizer(h).index),
+            lat, range(len(lat)),
+            lambda h: poset.below(lat.centralizer(h)),
             lambda h: poset.fixed_points(h),
             retraction=lambda h: ("<=", lat.centralizer(h)))
         assert scan.status == CERTIFIED
         rows = [c for c in scan.per_subgroup if c.method == "retraction"]
         assert len(rows) == retractions
         for c in rows:
-            h = lat.ref(c.subgroup)
+            h = c.subgroup
             cg = lat.centralizer(h)
             cert = c.certificate
-            assert (cert.side, cert.subgroup) == ("<=", cg.index)
-            k = lat.ref(cert.subgroup).bitset
-            avatar = poset.below(cg.index)
-            assert all(lat.by_bitset(lat.ref(q).bitset & k).index in avatar
+            assert (cert.side, cert.subgroup) == ("<=", cg)
+            k = lat.bitsets[cert.subgroup]
+            avatar = poset.below(cg)
+            assert all(lat.index(lat.bitsets[q] & k) in avatar
                        for q in elements(poset.fixed_points(h)))
 
 
@@ -299,7 +299,7 @@ def test_retraction_needs_a_lattice_backed_poset(d8):
     point = restrict(cone, (2,))  # "top"
     with pytest.raises(ValueError, match="lattice"):
         fixed_point_equivalence_scan(
-            [lat.trivial], lambda h: point, lambda h: cone,
+            lat, [lat.trivial], lambda h: point, lambda h: cone,
             retraction=lambda h: (">=", h))
 
 
@@ -311,9 +311,9 @@ def test_scan_flags_emptiness_mismatch(d8):
     ts = poset_of(lat, ctx, "tilde-S")
     v4 = klein_four(lat)
     scan = fixed_point_equivalence_scan(
-        [v4],
-        lambda h: tb.below(lat.centralizer(h).index),
-        lambda h: ts.below(lat.centralizer(h).index))
+        lat, [v4],
+        lambda h: tb.below(lat.centralizer(h)),
+        lambda h: ts.below(lat.centralizer(h)))
     assert scan.status == MISMATCH
     (row,) = [c for c in scan.per_subgroup if c.status == MISMATCH]
     assert row.method == "emptiness"
@@ -325,7 +325,7 @@ def test_scan_flags_contractibility_mismatch(d8):
     cone = relation_poset(("x", "y", "top"), lambda a, b: a == b or b == "top")
     two = restrict(cone, (0, 1))  # "x", "y"
     scan = fixed_point_equivalence_scan(
-        [lat.trivial], lambda h: two, lambda h: cone)
+        lat, [lat.trivial], lambda h: two, lambda h: cone)
     assert scan.status == MISMATCH
     (row,) = scan.per_subgroup
     assert row.method == "contractibility"
@@ -345,7 +345,7 @@ def test_scan_homology_consistent_tier(d8):
         or (a == 0 and b == "whisker"))
     left = restrict(right, range(len(labels)))
     scan = fixed_point_equivalence_scan(
-        [lat.trivial], lambda h: left, lambda h: right)
+        lat, [lat.trivial], lambda h: left, lambda h: right)
     assert scan.status == HOMOLOGY_CONSISTENT
     (row,) = scan.per_subgroup
     assert row.method == "homology"
@@ -357,7 +357,7 @@ def test_scan_both_contractible_tier(d8):
     point = poset_of(lat, ctx, "E")
     tree = poset_of(lat, ctx, "A")
     scan = fixed_point_equivalence_scan(
-        [lat.trivial], lambda h: point, lambda h: tree)
+        lat, [lat.trivial], lambda h: point, lambda h: tree)
     assert scan.status == CERTIFIED
     (row,) = scan.per_subgroup
     assert row.method == "both-contractible"

@@ -6,8 +6,9 @@ import pytest
 import _naive as naive
 from _suite import SMALL_SUITE, SUITE, lattice_of
 from sclab.errors import InternalInconsistency, PrimeDoesNotDivide
-from sclab.group import builtin_group, load_group, parse_group_text
+from sclab.group import builtin_group, load_group, parse_group_text, positions
 from sclab.lattice import enumerate_subgroups, p_core_of_group, p_part
+from sclab.runner import VerificationPlan, run
 
 DATA = Path(__file__).parent / "data"
 
@@ -30,17 +31,17 @@ def test_counts_match_naive_enumeration():
                  "Zn:12", "Zn:30"):
         lat = lattice_of(name)
         brute = naive.subgroups(lat.group)
-        assert {frozenset(lat.members(r)) for r in lat.subgroups} == brute, name
+        assert {frozenset(lat.members(r)) for r in range(len(lat))} == brute, name
 
 
 @pytest.mark.parametrize("name", sorted({name for name, _ in SUITE}))
 def test_lattice_is_closed_under_adding_an_element(name):
     lat = lattice_of(name)
     g = lat.group
-    for r in lat.subgroups:
+    for bits in lat.bitsets:
         for x in range(g.order):
-            if not r.bitset >> x & 1:
-                lat.by_bitset(g.closure_bitset(r.bitset | 1 << x))
+            if not bits >> x & 1:
+                lat.index(g.closure_bitset(bits | 1 << x))
 
 
 # group file text, (subgroups, classes)
@@ -59,7 +60,7 @@ LATTICE_PINS = {
 def test_lattice_sizes_are_pinned(name):
     text, expected = LATTICE_PINS[name]
     lat = enumerate_subgroups(parse_group_text(text))
-    assert (len(lat), len(lat.orbits)) == expected
+    assert (len(lat), len(lat.class_masks)) == expected
 
 
 def test_s5_extends_once_per_normalizer_orbit(monkeypatch):
@@ -79,14 +80,14 @@ def test_d8_times_z2_matches_naive_enumeration():
     g = parse_group_text("degree 6\ngen (0 1 2 3)\ngen (0 2)\ngen (4 5)\n")
     lat = enumerate_subgroups(g)
     assert g.order == 16
-    assert {frozenset(lat.members(r)) for r in lat.subgroups} \
+    assert {frozenset(lat.members(r)) for r in range(len(lat))} \
         == naive.subgroups(g)
 
 
 def test_s5_from_adjacent_transpositions():
     g = parse_group_text("degree 5\ngen (0 1)\ngen (1 2)\ngen (2 3)\ngen (3 4)\n")
     lat = enumerate_subgroups(g)
-    assert (len(lat), len(lat.orbits)) == (156, 19)
+    assert (len(lat), len(lat.class_masks)) == (156, 19)
 
 
 def test_s6_enumerates_within_ten_seconds():
@@ -94,7 +95,7 @@ def test_s6_enumerates_within_ten_seconds():
     g = parse_group_text("degree 6\ngen (0 1 2 3 4 5)\ngen (0 1)\n")
     lat = enumerate_subgroups(g)
     assert time.perf_counter() - start < 10
-    assert (len(lat), len(lat.orbits)) == (1455, 56)
+    assert (len(lat), len(lat.class_masks)) == (1455, 56)
 
 
 @pytest.mark.parametrize("name", [*sorted({name for name, _ in SUITE}),
@@ -114,25 +115,50 @@ def test_order_masks_match_inclusion_scan(name):
 
 def test_canonical_order():
     lat = lattice_of("S4")
-    assert lat.trivial.order == 1 and lat.trivial.index == 0
-    assert lat.full.order == 24 and lat.full.index == len(lat) - 1
-    orders = [r.order for r in lat.subgroups]
+    assert lat.sizes[lat.trivial] == 1 and lat.trivial == 0
+    assert lat.sizes[lat.full] == 24 and lat.full == len(lat) - 1
+    orders = list(lat.sizes)
     assert orders == sorted(orders)
-    for r in lat.subgroups:
-        assert lat.ref(r.index) == r
-        assert lat.by_bitset(r.bitset) == r
+    for i, bits in enumerate(lat.bitsets):
+        assert lat.index(bits) == i
     with pytest.raises(InternalInconsistency):
-        lat.by_bitset(0b110)
+        lat.index(0b110)
+
+
+@pytest.mark.parametrize("name,p", SUITE)
+def test_index_contract(name, p):
+    """A subgroup is its index: 0 is trivial and full is last, each index
+    holds its bitset and order, and the class masks partition the indices,
+    ordered by lowest bit, one per conjugacy class the report counts."""
+    lat = lattice_of(name)
+    assert lat.trivial == 0 and lat.bitsets[0] == 1
+    assert lat.full == len(lat) - 1 and lat.sizes[lat.full] == lat.group.order
+    assert lat.bitsets[lat.full] == lat.group.full_bitset
+    for i, bits in enumerate(lat.bitsets):
+        assert lat.sizes[i] == bits.bit_count() == len(lat.members(i))
+        assert lat.index(bits) == i
+    masks = lat.class_masks
+    assert sum(masks) == (1 << len(lat)) - 1
+    assert sum(c.bit_count() for c in masks) == len(lat)
+    lowest = [(c & -c).bit_length() - 1 for c in masks]
+    assert lowest == sorted(lowest)
+    assert lat.class_representatives() == tuple(lowest)
+    for c in masks:
+        for i in positions(c):
+            assert lat.class_of[i] == c
+    report = run(VerificationPlan(f"builtin:{name}", p, suite="inclusions"))
+    assert report["lattice"] == {"subgroups": len(lat),
+                                 "conjugacy_classes": len(masks)}
 
 
 def test_leq_meet_join_are_set_theoretic():
     lat = lattice_of("S4")
-    subs = lat.subgroups
+    subs = range(len(lat))
     for a in subs:
         for b in subs:
             ma, mb = set(lat.members(a)), set(lat.members(b))
             assert lat.leq(a, b) == (ma <= mb)
-            assert set(lat.members(lat.by_bitset(a.bitset & b.bitset))) == ma & mb
+            assert set(lat.members(lat.index(lat.bitsets[a] & lat.bitsets[b]))) == ma & mb
             j = set(lat.members(lat.generated(ma | mb)))
             assert ma | mb <= j
             assert set(lat.members(lat.join(a, b))) == j
@@ -141,7 +167,7 @@ def test_leq_meet_join_are_set_theoretic():
 def test_normalizer_centralizer_center_against_naive():
     lat = lattice_of("S4")
     g = lat.group
-    for r in lat.subgroups[::3]:
+    for r in range(0, len(lat), 3):
         h = frozenset(lat.members(r))
         assert frozenset(lat.members(lat.normalizer(r))) == naive.normalizer(g, h)
         assert frozenset(lat.members(lat.centralizer(r))) == naive.centralizer(g, h)
@@ -153,7 +179,7 @@ def test_normalizer_centralizer_center_against_naive():
 def test_normalizer_by_generators_matches_all_elements(name):
     lat = lattice_of(name)
     g = lat.group
-    for r in lat.subgroups:
+    for r in range(len(lat)):
         h = frozenset(lat.members(r))
         assert frozenset(lat.members(lat.normalizer(r))) \
             == naive.normalizer(g, h), r
@@ -164,23 +190,23 @@ def test_normalizer_by_generators_matches_all_elements(name):
 def test_centralizer_by_generators_matches_all_elements(name):
     lat = lattice_of(name)
     g = lat.group
-    for r in lat.subgroups:
+    for r in range(len(lat)):
         h = frozenset(lat.members(r))
         assert frozenset(lat.members(lat.centralizer(r))) \
             == naive.centralizer(g, h), r
 
 
 def test_centers():
-    assert lattice_of("D8").center(lattice_of("D8").full).order == 2
-    assert lattice_of("Q8").center(lattice_of("Q8").full).order == 2
-    assert lattice_of("S4").center(lattice_of("S4").full).order == 1
+    for name, order in (("D8", 2), ("Q8", 2), ("S4", 1)):
+        lat = lattice_of(name)
+        assert lat.sizes[lat.center(lat.full)] == order, name
 
 
 def test_sylow_counts():
     # Sylow's theorem: S4 has 3 Sylow 2-subgroups and 4 Sylow 3-subgroups
     s4 = lattice_of("S4")
-    assert len(s4.sylow(2)) == 3 and all(r.order == 8 for r in s4.sylow(2))
-    assert len(s4.sylow(3)) == 4 and all(r.order == 3 for r in s4.sylow(3))
+    assert len(s4.sylow(2)) == 3 and all(s4.sizes[r] == 8 for r in s4.sylow(2))
+    assert len(s4.sylow(3)) == 4 and all(s4.sizes[r] == 3 for r in s4.sylow(3))
     a5 = lattice_of("A5")
     assert len(a5.sylow(2)) == 5
     assert len(a5.sylow(3)) == 10
@@ -191,11 +217,11 @@ def test_sylow_counts():
 
 def test_p_cores():
     s4 = lattice_of("S4")
-    assert s4.p_core(s4.full, 2).order == 4   # the normal Klein subgroup
-    assert s4.p_core(s4.full, 3).order == 1
+    assert s4.sizes[s4.p_core(s4.full, 2)] == 4   # the normal Klein subgroup
+    assert s4.sizes[s4.p_core(s4.full, 3)] == 1
     d12 = lattice_of("D12")
-    assert d12.p_core(d12.full, 2).order == 2  # the central involution
-    assert d12.p_core(d12.full, 3).order == 3
+    assert d12.sizes[d12.p_core(d12.full, 2)] == 2  # the central involution
+    assert d12.sizes[d12.p_core(d12.full, 3)] == 3
 
 
 def test_p_core_is_the_join_of_normal_p_subgroups():
@@ -204,9 +230,9 @@ def test_p_core_is_the_join_of_normal_p_subgroups():
     for name in dict(SUITE):
         lat = lattice_of(name)
         for p in {p for n, p in SUITE if n == name}:
-            for h in lat.subgroups:
-                assert (lat.p_core(h, p).bitset
-                        == p_core_of_group(lat, h, lat.trivial, p).bitset
+            for h in range(len(lat)):
+                assert (lat.bitsets[lat.p_core(h, p)]
+                        == lat.bitsets[p_core_of_group(lat, h, lat.trivial, p)]
                         == naive.lattice_p_core(lat, h, p)), (name, p, h)
 
 
@@ -216,16 +242,16 @@ def test_p_core_of_quotients():
     s4 = lattice_of("S4")
     v4 = s4.p_core(s4.full, 2)
     assert p_core_of_group(s4, s4.full, v4, 2) == v4
-    assert p_core_of_group(s4, s4.full, v4, 3).order == 12
+    assert s4.sizes[p_core_of_group(s4, s4.full, v4, 3)] == 12
     d8 = lattice_of("D8")
     assert p_core_of_group(d8, d8.full, d8.center(d8.full), 2) == d8.full
 
 
 def test_omega1_center():
     q8 = lattice_of("Q8")
-    assert q8.omega1_center(q8.full, 2).order == 2
+    assert q8.sizes[q8.omega1_center(q8.full, 2)] == 2
     d8 = lattice_of("D8")
-    assert d8.omega1_center(d8.full, 2).order == 2
+    assert d8.sizes[d8.omega1_center(d8.full, 2)] == 2
     # in an elementary abelian group omega_1 of the center is everything
     a4 = lattice_of("A4")
     v4 = a4.p_core(a4.full, 2)
@@ -235,16 +261,16 @@ def test_omega1_center():
 def test_elementary_abelian():
     # the trivial subgroup counts as elementary abelian of rank zero
     d8 = lattice_of("D8")
-    assert [r.order for r in d8.subgroups if d8.is_elementary_abelian(r, 2)] \
-        == [1, 2, 2, 2, 2, 2, 4, 4]
+    assert [n for r, n in enumerate(d8.sizes)
+            if d8.is_elementary_abelian(r, 2)] == [1, 2, 2, 2, 2, 2, 4, 4]
     q8 = lattice_of("Q8")
-    assert [r.order for r in q8.subgroups
+    assert [n for r, n in enumerate(q8.sizes)
             if q8.is_elementary_abelian(r, 2)] == [1, 2]
 
 
 def test_orbits_partition_and_class_counts():
     lat = lattice_of("S4")
-    orbits = lat.orbits
+    orbits = [tuple(positions(c)) for c in lat.class_masks]
     assert sorted(i for o in orbits for i in o) == list(range(len(lat)))
     # conjugacy classes of subgroups of S4: a textbook count
     assert len(orbits) == 11
@@ -253,7 +279,7 @@ def test_orbits_partition_and_class_counts():
 def test_conjugate_matches_naive():
     lat = lattice_of("SL23")
     g = lat.group
-    for r in lat.subgroups[::3]:
+    for r in range(0, len(lat), 3):
         for x in range(0, g.order, 7):
             image = lat.conjugate(r, x)
             assert frozenset(lat.members(image)) == naive.conj_set(
@@ -268,7 +294,7 @@ def test_generator_action_is_conjugation(name):
     gens = lat.group.generator_indices
     assert len(lat.generator_action) == len(gens)
     for row, g in zip(lat.generator_action, gens):
-        assert row == tuple(lat.conjugate(r, g).index for r in lat.subgroups)
+        assert row == tuple(lat.conjugate(r, g) for r in range(len(lat)))
 
 
 def test_generated():

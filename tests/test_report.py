@@ -165,10 +165,10 @@ def d8_as_report_3():
                 continue
             sub = ctx.collection(edge["kinds"][0])
             for y in positions(lat.first_of_each_class(sub.mask)):
-                stab = lat.normalizer(lat.ref(y))
+                stab = lat.normalizer(y)
                 verdict = contractibility_verdict(
                     sub.below(y), equivariance_gens=lat.generating_set(stab))
-                cones.append([y, stab.index, verdict.to_json()])
+                cones.append([y, stab, verdict.to_json()])
                 inclusion["per_element"].append(cones[-1])
     assert cones
     return report, old, cones

@@ -48,6 +48,8 @@ def test_plan_validation():
         VerificationPlan("builtin:D8", 2, "everything").validate()
     with pytest.raises(ValueError):
         VerificationPlan("builtin:D8", 1).validate()
+    with pytest.raises(ValueError, match="not a prime"):
+        VerificationPlan("builtin:D8", 4).validate()
     VerificationPlan("builtin:D8", 2).validate()
 
 
@@ -203,8 +205,7 @@ def test_cache_round_trip(tmp_path):
     assert len(payload["subgroups"]) == 10
 
     second = lattice_for(group, cache_dir=tmp_path)
-    assert [r.bitset for r in second.subgroups] == \
-        [r.bitset for r in first.subgroups]
+    assert second.bitsets == first.bitsets
 
 
 def test_cache_ignores_corruption(tmp_path):
@@ -254,9 +255,8 @@ def test_cache_rejects_a_repeated_subgroup(tmp_path):
     path.write_text(json.dumps(payload))
     assert load_lattice(tmp_path, group) is None
     lattice = lattice_for(group, cache_dir=tmp_path)
-    assert len(lattice.subgroups) == 30 and len(lattice.orbits) == 11
-    assert [r.bitset for r in lattice.subgroups] == \
-        [r.bitset for r in fresh.subgroups]
+    assert len(lattice) == 30 and len(lattice.class_masks) == 11
+    assert lattice.bitsets == fresh.bitsets
 
 
 def test_cache_rejects_a_non_subgroup_bitset(tmp_path):
@@ -271,8 +271,7 @@ def test_cache_rejects_a_non_subgroup_bitset(tmp_path):
     assert payload["group_hash"] == group.content_hash
     assert load_lattice(tmp_path, group) is None
     lattice = lattice_for(group, cache_dir=tmp_path)
-    assert [r.bitset for r in lattice.subgroups] == \
-        [r.bitset for r in fresh.subgroups]
+    assert lattice.bitsets == fresh.bitsets
 
 
 def test_cache_rejects_a_partial_class(tmp_path):
@@ -283,9 +282,9 @@ def test_cache_rejects_a_partial_class(tmp_path):
     path = store_lattice(tmp_path, fresh)
     payload = json.loads(path.read_text())
     transposition = next(
-        r for r in fresh.subgroups if r.order == 2
+        r for r, n in enumerate(fresh.sizes) if n == 2
         and fresh.generator_string(r).count("(") == 1)
-    payload["subgroups"].remove(format(transposition.bitset, "x"))
+    payload["subgroups"].remove(format(fresh.bitsets[transposition], "x"))
     path.write_text(json.dumps(payload))
     assert load_lattice(tmp_path, group) is None
     cached = run(VerificationPlan("builtin:S4", 2, cache_dir=tmp_path))
@@ -304,11 +303,11 @@ def test_each_subgroup_class_is_computed_once(tmp_path, monkeypatch):
     monkeypatch.setattr(group, "subgroup_class",
                         lambda bits: calls.append(bits) or compute(bits))
     fresh = enumerate_subgroups(group)
-    assert len(fresh.orbits) == 19 and len(calls) == 18
+    assert len(fresh.class_masks) == 19 and len(calls) == 18
     store_lattice(tmp_path, fresh)
     calls.clear()
     cached = load_lattice(tmp_path, group)
-    assert cached.orbits == fresh.orbits and len(calls) == 19
+    assert cached.class_masks == fresh.class_masks and len(calls) == 19
     assert cached.generator_action == fresh.generator_action
 
 
@@ -322,12 +321,11 @@ def test_s5_normalizers_are_computed_once_per_class(monkeypatch):
     monkeypatch.setattr(lattice.group, "normalizer_bitset", lambda bits, gens:
                         computed.append(bits) or compute(bits, gens))
     monkeypatch.setattr(lattice, "normalizer",
-                        lambda ref: asked.add(ref.index) or ask(ref))
+                        lambda h: asked.add(h) or ask(h))
     monkeypatch.setattr(sclab.runner, "lattice_for",
                         lambda group, **knobs: lattice)
     report = run(VerificationPlan("builtin:S5", 2))
-    class_of = {i: n for n, orbit in enumerate(lattice.orbits) for i in orbit}
-    classes = {class_of[i] for i in asked}
+    classes = {lattice.class_of[i] for i in asked}
     assert (len(computed), len(classes), len(asked)) == (6, 6, 75)
     assert exit_status(report) == 0
 

@@ -141,17 +141,17 @@ def test_one_fiber_check_per_centralizer(monkeypatch):
     specs = [s for s in TABLE31_EDGES + TABLE44_EDGES
              if s.checker == "fibers-by-centralizer"]
     assert len(specs) == 2
-    centralizers = {lat.centralizer(h) for h in lat.orbit_representatives()}
+    centralizers = {lat.centralizer(h) for h in lat.class_representatives()}
     assert len(centralizers) == 12
     for spec in specs:
         left, right = map(ctx.collection, spec.kinds)
-        pairs = {(left.below(c.index).mask, right.below(c.index).mask)
+        pairs = {(left.below(c).mask, right.below(c).mask)
                  for c in centralizers}
         result = _check_edge(ctx, spec, DEFAULT_SIMPLEX_CAP)
         rows = result.detail["per_centralizer"]
-        assert len(rows) == len(lat.orbits) == 19
-        assert [r["subgroup"] for r in rows] == [
-            h.index for h in lat.orbit_representatives()]
+        assert len(rows) == len(lat.class_masks) == 19
+        assert [r["subgroup"] for r in rows] == list(
+            lat.class_representatives())
     assert len(pairs) == 8
     assert len(calls) == 8
     assert {(sub.mask, ambient.mask) for sub, ambient, _ in calls} == pairs
@@ -213,13 +213,13 @@ def test_retractions_name_the_cut():
                     continue
                 poset = ctx.collection(r.spec.kinds[0])
                 for row in r.detail["scan"]["per_subgroup"]:
-                    h = lat.ref(row["subgroup"])
+                    h = row["subgroup"]
                     side, k = _cut(lat, r.spec.row, h)
-                    tag = (name, p, r.spec.edge_id, h.index)
+                    tag = (name, p, r.spec.edge_id, h)
                     if row["method"] == "retraction":
                         assert row["certificate"] == {
                             "kind": "retraction", "side": side,
-                            "subgroup": k.index}, tag
+                            "subgroup": k}, tag
                         sides.add(side)
                     elif row["method"] not in ("equal", "emptiness"):
                         right = poset.fixed_points(h)
@@ -337,7 +337,7 @@ def test_pruning_certifies_without_local_characteristic():
             assert res.outcome == PASS, (name, mode)
             for y, stab, verdict in res.per_element:
                 assert verdict.method == "core", (name, mode, y)
-                gens = (lat.generating_set(lat.ref(stab))
+                gens = (lat.generating_set(stab)
                         if stab is not None else None)
                 assert verify_certificate(ambient.above(y, strict=True),
                                           verdict, equivariance_gens=gens)
@@ -356,7 +356,7 @@ def test_dihedral_8_recognizer():
 def test_d8_subgroup_tokens(d8):
     v4 = _d8_subgroup(d8, "V4")
     z4 = _d8_subgroup(d8, "Z4")
-    assert v4.order == z4.order == 4
+    assert d8.sizes[v4] == d8.sizes[z4] == 4
     assert d8.is_elementary_abelian(v4, 2)
     assert not d8.is_elementary_abelian(z4, 2)
 
@@ -410,16 +410,16 @@ def test_each_edge_check_runs_once_per_run(monkeypatch):
                            kw.get("equivariant"), kw["max_simplices"]))
         return verify_inclusion_equivalence(sub, ambient, mode, **kw)
 
-    def counting_scan(subgroups, left_of, right_of, **kw):
+    def counting_scan(lattice, subgroups, left_of, right_of, **kw):
         # the trivial subgroup fixes the whole poset; the Sylow group is
         # the largest one scanned; the side of the retraction names the row
-        trivial = min(subgroups, key=lambda h: h.order)
-        sylow = max(subgroups, key=lambda h: h.order)
+        trivial = min(subgroups, key=lattice.sizes.__getitem__)
+        sylow = max(subgroups, key=lattice.sizes.__getitem__)
         scans.append((kw["retraction"](trivial)[0],
-                      right_of(trivial).mask, sylow.index,
+                      right_of(trivial).mask, sylow,
                       kw["max_simplices"]))
-        return fixed_point_equivalence_scan(subgroups, left_of, right_of,
-                                            **kw)
+        return fixed_point_equivalence_scan(lattice, subgroups, left_of,
+                                            right_of, **kw)
 
     monkeypatch.setattr("sclab.tables.verify_inclusion_equivalence",
                         counting_inclusion)
