@@ -16,9 +16,31 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # second copy of what it checks
 _CHECKER = json.JSONDecoder(parse_float=_not_json, parse_constant=_not_json,
                             object_hook=len)
-# the values of each edge's detail sit this deep in a report
-_WALK_DEPTH = 6
-_LITERALS = {None: "null", True: "true", False: "false"}
+# the detail keys whose values the report holds once, in its evidence list
+CITED = ("inclusion", "per_centralizer", "scan")
+
+
+def cite_evidence(suites: dict) -> list:
+    """Move each edge's cited evidence into one list and leave its number
+    in the edge's detail; return the list.
+
+    Entries are numbered in the order the report cites them: suites by
+    name, edges in table order, and within an edge in the order of CITED.
+    Equal values share one entry."""
+    evidence = []
+    for name in sorted(suites):
+        for edge in suites[name].get("edges", ()):
+            detail = edge["detail"]
+            for key in CITED:
+                if key in detail:
+                    value = detail[key]
+                    n = next((n for n, entry in enumerate(evidence)
+                              if entry is value or entry == value),
+                             len(evidence))
+                    if n == len(evidence):
+                        evidence.append(value)
+                    detail[key] = n
+    return evidence
 
 
 def _key(key) -> str:
@@ -32,86 +54,50 @@ def _key(key) -> str:
     return encode_basestring_ascii(key) + ":"
 
 
+def _text(value, levels: int) -> str:
+    """The JSON text of value: the dicts and lists of its top levels split
+    into their keys and items, and each value below them one call of
+    CPython's C encoder, parsed back once."""
+    if levels and isinstance(value, dict):
+        return "{" + ",".join(_key(key) + _text(item, levels - 1)
+                              for key, item in sorted(value.items())) + "}"
+    if levels and isinstance(value, (list, tuple)):
+        return "[" + ",".join(_text(item, levels - 1) for item in value) + "]"
+    encoded = _ENCODER.encode(value)
+    _CHECKER.decode(encoded)
+    return encoded
+
+
 def report_to_json_bytes(report: dict) -> bytes:
     """The bytes of json.dumps(report, sort_keys=True, separators=(",", ":"))
     + "\\n".
 
-    Edges cite shared evidence: two edges that rest on one check hold one
-    object in their details. So the writer walks the dicts and lists of the
-    report in Python down to the values of each edge's detail, six levels
-    in, writing the keys and scalars on the way itself, and hands each
-    distinct subtree below that depth to CPython's C encoder once, memoised
-    by id while the report is alive. The text between two such pieces is
-    joined into one part, and the parts are joined once.
-
-    The C encoder also writes floats, NaN and the infinities, which no
-    report holds; parsing each piece back once with hooks that raise on
-    them, as the walk does for what it writes itself, keeps the contract
-    that any value other than a dict, list, tuple, str, int, bool or None
-    raises TypeError. Keys are written as json.dumps writes them, and keys
-    of mixed types raise TypeError as its sort does.
+    Each top-level value of the report, and each suite section or evidence
+    entry, is one call of the C encoder: one call over the whole report
+    peaks at several times its output. The C encoder also writes floats,
+    NaN and the infinities, which no report holds; parsing each piece back
+    with hooks that raise on them keeps the contract that any value other
+    than a dict, list, tuple, str, int, bool or None raises TypeError. Keys
+    are written as json.dumps writes them, and keys of mixed types raise
+    TypeError as its sort does.
     """
-    # bytes.join takes an 80-byte buffer view per part, more than most walked
-    # tokens weigh, so the walk's own text goes into parts only between pieces
-    text, parts, pieces = [], [], {}
-
-    def piece(value) -> bytes:
-        out = pieces.get(id(value))
-        if out is None:
-            encoded = _ENCODER.encode(value)
-            _CHECKER.decode(encoded)
-            out = pieces[id(value)] = encoded.encode()
-        return out
-
-    def walk(value, depth: int) -> None:
-        if value is None or value is True or value is False:
-            text.append(_LITERALS[value])
-        elif isinstance(value, str):
-            text.append(encode_basestring_ascii(value))
-        elif isinstance(value, int):
-            text.append(int.__repr__(value))
-        elif not isinstance(value, (list, tuple, dict)):
-            _not_json(repr(value))
-        elif depth == _WALK_DEPTH:
-            parts.append("".join(text).encode())
-            text.clear()
-            parts.append(piece(value))
-        elif isinstance(value, dict):
-            text.append("{")
-            for n, (key, item) in enumerate(sorted(value.items())):
-                if n:
-                    text.append(",")
-                text.append(_key(key))
-                walk(item, depth + 1)
-            text.append("}")
-        else:
-            text.append("[")
-            for n, item in enumerate(value):
-                if n:
-                    text.append(",")
-                walk(item, depth + 1)
-            text.append("]")
-
-    walk(report, 0)
-    text.append("\n")
-    parts.append("".join(text).encode())
-    return b"".join(parts)
+    return (_text(report, 2) + "\n").encode()
 
 
-def _evidence(edge: dict) -> str:
+def _evidence(edge: dict, evidence: list) -> str:
     detail = edge["detail"]
     bits = []
     if "inclusion" in detail:
-        inc = detail["inclusion"]
+        inc = evidence[detail["inclusion"]]
         n = len(inc["per_element"])
         noun = "fiber" if inc["mode"] == "fibers" else "interval"
         bits.append(f"{inc['mode']} {inc['outcome']}"
                     f" ({n} {noun}{'' if n == 1 else 's'} checked)")
     if "per_centralizer" in detail:
-        rows = detail["per_centralizer"]
+        rows = evidence[detail["per_centralizer"]]
         bits.append(f"fibers in {len(rows)} centralizers")
     if "scan" in detail:
-        per = detail["scan"]["per_subgroup"]
+        per = evidence[detail["scan"]]["per_subgroup"]
         methods = {}
         for row in per:
             methods[row["method"]] = methods.get(row["method"], 0) + 1
@@ -132,14 +118,14 @@ def _evidence(edge: dict) -> str:
     return "; ".join(bits)
 
 
-def _edge_table(lines: list, edges: list) -> None:
+def _edge_table(lines: list, edges: list, evidence: list) -> None:
     lines.append("| edge | style | conditions | status | evidence |")
     lines.append("|---|---|---|---|---|")
     for edge in edges:
         conditions = ", ".join(edge["conditions"]) or "—"
         lines.append(f"| {edge['row']}: {' / '.join(edge['kinds'])} "
                      f"| {edge['style']} | {conditions} | {edge['status']} "
-                     f"| {_evidence(edge)} |")
+                     f"| {_evidence(edge, evidence)} |")
     lines.append("")
 
 
@@ -182,13 +168,13 @@ def report_to_markdown(report: dict) -> bytes:
         if table in suites:
             lines.append(f"## {table}")
             lines.append("")
-            _edge_table(lines, suites[table]["edges"])
+            _edge_table(lines, suites[table]["edges"], report["evidence"])
     if "counterexamples" in suites:
         section = suites["counterexamples"]
         lines.append("## counterexamples")
         lines.append("")
         if section["edges"]:
-            _edge_table(lines, section["edges"])
+            _edge_table(lines, section["edges"], report["evidence"])
         else:
             lines.append(section.get("note", "none applicable"))
             lines.append("")

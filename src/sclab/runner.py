@@ -17,11 +17,12 @@ from .errors import PrimeDoesNotDivide
 from .group import PermutationGroup, load_group
 from .lattice import DEFAULT_ORDER_CAP
 from .poset import DEFAULT_SIMPLEX_CAP
+from .report import cite_evidence
 from .tables import (SKIPPED, TABLE31, TABLE44, condition_json,
                      is_dihedral8, verify_counterexamples,
                      verify_inclusion_chains, verify_table_edges)
 
-REPORT_FORMAT = "sclab-report/4"
+REPORT_FORMAT = "sclab-report/5"
 
 # analyses the report deliberately leaves out; listed so a reader of the
 # report knows the boundary of what a clean run claims
@@ -143,6 +144,7 @@ def run(plan: VerificationPlan) -> dict:
                     "conjugacy_classes": len(lattice.class_masks)},
         "collections": _collections_section(ctx),
         "suites": suites,
+        "evidence": cite_evidence(suites),
         "not_checked": list(NOT_CHECKED),
     }
     report["summary"] = summarize(report)

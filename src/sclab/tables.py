@@ -212,8 +212,8 @@ def _once(ctx, key, compute):
 def _cited(ctx, key, compute):
     """_once(ctx, key, compute) and the JSON of it that the report cites,
     built the first time an edge cites the check: every edge that cites it
-    holds that one object. In first-use order, these are the run's pieces
-    of evidence."""
+    holds that one object; report.cite_evidence lists each distinct one
+    once in the report."""
     result = _once(ctx, key, compute)
     return result, _once(ctx, ("json", key), result.to_json)
 

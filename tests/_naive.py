@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from _suite import elements, restrict
+from _suite import restrict
 
 
 # permutation arithmetic, the oracle for the group tables; a permutation
@@ -416,7 +416,7 @@ def _bits(mask: int):
 def _strict_order(poset, leq):
     """Per element, the bitmasks of the elements strictly below and above;
     bit k stands for the k-th element of the poset, lowest first."""
-    xs = elements(poset)
+    xs = poset.members
     below = [0] * len(xs)
     above = [0] * len(xs)
     for i, x in enumerate(xs):
@@ -442,7 +442,7 @@ def _orbit_masks(poset, gens):
     """Per element, the bitmask of its orbit under conjugation by gens, or
     None when some generator conjugates an element out of the poset; bit k
     stands for the k-th element of the poset, lowest first."""
-    xs, lat = elements(poset), poset.lattice
+    xs, lat = poset.members, poset.lattice
     pos = {x: i for i, x in enumerate(xs)}
     images = []
     for g in gens:
@@ -475,7 +475,7 @@ def core_reduction(poset, leq, gens=None):
     asked pair by pair."""
     if poset.is_empty():
         return None
-    xs = elements(poset)
+    xs = poset.members
     below, above = _strict_order(poset, leq)
     orbit = _orbit_masks(poset, gens) if gens is not None else None
     alive = (1 << len(poset)) - 1
@@ -494,7 +494,7 @@ def core_reduction(poset, leq, gens=None):
 def _as_mapping(poset, f) -> dict:
     """Evaluate f (a callable or a dict) on every position; any image outside
     the poset raises ValueError, because nothing downstream is meaningful."""
-    xs, out = elements(poset), {}
+    xs, out = poset.members, {}
     for x in xs:
         if callable(f):
             y = f(x)
@@ -519,7 +519,7 @@ def verify_monotone_retraction(poset, f, side: str, target) -> bool:
     if side not in ("<=", ">="):
         raise ValueError(f"side must be '<=' or '>=', got {side!r}")
     fmap = _as_mapping(poset, f)
-    targets = elements(target) if hasattr(target, "mask") else tuple(target)
+    targets = target.members if hasattr(target, "mask") else tuple(target)
     down, up = poset.order.down, poset.order.up
     target_mask = 0
     for t in targets:
@@ -551,8 +551,8 @@ def fiber_outcome(lat, sub, ambient, equivariant: bool):
         return lat.bitsets[a] & ~lat.bitsets[b] == 0
 
     found = {}
-    for y in elements(ambient):
-        fiber = restrict(sub, [x for x in elements(sub) if leq(x, y)])
+    for y in ambient.members:
+        fiber = restrict(sub, [x for x in sub.members if leq(x, y)])
         gens = (lat.generating_set(lat.normalizer(y))
                 if equivariant else None)
         core = core_reduction(fiber, leq, gens)

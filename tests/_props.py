@@ -23,7 +23,7 @@ from sclab.tables import (TABLE31_EDGES, TABLE44_EDGES, _cut, _keep,
 
 import _naive
 from _naive import boundary_matrix, rank_mod, rank_over_rationals
-from _suite import (SUITE, elements, from_relation, lattice_of,
+from _suite import (SUITE, from_relation, lattice_of,
                     nontrivial_p_subgroups)
 
 GROUPS = ("D8", "Q8", "S3", "D12", "A4", "S4", "SL23", "A5")
@@ -157,9 +157,9 @@ def check_distinguished_upward_closure(b: Budget) -> None:
         ctx = collection_context(lat, p)
         S = ctx.collection("S")
         tS = ctx.collection("tilde-S")
-        for P in elements(tS):
+        for P in tS.members:
             NP = lat.normalizer(P)
-            for Q in elements(S):
+            for Q in S.members:
                 if lat.leq(P, Q) and lat.leq(Q, NP):
                     b.check(Q in tS, (name, p, P, Q))
 
@@ -172,9 +172,9 @@ def check_relative_normalizers_stay_distinguished(b: Budget) -> None:
         ctx = collection_context(lat, p)
         S = ctx.collection("S")
         hS = ctx.collection("hat-S")
-        for P in elements(S):
+        for P in S.members:
             NP = lat.normalizer(P)
-            for Q in elements(hS):
+            for Q in hS.members:
                 if P != Q and lat.leq(P, Q):
                     b.check(lat.index(lat.bitsets[Q] & lat.bitsets[NP]) in hS,
                             (name, p, P, Q))
@@ -212,7 +212,7 @@ def check_sylow_normalizer_criterion(b: Budget) -> None:
         tS = ctx.collection("tilde-S")
         hS = ctx.collection("hat-S")
         full = p_part(lat.group.order, p)
-        for ri in elements(ctx.collection("S")):
+        for ri in ctx.collection("S").members:
             if p_part(lat.sizes[lat.normalizer(ri)], p) == full:
                 b.check(ri in hS, (name, p, ri, "hat"))
                 b.check(ri in tS, (name, p, ri, "tilde"))
@@ -395,12 +395,12 @@ def check_masks_are_inclusion(b: Budget) -> None:
         leq = _inclusion(lat)
         for kind in KINDS:
             poset = ctx.collection(kind)
-            xs = elements(poset)
+            xs = poset.members
             for x in xs:
-                b.check(elements(poset.below(x, strict=True))
+                b.check(poset.below(x, strict=True).members
                         == tuple(y for y in xs if y != x and leq(y, x)),
                         (name, p, kind, x))
-                b.check(elements(poset.above(x, strict=True))
+                b.check(poset.above(x, strict=True).members
                         == tuple(y for y in xs if y != x and leq(x, y)),
                         (name, p, kind, x))
 
@@ -456,9 +456,9 @@ def check_class_masks_are_invariance(b: Budget) -> None:
                 invariant = _naive._orbit_masks(poset, gens) is not None
                 seen.add(invariant)
                 b.check(lat.is_class_union(poset.mask) == invariant,
-                        (name, p, kind, elements(poset)))
+                        (name, p, kind, poset.members))
                 first: dict = {}
-                for x in elements(poset):
+                for x in poset.members:
                     first.setdefault(orbit_of[x], x)
                 b.check(list(_naive._bits(lat.first_of_each_class(poset.mask)))
                         == sorted(first.values()), (name, p, kind))
@@ -501,7 +501,7 @@ def check_retraction_matches_oracle(b: Budget) -> None:
                                    ({">=": "<=", "<=": ">="}[side], False)):
                     tag = (name, p, spec.edge_id, h, s)
                     f = _subgroup_map(lat, s, k, product)
-                    image = sum({1 << f(q) for q in elements(right)})
+                    image = sum({1 << f(q) for q in right.members})
                     b.check(_lattice_retraction(right, left.mask, s, k)
                             == (None if image & ~left.mask else image), tag)
                     (row,) = fixed_point_equivalence_scan(

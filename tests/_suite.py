@@ -1,7 +1,8 @@
 """Shared group/prime suite, a cached lattice factory, the nontrivial
-p-subgroups of a lattice, and constructors of abstract posets, subposets and
-simplicial complexes for the tests. A poset element is its position: an
-abstract poset built from readable labels puts labels[i] at position i."""
+p-subgroups of a lattice, the sclab-report/4 form of a report, and
+constructors of abstract posets, subposets and simplicial complexes for
+the tests. A poset element is its position: an abstract poset built from
+readable labels puts labels[i] at position i."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from itertools import combinations
 from sclab.group import builtin_group, positions
 from sclab.lattice import Order, enumerate_subgroups, p_part
 from sclab.poset import GPoset, OrderComplex
+from sclab.report import CITED
 
 # every builtin suite group at each prime dividing its order
 SUITE = (
@@ -35,9 +37,19 @@ def nontrivial_p_subgroups(lat, p: int):
                  if n > 1 and p_part(n, p) == n)
 
 
-def elements(poset: GPoset) -> tuple[int, ...]:
-    """The positions of poset, lowest first."""
-    return tuple(positions(poset.mask))
+def inline_evidence(report: dict) -> dict:
+    """report, an sclab-report/5 document, rewritten in place as the
+    sclab-report/4 document of the same run: each evidence entry back in
+    every edge detail that cites it by number, and no evidence list."""
+    evidence = report.pop("evidence")
+    for section in report["suites"].values():
+        for edge in section.get("edges", ()):
+            detail = edge["detail"]
+            for key in CITED:
+                if key in detail:
+                    detail[key] = evidence[detail[key]]
+    report["format"] = "sclab-report/4"
+    return report
 
 
 def from_relation(labels, strict_pairs, name: str = "") -> GPoset:

@@ -11,7 +11,9 @@ pin covers it. Pytest does not collect this file; run it by hand:
 
 NAME is a group file in tests/data without its suffix; the default runs
 all five. With --check the script exits 1 unless every report's SHA-256
-equals its pin in PINS, the bytes of the sclab-report/4 format.
+equals its pin in PINS, the bytes of the sclab-report/5 format. The pins
+were made by docs/report_4_to_5.py from the sclab-report/4 bytes pinned
+before, and the engine writes exactly those bytes.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 GROUPS = ("s4xs4", "d8xd8", "z2_5", "z2_6", "s6xz2")
 PRIME = 2
 PINS = {
-    "s4xs4": "c4e31c28bcefea2fe5ff42fb41c0bef6457391004e80512c276b3860269a7d54",
-    "d8xd8": "91da6137c7cd9254e2578547b2f670b47d773f386ff8b3b6f5e3b655a54b3dd5",
-    "z2_5": "4c0b1c0fc08f9cc800ae45b76951f4e0214c52eff672400381367cba545553bd",
-    "z2_6": "ee1388c77ded128dccc5e6c44edeb2827a7bf3f0b94f13a8053e6e8375ff1f2c",
-    "s6xz2": "e37090a793d21c07e1352a4bd186d430c692ee9234ebdf951d4c6a534bcc513e",
+    "s4xs4": "d981ced677c5f09513ce6962349d65970080e396328328e709b260c03762edf4",
+    "d8xd8": "5ed1de8c3276c1beb276e8696045ae3b90ce94d91a57f4135115d9d820eae09b",
+    "z2_5": "9579811c95a92cf04d416a34e7303a70d23ea2502d7838f679e8d54fd2b1db8e",
+    "z2_6": "c0e2c1ea7b788113b4cae68b65da0866067255a3c27ccf1b1f8541f5ed4ad074",
+    "s6xz2": "6ae52fd96296a27f367f1675c827c064cfee3e7035d9f7e21d5b013d614b3b34",
 }
 
 

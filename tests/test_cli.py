@@ -2,11 +2,12 @@
 
 The golden file pins the exact bytes of a small JSON report; any change
 to report content or serialization order must be deliberate enough to
-regenerate it. It and the three SHA-256 pins below were last replaced by
-`docs/report_3_to_4.py` applied to the sclab-report/3 bytes they pinned
-before, which renames the format, drops the fibers-mode rows of members of
-the smaller collection after checking that each is certified, and writes
-the document compactly; the new code writes exactly those bytes.
+regenerate it. It, the three SHA-256 pins below and the frontier pins were
+last replaced by `docs/report_4_to_5.py` applied to the sclab-report/4
+bytes they pinned before, which moves each edge's cited evidence into the
+top-level `evidence` list; the new code writes exactly those bytes. The
+/4 digests stay in REPORT_4_SHA256: each pinned report, with its evidence
+inlined again, must give them back, so the rewrite lost nothing.
 """
 
 import ast
@@ -37,6 +38,7 @@ from sclab.cli import (
     main,
 )
 
+from _suite import inline_evidence
 from frontier import PINS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,35 +46,64 @@ DATA = Path(__file__).parent / "data"
 
 # SHA-256 of the report of `sclab verify --group tests/data/z2_4.grp
 # --prime 2`, recorded while order queries were still pairwise, then
-# carried to sclab-report/3 by docs/report_2_to_3.py and to
-# sclab-report/4 by docs/report_3_to_4.py. Its core
-# certificates list every beat point in removal order, so any change in
-# which beat point is removed first changes these bytes.
+# carried to sclab-report/3, /4 and /5 by the converters of each format
+# change. Its core certificates list every beat point in removal order, so
+# any change in which beat point is removed first changes these bytes.
 Z2_4_P2_SHA256 = (
-    "8ae9e9c207bce8fb410c24c301fe7de887d17b02eabe96eee918d8350d00624f")
+    "55996948b46355ebb612ac01966665fe24ccca903d23501136ceba46b366fdf1")
 
 # SHA-256 of the report of `sclab verify --group tests/data/psl27.grp
 # --prime 2`, recorded while normalizers and centralizers were still found
-# by conjugating with every element, then carried to sclab-report/3 by
-# docs/report_2_to_3.py and to sclab-report/4 by docs/report_3_to_4.py.
-# PSL(2,7) is non-abelian with six
-# element classes and fifteen subgroup classes, so its normalizers and
-# centralizers differ from subgroup to subgroup, unlike those of Z2^4.
+# by conjugating with every element, then carried to sclab-report/3, /4
+# and /5 by the converters of each format change. PSL(2,7) is non-abelian
+# with six element classes and fifteen subgroup classes, so its
+# normalizers and centralizers differ from subgroup to subgroup, unlike
+# those of Z2^4.
 PSL27_P2_SHA256 = (
-    "9482334c93e05c42de17bb1e82afdddf626c1b132d703b268d7131afbbee0572")
+    "3a2ee385a54bfe60e90b3e13f9ca59826e1e6eeb36a1e03605c42afa57e62f50")
 
 # SHA-256 of the report of `sclab verify --group tests/data/d8xz2.grp
 # --prime 2`, recorded while retractions were still checked position by
-# position as explicit maps, then carried to sclab-report/3 by
-# docs/report_2_to_3.py, which checked each recorded pair against q v H
-# or q ^ C_G(H), and to sclab-report/4 by docs/report_3_to_4.py. It
-# carries 188 retraction certificates.
+# position as explicit maps, then carried to sclab-report/3, which
+# checked each recorded pair against q v H or q ^ C_G(H), and to /4 and /5
+# by the converters of each format change. It carries 188 retraction
+# certificates.
 D8XZ2_P2_SHA256 = (
-    "1626562190522f93d8e596382b9a3804b15d121da1539e51b15d8f5252a01d68")
+    "1f16f80f6d07df03ef6ea9aeae225ef2f6ae8cc732ece245a8a8f438645abb8e")
+
+# the sclab-report/4 bytes of the golden file and of each pinned report
+REPORT_4_SHA256 = {
+    "d8_table31":
+        "3e0009114108409daff829464d43ea65f139545d2ffb7467b0314c6c87668948",
+    "z2_4": "8ae9e9c207bce8fb410c24c301fe7de887d17b02eabe96eee918d8350d00624f",
+    "psl27":
+        "9482334c93e05c42de17bb1e82afdddf626c1b132d703b268d7131afbbee0572",
+    "d8xz2":
+        "1626562190522f93d8e596382b9a3804b15d121da1539e51b15d8f5252a01d68",
+    "d8xd8":
+        "91da6137c7cd9254e2578547b2f670b47d773f386ff8b3b6f5e3b655a54b3dd5",
+    "z2_5": "4c0b1c0fc08f9cc800ae45b76951f4e0214c52eff672400381367cba545553bd",
+}
 
 
 def verify(*extra):
     return main(["verify", *extra])
+
+
+def sha256(payload: bytes) -> str:
+    return hashlib.sha256(payload).hexdigest()
+
+
+def as_report_4(payload: bytes) -> bytes:
+    """The sclab-report/4 bytes of the run whose /5 report is payload."""
+    report = inline_evidence(json.loads(payload))
+    return (json.dumps(report, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+def assert_pinned(payload: bytes, name: str, digest: str) -> None:
+    assert sha256(payload) == digest
+    assert sha256(as_report_4(payload)) == REPORT_4_SHA256[name]
 
 
 def assert_golden(actual: bytes) -> None:
@@ -89,7 +120,7 @@ def test_clean_run_writes_json_to_stdout(capfdbinary):
     out = capfdbinary.readouterr().out
     assert out.endswith(b"\n")
     report = json.loads(out)
-    assert report["format"] == "sclab-report/4"
+    assert report["format"] == "sclab-report/5"
     assert report["group"]["name"] == "D8"
 
 
@@ -123,6 +154,11 @@ def test_json_output_is_byte_deterministic(tmp_path):
                     "--suite", "table44", "--report", str(target))
         assert rc == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_golden_d8_table31_inlines_to_its_report_4_bytes():
+    golden = (GOLDEN / "d8_table31.json").read_bytes()
+    assert sha256(as_report_4(golden)) == REPORT_4_SHA256["d8_table31"]
 
 
 def test_golden_d8_table31(tmp_path, capfd):
@@ -373,31 +409,31 @@ def test_z2_4_report_is_pinned(tmp_path):
     report = tmp_path / "z2_4.json"
     assert verify("--group", str(DATA / "z2_4.grp"), "--prime", "2",
                   "--report", str(report)) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == Z2_4_P2_SHA256
+    assert_pinned(report.read_bytes(), "z2_4", Z2_4_P2_SHA256)
 
 
 def test_psl27_report_is_pinned(tmp_path):
     report = tmp_path / "psl27.json"
     assert verify("--group", str(DATA / "psl27.grp"), "--prime", "2",
                   "--report", str(report)) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == PSL27_P2_SHA256
+    assert_pinned(report.read_bytes(), "psl27", PSL27_P2_SHA256)
 
 
 def test_d8xz2_report_is_pinned(tmp_path):
     report = tmp_path / "d8xz2.json"
     assert verify("--group", str(DATA / "d8xz2.grp"), "--prime", "2",
                   "--report", str(report)) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == D8XZ2_P2_SHA256
+    assert_pinned(report.read_bytes(), "d8xz2", D8XZ2_P2_SHA256)
 
 
 @pytest.mark.parametrize("name", ["d8xd8", "z2_5"])
 def test_large_reports_match_the_frontier_pins(tmp_path, name):
-    # 0.75 MB reports, where edges share the most evidence; the pins are
-    # the ones tests/frontier.py checks
+    # 0.34-0.41 MB reports, 0.75 MB as sclab-report/4, where edges share
+    # the most evidence; the pins are the ones tests/frontier.py checks
     report = tmp_path / f"{name}.json"
     assert verify("--group", str(DATA / f"{name}.grp"), "--prime", "2",
                   "--report", str(report)) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == PINS[name]
+    assert_pinned(report.read_bytes(), name, PINS[name])
 
 
 def _raises_assertion_error(node):

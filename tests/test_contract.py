@@ -26,7 +26,7 @@ from sclab.poset import GPoset, order_complex
 import _naive
 from _naive import verify_monotone_retraction
 from _props import fixed_point_contractibility_scan
-from _suite import (elements, from_maximal_simplices, from_relation,
+from _suite import (from_maximal_simplices, from_relation,
                     relation_poset, restrict)
 from test_homology import DUNCE_FACETS
 
@@ -85,7 +85,7 @@ def test_retraction_oracle_accepts_join_map():
 def test_retraction_oracle_rejects_non_monotone():
     # a <= ac, but ab is not below ac
     f = relabel({"a": "ab", "b": "b", "c": "c", "ab": "ab", "ac": "ac"}, bow)
-    assert not verify_monotone_retraction(BOWTIE, f, ">=", elements(BOWTIE))
+    assert not verify_monotone_retraction(BOWTIE, f, ">=", BOWTIE.members)
 
 
 def test_ill_defined_maps_raise_even_when_not_strict():
@@ -95,10 +95,10 @@ def test_ill_defined_maps_raise_even_when_not_strict():
                                    (bow("a"),))
     with pytest.raises(ValueError):
         verify_monotone_retraction(
-            BOWTIE, {x: 5 for x in elements(BOWTIE)}, ">=", (bow("a"),))
+            BOWTIE, {x: 5 for x in BOWTIE.members}, ">=", (bow("a"),))
     with pytest.raises(ValueError):
         verify_monotone_retraction(
-            BOWTIE, {x: x for x in elements(BOWTIE)}, ">=", (5,))
+            BOWTIE, {x: x for x in BOWTIE.members}, ">=", (5,))
 
 
 def test_monotone_retraction():
@@ -116,7 +116,7 @@ def test_monotone_retraction():
 
 def test_retraction_oracle_accepts_constant_map():
     # one constant map comparable with the identity retracts onto a point
-    const_one = {x: div(1) for x in elements(DIVISORS_OF_12)}
+    const_one = {x: div(1) for x in DIVISORS_OF_12.members}
     assert verify_monotone_retraction(DIVISORS_OF_12, const_one, "<=",
                                       (div(1),))
     # wrong comparison direction
@@ -125,7 +125,7 @@ def test_retraction_oracle_accepts_constant_map():
 
 
 def test_retraction_oracle_checks_the_target():
-    ident = {x: x for x in elements(DIVISORS_OF_12)}
+    ident = {x: x for x in DIVISORS_OF_12.members}
     assert verify_monotone_retraction(DIVISORS_OF_12, ident, "<=",
                                       DIVISORS_OF_12)
     assert not verify_monotone_retraction(DIVISORS_OF_12, ident, "<=",
@@ -174,7 +174,7 @@ def test_core_of_a_circle_with_a_tail():
     rim = restrict(tailed, range(6))
     assert core_reduction(tailed) == rim.mask
     core = beat_core(tailed)
-    assert elements(core) == elements(rim)
+    assert core.members == rim.members
     assert homology(order_complex(core)) == homology(order_complex(tailed))
     v = contractibility_verdict(tailed)
     assert v.method == "homology"
@@ -184,7 +184,7 @@ def test_core_of_a_circle_with_a_tail():
 
 def test_core_of_a_contractible_poset_is_its_point():
     core = beat_core(BOWTIE)
-    assert elements(core) == (core_reduction(BOWTIE).point,)
+    assert core.members == (core_reduction(BOWTIE).point,)
     assert beat_core(restrict(BOWTIE, ())).is_empty()
 
 
@@ -436,7 +436,7 @@ def test_orbits_read_their_generators_once():
     lat = enumerate_subgroups(builtin_group("S4"))
     whole = collection_context(lat, 2).collection("S")
     forged_rejected = 0
-    for y in elements(whole):
+    for y in whole.members:
         stab = lat.normalizer(y)
         if stab == lat.full:
             continue
@@ -474,7 +474,7 @@ def test_class_masks_give_the_orbits_of_the_whole_group():
                     seen.add((stab == lat.full, orbits is not None))
                     assert (orbits is None) == (expected is None)
                     if orbits is not None:
-                        xs = elements(poset)
+                        xs = poset.members
                         assert {tuple(positions(orbits[j]))
                                 for j in positions(poset.mask)} == \
                             {tuple(xs[i] for i in _naive._bits(m))

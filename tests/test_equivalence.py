@@ -29,7 +29,7 @@ from sclab.poset import GPoset
 from sclab.tables import TABLE31, TABLE44, verify_table_edges
 
 import _naive as naive
-from _suite import (SUITE, elements, from_relation, lattice_of,
+from _suite import (SUITE, from_relation, lattice_of,
                     relation_poset, restrict)
 
 
@@ -70,7 +70,7 @@ def test_fiber_pool_is_the_classes_outside_sub():
     lat = lattice_of("S4")
     ctx = collection_context(lat, 2)
     sub, ambient = poset_of(lat, ctx, "hat-B"), poset_of(lat, ctx, "S")
-    outside = set(elements(ambient)) - set(elements(sub))
+    outside = set(ambient.members) - set(sub.members)
     classes = {frozenset(lat.conjugate(y, g)
                          for g in range(lat.group.order)) for y in outside}
     res = verify_inclusion_equivalence(sub, ambient, "fibers")
@@ -81,7 +81,7 @@ def test_fiber_pool_is_the_classes_outside_sub():
     assert not lat.is_class_union(ambient.mask)
     res = verify_inclusion_equivalence(sub, ambient, "fibers",
                                        equivariant=False)
-    outside = sorted(set(elements(ambient)) - set(elements(sub)))
+    outside = sorted(set(ambient.members) - set(sub.members))
     assert outside and [y for y, _, _ in res.per_element] == outside
 
 
@@ -103,7 +103,7 @@ def test_fibers_outcomes_match_every_fiber_checked_by_brute_force():
             ambient = GPoset(lat.order, ambient_mask, lat)
             outcome, found = naive.fiber_outcome(
                 lat, sub, ambient, equivariant is not False)
-            assert all(found[y] == "point" for y in elements(sub)), (name, p)
+            assert all(found[y] == "point" for y in sub.members), (name, p)
             if outcome is None:
                 assert res.outcome != PASS, (name, p, key)
             else:
@@ -260,7 +260,7 @@ def test_restriction_scan_certifies_subgroup_avatars(d8):
             assert (cert.side, cert.subgroup) == (">=", h)
             k = cert.subgroup
             avatar = poset.above(h)
-            for q in elements(poset.fixed_points(h)):
+            for q in poset.fixed_points(h).members:
                 qk = naive.set_product(lat.group, lat.members(q),
                                        lat.members(k))
                 assert lat.index(sum(1 << x for x in qk)) in avatar
@@ -290,7 +290,7 @@ def test_centralizer_scan_certifies_avatars(d8):
             k = lat.bitsets[cert.subgroup]
             avatar = poset.below(cg)
             assert all(lat.index(lat.bitsets[q] & k) in avatar
-                       for q in elements(poset.fixed_points(h)))
+                       for q in poset.fixed_points(h).members)
 
 
 def test_retraction_needs_a_lattice_backed_poset(d8):

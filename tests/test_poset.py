@@ -1,6 +1,6 @@
 import pytest
 
-from _suite import (elements, from_maximal_simplices, from_relation,
+from _suite import (from_maximal_simplices, from_relation,
                     lattice_of, relation_poset, restrict)
 from sclab.collections import collection_context
 from sclab.errors import SizeCap
@@ -17,7 +17,7 @@ def divisor_poset():
 
 
 def divisors(poset):
-    return {DIVISORS[i] for i in elements(poset)}
+    return {DIVISORS[i] for i in poset.members}
 
 
 def test_membership_and_relation():
@@ -50,14 +50,14 @@ def test_cut_point_need_not_be_member():
 
 def test_from_relation():
     poset = from_relation("abc", [("a", "b"), ("b", "c")])
-    assert elements(poset) == (0, 1, 2)
+    assert poset.members == (0, 1, 2)
     assert 2 in poset.above(0)  # transitive closure is applied
-    assert elements(poset.above(0, strict=True)) == (1, 2)
+    assert poset.above(0, strict=True).members == (1, 2)
     assert 0 not in poset.above(2)
     # a reflexive pair is accepted and adds nothing
     looped = from_relation("ab", [("a", "a"), ("a", "b"), ("b", "b")])
-    assert elements(looped.above(0, strict=True)) == (1,)
-    assert elements(looped.below(1, strict=True)) == (0,)
+    assert looped.above(0, strict=True).members == (1,)
+    assert looped.below(1, strict=True).members == (0,)
 
 
 def test_from_relation_rejects_cycles():
@@ -87,9 +87,9 @@ def test_fixed_points_matches_naive_normalization():
     poset = ctx.collection("S")
     for h in range(0, len(lat), 5):
         fixed = poset.fixed_points(h)
-        expected = {i for i in elements(poset)
+        expected = {i for i in poset.members
                     if all(lat.conjugate(i, g) == i for g in lat.members(h))}
-        assert set(elements(fixed)) == expected
+        assert set(fixed.members) == expected
 
 
 def test_invariance_and_conjugation():
@@ -100,7 +100,7 @@ def test_invariance_and_conjugation():
     orbits = poset.orbits(gens)
     assert orbits is not None
     for g in gens:
-        for x in elements(poset):
+        for x in poset.members:
             image = lat.conjugate(x, g)
             assert image in poset
             assert orbits[image] == orbits[x]
@@ -121,9 +121,9 @@ def test_restrict_keeps_backing():
     lat = lattice_of("D8")
     ctx = collection_context(lat, 2)
     poset = ctx.collection("S")
-    sub = restrict(poset, elements(poset)[:3])
+    sub = restrict(poset, poset.members[:3])
     assert sub.lattice is lat and sub.order is poset.order
-    assert elements(sub) == elements(poset)[:3]
+    assert sub.members == poset.members[:3]
 
 
 def test_order_complex_of_chain_and_antichain():

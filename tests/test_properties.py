@@ -14,7 +14,7 @@ from sclab.homology import smith_normal_form
 
 import _naive
 import _props
-from _suite import elements, from_relation
+from _suite import from_relation
 
 # assertion counts per family, pinned from a seeded reference run
 EXPECTED = {
@@ -97,9 +97,9 @@ def test_abstract_masks_match_the_closure(relation):
     poset = from_relation(range(n), pairs)
     below = _naive.relation_closure(range(n), pairs)
     for x in range(n):
-        assert elements(poset.below(x, strict=True)) == tuple(
+        assert poset.below(x, strict=True).members == tuple(
             y for y in range(n) if y != x and y in below[x])
-        assert elements(poset.above(x, strict=True)) == tuple(
+        assert poset.above(x, strict=True).members == tuple(
             y for y in range(n) if y != x and x in below[y])
 
 
@@ -133,9 +133,9 @@ def test_labels_must_list_a_linear_extension(relation, rnd):
         # position i holds labels[i]
         poset = from_relation(labels, pairs)
         below = _naive.relation_closure(range(n), pairs)
-        assert elements(poset) == tuple(range(n))
+        assert poset.members == tuple(range(n))
         for i, x in enumerate(labels):
-            assert elements(poset.below(i, strict=True)) == tuple(
+            assert poset.below(i, strict=True).members == tuple(
                 j for j, y in enumerate(labels) if y != x and y in below[x])
 
 

@@ -1,7 +1,8 @@
 """The JSON report writer against the format it defines:
 json.dumps(report, sort_keys=True, separators=(",", ":")) plus a trailing
-newline; and docs/report_3_to_4.py, which carries an sclab-report/3
-document to that format."""
+newline; the evidence list of sclab-report/5; and the converters
+docs/report_3_to_4.py and docs/report_4_to_5.py, which carry an
+sclab-report/3 document to /4 and a /4 document to /5."""
 
 import copy
 import importlib.util
@@ -16,8 +17,10 @@ from sclab.collections import collection_context
 from sclab.contract import contractibility_verdict
 from sclab.group import builtin_group, positions
 from sclab.lattice import enumerate_subgroups
-from sclab.report import report_to_json_bytes
+from sclab.report import CITED, report_to_json_bytes
 from sclab.runner import VerificationPlan, run
+
+from _suite import SUITE, inline_evidence
 
 
 def _reference(value) -> bytes:
@@ -76,9 +79,10 @@ def test_a_float_deep_inside_is_rejected():
         report_to_json_bytes(value)
 
 
-# The writer walks the report down to the values of each edge's detail, six
-# levels in, and encodes each distinct subtree below that once; the cases
-# below put what it writes itself and what it hands over on either side.
+# The writer splits the report's top two levels into their keys and items
+# and hands each value below them to the C encoder; the cases below put
+# what it writes itself and what it hands over on either side, at every
+# depth up to nine.
 
 
 def _nest(value, depth: int):
@@ -138,21 +142,76 @@ def test_the_writer_holds_little_beside_its_output():
     assert peak < 6 * len(out)
 
 
-# ------------------------------------------------------ the /3 -> /4 converter
+# --------------------------------------------------- the sclab-report/5 layout
 
-_spec = importlib.util.spec_from_file_location(
-    "report_3_to_4",
-    Path(__file__).resolve().parents[1] / "docs" / "report_3_to_4.py")
-report_3_to_4 = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(report_3_to_4)
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "docs" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+report_3_to_4 = _load("report_3_to_4")
+report_4_to_5 = _load("report_4_to_5")
+GOLDEN = Path(__file__).parent / "golden" / "d8_table31.json"
+
+
+@pytest.mark.parametrize("name,p", SUITE)
+def test_each_piece_of_evidence_is_listed_once(name, p):
+    """Every citation is the number of an entry; no two entries are equal;
+    the entries stand in the order the report first cites them; and
+    inlining them gives a /4 report that the converter carries back to
+    the same bytes."""
+    report = run(VerificationPlan(group=f"builtin:{name}", prime=p))
+    evidence = report["evidence"]
+    firsts = []
+    for suite in sorted(report["suites"]):
+        for edge in report["suites"][suite].get("edges", ()):
+            for key in CITED:
+                n = edge["detail"].get(key)
+                if n is None:
+                    continue
+                assert type(n) is int and 0 <= n < len(evidence)
+                if n not in firsts:
+                    firsts.append(n)
+    assert firsts == list(range(len(evidence)))
+    assert all(a != b for i, a in enumerate(evidence)
+               for b in evidence[i + 1:])
+    old = inline_evidence(json.loads(report_to_json_bytes(report)))
+    assert (report_to_json_bytes(report_4_to_5.upgrade(old))
+            == report_to_json_bytes(report))
+
+
+def test_converter_carries_the_report_4_golden_file_to_the_engine_bytes():
+    # the /4 golden file, rebuilt by inlining the current one's evidence;
+    # test_cli checks it against the digest of the /4 bytes
+    old = inline_evidence(json.loads(GOLDEN.read_bytes()))
+    engine = report_to_json_bytes(run(VerificationPlan(
+        group="builtin:D8", prime=2, suite="table31")))
+    assert report_to_json_bytes(report_4_to_5.upgrade(old)) == engine
+
+
+@pytest.mark.parametrize("fmt", ["sclab-report/3", "sclab-report/5", None])
+def test_converter_refuses_a_document_not_in_report_4(fmt):
+    report = json.loads(GOLDEN.read_bytes())
+    report["format"] = fmt
+    with pytest.raises(SystemExit):
+        report_4_to_5.upgrade(report)
+
+
+# ------------------------------------------------------ the /3 -> /4 converter
 
 
 @pytest.fixture(scope="module")
 def d8_as_report_3():
-    """A D8 report of the current format, the same report as /3 wrote it,
-    where every fibers-mode inclusion also lists one certified cone fiber
-    per class of members of the smaller collection, and those /3 rows."""
-    report = run(VerificationPlan(group="builtin:D8", prime=2))
+    """A D8 report in the sclab-report/4 form, the same report as /3 wrote
+    it, where every fibers-mode inclusion also lists one certified cone
+    fiber per class of members of the smaller collection, and those /3
+    rows."""
+    report = inline_evidence(run(VerificationPlan(group="builtin:D8",
+                                                  prime=2)))
     lat = enumerate_subgroups(builtin_group("D8"))
     ctx = collection_context(lat, 2)
     old = copy.deepcopy(report)

@@ -433,9 +433,9 @@ def test_each_edge_check_runs_once_per_run(monkeypatch):
 
 def test_each_piece_of_evidence_is_built_once(monkeypatch):
     """A full S5 run at 2 builds the JSON of each cited check once, and
-    every edge that cites a check holds that one object; the checks read
-    only inside the tables (fibers per centralizer, the second Sylow's
-    scan) build none."""
+    every edge that cites a check holds that one object, inline or through
+    the report's evidence list; the checks read only inside the tables
+    (fibers per centralizer, the second Sylow's scan) build none."""
     contexts, built = [], []
 
     def holding_context(lattice, p):
@@ -462,8 +462,8 @@ def test_each_piece_of_evidence_is_built_once(monkeypatch):
     for section in report["suites"].values():
         for edge in section.get("edges", ()):
             detail = edge["detail"]
-            citations += [detail[k] for k in ("inclusion", "scan")
-                          if k in detail]
+            citations += [report["evidence"][detail[k]]
+                          for k in ("inclusion", "scan") if k in detail]
             citations += [detail[k][side] for k in ("homology", "h1_homology")
                           if k in detail for side in ("left", "right")]
     assert all(any(c is e for e in cited) for c in citations)
