@@ -9,7 +9,9 @@ operators
     tilde(P) = Omega_1 Z(P) ∩ E1   (a subgroup)
     hat(P)   = < Omega_1 Z(P) ∩ E0 >
 
-cut each classical collection down to its "distinguished" part.
+cut each classical collection down to its "distinguished" part. Every
+element of E1 (and so of E0) has order p, so Omega_1 Z(P) ∩ E1 = Z(P) ∩ E1,
+and both operators read the center Z(P) alone.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ class CollectionContext:
             raise PrimeDoesNotDivide(p, lattice.group.order)
         self.lattice = lattice
         self.p = p
-        self._tilde: dict[int, int] = {}
-        self._hat: dict[int, int] = {}
         self._collections: dict[str, GPoset] = {}
         self._conditions: dict[str, ConditionReport] = {}
         # each check the tables module has run, keyed by its inputs; filled
@@ -98,25 +98,17 @@ class CollectionContext:
     # ----- operators --------------------------------------------------------
 
     def tilde_of(self, h: int) -> int:
-        """Omega_1 Z(P) ∩ E1, together with the identity; always a subgroup."""
-        if h not in self._tilde:
-            lat = self.lattice
-            bits = 1
-            for x in lat.members(lat.omega1_center(h, self.p)):
-                if x in self.E1:
-                    bits |= 1 << x
-            # closed because E1 is commuting-closed
-            self._tilde[h] = lat.index(bits)
-        return self._tilde[h]
+        """Z(P) ∩ E1, together with the identity: a subgroup, as the members
+        of Z(P) commute and E1 holds their products of order p."""
+        lat = self.lattice
+        return lat.index(1 + sum(1 << x for x in lat.members(lat.center(h))
+                                 if x in self.E1))
 
     def hat_of(self, h: int) -> int:
-        """Subgroup generated by Omega_1 Z(P) ∩ E0."""
-        if h not in self._hat:
-            lat = self.lattice
-            omega = lat.omega1_center(h, self.p)
-            self._hat[h] = lat.generated(
-                x for x in lat.members(omega) if x in self.E0)
-        return self._hat[h]
+        """The subgroup generated by Z(P) ∩ E0."""
+        lat = self.lattice
+        return lat.generated(x for x in lat.members(lat.center(h))
+                             if x in self.E0)
 
     # ----- membership predicates --------------------------------------------
 

@@ -54,10 +54,6 @@ class PrimeDoesNotDivide(SclabError):
         super().__init__(f"prime {p} does not divide the group order {order}")
 
 
-class NotAPGroup(SclabError):
-    """An operation requiring a p-group was handed something else."""
-
-
 class NotASubposet(SclabError):
     """An inclusion-equivalence check was handed posets that are not nested."""
 

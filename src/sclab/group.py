@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import (CapExceeded, InternalInconsistency, ParseError,
@@ -47,6 +47,11 @@ class PermutationGroup:
         degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise ValueError("generators must share a degree")
+        cap = float("inf") if max_order is None else max_order
+        over_cap = f"group closure exceeded the order cap {max_order}"
+        # the group holds <g>, of order the lcm of g's cycle lengths
+        if any(lcm(*map(len, g.cycles())) > cap for g in gens):
+            raise CapExceeded(over_cap)
         steps = [g.images for g in gens]
         identity = tuple(range(degree))
         images = {identity}
@@ -60,10 +65,8 @@ class PermutationGroup:
                     if p not in images:
                         images.add(p)
                         nxt.append(p)
-                        if max_order is not None and len(images) > max_order:
-                            raise CapExceeded(
-                                f"group closure exceeded the order cap {max_order}"
-                            )
+                        if len(images) > cap:
+                            raise CapExceeded(over_cap)
             frontier = nxt
         return cls(tuple(gens), images, name=name)
 

@@ -15,8 +15,7 @@ from itertools import compress
 from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
-from .errors import (CapExceeded, InternalInconsistency, NotAPGroup,
-                     PrimeDoesNotDivide)
+from .errors import CapExceeded, InternalInconsistency, PrimeDoesNotDivide
 from .group import PermutationGroup, positions
 
 DEFAULT_ORDER_CAP = 2000
@@ -133,12 +132,10 @@ class SubgroupLattice:
         self.generator_action = tuple(map(tuple, action))
         # one mask of indices per conjugacy class, ordered by lowest index
         self.class_masks = tuple(sorted(masks, key=lambda c: c & -c))
-        self._normalizer: dict[int, int] = {}
-        self._centralizer: dict[int, int] = {}
+        # per fact that moves along a class, its value at each subgroup met
+        self._class_facts: dict[object, dict[int, int]] = defaultdict(dict)
         self._generated: dict[int, int] = {}
         self._gens: dict[int, tuple[int, ...]] = {}
-        self._pcore: dict[int, dict[int, int]] = defaultdict(dict)  # p -> memo
-        self._elem_ab: dict[tuple[int, int], bool] = {}
 
     def __len__(self):
         return len(self.bitsets)
@@ -265,40 +262,33 @@ class SubgroupLattice:
 
     # ----- named operations -----------------------------------------------
 
-    def _transport(self, memo: dict, h: int, fact) -> int:
-        """memo[h] = fact(h), and over the rest of h's class the values
-        g f(H) g^-1 = f(gHg^-1), read off the generators' action along a
-        breadth-first tree: fact must conjugate along with its subgroup."""
-        memo[h] = fact(h)
-        reached = [h]
-        for k in reached:
-            for row in self.generator_action:
-                if row[k] not in memo:
-                    memo[row[k]] = row[memo[k]]
-                    reached.append(row[k])
+    def _class_fact(self, key, h: int, fact) -> int:
+        """fact(h), worked out once per class and memoised under key: over
+        the rest of h's class the values g f(H) g^-1 = f(gHg^-1) are read off
+        the generators' action along a breadth-first tree, so fact must
+        conjugate along with its subgroup."""
+        memo = self._class_facts[key]
+        if h not in memo:
+            memo[h] = fact(h)
+            reached = [h]
+            for k in reached:
+                for row in self.generator_action:
+                    if row[k] not in memo:
+                        memo[row[k]] = row[memo[k]]
+                        reached.append(row[k])
         return memo[h]
 
     def normalizer(self, h: int) -> int:
         """H^g = H exactly when g conjugates each generator of H into H."""
-        i = self._normalizer.get(h)
-        if i is None:
-            i = self._transport(self._normalizer, h, lambda k: self._index[
-                self.group.normalizer_bitset(self.bitsets[k],
-                                             self.generating_set(k))])
-        return i
+        return self._class_fact("normalizer", h, lambda k: self._index[
+            self.group.normalizer_bitset(self.bitsets[k],
+                                         self.generating_set(k))])
 
     def centralizer(self, h: int) -> int:
         """g centralizes H exactly when conjugation by g fixes each generator."""
-        i = self._centralizer.get(h)
-        if i is None:
-            i = self._transport(self._centralizer, h, self._centralizer_of)
-        return i
-
-    def _centralizer_of(self, h: int) -> int:
-        out = self.group.full_bitset
-        for x in self.generating_set(h):
-            out &= self.group.conjugating(x, 1 << x)
-        return self._index[out]
+        return self._class_fact("centralizer", h, lambda k: self._index[reduce(
+            and_, (self.group.conjugating(x, 1 << x)
+                   for x in self.generating_set(k)), self.group.full_bitset)])
 
     def center(self, h: int) -> int:
         return self.index(self.bitsets[h] & self.bitsets[self.centralizer(h)])
@@ -306,28 +296,10 @@ class SubgroupLattice:
     def is_p_group(self, h: int, p: int) -> bool:
         return self.sizes[h] == p_part(self.sizes[h], p)
 
-    def omega1_center(self, h: int, p: int) -> int:
-        """Bottom layer of the center: elements of Z(P) of order dividing p.
-
-        For abelian Z(P) this set is already a subgroup; requires P a p-group.
-        """
-        if not self.is_p_group(h, p):
-            raise NotAPGroup(f"subgroup of order {self.sizes[h]} is not a {p}-group")
-        orders = self.group.element_orders
-        out = 0
-        for x in self._members[self.center(h)]:
-            if orders[x] in (1, p):
-                out |= 1 << x
-        return self.index(out)
-
     def p_core(self, h: int, p: int) -> int:
         """O_p(H): the intersection of the Sylow p-subgroups of H."""
-        memo = self._pcore[p]
-        i = memo.get(h)
-        if i is None:
-            i = self._transport(memo, h, lambda k: p_core_of_group(
-                self, k, self.trivial, p))
-        return i
+        return self._class_fact(("p_core", p), h, lambda k: p_core_of_group(
+            self, k, self.trivial, p))
 
     def sylow(self, p: int) -> tuple[int, ...]:
         if self.group.order % p:
@@ -336,24 +308,11 @@ class SubgroupLattice:
         return tuple(i for i, n in enumerate(self.sizes) if n == target)
 
     def is_elementary_abelian(self, h: int, p: int) -> bool:
-        """Abelian with every non-identity element of order exactly p."""
-        key = (h, p)
-        if key not in self._elem_ab:
-            self._elem_ab[key] = self._elementary_abelian(h, p)
-        return self._elem_ab[key]
-
-    def _elementary_abelian(self, h: int, p: int) -> bool:
-        n = self.sizes[h]
-        if n == 1:
-            return True
-        if p_part(n, p) != n:
-            return False
+        """Every non-identity member has order p, and H commutes: it lies in
+        its own centralizer."""
         orders = self.group.element_orders
-        hs = self._members[h]
-        if any(orders[x] != p for x in hs if x):
-            return False
-        mul = self.group.mul
-        return all(mul[a][b] == mul[b][a] for a in hs for b in hs if a < b)
+        return (all(orders[x] == p for x in self._members[h] if x)
+                and self.leq(h, self.centralizer(h)))
 
     def generated(self, element_indices) -> int:
         seed = 1

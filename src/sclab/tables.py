@@ -50,11 +50,13 @@ class EdgeResult(NamedTuple):
     detail: dict
 
     def to_json(self):
+        """A copy of detail, so a report that numbers its evidence leaves
+        this result as it was; the values are the same shared objects."""
         return {"edge": self.spec.edge_id, "table": self.spec.table,
                 "row": self.spec.row, "kinds": list(self.spec.kinds),
                 "style": self.spec.style,
                 "conditions": list(self.spec.conditions),
-                "status": self.status, "detail": self.detail}
+                "status": self.status, "detail": dict(self.detail)}
 
 
 TABLE31_EDGES = (

@@ -189,6 +189,18 @@ def is_elementary_abelian(group, h: frozenset, p: int) -> bool:
             and all(element_order(group, x) == p for x in h if x))
 
 
+def hall_euler_characteristic(group, subgroups, p: int) -> int:
+    """Hall's reduced Euler characteristic of the poset of nontrivial
+    p-subgroups: minus the sum, over the elementary abelian p-subgroups E,
+    1 included, of mu(1, E) = (-1)^r p^(r(r-1)/2) for E of rank r. subgroups
+    holds every subgroup of group, each as its members."""
+    ranks = [0]  # E = 1
+    for h in map(frozenset, subgroups):
+        if is_elementary_abelian(group, h, p):
+            ranks.append(next(k for k in range(len(h)) if p ** k == len(h)))
+    return -sum((-1) ** k * p ** (k * (k - 1) // 2) for k in ranks)
+
+
 def p_core(group, all_subs, h: frozenset, p: int) -> frozenset:
     """Largest normal p-subgroup of h; checked to contain every candidate."""
     candidates = [k for k in all_subs

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,18 @@ def test_order_cap_stops_a_builtin_closure():
                        match="group closure exceeded the order cap 2000"):
         load_group("builtin:Zn:3000", max_order=2000)
     assert load_group("builtin:S5", max_order=120).order == 120
+
+
+def test_an_over_cap_generator_is_rejected_before_the_closure():
+    # the 3,000-cycle alone has order 3,000 > 2,000, so no element is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="order cap 2000"):
+            load_group("builtin:Zn:3000", max_order=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_unknown_builtin_lists_choices():

@@ -247,17 +247,6 @@ def test_p_core_of_quotients():
     assert p_core_of_group(d8, d8.full, d8.center(d8.full), 2) == d8.full
 
 
-def test_omega1_center():
-    q8 = lattice_of("Q8")
-    assert q8.sizes[q8.omega1_center(q8.full, 2)] == 2
-    d8 = lattice_of("D8")
-    assert d8.sizes[d8.omega1_center(d8.full, 2)] == 2
-    # in an elementary abelian group omega_1 of the center is everything
-    a4 = lattice_of("A4")
-    v4 = a4.p_core(a4.full, 2)
-    assert a4.omega1_center(v4, 2) == v4
-
-
 def test_elementary_abelian():
     # the trivial subgroup counts as elementary abelian of rank zero
     d8 = lattice_of("D8")
@@ -266,6 +255,18 @@ def test_elementary_abelian():
     q8 = lattice_of("Q8")
     assert [n for r, n in enumerate(q8.sizes)
             if q8.is_elementary_abelian(r, 2)] == [1, 2]
+    # every nontrivial subgroup of each suite group at each prime dividing
+    # its order, against the oracle: this takes in subgroups that are not
+    # p-groups and abelian ones that are not elementary, such as Z6 in D12;
+    # the Heisenberg group mod 3, on the affine plane over F_3, is not
+    # abelian although each of its elements has order 1 or 3
+    heisenberg = enumerate_subgroups(parse_group_text(
+        "degree 9\ngen (3 4 5)(6 8 7)\ngen (0 3 6)(1 4 7)(2 5 8)"))
+    assert heisenberg.sizes[heisenberg.full] == 27
+    for lat, p in [(lattice_of(name), p) for name, p in SUITE] + [(heisenberg, 3)]:
+        for h in range(1, len(lat)):
+            assert lat.is_elementary_abelian(h, p) == naive.is_elementary_abelian(
+                lat.group, frozenset(lat.members(h)), p), (lat.group, p, h)
 
 
 def test_orbits_partition_and_class_counts():

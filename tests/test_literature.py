@@ -21,6 +21,7 @@ import pytest
 
 import _naive as naive
 from _suite import SUITE, lattice_of
+from census import census
 from sclab.collections import collection_context
 from sclab.contract import beat_core
 from sclab.group import load_group, parse_group_text
@@ -124,16 +125,22 @@ def test_psl27_has_rank_one_at_p7():
 @pytest.mark.parametrize("name,p", SUITE)
 def test_hall_euler_characteristic(name, p):
     """The reduced Euler characteristic of the nerves of S, A and B is
-    -sum over the elementary abelian p-subgroups E, 1 included, of
-    mu(1, E) = (-1)^r p^(r(r-1)/2) for E of rank r, and |G|_p divides it."""
+    Hall's sum over the elementary abelian p-subgroups, and |G|_p divides
+    it (Brown)."""
     lat = lattice_of(name)
-    ranks = [0]  # E = 1
-    for r, n in enumerate(lat.sizes):
-        if naive.is_elementary_abelian(lat.group, frozenset(lat.members(r)), p):
-            ranks.append(next(k for k in range(n) if p ** k == n))
-    hall = -sum((-1) ** k * p ** (k * (k - 1) // 2) for k in ranks)
+    hall = naive.hall_euler_characteristic(
+        lat.group, map(lat.members, range(len(lat))), p)
     assert hall % naive.p_part(lat.group.order, p) == 0
     ctx = collection_context(lat, p)
     for kind in ("S", "A", "B"):
         core = beat_core(ctx.collection(kind))
         assert order_complex(core).euler_characteristic() - 1 == hall, kind
+
+
+def test_s5_census():
+    """Each class of nontrivial subgroups of S5, verified as a group of its
+    own at each prime dividing its order, passes every check of
+    tests/census.py: strict exit 0, Hall's count and Quillen's O_p."""
+    result = census("builtin:S5")
+    assert (result.plans, result.failures) == (30, [])
+    assert result.methods

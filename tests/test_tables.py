@@ -24,6 +24,7 @@ from sclab.group import builtin_group
 from sclab.homology import HomologyProfile, homology
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import DEFAULT_SIMPLEX_CAP
+from sclab.report import CITED, cite_evidence
 from sclab.runner import VerificationPlan, run
 from sclab.tables import (
     SKIPPED,
@@ -468,3 +469,13 @@ def test_each_piece_of_evidence_is_built_once(monkeypatch):
                           if k in detail for side in ("left", "right")]
     assert all(any(c is e for e in cited) for c in citations)
     assert len({id(c) for c in citations}) == len(cited) < len(citations)
+
+
+def test_a_report_leaves_the_edge_results_as_they_were():
+    """Numbering a report's evidence rewrites the JSON of each edge, not the
+    detail of the result it was built from."""
+    results = verify_table_edges(lattice_of("D8"), 2, TABLE31)
+    assert cite_evidence({TABLE31: {"edges": [r.to_json() for r in results]}})
+    cited = [r.detail[key] for r in results for key in CITED
+             if key in r.detail]
+    assert cited and all(isinstance(v, (dict, list)) for v in cited)
