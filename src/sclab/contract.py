@@ -144,13 +144,13 @@ def core_reduction(poset: GPoset, orbit=None) -> CoreReduction | int | None:
         beats &= alive & ~near
 
 
-def _replay_core(poset: GPoset, cert: CoreReduction, gens) -> bool:
+def _replay_core(poset: GPoset, cert: CoreReduction, h) -> bool:
     """Every position must be a beat point when it is removed, each step must
-    be exactly one orbit when gens is given, and exactly cert.point remains;
-    a position that is not an int, or lies outside the poset, fails."""
+    be exactly one orbit of h when h is given, and exactly cert.point
+    remains; a position that is not an int, or lies outside the poset, fails."""
     down, up = poset.order.down, poset.order.up
-    orbit = poset.orbits(gens) if gens is not None else None
-    if gens is not None and orbit is None:
+    orbit = poset.orbits(h) if h is not None else None
+    if h is not None and orbit is None:
         return False
     alive = poset.mask
     for step in cert.steps:
@@ -187,7 +187,7 @@ def _reduced_b0(profile: HomologyProfile) -> int:
     return profile.reduced_betti[0] if profile.reduced_betti else 0
 
 
-def contractibility_verdict(poset: GPoset, *, equivariance_gens=None,
+def contractibility_verdict(poset: GPoset, *, equivariant_under=None,
                             max_simplices: int = DEFAULT_SIMPLEX_CAP) -> Verdict:
     """Decide contractibility of a poset, in a fixed pipeline:
 
@@ -195,16 +195,16 @@ def contractibility_verdict(poset: GPoset, *, equivariance_gens=None,
     nontrivial groups), then trivial homology plus a verified trivial
     fundamental group. Anything the bounded steps cannot settle is UNKNOWN.
 
-    equivariance_gens, when given, makes the verdict track whether the
-    certificate is equivariant under conjugation by those generators. A core
-    reduction is, exactly when the poset is invariant under them; a pi1
-    certificate only is for an empty generating set.
+    equivariant_under, the lattice index of a subgroup, makes the verdict
+    track whether the certificate is equivariant under conjugation by it. A
+    core reduction is, exactly when the poset is invariant under it; a pi1
+    certificate only is for the trivial subgroup.
     """
     if poset.is_empty():
         return Verdict(NOT_CONTRACTIBLE, "empty", None, None, {"size": 0})
-    gens = tuple(equivariance_gens) if equivariance_gens is not None else None
-    orbit = None if gens is None else poset.orbits(gens)
-    invariant = None if gens is None else orbit is not None
+    h = equivariant_under
+    orbit = None if h is None else poset.orbits(h)
+    invariant = None if h is None else orbit is not None
     core = core_reduction(poset, orbit)
     if isinstance(core, CoreReduction):
         return Verdict(CONTRACTIBLE, "core", core, invariant,
@@ -227,21 +227,22 @@ def contractibility_verdict(poset: GPoset, *, equivariance_gens=None,
         # a homology witness says nothing about equivariance itself
         return Verdict(CONTRACTIBLE, "pi1",
                        HomologyWitness(profile, True, True),
-                       None if gens is None else not gens,
+                       None if h is None else h == poset.lattice.trivial,
                        {"profile": profile.to_json()})
     return Verdict(UNKNOWN, "undetermined", None, None,
                    {"profile": profile.to_json(), "pi1_trivial": None})
 
 
 def verify_certificate(poset: GPoset, verdict: Verdict,
-                       equivariance_gens=None) -> bool:
+                       equivariant_under=None) -> bool:
     """Replay the evidence behind a verdict. CONTRACTIBLE certificates are
-    re-verified step by step; NOT_CONTRACTIBLE witnesses are recomputed.
-    UNKNOWN carries nothing to check and verifies vacuously."""
+    re-verified step by step, orbit-wise under the subgroup equivariant_under
+    when the verdict claims equivariance; NOT_CONTRACTIBLE witnesses are
+    recomputed. UNKNOWN carries nothing to check and verifies vacuously."""
     if verdict.status == UNKNOWN:
         return True
     cert = verdict.certificate
-    gens = equivariance_gens if verdict.equivariant else None
+    h = equivariant_under if verdict.equivariant else None
 
     if verdict.status == NOT_CONTRACTIBLE:
         if verdict.method == "empty":
@@ -252,7 +253,7 @@ def verify_certificate(poset: GPoset, verdict: Verdict,
         return not profile.trivial
 
     if isinstance(cert, CoreReduction):
-        return _replay_core(poset, cert, gens)
+        return _replay_core(poset, cert, h)
     if isinstance(cert, HomologyWitness):
         complex_ = order_complex(beat_core(poset))
         return (homology(complex_).trivial

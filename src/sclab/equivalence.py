@@ -111,11 +111,8 @@ def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
             interval = ambient.below(y, strict=True)
         else:
             interval = ambient.above(y, strict=True)
-        stab = gens = None
-        if demand:
-            stab = lat.normalizer(y)
-            gens = lat.generating_set(stab)
-        verdict = contractibility_verdict(interval, equivariance_gens=gens,
+        stab = lat.normalizer(y) if demand else None
+        verdict = contractibility_verdict(interval, equivariant_under=stab,
                                           max_simplices=max_simplices)
         per.append((y, stab, verdict))
         if verdict.status == NOT_CONTRACTIBLE:

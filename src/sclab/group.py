@@ -52,9 +52,12 @@ class PermutationGroup:
         # the group holds <g>, of order the lcm of g's cycle lengths
         if any(lcm(*map(len, g.cycles())) > cap for g in gens):
             raise CapExceeded(over_cap)
-        steps = [g.images for g in gens]
-        identity = tuple(range(degree))
-        images = {identity}
+        # close on the moved points only, so a closure over the cap never
+        # holds images of the full degree
+        moved = sorted({x for g in gens for x, y in enumerate(g.images) if x != y})
+        local = {x: k for k, x in enumerate(moved)}
+        steps = [tuple(local[g.images[x]] for x in moved) for g in gens]
+        images = {tuple(range(len(moved)))}  # the identity
         frontier = [g for g in steps if g not in images]
         images.update(frontier)
         while frontier:
@@ -68,6 +71,9 @@ class PermutationGroup:
                         if len(images) > cap:
                             raise CapExceeded(over_cap)
             frontier = nxt
+        if len(moved) < degree:  # every point no generator moves is fixed
+            images = [tuple(moved[img[local[x]]] if x in local else x
+                            for x in range(degree)) for img in images]
         return cls(tuple(gens), images, name=name)
 
     def __repr__(self):
@@ -129,19 +135,14 @@ class PermutationGroup:
         return [c.bit_count() for c in self.cyclic_bitsets]
 
     @cached_property
-    def cyclic_subgroups(self) -> dict[int, int]:
-        """Each nontrivial cyclic subgroup -> its lowest generator, in the
-        order of those generators."""
-        cyclic: dict[int, int] = {}
-        for x in range(1, self.order):
-            cyclic.setdefault(self.cyclic_bitsets[x], x)
-        return cyclic
-
-    @cached_property
     def zuppos(self) -> dict[int, int]:
-        """The entries of `cyclic_subgroups` of prime-power order."""
-        return {c: x for c, x in self.cyclic_subgroups.items()
-                if _prime_power(c.bit_count())}
+        """Each cyclic subgroup of prime-power order -> its lowest generator,
+        in the order of those generators."""
+        zuppos: dict[int, int] = {}
+        for x in range(1, self.order):
+            if _prime_power(self.element_orders[x]):
+                zuppos.setdefault(self.cyclic_bitsets[x], x)
+        return zuppos
 
     def element_string(self, x: int) -> str:
         """Element x in cycle notation."""
@@ -212,24 +213,27 @@ class PermutationGroup:
         return (1 << self.order) - 1
 
     def closure_bitset(self, seed: int) -> int:
-        """Subgroup generated by the elements whose bits are set in ``seed``:
-        one extension step per seed element not yet reached."""
-        found = 1  # identity is index 0
-        gens: list[int] = []
-        for x in positions(seed):
+        """Subgroup generated by the elements whose bits are set in ``seed``."""
+        return self.greedy_closure(positions(seed), seed)[1]
+
+    def greedy_closure(self, elements, seed: int) -> tuple[list[int], int]:
+        """Walk elements in order, taking each one not yet reached as a
+        generator and extending by one Dimino step, until the subgroup holds
+        ``seed``: the generators taken and the subgroup they generate."""
+        found, gens = 1, []  # identity is index 0
+        for x in elements:
             if not (found >> x) & 1:
                 gens.append(x)
-                found = self.extend_bitset(found, gens)
-        return found
-
-    def extend_bitset(self, bits: int, gens) -> int:
-        """The subgroup <H, x> for H = ``bits`` and x the last of ``gens``,
-        where the generators before x must generate H."""
-        return self.dimino_step(bits, list(map(self.mul.__getitem__, positions(bits))), gens)
+                found = self.dimino_step(
+                    found, list(map(self.mul.__getitem__, positions(found))), gens)
+                if found | seed == found:
+                    break
+        return gens, found
 
     def dimino_step(self, bits: int, coset: list, gens) -> int:
-        """Dimino's step for `extend_bitset`, given the rows of H's members
-        in the multiplication table: H r is {row[r] for row in coset}.
+        """The subgroup <H, x> for H = ``bits`` and x the last of ``gens``,
+        where the generators before x must generate H, given the rows of H's
+        members in the multiplication table: H r is {row[r] for row in coset}.
 
         <H, x> is grown as a union of right cosets H r, closing the coset
         representatives under right multiplication by every generator. A

@@ -57,9 +57,10 @@ def enumerate_subgroups(group: PermutationGroup, *,
     """All subgroups of ``group`` by cyclic extension of class representatives.
 
     Every subgroup is generated by its elements of prime-power order, so it
-    is a join of cyclic subgroups of prime-power order (zuppos). Every
-    cyclic subgroup is added as a class, and if K = <H, z> with H = R^g,
-    then <R, z^(g^-1)> is conjugate to K. So only the first subgroup R found
+    is a join of cyclic subgroups of prime-power order (zuppos). Every zuppo
+    is added as a class, and every other subgroup is <H, z> for a smaller
+    subgroup H and a zuppo z; if H = R^g, then <R, z^(g^-1)> is conjugate
+    to <H, z>. So only the first subgroup R found
     in each class (with the generators it was built from) is extended, each
     time by a zuppo, and a new subgroup adds its whole class. As
     <R, z^n> = <R, z>^n for n in N_G(R), R is extended by one zuppo from
@@ -85,7 +86,7 @@ def enumerate_subgroups(group: PermutationGroup, *,
             raise CapExceeded(
                 f"subgroup count exceeded the cap {DEFAULT_SUBGROUP_CAP}")
 
-    for c, x in group.cyclic_subgroups.items():
+    for c, x in group.zuppos.items():
         add_class(c, (x,))
     for bits, gens, members in reps:
         rows = list(map(group.mul.__getitem__, members))
@@ -206,15 +207,8 @@ class SubgroupLattice:
     def generating_set(self, h: int) -> tuple[int, ...]:
         """A small generating set, chosen greedily in canonical element order."""
         if h not in self._gens:
-            gens: list[int] = []
-            reach = 1
-            for x in self._members[h]:
-                if not (reach >> x) & 1:
-                    gens.append(x)
-                    reach = self.group.extend_bitset(reach, gens)
-                    if reach == self.bitsets[h]:
-                        break
-            self._gens[h] = tuple(gens)
+            self._gens[h] = tuple(self.group.greedy_closure(
+                self._members[h], self.bitsets[h])[0])
         return self._gens[h]
 
     def generator_string(self, h: int) -> str:

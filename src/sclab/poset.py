@@ -82,18 +82,16 @@ class GPoset:
             out[n] = out.get(n, 0) | 1 << i
         return out
 
-    def orbits(self, gens) -> tuple[int, ...] | dict[int, int] | None:
-        """Per position, the bitmask of its orbit under conjugation by gens,
-        or None when some generator conjugates a member out of the poset.
-        When gens generate the whole group, the orbits are the classes, and
-        the lattice's `class_of` answers for every position. gens is read
-        once, so it may be an iterator."""
-        gens = tuple(gens)
-        lat = self.lattice
-        if lat is not None and lat.generated(gens) == lat.full:
+    def orbits(self, h: int) -> tuple[int, ...] | dict[int, int] | None:
+        """Per position, the bitmask of its orbit under conjugation by the
+        subgroup h, or None when h conjugates a member out of the poset. The
+        orbits of the whole group are the classes, and the lattice's
+        `class_of` answers for every position; a proper subgroup acts
+        through its generating set."""
+        lat = self._require_lattice()
+        if h == lat.full:
             return lat.class_of if lat.is_class_union(self.mask) else None
-        if gens:
-            lat = self._require_lattice()
+        gens = lat.generating_set(h)
         orbit = {}
         for i in positions(self.mask):
             if i in orbit:

@@ -323,7 +323,7 @@ def fixed_point_contractibility_scan(poset: GPoset, stab):
     [K_index, status] rows. None when the poset is not even stab-invariant.
     """
     lattice = poset.lattice
-    if poset.orbits(lattice.generating_set(stab)) is None:
+    if poset.orbits(stab) is None:
         return None
     per = []
     overall = CONTRACTIBLE
@@ -348,7 +348,7 @@ def check_core_reduction_is_contractibility(b: Budget) -> None:
         if not isinstance(core_reduction(poset), CoreReduction):
             continue
         b.check(homology(order_complex(poset)).trivial, tag)
-        orbit = poset.orbits(lat.generating_set(lat.full))
+        orbit = poset.orbits(lat.full)
         if orbit is not None:
             b.check(isinstance(core_reduction(poset, orbit), CoreReduction),
                     tag)
@@ -428,7 +428,7 @@ def check_core_reduction_matches_rescanning(b: Budget) -> None:
     for lat, tag, poset in _suite_posets():
         leq = _inclusion(lat)
         gens = lat.generating_set(lat.full)
-        orbit = poset.orbits(gens)
+        orbit = poset.orbits(lat.full)
         for g in (None, gens) if orbit is not None else (None,):
             core = core_reduction(poset, None if g is None else orbit)
             b.check(as_oracle(poset, core)

@@ -346,14 +346,14 @@ def test_tampered_conical_certificate_is_rejected():
 def test_tampered_zigzag_certificate_is_rejected():
     # split one orbit step of an equivariant reduction into single positions:
     # every removal is still a beat point, but no longer a whole orbit
-    lat, poset, gens = d8_nontrivial()
-    v = contractibility_verdict(poset, equivariance_gens=gens)
+    lat, poset, full = d8_nontrivial()
+    v = contractibility_verdict(poset, equivariant_under=full)
     steps = v.certificate.steps
     k = next(i for i, step in enumerate(steps) if len(step) > 1)
     split = steps[:k] + tuple((x,) for x in steps[k]) + steps[k + 1:]
     bad = v._replace(certificate=v.certificate._replace(steps=split))
     assert verify_certificate(poset, bad)
-    assert not verify_certificate(poset, bad, equivariance_gens=gens)
+    assert not verify_certificate(poset, bad, equivariant_under=full)
 
 
 def test_certificate_against_wrong_object_fails():
@@ -373,22 +373,22 @@ def d8_nontrivial():
     lat = lattice_of_d8()
     nontrivial = [r for r, n in enumerate(lat.sizes) if n > 1]
     poset = GPoset(lat.order, sum(1 << r for r in nontrivial), lat)
-    return lat, poset, lat.group.generator_indices
+    return lat, poset, lat.full
 
 
 def test_cone_verdict_tracks_invariance():
-    lat, poset, gens = d8_nontrivial()
-    v = contractibility_verdict(poset, equivariance_gens=gens)
+    lat, poset, full = d8_nontrivial()
+    v = contractibility_verdict(poset, equivariant_under=full)
     assert v.status == CONTRACTIBLE
     assert v.method == "core"
     assert v.equivariant is True
     assert v.certificate.point == lat.full
-    assert verify_certificate(poset, v, equivariance_gens=gens)
+    assert verify_certificate(poset, v, equivariant_under=full)
     # a lone non-normal reflection subgroup is a point, but not a fixed one
     refl = next(r for r, n in enumerate(lat.sizes)
                 if n == 2 and lat.sizes[lat.normalizer(r)] < 8)
     single = GPoset(lat.order, 1 << refl, lat)
-    v = contractibility_verdict(single, equivariance_gens=gens)
+    v = contractibility_verdict(single, equivariant_under=full)
     assert v.method == "core"
     assert v.equivariant is False
 
@@ -400,15 +400,14 @@ def test_core_is_equivariant_where_plain_collapse_was_not():
     lat = enumerate_subgroups(builtin_group("S4"))
     ctx = collection_context(lat, 2)
     poset = ctx.collection("A")
-    gens = lat.group.generator_indices
     assert len(poset) == 13
-    v = contractibility_verdict(poset, equivariance_gens=gens)
+    v = contractibility_verdict(poset, equivariant_under=lat.full)
     assert v.method == "core"
     assert v.equivariant is True
     normal_klein = v.certificate.point
     assert (lat.sizes[normal_klein] == 4
             and lat.sizes[lat.normalizer(normal_klein)] == 24)
-    assert verify_certificate(poset, v, equivariance_gens=gens)
+    assert verify_certificate(poset, v, equivariant_under=lat.full)
 
 
 def test_equivariant_verdict_computes_the_orbits_once(monkeypatch):
@@ -417,22 +416,21 @@ def test_equivariant_verdict_computes_the_orbits_once(monkeypatch):
     calls = []
     orbits = GPoset.orbits
 
-    def counting(self, gens):
-        calls.append(gens)
-        return orbits(self, gens)
+    def counting(self, h):
+        calls.append(h)
+        return orbits(self, h)
 
     monkeypatch.setattr(GPoset, "orbits", counting)
-    v = contractibility_verdict(poset,
-                                equivariance_gens=lat.group.generator_indices)
+    v = contractibility_verdict(poset, equivariant_under=lat.full)
     assert v.method == "core" and v.equivariant is True
     assert len(calls) == 1
 
 
 def test_orbits_read_their_generators_once():
-    """Generators read from a file may arrive as an iterator. The orbits
-    must not depend on that, so a plain single-point core certificate
-    re-marked equivariant replays False either way on each interval of S
-    for S4 at 2 whose stabilizer is proper and whose orbits it splits."""
+    """A proper stabilizer acts through its generating set. A plain
+    single-point core certificate re-marked equivariant replays as a plain
+    one, but fails orbit-wise on each interval of S for S4 at 2 whose
+    stabilizer is proper and whose orbits it splits."""
     lat = enumerate_subgroups(builtin_group("S4"))
     whole = collection_context(lat, 2).collection("S")
     forged_rejected = 0
@@ -440,17 +438,15 @@ def test_orbits_read_their_generators_once():
         stab = lat.normalizer(y)
         if stab == lat.full:
             continue
-        gens = lat.generating_set(stab)
         for interval in (whole.below(y, strict=True),
                          whole.above(y, strict=True)):
-            assert interval.orbits(iter(gens)) == interval.orbits(gens)
             v = contractibility_verdict(interval)
             if v.method != "core":
                 continue
             forged = v._replace(equivariant=True)
-            if not verify_certificate(interval, forged, gens):
+            assert verify_certificate(interval, forged)
+            if not verify_certificate(interval, forged, stab):
                 forged_rejected += 1
-                assert not verify_certificate(interval, forged, iter(gens))
     assert forged_rejected == 6
 
 
@@ -470,7 +466,7 @@ def test_class_masks_give_the_orbits_of_the_whole_group():
                 for stab in stabs:
                     gens = lat.generating_set(stab)
                     expected = _naive._orbit_masks(poset, gens)
-                    orbits = poset.orbits(gens)
+                    orbits = poset.orbits(stab)
                     seen.add((stab == lat.full, orbits is not None))
                     assert (orbits is None) == (expected is None)
                     if orbits is not None:
@@ -484,7 +480,11 @@ def test_class_masks_give_the_orbits_of_the_whole_group():
 
 def test_equivariance_check_needs_a_lattice():
     with pytest.raises(ValueError):
-        contractibility_verdict(BOWTIE, equivariance_gens=(0,))
+        contractibility_verdict(BOWTIE, equivariant_under=0)
+    v = contractibility_verdict(BOWTIE)
+    with pytest.raises(ValueError):
+        verify_certificate(BOWTIE, v._replace(equivariant=True),
+                           equivariant_under=0)
 
 
 def test_fixed_point_scan_on_invariant_poset():

@@ -100,6 +100,20 @@ def test_an_over_cap_generator_is_rejected_before_the_closure():
     assert peak < 8 * 2**20
 
 
+def test_closure_over_the_cap_holds_only_the_moved_points():
+    # seven adjacent transpositions generate S8 (order 40,320) on 3,000
+    # points; the closure passes the cap on images of the 8 moved points
+    text = "degree 3000\n" + "".join(f"gen ({i} {i + 1})\n" for i in range(7))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="order cap 2000"):
+            parse_group_text(text, max_order=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_unknown_builtin_lists_choices():
     with pytest.raises(UnknownBuiltin) as exc:
         builtin_group("M11")
@@ -195,12 +209,14 @@ REPEATS = "degree 4\ngen ()\ngen (0 1 2 3)\ngen (0 1)\ngen (0 1 2 3)\n"
 
 
 def _table_groups():
-    """Every builtin, the trivial group, two data files and generator lists
-    with the identity and repeats."""
+    """Every builtin, the trivial group, two data files, generator lists
+    with the identity and repeats, and a group that fixes points 0, 2 and 4."""
     groups = [builtin_group(name) for name in (*BUILTIN_ORDERS, "Zn:1")]
     groups += [load_group(str(DATA / name)) for name in ("psl27.grp", "z2_4.grp")]
     groups += [parse_group_text(REPEATS, source="repeats.grp"),
-               parse_group_text("degree 3\ngen ()\n", source="identity.grp")]
+               parse_group_text("degree 3\ngen ()\n", source="identity.grp"),
+               parse_group_text("degree 7\ngen (1 3 5)\ngen (3 6)\n",
+                                source="fixed-points.grp")]
     return groups
 
 

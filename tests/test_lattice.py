@@ -24,11 +24,10 @@ def test_subgroup_counts():
 
 def test_counts_match_naive_enumeration():
     # in A5 no nontrivial cyclic subgroup is normal, so each representative
-    # is extended by one zuppo per orbit of its normalizer; D12, Z12 and
-    # Z30 have elements of composite order, which generate cyclic subgroups
-    # that are added but never extended by
-    for name in ("D8", "Q8", "S3", "A4", "S4", "D12", "SL23", "A5",
-                 "Zn:12", "Zn:30"):
+    # is extended by one zuppo per orbit of its normalizer; the cyclic
+    # subgroups of Z12 and Z30 whose order is no prime power are reached
+    # only as joins of zuppos
+    for name in ("A5", "Zn:12", "Zn:30"):
         lat = lattice_of(name)
         brute = naive.subgroups(lat.group)
         assert {frozenset(lat.members(r)) for r in range(len(lat))} == brute, name
@@ -70,16 +69,24 @@ def test_s5_extends_once_per_normalizer_orbit(monkeypatch):
     monkeypatch.setattr(g, "dimino_step",
                         lambda *args: steps.append(args) or step(*args))
     assert len(enumerate_subgroups(g)) == 156
-    # 199 when a representative was extended by one cyclic subgroup of any
-    # order per orbit, and 1,079 by every cyclic subgroup it misses; the
-    # prime-power ones are enough, as they generate every subgroup
+    # only the zuppos seed classes, and each representative is extended by
+    # one zuppo per orbit of its normalizer: 199 steps when it was extended
+    # by one cyclic subgroup of any order per orbit, and 1,079 by every
+    # cyclic subgroup it misses; the cyclic subgroups of order 6 are joins
+    # of zuppos, found by those steps
     assert len(steps) == 161
 
 
-def test_d8_times_z2_matches_naive_enumeration():
-    g = parse_group_text("degree 6\ngen (0 1 2 3)\ngen (0 2)\ngen (4 5)\n")
+# D12 and SL23 have elements of order 6, whose cyclic subgroups are found
+# only as joins of zuppos; in the 2-groups every cyclic subgroup is a zuppo
+@pytest.mark.parametrize("name,order", [
+    ("D8", 8), ("Q8", 8), ("S3", 6), ("S4", 24), ("A4", 12), ("D12", 12),
+    ("SL23", 24), ("D8xZ2", 16)])
+def test_enumeration_matches_naive(name, order):
+    g = (parse_group_text("degree 6\ngen (0 1 2 3)\ngen (0 2)\ngen (4 5)\n")
+         if name == "D8xZ2" else builtin_group(name))
     lat = enumerate_subgroups(g)
-    assert g.order == 16
+    assert g.order == order
     assert {frozenset(lat.members(r)) for r in range(len(lat))} \
         == naive.subgroups(g)
 

@@ -1,8 +1,9 @@
 import pytest
 
+import _naive as naive
 from _suite import (from_maximal_simplices, from_relation,
                     lattice_of, relation_poset, restrict)
-from sclab.collections import collection_context
+from sclab.collections import KINDS, collection_context
 from sclab.errors import SizeCap
 from sclab.poset import GPoset, order_complex
 
@@ -96,10 +97,9 @@ def test_invariance_and_conjugation():
     lat = lattice_of("S4")
     ctx = collection_context(lat, 2)
     poset = ctx.collection("B")
-    gens = lat.group.generator_indices
-    orbits = poset.orbits(gens)
+    orbits = poset.orbits(lat.full)
     assert orbits is not None
-    for g in gens:
+    for g in lat.group.generator_indices:
         for x in poset.members:
             image = lat.conjugate(x, g)
             assert image in poset
@@ -107,14 +107,33 @@ def test_invariance_and_conjugation():
 
 
 def test_orbits_need_a_lattice_only_to_act():
-    """Without a lattice no generator can act, empty poset or not; with no
-    generators every element is its own orbit."""
+    """Without a lattice no subgroup can act, empty poset or not."""
     poset = relation_poset("abc", lambda a, b: a == b or b == "c")
     for sub in (poset, GPoset(poset.order, 0)):
         with pytest.raises(ValueError):
-            sub.orbits((0,))
-    assert poset.orbits(()) == {0: 1, 1: 2, 2: 4}
-    assert restrict(poset, (0, 2)).orbits(()) == {0: 1, 2: 4}
+            sub.orbits(0)
+
+
+@pytest.mark.parametrize("name", ["S4", "S5"])
+def test_whole_group_orbits_are_the_breadth_first_orbits(name):
+    """The orbits of the whole group are read off the class masks; on every
+    invariant collection at 2 they must be the orbits found breadth-first
+    over the generating set of the whole group."""
+    lat = lattice_of(name)
+    gens = lat.generating_set(lat.full)
+    ctx = collection_context(lat, 2)
+    invariant = 0
+    for kind in KINDS:
+        poset = ctx.collection(kind)
+        if not lat.is_class_union(poset.mask):
+            continue
+        invariant += 1
+        xs = poset.members
+        expected = [sum(1 << xs[k] for k in naive._bits(m))
+                    for m in naive._orbit_masks(poset, gens)]
+        orbits = poset.orbits(lat.full)
+        assert [orbits[x] for x in xs] == expected, kind
+    assert invariant
 
 
 def test_restrict_keeps_backing():

@@ -225,8 +225,8 @@ def d8_as_report_3():
             sub = ctx.collection(edge["kinds"][0])
             for y in positions(lat.first_of_each_class(sub.mask)):
                 stab = lat.normalizer(y)
-                verdict = contractibility_verdict(
-                    sub.below(y), equivariance_gens=lat.generating_set(stab))
+                verdict = contractibility_verdict(sub.below(y),
+                                                  equivariant_under=stab)
                 cones.append([y, stab, verdict.to_json()])
                 inclusion["per_element"].append(cones[-1])
     assert cones

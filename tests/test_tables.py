@@ -338,10 +338,8 @@ def test_pruning_certifies_without_local_characteristic():
             assert res.outcome == PASS, (name, mode)
             for y, stab, verdict in res.per_element:
                 assert verdict.method == "core", (name, mode, y)
-                gens = (lat.generating_set(stab)
-                        if stab is not None else None)
                 assert verify_certificate(ambient.above(y, strict=True),
-                                          verdict, equivariance_gens=gens)
+                                          verdict, equivariant_under=stab)
 
 
 # ----------------------------------------------------------- small helpers
