@@ -3,8 +3,8 @@
 The classical collections (nontrivial p-subgroups, elementary abelians,
 radicals, centrics) plus the two refinements built from elements of central
 type: order-p elements lying in the center of some Sylow p-subgroup (E0) and
-the closure of E0 under commuting products (E1). For a p-subgroup P the two
-operators
+the closure of E0 under commuting products (E1), each held as a bitset over
+the group's element order. For a p-subgroup P the two operators
 
     tilde(P) = Omega_1 Z(P) ∩ E1   (a subgroup)
     hat(P)   = < Omega_1 Z(P) ∩ E0 >
@@ -16,14 +16,16 @@ and both operators read the center Z(P) alone.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations
+from operator import or_
 from typing import NamedTuple
 from weakref import WeakValueDictionary
 
 from .errors import (ConditionNotSatisfied, InternalInconsistency,
                      PrimeDoesNotDivide)
 from .group import positions
-from .lattice import SubgroupLattice, p_part, p_core_of_group
+from .lattice import SubgroupLattice, p_core_of_group, p_part, require_prime
 from .poset import GPoset
 
 KINDS = ("A", "S", "B", "Ce", "Bcen", "D", "E",
@@ -47,6 +49,7 @@ class CollectionContext:
     """All collections, operators and condition checks for one (lattice, p)."""
 
     def __init__(self, lattice: SubgroupLattice, p: int):
+        require_prime(p, lattice.group.order)
         if lattice.group.order % p:
             raise PrimeDoesNotDivide(p, lattice.group.order)
         self.lattice = lattice
@@ -60,40 +63,36 @@ class CollectionContext:
     # ----- central-type elements -------------------------------------------
 
     @cached_property
-    def E0(self) -> frozenset[int]:
-        """Element indices of order p lying in the center of some Sylow."""
+    def E0(self) -> int:
+        """Bitset of the elements of order p that lie in the center of some
+        Sylow p-subgroup."""
         lat = self.lattice
+        centers = reduce(or_, (lat.bitsets[lat.center(s)]
+                               for s in lat.sylow(self.p)))
         orders = lat.group.element_orders
-        out = set()
-        for s in lat.sylow(self.p):
-            for x in lat.members(lat.center(s)):
-                if orders[x] == self.p:
-                    out.add(x)
-        return frozenset(out)
+        return centers & sum(1 << x for x, n in enumerate(orders) if n == self.p)
 
     @cached_property
-    def E1(self) -> frozenset[int]:
-        """Least superset of E0 closed under conjugation and under products of
-        commuting pairs whose product has order exactly p. E0 is a union of
-        conjugacy classes (the Sylows are conjugate), and closing a
-        conjugation-invariant set under commuting products keeps it
-        invariant, so the products alone reach E1."""
+    def E1(self) -> int:
+        """Bitset of the least superset of E0 closed under conjugation and
+        under products of commuting pairs whose product has order exactly p.
+        E0 is a union of conjugacy classes (the Sylows are conjugate), and
+        closing a conjugation-invariant set under commuting products keeps
+        it invariant, so the products alone reach E1. One worklist pass
+        pairs each element once with every element found before it, itself
+        included (so x^2 counts at odd p), and looks at no product twice."""
         grp = self.lattice.group
-        mul = grp.mul
-        orders = grp.element_orders
-        cur = set(self.E0)
-        changed = True
-        while changed:
-            changed = False
-            for x in list(cur):
-                for y in list(cur):
-                    if mul[x][y] != mul[y][x]:
-                        continue
-                    z = mul[x][y]
-                    if orders[z] == self.p and z not in cur:
-                        cur.add(z)
-                        changed = True
-        return frozenset(cur)
+        mul, orders = grp.mul, grp.element_orders
+        e1 = self.E0
+        found = list(positions(e1))
+        for i, x in enumerate(found):
+            row = mul[x]
+            for y in found[:i + 1]:
+                z = row[y]
+                if not e1 >> z & 1 and orders[z] == self.p and z == mul[y][x]:
+                    e1 |= 1 << z
+                    found.append(z)
+        return e1
 
     # ----- operators --------------------------------------------------------
 
@@ -101,14 +100,13 @@ class CollectionContext:
         """Z(P) ∩ E1, together with the identity: a subgroup, as the members
         of Z(P) commute and E1 holds their products of order p."""
         lat = self.lattice
-        return lat.index(1 + sum(1 << x for x in lat.members(lat.center(h))
-                                 if x in self.E1))
+        return lat.index(lat.bitsets[lat.center(h)] & self.E1 | 1)
 
     def hat_of(self, h: int) -> int:
         """The subgroup generated by Z(P) ∩ E0."""
         lat = self.lattice
-        return lat.generated(x for x in lat.members(lat.center(h))
-                             if x in self.E0)
+        return lat.index(lat.group.closure_bitset(
+            lat.bitsets[lat.center(h)] & self.E0 | 1))
 
     # ----- membership predicates --------------------------------------------
 
@@ -145,26 +143,29 @@ class CollectionContext:
     def _build(self, kind: str) -> GPoset:
         """Membership in each kind is invariant under conjugation, so each
         class of nontrivial p-subgroups is decided at its first member and
-        its class mask taken whole."""
+        its class mask taken whole. Neither operator looks at the collection
+        it cuts, so tilde-X and hat-X are X ∩ tilde-S and X ∩ hat-S, and
+        each operator runs at most once per class of S."""
         lat = self.lattice
-        if kind.startswith(("tilde-", "hat-")):
-            op, base = kind.split("-", 1)
-            held = self.collection(base).mask
-            operator = self.tilde_of if op == "tilde" else self.hat_of
-            keep = lambda m: held >> m & 1 and operator(m) != lat.trivial
+        op, _, base = kind.rpartition("-")
+        if op and base != "S":
+            mask = self.collection(base).mask & self.collection(f"{op}-S").mask
         else:
-            keep = lambda m: (m != lat.trivial and lat.is_p_group(m, self.p)
-                              and self._base_member(kind, m))
-        mask = 0
-        for rep, c in zip(lat.class_representatives(), lat.class_masks):
-            if keep(rep):
-                mask |= c
+            mask = 0
+            for rep, c in zip(lat.class_representatives(), lat.class_masks):
+                if (rep != lat.trivial and lat.is_p_group(rep, self.p)
+                        and self._base_member(kind, rep)):
+                    mask |= c
         return GPoset(lat.order, mask, lat, name=f"{kind}_{self.p}")
 
     def _base_member(self, kind: str, m: int) -> bool:
         lat = self.lattice
         if kind == "S":
             return True
+        if kind == "tilde-S":
+            return self.tilde_of(m) != lat.trivial
+        if kind == "hat-S":
+            return self.hat_of(m) != lat.trivial
         if kind == "A":
             return lat.is_elementary_abelian(m, self.p)
         if kind == "B":
@@ -177,7 +178,7 @@ class CollectionContext:
             return self.is_principal_p_radical(m)
         if kind == "E":
             return (lat.is_elementary_abelian(m, self.p)
-                    and all(x in self.E1 for x in lat.members(m) if x))
+                    and lat.bitsets[m] & ~self.E1 == 1)
         raise InternalInconsistency(f"unknown collection kind {kind!r}")
 
     @cached_property
@@ -222,21 +223,17 @@ class CollectionContext:
 
     def _condition_Cl(self) -> ConditionReport:
         """E0 is closed under products of commuting pairs (identity aside)."""
-        grp = self.lattice.group
-        mul = grp.mul
-        e0 = sorted(self.E0)
-        for x in e0:
-            for y in e0:
-                if y <= x or mul[x][y] != mul[y][x]:
-                    continue
-                z = mul[x][y]
-                if z and z not in self.E0:
-                    return ConditionReport(
-                        "Cl", False,
-                        ({"x": self._witness_element(x), "y": self._witness_element(y),
-                          "xy": self._witness_element(z)},),
-                        "commuting product of central-type elements leaves E0")
-        return ConditionReport("Cl", True, (), f"E0 has {len(e0)} elements")
+        mul = self.lattice.group.mul
+        for x, y in combinations(positions(self.E0), 2):
+            z = mul[x][y]
+            if z and z == mul[y][x] and not self.E0 >> z & 1:
+                return ConditionReport(
+                    "Cl", False,
+                    ({"x": self._witness_element(x), "y": self._witness_element(y),
+                      "xy": self._witness_element(z)},),
+                    "commuting product of central-type elements leaves E0")
+        return ConditionReport("Cl", True, (),
+                               f"E0 has {self.E0.bit_count()} elements")
 
     def _condition_Ch(self) -> ConditionReport:
         """Local characteristic p: C_H(O_p(H)) <= O_p(H) for every p-local H."""

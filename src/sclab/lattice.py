@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cached_property, reduce
 from itertools import compress
+from math import isqrt
 from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
@@ -44,7 +45,18 @@ class _LazyMasks(dict):
         return mask
 
 
+def require_prime(p: int, bound: int) -> None:
+    """Raise ValueError unless p is a prime. A p above bound is only checked
+    to exceed 1: it divides no group order up to bound, which the caller
+    reports without trial division up to the square root of p."""
+    if p < 2 or (p <= bound and any(p % d == 0 for d in range(2, isqrt(p) + 1))):
+        raise ValueError(f"{p} is not a prime")
+
+
 def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     out = 1
     while n % p == 0:
         n //= p
@@ -135,7 +147,6 @@ class SubgroupLattice:
         self.class_masks = tuple(sorted(masks, key=lambda c: c & -c))
         # per fact that moves along a class, its value at each subgroup met
         self._class_facts: dict[object, dict[int, int]] = defaultdict(dict)
-        self._generated: dict[int, int] = {}
         self._gens: dict[int, tuple[int, ...]] = {}
 
     def __len__(self):
@@ -308,13 +319,6 @@ class SubgroupLattice:
         return (all(orders[x] == p for x in self._members[h] if x)
                 and self.leq(h, self.centralizer(h)))
 
-    def generated(self, element_indices) -> int:
-        seed = 1
-        for x in element_indices:
-            seed |= 1 << x
-        if seed not in self._generated:
-            self._generated[seed] = self.index(self.group.closure_bitset(seed))
-        return self._generated[seed]
 
 
 def p_core_of_group(lattice: SubgroupLattice, big: int, normal: int,

@@ -7,7 +7,6 @@ same plan on the same inputs serialize byte-identically.
 
 from __future__ import annotations
 
-from math import isqrt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -15,12 +14,12 @@ from .cache import lattice_for
 from .collections import CONDITIONS, KINDS, collection_context
 from .errors import PrimeDoesNotDivide
 from .group import PermutationGroup, load_group
-from .lattice import DEFAULT_ORDER_CAP
+from .lattice import DEFAULT_ORDER_CAP, require_prime
 from .poset import DEFAULT_SIMPLEX_CAP
 from .report import cite_evidence
 from .tables import (SKIPPED, TABLE31, TABLE44, condition_json,
-                     is_dihedral8, verify_counterexamples,
-                     verify_inclusion_chains, verify_table_edges)
+                     verify_counterexamples, verify_inclusion_chains,
+                     verify_table_edges)
 
 REPORT_FORMAT = "sclab-report/5"
 
@@ -47,11 +46,7 @@ class VerificationPlan(NamedTuple):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; expected one of "
                              + ", ".join(SUITES))
-        # a p above the order cap divides no admissible group order, which
-        # the run reports without trial division up to the square root of p
-        if self.prime < 2 or (self.prime <= self.max_order and any(
-                self.prime % d == 0 for d in range(2, isqrt(self.prime) + 1))):
-            raise ValueError(f"{self.prime} is not a prime")
+        require_prime(self.prime, self.max_order)
         for cap in ("max_order", "max_simplices"):
             if getattr(self, cap) < 0:
                 raise ValueError(f"{cap} must be at least 0, got {getattr(self, cap)}")
@@ -85,12 +80,11 @@ def _table_section(lattice, prime, table, max_simplices) -> dict:
 
 
 def _counterexamples_section(lattice, prime, _suite, max_simplices) -> dict:
-    applicable = is_dihedral8(lattice.group) and prime == 2
     results = verify_counterexamples(lattice, prime,
                                      max_simplices=max_simplices)
-    section = {"applicable": applicable,
+    section = {"applicable": bool(results),
                "edges": [r.to_json() for r in results]}
-    if not applicable:
+    if not results:
         section["note"] = ("documented counterexamples concern the dihedral "
                            "group of order 8 at p = 2 only")
     return section

@@ -31,6 +31,12 @@ def lattice_of(name: str):
     return enumerate_subgroups(builtin_group(name))
 
 
+def element_set(mask: int) -> frozenset:
+    """The element indices of a bitset over a group's canonical element
+    order, as the oracle in _naive holds a set of elements."""
+    return frozenset(positions(mask))
+
+
 def nontrivial_p_subgroups(lat, p: int):
     """The subgroups of lat of order a positive power of p, in index order."""
     return tuple(h for h, n in enumerate(lat.sizes)

@@ -2,12 +2,13 @@
 
 The golden file pins the exact bytes of a small JSON report; any change
 to report content or serialization order must be deliberate enough to
-regenerate it. It, the three SHA-256 pins below and the frontier pins were
-last replaced by `docs/report_4_to_5.py` applied to the sclab-report/4
-bytes they pinned before, which moves each edge's cited evidence into the
-top-level `evidence` list; the new code writes exactly those bytes. The
-/4 digests stay in REPORT_4_SHA256: each pinned report, with its evidence
-inlined again, must give them back, so the rewrite lost nothing.
+regenerate it. It, the SHA-256 pins below but A4WRZ2_P2_SHA256, and the
+frontier pins were last replaced by `docs/report_4_to_5.py` applied to the
+sclab-report/4 bytes they pinned before, which moves each edge's cited
+evidence into the top-level `evidence` list; the new code writes exactly
+those bytes. The /4 digests stay in REPORT_4_SHA256: each pinned report,
+with its evidence inlined again, must give them back, so the rewrite lost
+nothing.
 """
 
 import ast
@@ -62,6 +63,14 @@ Z2_4_P2_SHA256 = (
 PSL27_P2_SHA256 = (
     "3a2ee385a54bfe60e90b3e13f9ca59826e1e6eeb36a1e03605c42afa57e62f50")
 
+# SHA-256 of the report of `sclab verify --group tests/data/a4wrz2.grp
+# --prime 2`, recorded as sclab-report/5 while E0 and E1 were still sets
+# of element indices closed by re-scanning every pair. A4 wr Z2 is the
+# first input here on which E1 is larger than E0 and the Cl condition
+# fails, so its tilde and hat collections differ.
+A4WRZ2_P2_SHA256 = (
+    "adf1cce4531d60b0547b8e32371347d174ce86eb74c767f5a81bbb5e573a4787")
+
 # SHA-256 of the report of `sclab verify --group tests/data/d8xz2.grp
 # --prime 2`, recorded while retractions were still checked position by
 # position as explicit maps, then carried to sclab-report/3, which
@@ -78,6 +87,8 @@ REPORT_4_SHA256 = {
     "z2_4": "8ae9e9c207bce8fb410c24c301fe7de887d17b02eabe96eee918d8350d00624f",
     "psl27":
         "9482334c93e05c42de17bb1e82afdddf626c1b132d703b268d7131afbbee0572",
+    "a4wrz2":
+        "dfb011f0d3a8168292c96ac177128df3fdaf8c70f2cb551c5b193c180beb7771",
     "d8xz2":
         "1626562190522f93d8e596382b9a3804b15d121da1539e51b15d8f5252a01d68",
     "d8xd8":
@@ -417,6 +428,13 @@ def test_psl27_report_is_pinned(tmp_path):
     assert verify("--group", str(DATA / "psl27.grp"), "--prime", "2",
                   "--report", str(report)) == 0
     assert_pinned(report.read_bytes(), "psl27", PSL27_P2_SHA256)
+
+
+def test_a4wrz2_report_is_pinned(tmp_path):
+    report = tmp_path / "a4wrz2.json"
+    assert verify("--group", str(DATA / "a4wrz2.grp"), "--prime", "2",
+                  "--report", str(report)) == 0
+    assert_pinned(report.read_bytes(), "a4wrz2", A4WRZ2_P2_SHA256)
 
 
 def test_d8xz2_report_is_pinned(tmp_path):

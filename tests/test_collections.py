@@ -4,12 +4,14 @@ import pytest
 
 import _naive as naive
 from _props import one_class_of_order_p
-from _suite import SMALL_SUITE, SUITE, lattice_of, nontrivial_p_subgroups
+from _suite import (SMALL_SUITE, SUITE, element_set, lattice_of,
+                    nontrivial_p_subgroups)
 from sclab.collections import CONDITIONS, KINDS, collection_context
 from sclab.errors import ConditionNotSatisfied, PrimeDoesNotDivide
 from sclab.group import load_group, positions
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import GPoset
+from sclab.tables import verify_inclusion_chains, verify_table_edges
 
 DATA = Path(__file__).parent / "data"
 
@@ -25,8 +27,9 @@ def test_engine_agrees_with_naive_oracle():
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
         all_subs = naive.subgroups(lat.group)
-        assert ctx.E0 == naive.E0(lat.group, all_subs, p), (name, p)
-        assert ctx.E1 == naive.E1(lat.group, ctx.E0, p), (name, p)
+        assert element_set(ctx.E0) == naive.E0(lat.group, all_subs, p), (name, p)
+        assert element_set(ctx.E1) == naive.E1(
+            lat.group, element_set(ctx.E0), p), (name, p)
         for kind in KINDS:
             got = members_as_sets(lat, ctx.collection(kind))
             want = naive.collection(lat.group, all_subs, p, kind)
@@ -60,9 +63,9 @@ def test_operators_agree_with_naive_oracle():
         for m in nontrivial_p_subgroups(lat, p):
             h = frozenset(lat.members(m))
             assert frozenset(lat.members(ctx.tilde_of(m))) == naive.tilde(
-                lat.group, h, p, ctx.E1), (name, p, m)
+                lat.group, h, p, element_set(ctx.E1)), (name, p, m)
             assert frozenset(lat.members(ctx.hat_of(m))) == naive.hat(
-                lat.group, h, p, ctx.E0), (name, p, m)
+                lat.group, h, p, element_set(ctx.E0)), (name, p, m)
 
 
 @pytest.mark.parametrize("name,p", SUITE)
@@ -101,7 +104,7 @@ def test_d8_central_type_structure():
     # the only central-type element of D8 is the central rotation
     lat = lattice_of("D8")
     ctx = collection_context(lat, 2)
-    assert len(ctx.E0) == 1
+    assert ctx.E0.bit_count() == 1
     assert ctx.E1 == ctx.E0
     center = lat.center(lat.full)
     assert ctx.collection("E").members == (center,)
@@ -201,6 +204,49 @@ def test_unknown_kind_and_condition():
 def test_prime_must_divide():
     with pytest.raises(PrimeDoesNotDivide):
         collection_context(lattice_of("D8"), 3)
+
+
+@pytest.mark.parametrize("p", [1, 4, 6])
+def test_a_p_that_is_not_a_prime_is_rejected(p):
+    # each divides |S4| = 24; unchecked, p = 1 looped forever in p_part,
+    # p = 4 raised InternalInconsistency and p = 6 built collections of
+    # "6-subgroups" with graded table edges
+    lat = lattice_of("S4")
+    for build in (collection_context, verify_inclusion_chains,
+                  lambda lat, p: verify_table_edges(lat, p, "table31")):
+        with pytest.raises(ValueError, match=f"^{p} is not a prime$"):
+            build(lat, p)
+
+
+@pytest.fixture(scope="module")
+def a4wrz2():
+    """A4 wr Z2 at p = 2, of order 288 with 442 subgroups: E1 is larger
+    than E0, and E0 is not closed under commuting products."""
+    group = load_group(str(DATA / "a4wrz2.grp"))
+    return collection_context(enumerate_subgroups(group), 2)
+
+
+def test_a4_wreath_z2_agrees_with_naive_oracle(a4wrz2):
+    # the oracle is handed the lattice's member sets: naive.subgroups
+    # takes minutes on this group
+    lat = a4wrz2.lattice
+    all_subs = [frozenset(lat.members(r)) for r in range(len(lat))]
+    e0 = naive.E0(lat.group, all_subs, 2)
+    e1 = naive.E1(lat.group, e0, 2)
+    assert (len(e0), len(e1)) == (9, 15)
+    assert element_set(a4wrz2.E0) == e0
+    assert element_set(a4wrz2.E1) == e1
+    for kind in KINDS:
+        assert members_as_sets(lat, a4wrz2.collection(kind)) == (
+            naive.collection(lat.group, all_subs, 2, kind)), kind
+
+
+def test_commuting_closure_fails_on_a4_wreath_z2(a4wrz2):
+    report = a4wrz2.condition("Cl")
+    assert not report.holds
+    assert report.witnesses == ({"x": "(0 1)(2 3)(4 5)(6 7)",
+                                 "y": "(0 1)(2 3)(4 6)(5 7)",
+                                 "xy": "(4 7)(5 6)"},)
 
 
 def test_context_facts_on_q8():

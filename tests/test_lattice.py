@@ -7,7 +7,8 @@ import _naive as naive
 from _suite import SMALL_SUITE, SUITE, lattice_of
 from sclab.errors import InternalInconsistency, PrimeDoesNotDivide
 from sclab.group import builtin_group, load_group, parse_group_text, positions
-from sclab.lattice import enumerate_subgroups, p_core_of_group, p_part
+from sclab.lattice import (enumerate_subgroups, p_core_of_group, p_part,
+                           require_prime)
 from sclab.runner import VerificationPlan, run
 
 DATA = Path(__file__).parent / "data"
@@ -166,7 +167,8 @@ def test_leq_meet_join_are_set_theoretic():
             ma, mb = set(lat.members(a)), set(lat.members(b))
             assert lat.leq(a, b) == (ma <= mb)
             assert set(lat.members(lat.index(lat.bitsets[a] & lat.bitsets[b]))) == ma & mb
-            j = set(lat.members(lat.generated(ma | mb)))
+            j = set(lat.members(lat.index(lat.group.closure_bitset(
+                lat.bitsets[a] | lat.bitsets[b]))))
             assert ma | mb <= j
             assert set(lat.members(lat.join(a, b))) == j
 
@@ -308,14 +310,32 @@ def test_generator_action_is_conjugation(name):
 def test_generated():
     lat = lattice_of("D8")
     gens = lat.generating_set(lat.full)
-    assert lat.generated(gens) == lat.full
-    assert lat.generated([]) == lat.trivial
+    closure = lat.group.closure_bitset
+    assert closure(sum(1 << x for x in gens)) == lat.bitsets[lat.full]
+    assert closure(1) == lat.bitsets[lat.trivial]
 
 
 def test_p_part():
     assert p_part(48, 2) == 16
     assert p_part(48, 3) == 3
     assert p_part(35, 2) == 1
+
+
+def test_p_part_needs_p_at_least_2():
+    # n % 1 == 0 for every n, so p = 1 used to loop forever
+    for p in (1, 0):
+        with pytest.raises(ValueError):
+            p_part(24, p)
+
+
+def test_require_prime():
+    for p in (2, 3, 23):
+        require_prime(p, 24)
+    for p in (-3, 0, 1, 4, 6, 9):
+        with pytest.raises(ValueError, match=f"^{p} is not a prime$"):
+            require_prime(p, 24)
+    # above the bound, p is only checked to exceed 1
+    require_prime(25, 24)
 
 
 def test_generator_string_smoke():
