@@ -46,12 +46,15 @@ class SizeCap(SclabError):
 
 
 class PrimeDoesNotDivide(SclabError):
+    """p divides no group order; a p above the order cap is raised here
+    without being shown prime, so the message does not call it one."""
+
     exit_code = 10  # a usage error
 
     def __init__(self, p, order):
         self.p = p
         self.order = order
-        super().__init__(f"prime {p} does not divide the group order {order}")
+        super().__init__(f"{p} does not divide the group order {order}")
 
 
 class NotASubposet(SclabError):

@@ -15,7 +15,6 @@ from .poset import OrderComplex
 Word = tuple[int, ...]  # nonzero ints; g > 0 generator, -g its inverse
 
 MAX_PASSES = 300
-MAX_TOTAL_LENGTH = 50_000
 
 
 def _free_reduce(word: Word) -> Word:
@@ -145,10 +144,6 @@ def simplify_presentation(ngens: int, relators: list[Word]):
                 alive.discard(g)
                 changed = True
                 break
-        if changed:
-            continue
-        if sum(len(r) for r in rels) > MAX_TOTAL_LENGTH:
-            break
         if not changed:
             break
     return alive, rels

@@ -347,20 +347,21 @@ def parse_group_text(text: str, *, source="<string>", max_order=None) -> Permuta
             if len(parts) != 2 or parts[0] != "degree":
                 raise ParseError("expected 'degree <n>' on the first data line",
                                  source=source, line=lineno, column=col)
+            at = col + stripped.index(parts[1], len("degree"))
             try:
                 degree = int(parts[1])
             except ValueError:
                 raise ParseError(f"bad degree {parts[1]!r}",
-                                 source=source, line=lineno, column=col + len("degree ")) from None
+                                 source=source, line=lineno, column=at) from None
             if degree < 1:
                 raise ParseError("degree must be at least 1",
-                                 source=source, line=lineno, column=col + len("degree "))
+                                 source=source, line=lineno, column=at)
             continue
         if not stripped.startswith("gen"):
             raise ParseError(f"expected 'gen <cycles>' but found {stripped.split()[0]!r}",
                              source=source, line=lineno, column=col)
         body = stripped[3:]
-        pad = (len(raw) - len(stripped)) + 3
+        pad = col - 1 + len("gen")
         gens.append(parse_cycles(body, degree, source=source, line=lineno, offset=pad))
     if degree is None:
         raise ParseError("empty group file", source=source, line=1, column=1)

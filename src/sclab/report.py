@@ -118,97 +118,66 @@ def _evidence(edge: dict, evidence: list) -> str:
     return "; ".join(bits)
 
 
-def _edge_table(lines: list, edges: list, evidence: list) -> None:
-    lines.append("| edge | style | conditions | status | evidence |")
-    lines.append("|---|---|---|---|---|")
-    for edge in edges:
-        conditions = ", ".join(edge["conditions"]) or "—"
-        lines.append(f"| {edge['row']}: {' / '.join(edge['kinds'])} "
-                     f"| {edge['style']} | {conditions} | {edge['status']} "
-                     f"| {_evidence(edge, evidence)} |")
-    lines.append("")
+def _table(header, rows) -> list:
+    """The lines of one markdown table, and the blank line after it."""
+    return ["| " + " | ".join(header) + " |", "|" + "---|" * len(header),
+            *("| " + " | ".join(map(str, row)) + " |" for row in rows), ""]
+
+
+def _edge_row(edge: dict, evidence: list) -> tuple:
+    return (f"{edge['row']}: {' / '.join(edge['kinds'])}", edge["style"],
+            ", ".join(edge["conditions"]) or "—", edge["status"],
+            _evidence(edge, evidence))
 
 
 def report_to_markdown(report: dict) -> bytes:
-    group = report["group"]
-    plan = report["plan"]
-    summary = report["summary"]
+    group, plan, summary = report["group"], report["plan"], report["summary"]
+    by = summary["by_status"]
     lines = [
-        "# Collection comparison report",
-        "",
+        "# Collection comparison report", "",
         f"Group **{group['name']}** of order {group['order']} "
         f"(degree {group['degree']}), p = {plan['prime']}, "
-        f"suite `{plan['suite']}`.",
-        "",
+        f"suite `{plan['suite']}`.", "",
         f"Lattice: {report['lattice']['subgroups']} subgroups in "
-        f"{report['lattice']['conjugacy_classes']} conjugacy classes.",
-        "",
-        "## Summary",
-        "",
+        f"{report['lattice']['conjugacy_classes']} conjugacy classes.", "",
+        "## Summary", "",
+        f"- edges checked: {summary['edges']}",
+        *(f"- {status}: {by[status]}"
+          for status in ("CERTIFIED", "HOMOLOGY-CONSISTENT", "MISMATCH",
+                         "INCONCLUSIVE", "SKIPPED") if by.get(status)),
+        f"- inclusion chain violations: {summary['chain_violations']}", "",
+        "## Collection sizes", "",
+        *_table(report["collections"], [report["collections"].values()]),
     ]
-    by = summary["by_status"]
-    lines.append(f"- edges checked: {summary['edges']}")
-    for status in ("CERTIFIED", "HOMOLOGY-CONSISTENT", "MISMATCH",
-                   "INCONCLUSIVE", "SKIPPED"):
-        if by.get(status):
-            lines.append(f"- {status}: {by[status]}")
-    lines.append(f"- inclusion chain violations: {summary['chain_violations']}")
-    lines.append("")
-
-    lines.append("## Collection sizes")
-    lines.append("")
-    lines.append("| " + " | ".join(report["collections"]) + " |")
-    lines.append("|" + "---|" * len(report["collections"]))
-    lines.append("| " + " | ".join(str(n) for n in report["collections"].values())
-                 + " |")
-    lines.append("")
-
     suites = report["suites"]
-    for table in ("table31", "table44"):
-        if table in suites:
-            lines.append(f"## {table}")
-            lines.append("")
-            _edge_table(lines, suites[table]["edges"], report["evidence"])
-    if "counterexamples" in suites:
-        section = suites["counterexamples"]
-        lines.append("## counterexamples")
-        lines.append("")
-        if section["edges"]:
-            _edge_table(lines, section["edges"], report["evidence"])
-        else:
-            lines.append(section.get("note", "none applicable"))
-            lines.append("")
+    for name in ("table31", "table44", "counterexamples"):
+        if name not in suites:
+            continue
+        section = suites[name]
+        rows = [_edge_row(edge, report["evidence"])
+                for edge in section["edges"]]
+        lines += [f"## {name}", "", *(
+            _table(("edge", "style", "conditions", "status", "evidence"), rows)
+            if rows else (section["note"], ""))]
     if "inclusions" in suites:
-        lines.append("## inclusion chains")
-        lines.append("")
-        lines.append("| smaller | larger | holds | violations |")
-        lines.append("|---|---|---|---|")
-        for row in suites["inclusions"]["chains"]:
-            vio = ", ".join(map(str, row["violations"])) or "—"
-            lines.append(f"| {row['smaller']} | {row['larger']} "
-                         f"| {row['holds']} | {vio} |")
-        lines.append("")
+        lines += ["## inclusion chains", "", *_table(
+            ("smaller", "larger", "holds", "violations"),
+            [(row["smaller"], row["larger"], row["holds"],
+              ", ".join(map(str, row["violations"])) or "—")
+             for row in suites["inclusions"]["chains"]])]
     if "conditions" in suites:
         section = suites["conditions"]
-        lines.append("## conditions")
-        lines.append("")
-        lines.append("| condition | holds | witnesses |")
-        lines.append("|---|---|---|")
-        for name, rep in section["reports"].items():
-            wit = "; ".join(w.get("generators", str(w)) if isinstance(w, dict)
-                            else str(w) for w in rep["witnesses"]) or "—"
-            lines.append(f"| {name} | {rep['holds']} | {wit} |")
-        lines.append("")
+        lines += ["## conditions", "", *_table(
+            ("condition", "holds", "witnesses"),
+            [(name, rep["holds"], "; ".join(w.get("generators", str(w))
+                                            for w in rep["witnesses"]) or "—")
+             for name, rep in section["reports"].items()])]
         coincide = section.get("radical_collections_coincide")
         if coincide is not None:
-            lines.append(f"- radical collections coincide: {coincide['equal']}")
-            lines.append("")
-
-    lines.append("## Not checked")
-    lines.append("")
-    for item in report["not_checked"]:
-        lines.append(f"- {item}")
-    lines.append("")
+            lines += [f"- radical collections coincide: {coincide['equal']}",
+                      ""]
+    lines += ["## Not checked", "",
+              *(f"- {item}" for item in report["not_checked"]), ""]
     return "\n".join(lines).encode("utf-8")
 
 

@@ -352,7 +352,9 @@ _CHECKERS = {**dict.fromkeys(_INCLUSIONS, _by_inclusion),
 
 def _check_edge(ctx, spec, max_simplices) -> EdgeResult:
     """Gate the edge on its conditions, run its checker, and back a
-    CERTIFIED solid edge by the homology of the two nerves."""
+    CERTIFIED solid edge by the homology of the two nerves. That edge is a
+    replayed proof that the nerves are homotopy equivalent, so homology
+    that disagrees is a fault in the engine, not in the input."""
     detail = {}
     if spec.conditions:
         detail["conditions"] = {c: condition_json(ctx, c)
@@ -369,7 +371,9 @@ def _check_edge(ctx, spec, max_simplices) -> EdgeResult:
         cross = detail["homology"] = _compare_nerves(ctx, left, right,
                                                      max_simplices)
         if not cross["agree"]:
-            status = MISMATCH
+            raise InternalInconsistency(
+                f"edge {spec.edge_id} is certified but its nerves' homology "
+                "differs")
     return EdgeResult(spec, status, detail)
 
 

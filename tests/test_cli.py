@@ -38,9 +38,11 @@ from sclab.cli import (
     build_parser,
     main,
 )
+from sclab.contract import contractibility_verdict
 
-from _suite import inline_evidence
+from _suite import inline_evidence, relation_poset
 from frontier import PINS
+from test_contract import DUNCE_FACETS, TRIANGLE_RIM, face_poset
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -144,6 +146,24 @@ def test_markdown_format(capfdbinary):
     assert b"## table31" in out
     assert b"## Not checked" in out
     assert b"| EO: E / tilde-A |" in out
+
+
+# SHA-256 of `sclab verify --group builtin:<name> --prime 2 --format
+# markdown` (suite `all`), recorded while the writer still wrote each table
+# line by line. The reports have every section: D8 its reproduced
+# counterexamples, S4 no counterexamples but dashed edges citing a second
+# Sylow group.
+MARKDOWN_SHA256 = {
+    "D8": "7dedf4357462f3533c31370a11745dd2f7c0f1cc3f91add24e2030df83c5afb3",
+    "S4": "e19b25beba4d982a8d41db7052b50b05c8cbd436b172be02f02a56324748d21a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKDOWN_SHA256))
+def test_markdown_bytes_are_pinned(name, capfdbinary):
+    assert verify("--group", f"builtin:{name}", "--prime", "2",
+                  "--format", "markdown") == 0
+    assert sha256(capfdbinary.readouterr().out) == MARKDOWN_SHA256[name]
 
 
 def test_report_flag_writes_file(tmp_path, capfd):
@@ -257,6 +277,15 @@ def test_prime_must_divide_the_order(capfd):
     rc = verify("--group", "builtin:D8", "--prime", "7")
     assert rc == EXIT_USAGE
     assert "divide" in capfd.readouterr().err
+
+
+def test_a_composite_p_above_the_order_cap_is_not_called_a_prime(capfd):
+    # 25 exceeds the cap, so it is not trial divided and never shown prime
+    rc = verify("--group", "builtin:D8", "--prime", "25", "--max-order", "10")
+    assert rc == EXIT_USAGE
+    err = capfd.readouterr().err
+    assert "25 does not divide the group order 8" in err
+    assert "prime" not in err
 
 
 def test_a_prime_above_the_order_cap_is_not_trial_divided(tmp_path):
@@ -499,24 +528,46 @@ def _certificates(value):
             yield from _certificates(v)
 
 
-def test_certificate_keys_match_the_report_schema(capfdbinary):
-    # each certificate kind in a D8 report has exactly the keys of the
-    # docs/REPORT_SCHEMA.md block that starts with that kind
-    assert verify("--group", "builtin:D8", "--prime", "2") == 0
-    report = json.loads(capfdbinary.readouterr().out)
+def _schema_certificate_keys() -> dict:
+    """kind -> the keys of the docs/REPORT_SCHEMA.md block that starts with
+    that certificate kind."""
     schema = (Path(__file__).parent.parent / "docs"
               / "REPORT_SCHEMA.md").read_text()
     blocks = {}
     for block in schema.split("```")[1::2]:
         kind = re.match(r'\s*\{"kind": "([a-z]+)"', block)
         if kind:
-            blocks[kind[1]] = set(re.findall(r'"([a-z_]+)":', block))
+            blocks[kind[1]] = set(re.findall(r'"([a-z0-9_]+)":', block))
+    return blocks
+
+
+def test_certificate_keys_match_the_report_schema(capfdbinary):
+    # each certificate kind in a D8 report has exactly the keys of the
+    # schema block of that kind
+    assert verify("--group", "builtin:D8", "--prime", "2") == 0
+    report = json.loads(capfdbinary.readouterr().out)
+    blocks = _schema_certificate_keys()
     keys = {}
     for cert in _certificates(report):
         keys.setdefault(cert["kind"], set()).add(frozenset(cert))
     assert set(keys) == {"core", "retraction"}
     for kind, found in keys.items():
         assert found == {frozenset(blocks[kind])}, kind
+
+
+def test_homology_certificate_keys_match_the_report_schema():
+    # no builtin report holds a homology certificate: the core settles
+    # every poset there; the circle, two points and the dunce hat reach
+    # each verdict that carries one
+    two_points = relation_poset(("x", "y"), lambda a, b: a == b)
+    verdicts = [contractibility_verdict(poset).to_json() for poset in
+                (TRIANGLE_RIM, two_points, face_poset(DUNCE_FACETS))]
+    assert [v["method"] for v in verdicts] == ["homology", "disconnected",
+                                               "pi1"]
+    assert [v["certificate"]["pi1_trivial"] for v in verdicts] == [
+        None, None, True]
+    keys = _schema_certificate_keys()["homology"]
+    assert all(set(v["certificate"]) == keys for v in verdicts)
 
 
 def test_a_finished_run_frees_its_group_without_the_collector(monkeypatch,

@@ -206,6 +206,12 @@ def test_prime_must_divide():
         collection_context(lattice_of("D8"), 3)
 
 
+def test_a_composite_p_above_the_group_order_is_not_called_a_prime():
+    with pytest.raises(PrimeDoesNotDivide,
+                       match="^25 does not divide the group order 24$"):
+        collection_context(lattice_of("S4"), 25)
+
+
 @pytest.mark.parametrize("p", [1, 4, 6])
 def test_a_p_that_is_not_a_prime_is_rejected(p):
     # each divides |S4| = 24; unchecked, p = 1 looped forever in p_part,

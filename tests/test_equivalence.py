@@ -15,6 +15,7 @@ from sclab.equivalence import (
     CERTIFIED,
     FAIL,
     HOMOLOGY_CONSISTENT,
+    INCONCLUSIVE,
     MISMATCH,
     PASS,
     FixedPointComparison,
@@ -144,6 +145,36 @@ def test_upper_equivariant_mode(d8):
     for y, stab, verdict in res.per_element:
         interval = ambient.above(y, strict=True)
         assert verify_certificate(interval, verdict, equivariant_under=stab)
+
+
+def test_a_pi1_certificate_leaves_a_demanded_element_undecided(
+        d8, monkeypatch):
+    # with no beat point found, each contractible interval falls through to
+    # trivial homology plus a trivial fundamental group: a plain
+    # certificate, which settles a plain check but not an equivariant one
+    lat, ctx = d8
+    monkeypatch.setattr("sclab.contract.core_reduction",
+                        lambda poset, orbit=None: poset.mask)
+    sub = poset_of(lat, ctx, "tilde-B")
+    ambient = poset_of(lat, ctx, "tilde-S")
+    plain = verify_inclusion_equivalence(sub, ambient, "upper")
+    assert plain.outcome == PASS
+    assert {v.method for _, _, v in plain.per_element} == {"pi1"}
+    demanded = verify_inclusion_equivalence(sub, ambient, "upper-equivariant")
+    assert demanded.outcome == INCONCLUSIVE
+    assert demanded.per_element
+    assert demanded.witnesses == tuple(y for y, _, _ in demanded.per_element)
+    assert all(v.status == "CONTRACTIBLE" and v.equivariant is False
+               for _, _, v in demanded.per_element)
+
+    # a verdict left UNKNOWN is undecided whether or not equivariance is
+    # demanded
+    monkeypatch.setattr("sclab.contract.fundamental_group_trivial",
+                        lambda complex_: None)
+    unknown = verify_inclusion_equivalence(sub, ambient, "upper")
+    assert unknown.outcome == INCONCLUSIVE
+    assert unknown.witnesses == demanded.witnesses
+    assert {v.status for _, _, v in unknown.per_element} == {"UNKNOWN"}
 
 
 def test_lower_mode_detects_failing_hypothesis(d8):

@@ -87,6 +87,13 @@ def test_simplifier_handles_length_two_relators():
     assert rels == []
 
 
+def test_simplifier_removes_a_generator_used_exactly_once():
+    # <a, b | a b^2>: a = b^-2 goes with its relator, leaving b free
+    alive, rels = simplify_presentation(2, [(1, 2, 2)])
+    assert alive == {2}
+    assert rels == []
+
+
 def test_simplifier_leaves_hard_presentations_alone():
     # <a | a^2> has no move available: not a proof of triviality
     alive, rels = simplify_presentation(1, [(1, 1)])

@@ -176,6 +176,24 @@ def test_parse_group_text_errors_carry_line():
         parse_group_text("gen (0 1)\n")  # degree line missing
 
 
+@pytest.mark.parametrize("text,line,column,message", [
+    ("degree x\n", 1, 8, "bad degree 'x'"),
+    ("  degree   x\n", 1, 12, "bad degree 'x'"),
+    ("degree 0\n", 1, 8, "degree must be at least 1"),
+    ("degree 3\n  perm (0 1)\n", 2, 3, "expected 'gen <cycles>'"),
+    ("", 1, 1, "empty group file"),
+    ("# a comment only\n\n", 1, 1, "empty group file"),
+    # an inline comment does not shift the column of an error before it
+    ("degree 3\ngen (0 9)  # note\n", 2, 8, "point 9 out of range"),
+    ("degree 3\n gen (0 9)\n", 2, 9, "point 9 out of range"),
+])
+def test_parse_errors_point_at_the_fault(text, line, column, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_group_text(text, source="f.grp")
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value).startswith(f"f.grp:{line}:{column}: ")
+
+
 def test_load_group_builtin_and_file(tmp_path):
     assert load_group("builtin:D8").order == 8
     path = tmp_path / "c7.grp"

@@ -17,7 +17,7 @@ from sclab.collections import collection_context
 from sclab.contract import contractibility_verdict
 from sclab.group import builtin_group, positions
 from sclab.lattice import enumerate_subgroups
-from sclab.report import CITED, report_to_json_bytes
+from sclab.report import CITED, report_to_json_bytes, report_to_markdown
 from sclab.runner import VerificationPlan, run
 
 from _suite import SUITE, inline_evidence
@@ -140,6 +140,93 @@ def test_the_writer_holds_little_beside_its_output():
         tracemalloc.stop()
     assert out == _reference(report)
     assert peak < 6 * len(out)
+
+
+# ------------------------------------------------------- the markdown writer
+
+
+def test_markdown_renders_notes_and_sections_no_real_input_reaches():
+    """A SKIPPED edge prints its note, a suite without edges prints its
+    own note, and a condition witness without generators prints whole.
+    No builtin or test-data input has a SKIPPED edge: Cl or Ch always
+    holds."""
+    report = {
+        "group": {"name": "G", "order": 4, "degree": 4},
+        "plan": {"prime": 2, "suite": "all"},
+        "lattice": {"subgroups": 5, "conjugacy_classes": 5},
+        "summary": {"edges": 1, "by_status": {"SKIPPED": 1},
+                    "chain_violations": 1},
+        "collections": {"S": 4, "A": 3},
+        "suites": {
+            "table31": {"edges": [{
+                "row": "EO", "kinds": ["E", "tilde-A"], "style": "solid",
+                "conditions": ["Cl", "Ch"], "status": "SKIPPED",
+                "detail": {"note": "no gating condition holds"}}]},
+            "counterexamples": {"edges": [], "note": "none documented"},
+            "inclusions": {"chains": [
+                {"smaller": "A", "larger": "S", "holds": True,
+                 "violations": []},
+                {"smaller": "E", "larger": "A", "holds": False,
+                 "violations": [3, 4]}]},
+            "conditions": {
+                "reports": {
+                    "Cl": {"holds": False, "witnesses": [
+                        {"generators": "(0 1)"}, {"x": "a"}]},
+                    "Ch": {"holds": True, "witnesses": []}},
+                "radical_collections_coincide": {"equal": True}},
+        },
+        "evidence": [],
+        "not_checked": ["the rest"],
+    }
+    assert report_to_markdown(report).decode() == """\
+# Collection comparison report
+
+Group **G** of order 4 (degree 4), p = 2, suite `all`.
+
+Lattice: 5 subgroups in 5 conjugacy classes.
+
+## Summary
+
+- edges checked: 1
+- SKIPPED: 1
+- inclusion chain violations: 1
+
+## Collection sizes
+
+| S | A |
+|---|---|
+| 4 | 3 |
+
+## table31
+
+| edge | style | conditions | status | evidence |
+|---|---|---|---|---|
+| EO: E / tilde-A | solid | Cl, Ch | SKIPPED | no gating condition holds |
+
+## counterexamples
+
+none documented
+
+## inclusion chains
+
+| smaller | larger | holds | violations |
+|---|---|---|---|
+| A | S | True | — |
+| E | A | False | 3, 4 |
+
+## conditions
+
+| condition | holds | witnesses |
+|---|---|---|
+| Cl | False | (0 1); {'x': 'a'} |
+| Ch | True | — |
+
+- radical collections coincide: True
+
+## Not checked
+
+- the rest
+"""
 
 
 # --------------------------------------------------- the sclab-report/5 layout

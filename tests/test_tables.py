@@ -5,8 +5,11 @@ symmetric group on 4 letters has three Sylow 2-subgroups and so drives
 the second-Sylow consistency check on dashed edges.
 """
 
+import itertools
+
 import pytest
 
+from sclab.cli import EXIT_INTERNAL, main
 from sclab.collections import ConditionReport, collection_context
 from sclab.contract import verify_certificate
 from sclab.equivalence import (
@@ -19,7 +22,7 @@ from sclab.equivalence import (
     fixed_point_equivalence_scan,
     verify_inclusion_equivalence,
 )
-from sclab.errors import SizeCap
+from sclab.errors import InternalInconsistency, SizeCap
 from sclab.group import builtin_group
 from sclab.homology import HomologyProfile, homology
 from sclab.lattice import enumerate_subgroups
@@ -124,6 +127,22 @@ def test_each_nerve_homology_is_computed_once_per_run(monkeypatch):
     # a profile computed under one cap does not stand in for a smaller one
     with pytest.raises(SizeCap):
         verify_table_edges(lat, 2, TABLE31, max_simplices=max(computed) - 1)
+
+
+def test_a_certified_edge_whose_nerves_differ_is_an_engine_fault(
+        monkeypatch):
+    # every nerve gets a homology of its own, so the first CERTIFIED solid
+    # edge, a proof that its two nerves are homotopy equivalent, finds them
+    # different: the engine contradicts itself, which is no MISMATCH
+    lat = enumerate_subgroups(builtin_group("D8"))
+    calls = itertools.count(1)
+    monkeypatch.setattr("sclab.tables.homology", lambda complex_:
+                        HomologyProfile((next(calls),), (), 0))
+    with pytest.raises(InternalInconsistency, match="certified but its"):
+        verify_table_edges(lat, 2, TABLE31)
+    # a run stops with the internal-error code, not the MISMATCH one
+    assert main(["verify", "--group", "builtin:D8", "--prime", "2",
+                 "--suite", TABLE31]) == EXIT_INTERNAL
 
 
 def test_one_fiber_check_per_centralizer(monkeypatch):
