@@ -2,7 +2,7 @@
 of the homotopy comparisons between them."""
 
 from .collections import (CONDITIONS, KINDS, CollectionContext,
-                          ConditionReport, collection_context)
+                          collection_context)
 from .contract import (CONTRACTIBLE, NOT_CONTRACTIBLE, UNKNOWN,
                        CoreReduction, HomologyWitness, MonotoneRetraction,
                        Verdict, contractibility_verdict, core_reduction,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONDITIONS", "CONTRACTIBLE", "KINDS", "NOT_CONTRACTIBLE", "UNKNOWN",
-    "CollectionContext", "ConditionReport", "CoreReduction",
+    "CollectionContext", "CoreReduction",
     "EdgeResult", "EdgeSpec",
     "FixedPointScan", "GPoset", "HomologyProfile", "HomologyWitness",
     "InclusionResult", "MonotoneRetraction", "OrderComplex",

@@ -19,11 +19,9 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
-from typing import NamedTuple
 from weakref import WeakValueDictionary
 
-from .errors import (ConditionNotSatisfied, InternalInconsistency,
-                     PrimeDoesNotDivide)
+from .errors import InternalInconsistency, PrimeDoesNotDivide
 from .group import positions
 from .lattice import SubgroupLattice, p_core_of_group, p_part, require_prime
 from .poset import GPoset
@@ -32,17 +30,6 @@ KINDS = ("A", "S", "B", "Ce", "Bcen", "D", "E",
          "tilde-A", "tilde-S", "tilde-B", "hat-A", "hat-S", "hat-B")
 
 CONDITIONS = ("M", "Cl", "Ch")
-
-
-class ConditionReport(NamedTuple):
-    condition: str
-    holds: bool
-    witnesses: tuple[dict, ...] = ()
-    detail: str = ""
-
-    def to_json(self) -> dict:
-        return {"condition": self.condition, "holds": self.holds,
-                "witnesses": list(self.witnesses), "detail": self.detail}
 
 
 class CollectionContext:
@@ -55,7 +42,7 @@ class CollectionContext:
         self.lattice = lattice
         self.p = p
         self._collections: dict[str, GPoset] = {}
-        self._conditions: dict[str, ConditionReport] = {}
+        self._conditions: dict[str, dict] = {}
         # each check the tables module has run, keyed by its inputs; filled
         # and read by tables._once
         self.memo: dict = {}
@@ -190,7 +177,11 @@ class CollectionContext:
 
     # ----- conditions ---------------------------------------------------------
 
-    def condition(self, which: str) -> ConditionReport:
+    def condition(self, which: str) -> dict:
+        """The report row of one condition, built once per context:
+        {"condition", "holds", "witnesses", "detail"}, with a witness that
+        refutes it when it fails. Every edge it gates and the conditions
+        section hold that one dict."""
         if which not in CONDITIONS:
             raise ValueError(f"unknown condition {which!r}; expected one of {CONDITIONS}")
         if which not in self._conditions:
@@ -204,7 +195,7 @@ class CollectionContext:
     def _witness_element(self, x: int) -> str:
         return self.lattice.group.element_string(x)
 
-    def _condition_M(self) -> ConditionReport:
+    def _condition_M(self) -> dict:
         """Every distinguished p-subgroup's normalizer sits inside a p-local
         subgroup that contains a Sylow p-subgroup of G."""
         lat = self.lattice
@@ -214,28 +205,27 @@ class CollectionContext:
         for P in self.collection("hat-S").members:
             n = lat.normalizer(P)
             if not any(lat.leq(n, m) for m in hosts):
-                return ConditionReport(
-                    "M", False, (self._witness_subgroup(P),),
-                    "normalizer of the witness lies in no p-local subgroup "
-                    "containing a Sylow p-subgroup")
-        return ConditionReport("M", True, (),
-                               f"checked {len(self.collection('hat-S'))} distinguished subgroups")
+                return {"condition": "M", "holds": False,
+                        "witnesses": [self._witness_subgroup(P)],
+                        "detail": "normalizer of the witness lies in no "
+                        "p-local subgroup containing a Sylow p-subgroup"}
+        return {"condition": "M", "holds": True, "witnesses": [], "detail":
+                f"checked {len(self.collection('hat-S'))} distinguished subgroups"}
 
-    def _condition_Cl(self) -> ConditionReport:
+    def _condition_Cl(self) -> dict:
         """E0 is closed under products of commuting pairs (identity aside)."""
         mul = self.lattice.group.mul
         for x, y in combinations(positions(self.E0), 2):
             z = mul[x][y]
             if z and z == mul[y][x] and not self.E0 >> z & 1:
-                return ConditionReport(
-                    "Cl", False,
-                    ({"x": self._witness_element(x), "y": self._witness_element(y),
-                      "xy": self._witness_element(z)},),
-                    "commuting product of central-type elements leaves E0")
-        return ConditionReport("Cl", True, (),
-                               f"E0 has {self.E0.bit_count()} elements")
+                return {"condition": "Cl", "holds": False, "witnesses": [{
+                    "x": self._witness_element(x), "y": self._witness_element(y),
+                    "xy": self._witness_element(z)}], "detail":
+                    "commuting product of central-type elements leaves E0"}
+        return {"condition": "Cl", "holds": True, "witnesses": [],
+                "detail": f"E0 has {self.E0.bit_count()} elements"}
 
-    def _condition_Ch(self) -> ConditionReport:
+    def _condition_Ch(self) -> dict:
         """Local characteristic p: C_H(O_p(H)) <= O_p(H) for every p-local H."""
         lat = self.lattice
         bits = lat.bitsets
@@ -243,19 +233,18 @@ class CollectionContext:
             core = lat.p_core(h, self.p)
             ch = bits[lat.centralizer(core)] & bits[h]
             if ch | bits[core] != bits[core]:
-                return ConditionReport(
-                    "Ch", False, (self._witness_subgroup(h),),
-                    "centralizer of O_p escapes O_p in the witness p-local subgroup")
-        return ConditionReport("Ch", True, (),
-                               f"checked {len(self.p_locals)} p-local subgroups")
+                return {"condition": "Ch", "holds": False,
+                        "witnesses": [self._witness_subgroup(h)], "detail":
+                        "centralizer of O_p escapes O_p in the witness p-local subgroup"}
+        return {"condition": "Ch", "holds": True, "witnesses": [],
+                "detail": f"checked {len(self.p_locals)} p-local subgroups"}
 
-    def equalities_under_Ch(self) -> dict:
+    def equalities_under_Ch(self) -> dict | None:
         """Under local characteristic p, radicals, distinguished radicals and
         centric radicals coincide; returns the common member set, or the first
-        subgroup separating two of the collections."""
-        if not self.condition("Ch").holds:
-            raise ConditionNotSatisfied(
-                "the local characteristic p condition fails for this group")
+        subgroup separating two of the collections, or None where Ch fails."""
+        if not self.condition("Ch")["holds"]:
+            return None
         b, bh, bc = (self.collection(k).mask for k in ("B", "hat-B", "Bcen"))
         if b == bh == bc:
             return {"equal": True, "common": list(map(

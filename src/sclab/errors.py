@@ -61,11 +61,6 @@ class NotASubposet(SclabError):
     """An inclusion-equivalence check was handed posets that are not nested."""
 
 
-class ConditionNotSatisfied(SclabError):
-    """An operation whose precondition is a group-theoretic condition was called
-    on a group where the condition fails."""
-
-
 class InternalInconsistency(SclabError):
     """A consistency check on the engine's own results failed; this is a
     fault in the engine, not a property of the input."""

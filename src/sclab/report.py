@@ -124,6 +124,16 @@ def _table(header, rows) -> list:
             *("| " + " | ".join(map(str, row)) + " |" for row in rows), ""]
 
 
+def _witness(witness: dict) -> str:
+    """A subgroup witness by its generators, an element witness as the
+    product it exhibits, anything else as compact sorted JSON."""
+    if "generators" in witness:
+        return witness["generators"]
+    if witness.keys() == {"x", "y", "xy"}:
+        return f"{witness['x']} · {witness['y']} = {witness['xy']}"
+    return _ENCODER.encode(witness)
+
+
 def _edge_row(edge: dict, evidence: list) -> tuple:
     return (f"{edge['row']}: {' / '.join(edge['kinds'])}", edge["style"],
             ", ".join(edge["conditions"]) or "—", edge["status"],
@@ -169,9 +179,8 @@ def report_to_markdown(report: dict) -> bytes:
         section = suites["conditions"]
         lines += ["## conditions", "", *_table(
             ("condition", "holds", "witnesses"),
-            [(name, rep["holds"], "; ".join(w.get("generators", str(w))
-                                            for w in rep["witnesses"]) or "—")
-             for name, rep in section["reports"].items()])]
+            [(name, rep["holds"], "; ".join(map(_witness, rep["witnesses"]))
+              or "—") for name, rep in section["reports"].items()])]
         coincide = section.get("radical_collections_coincide")
         if coincide is not None:
             lines += [f"- radical collections coincide: {coincide['equal']}",

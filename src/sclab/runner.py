@@ -17,9 +17,8 @@ from .group import PermutationGroup, load_group
 from .lattice import DEFAULT_ORDER_CAP, require_prime
 from .poset import DEFAULT_SIMPLEX_CAP
 from .report import cite_evidence
-from .tables import (SKIPPED, TABLE31, TABLE44, condition_json,
-                     verify_counterexamples, verify_inclusion_chains,
-                     verify_table_edges)
+from .tables import (SKIPPED, TABLE31, TABLE44, verify_counterexamples,
+                     verify_inclusion_chains, verify_table_edges)
 
 REPORT_FORMAT = "sclab-report/5"
 
@@ -96,13 +95,8 @@ def _inclusions_section(lattice, prime, _suite, _max_simplices) -> dict:
 
 def _conditions_section(lattice, prime, _suite, _max_simplices) -> dict:
     ctx = collection_context(lattice, prime)
-    reports = {c: condition_json(ctx, c) for c in CONDITIONS}
-    section = {"reports": reports}
-    if ctx.condition("Ch").holds:
-        section["radical_collections_coincide"] = ctx.equalities_under_Ch()
-    else:
-        section["radical_collections_coincide"] = None
-    return section
+    return {"reports": {c: ctx.condition(c) for c in CONDITIONS},
+            "radical_collections_coincide": ctx.equalities_under_Ch()}
 
 
 # suite -> its section builder, called as (lattice, prime, suite,

@@ -201,7 +201,6 @@ def _once(ctx, key, compute):
         ("json", key)                                     what _cited built
         ("per_centralizer", row, left mask, right mask, cap)
                                                           _by_centralizer rows
-        ("condition", name)                               condition_json
 
     with masks over the lattice's one order. A SizeCap propagates and
     stores nothing."""
@@ -218,12 +217,6 @@ def _cited(ctx, key, compute):
     once in the report."""
     result = _once(ctx, key, compute)
     return result, _once(ctx, ("json", key), result.to_json)
-
-
-def condition_json(ctx, which: str) -> dict:
-    """The JSON of ctx.condition(which), built once per context: every edge
-    it gates and the conditions section hold that one object."""
-    return _once(ctx, ("condition", which), ctx.condition(which).to_json)
 
 
 def _inclusion(sub, ambient, mode, max_simplices, equivariant=None):
@@ -357,9 +350,8 @@ def _check_edge(ctx, spec, max_simplices) -> EdgeResult:
     that disagrees is a fault in the engine, not in the input."""
     detail = {}
     if spec.conditions:
-        detail["conditions"] = {c: condition_json(ctx, c)
-                                for c in spec.conditions}
-        holding = [c for c in spec.conditions if ctx.condition(c).holds]
+        detail["conditions"] = {c: ctx.condition(c) for c in spec.conditions}
+        holding = [c for c, row in detail["conditions"].items() if row["holds"]]
         if not holding:
             detail["note"] = "no gating condition holds"
             return EdgeResult(spec, SKIPPED, detail)

@@ -12,14 +12,17 @@ at each prime p dividing its order. Every plan must:
 - have S contractible when O_p(H) is nontrivial (Quillen).
 
 The census also counts the method of every contractibility verdict that
-its reports cite. Pytest does not collect this file; the S5 census runs
-in `tests/test_literature.py`. Run it by hand:
+its reports cite, the two sides of each `both-contractible` scan row
+included. The order cap of every enumeration and plan is the host's order,
+or the default cap when that is larger, so a host above the default cap
+runs whole. Pytest does not collect this file; the S5 census runs in
+`tests/test_literature.py`. Run it by hand:
 
     python tests/census.py [GROUP ...]
 
-GROUP is a group file or builtin:NAME; the default runs S6 and S4 x S4
-from tests/data. The script prints one line per host, then each failure,
-and exits 1 if any plan fails.
+GROUP is a group file or builtin:NAME; the default runs S6, S4 x S4 and
+S7 from tests/data. The script prints one line per host, then each
+failure, and exits 1 if any plan fails.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ import _naive as naive
 from sclab.collections import collection_context
 from sclab.contract import CONTRACTIBLE, beat_core, contractibility_verdict
 from sclab.group import load_group
-from sclab.lattice import enumerate_subgroups
+from sclab.lattice import DEFAULT_ORDER_CAP, enumerate_subgroups
 from sclab.poset import order_complex
 from sclab.runner import VerificationPlan, exit_status, run
 
 DATA = Path(__file__).resolve().parent / "data"
-HOSTS = (str(DATA / "s6.grp"), str(DATA / "s4xs4.grp"))
+HOSTS = tuple(str(DATA / f"{name}.grp") for name in ("s6", "s4xs4", "s7"))
 
 
 class Census(NamedTuple):
@@ -53,23 +56,28 @@ class Census(NamedTuple):
 
 
 def count_verdict_methods(value, counts: Counter) -> None:
-    """Add the method of each contractibility verdict in a report's JSON;
+    """Add the method of each contractibility verdict in a report's JSON:
     a verdict is the one kind of object that says whether it is
-    equivariant."""
+    equivariant, and a `both-contractible` scan row keeps the methods of
+    its two verdicts in its detail."""
     if isinstance(value, dict):
         if "equivariant" in value:
             counts[value["method"]] += 1
+        if value.get("method") == "both-contractible":
+            counts.update((value["detail"]["left"], value["detail"]["right"]))
         value = list(value.values())
     if isinstance(value, list):
         for item in value:
             count_verdict_methods(item, counts)
 
 
-def check_plan(lattice, path: Path, p: int, methods: Counter) -> list[str]:
-    """What the plan (path, p) fails of the census's checks; lattice is the
-    subgroup lattice of the group in path."""
+def check_plan(lattice, path: Path, p: int, methods: Counter,
+               max_order: int) -> list[str]:
+    """What the plan (path, p) under the order cap max_order fails of the
+    census's checks; lattice is the subgroup lattice of the group in
+    path."""
     failed = []
-    report = run(VerificationPlan(str(path), p))
+    report = run(VerificationPlan(str(path), p, max_order=max_order))
     count_verdict_methods(report, methods)
     status = exit_status(report, strict=True)
     if status:
@@ -93,25 +101,29 @@ def check_plan(lattice, path: Path, p: int, methods: Counter) -> list[str]:
 def census(host: str) -> Census:
     """Verify one representative of each class of nontrivial subgroups of
     host at each prime dividing its order."""
-    lattice = enumerate_subgroups(load_group(host))
-    group = lattice.group
+    group = load_group(host)
+    cap = max(group.order, DEFAULT_ORDER_CAP)
+    lattice = enumerate_subgroups(group, max_order=cap)
+    # each representative's group file, made before any plan runs so
+    # that the host's tables are let go: each plan builds its own
+    files = {f"H{rep}.grp": f"degree {group.degree}\n" + "".join(
+        f"gen {group.element_string(x)}\n" for x in lattice.generating_set(rep))
+        for rep in lattice.class_representatives() if lattice.sizes[rep] > 1}
+    del group, lattice
     plans, failures, methods = 0, [], Counter()
     with tempfile.TemporaryDirectory() as tmp:
-        for rep in lattice.class_representatives():
-            order = lattice.sizes[rep]
-            if order == 1:
-                continue
-            path = Path(tmp) / f"H{rep}.grp"
-            path.write_text(f"degree {group.degree}\n" + "".join(
-                f"gen {group.element_string(x)}\n"
-                for x in lattice.generating_set(rep)))
-            sub = enumerate_subgroups(load_group(str(path)))
+        for name, text in files.items():
+            path = Path(tmp) / name
+            path.write_text(text)
+            sub = enumerate_subgroups(load_group(str(path)), max_order=cap)
+            order = sub.group.order
             for p in range(2, order + 1):
                 if order % p or any(p % d == 0 for d in range(2, p)):
                     continue
                 plans += 1
-                failures += [(path.name, p, what)
-                             for what in check_plan(sub, path, p, methods)]
+                failures += [(name, p, what)
+                             for what in check_plan(sub, path, p, methods,
+                                                    cap)]
     return Census(plans, failures, methods)
 
 

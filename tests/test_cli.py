@@ -166,6 +166,22 @@ def test_markdown_bytes_are_pinned(name, capfdbinary):
     assert sha256(capfdbinary.readouterr().out) == MARKDOWN_SHA256[name]
 
 
+# SHA-256 of `sclab verify --group tests/data/a4wrz2.grp --prime 2 --format
+# markdown`, the one pinned input whose Cl condition fails: its conditions
+# table writes the element witness as the product it exhibits.
+A4WRZ2_P2_MARKDOWN_SHA256 = (
+    "e2a372b9ba2d80e1c5433201da3866ddbee1f5dffdeea853aabcd12d71ac82ec")
+
+
+def test_markdown_writes_an_element_witness_as_its_product(capfdbinary):
+    assert verify("--group", str(DATA / "a4wrz2.grp"), "--prime", "2",
+                  "--format", "markdown") == 0
+    out = capfdbinary.readouterr().out
+    assert ("| Cl | False | (0 1)(2 3)(4 5)(6 7) · (0 1)(2 3)(4 6)(5 7)"
+            " = (4 7)(5 6) |\n").encode() in out
+    assert sha256(out) == A4WRZ2_P2_MARKDOWN_SHA256
+
+
 def test_report_flag_writes_file(tmp_path, capfd):
     target = tmp_path / "out.json"
     rc = verify("--group", "builtin:D8", "--prime", "2",

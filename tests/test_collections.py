@@ -6,8 +6,9 @@ import _naive as naive
 from _props import one_class_of_order_p
 from _suite import (SMALL_SUITE, SUITE, element_set, lattice_of,
                     nontrivial_p_subgroups)
-from sclab.collections import CONDITIONS, KINDS, collection_context
-from sclab.errors import ConditionNotSatisfied, PrimeDoesNotDivide
+from sclab.collections import (CONDITIONS, KINDS, CollectionContext,
+                               collection_context)
+from sclab.errors import PrimeDoesNotDivide
 from sclab.group import load_group, positions
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import GPoset
@@ -134,16 +135,16 @@ def test_conditions_on_d8_all_hold():
     ctx = collection_context(lattice_of("D8"), 2)
     for c in CONDITIONS:
         report = ctx.condition(c)
-        assert report.holds, c
-        assert report.witnesses == ()
+        assert report["holds"], c
+        assert report["witnesses"] == []
 
 
 def test_local_characteristic_fails_for_s5():
     ctx = collection_context(lattice_of("S5"), 2)
     report = ctx.condition("Ch")
-    assert not report.holds
-    assert len(report.witnesses) == 1
-    witness = report.witnesses[0]
+    assert not report["holds"]
+    assert len(report["witnesses"]) == 1
+    witness = report["witnesses"][0]
     # re-check the witness from the definition
     lat = ctx.lattice
     h = witness["index"]
@@ -154,12 +155,12 @@ def test_local_characteristic_fails_for_s5():
 
 def test_local_characteristic_fails_for_d12():
     for p in (2, 3):
-        assert not collection_context(lattice_of("D12"), p).condition("Ch").holds
+        assert not collection_context(lattice_of("D12"), p).condition("Ch")["holds"]
 
 
 def test_commuting_closure_holds_on_suite():
     for name, p in SMALL_SUITE:
-        assert collection_context(lattice_of(name), p).condition("Cl").holds
+        assert collection_context(lattice_of(name), p).condition("Cl")["holds"]
 
 
 def test_equalities_under_local_characteristic():
@@ -171,8 +172,32 @@ def test_equalities_under_local_characteristic():
 
 def test_equalities_require_the_condition():
     ctx = collection_context(lattice_of("S5"), 2)
-    with pytest.raises(ConditionNotSatisfied):
-        ctx.equalities_under_Ch()
+    assert ctx.equalities_under_Ch() is None
+
+
+def test_condition_M_fails_without_a_host():
+    """M holds on every input here; a context that knows no p-local
+    subgroup has no host for any normalizer, so M names the first
+    distinguished subgroup."""
+    ctx = CollectionContext(lattice_of("D8"), 2)
+    ctx.p_locals = ()
+    report = ctx.condition("M")
+    assert report["holds"] is False
+    first = ctx.collection("hat-S").members[0]
+    assert report["witnesses"] == [ctx._witness_subgroup(first)]
+
+
+def test_equalities_name_a_separating_subgroup():
+    """Wherever Ch holds here, B, hat-B and Bcen coincide; a context whose
+    hat-B misses the first radical must name that radical."""
+    ctx = CollectionContext(lattice_of("S4"), 2)
+    b = ctx.collection("B")
+    first = b.members[0]
+    ctx._collections["hat-B"] = b._sub(b.mask & ~(1 << first), "hat-B_2")
+    assert ctx.equalities_under_Ch() == {
+        "equal": False,
+        "counterexample": {**ctx._witness_subgroup(first), "in_B": True,
+                           "in_hat_B": False, "in_Bcen": True}}
 
 
 def test_one_class_shortcut_examples():
@@ -249,17 +274,17 @@ def test_a4_wreath_z2_agrees_with_naive_oracle(a4wrz2):
 
 def test_commuting_closure_fails_on_a4_wreath_z2(a4wrz2):
     report = a4wrz2.condition("Cl")
-    assert not report.holds
-    assert report.witnesses == ({"x": "(0 1)(2 3)(4 5)(6 7)",
-                                 "y": "(0 1)(2 3)(4 6)(5 7)",
-                                 "xy": "(4 7)(5 6)"},)
+    assert not report["holds"]
+    assert report["witnesses"] == [{"x": "(0 1)(2 3)(4 5)(6 7)",
+                                    "y": "(0 1)(2 3)(4 6)(5 7)",
+                                    "xy": "(4 7)(5 6)"}]
 
 
 def test_context_facts_on_q8():
     ctx = collection_context(lattice_of("Q8"), 2)
     assert ctx.E0 == ctx.E1
     assert len(ctx.collection("S")) == 5
-    assert ctx.condition("M").holds
+    assert ctx.condition("M")["holds"]
 
 
 def test_p_locals_s4():

@@ -147,7 +147,8 @@ def test_the_writer_holds_little_beside_its_output():
 
 def test_markdown_renders_notes_and_sections_no_real_input_reaches():
     """A SKIPPED edge prints its note, a suite without edges prints its
-    own note, and a condition witness without generators prints whole.
+    own note, and a condition witness that is neither a subgroup nor a
+    commuting product prints as compact JSON.
     No builtin or test-data input has a SKIPPED edge: Cl or Ch always
     holds."""
     report = {
@@ -218,7 +219,7 @@ none documented
 
 | condition | holds | witnesses |
 |---|---|---|
-| Cl | False | (0 1); {'x': 'a'} |
+| Cl | False | (0 1); {"x":"a"} |
 | Ch | True | — |
 
 - radical collections coincide: True

@@ -10,11 +10,12 @@ import itertools
 import pytest
 
 from sclab.cli import EXIT_INTERNAL, main
-from sclab.collections import ConditionReport, collection_context
+from sclab.collections import CollectionContext, collection_context
 from sclab.contract import verify_certificate
 from sclab.equivalence import (
     CERTIFIED,
     HOMOLOGY_CONSISTENT,
+    MISMATCH,
     PASS,
     FixedPointScan,
     InclusionResult,
@@ -276,6 +277,37 @@ def test_edge_result_to_json(d8):
     assert isinstance(js["conditions"], list)
 
 
+def test_a_second_sylow_that_disagrees_is_a_mismatch(s4):
+    """No real input has Sylow groups whose scans disagree; a context that
+    remembers an empty scan for the second one must grade the edge
+    MISMATCH and say so."""
+    ctx = CollectionContext(s4, 2)
+    spec = next(s for s in TABLE31_EDGES if s.checker == "eo-scan")
+    second = s4.sylow(2)[1]
+    poset = ctx.collection(spec.kinds[0])
+    ctx.memo[spec.checker, poset.mask, second, DEFAULT_SIMPLEX_CAP] = (
+        FixedPointScan(()))
+    result = _check_edge(ctx, spec, DEFAULT_SIMPLEX_CAP)
+    assert result.status == MISMATCH
+    assert result.detail["scan"]["status"] == CERTIFIED
+    assert result.detail["second_sylow"] == {
+        "subgroup": second, "status": CERTIFIED, "agrees": False}
+
+
+def test_a_counterexample_not_reproduced_is_a_mismatch(d8):
+    """The documented counterexamples all reproduce; an edge expecting
+    the opposite at V4 must grade MISMATCH and show what it observed."""
+    spec = TABLE31_EDGES[0]._replace(counterexample=("V4", "point", "empty"))
+    result = _check_edge(collection_context(d8, 2), spec, DEFAULT_SIMPLEX_CAP)
+    assert result.status == MISMATCH
+    assert result.detail["h1_homology"]["agree"]
+    assert result.detail["counterexample"] == {
+        "subgroup": _d8_subgroup(d8, "V4"), "subgroup_token": "V4",
+        "expected": {"left": "point", "right": "empty"},
+        "observed": {"left": {"size": 0}, "right": {"size": 1}},
+        "reproduced": False}
+
+
 # ------------------------------------------------------- skipped machinery
 
 
@@ -289,8 +321,8 @@ class RefusingContext:
         self.memo = real.memo
 
     def condition(self, name):
-        return ConditionReport(name, False,
-                               ({"forced": True},), "forced failure")
+        return {"condition": name, "holds": False,
+                "witnesses": [{"forced": True}], "detail": "forced failure"}
 
     def collection(self, kind):
         return self._real.collection(kind)
