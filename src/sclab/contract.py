@@ -59,7 +59,9 @@ class MonotoneRetraction(NamedTuple):
 class HomologyWitness(NamedTuple):
     """Homology-level evidence: nontriviality or disconnection refutes
     contractibility; triviality plus a verified trivial fundamental group
-    establishes it (simply connected and acyclic complexes are contractible)."""
+    establishes it (simply connected and acyclic complexes are contractible);
+    triviality alone, with pi1_trivial None, is what an UNKNOWN verdict
+    found."""
 
     profile: HomologyProfile
     connected: bool
@@ -75,13 +77,11 @@ class Verdict(NamedTuple):
     method: str
     certificate: object | None
     equivariant: bool | None
-    detail: dict
 
     def to_json(self):
         cert = self.certificate.to_json() if self.certificate is not None else None
         return {"status": self.status, "method": self.method,
-                "equivariant": self.equivariant, "certificate": cert,
-                "detail": self.detail}
+                "equivariant": self.equivariant, "certificate": cert}
 
 
 CONTRACTIBLE = "CONTRACTIBLE"
@@ -201,36 +201,31 @@ def contractibility_verdict(poset: GPoset, *, equivariant_under=None,
     certificate only is for the trivial subgroup.
     """
     if poset.is_empty():
-        return Verdict(NOT_CONTRACTIBLE, "empty", None, None, {"size": 0})
+        return Verdict(NOT_CONTRACTIBLE, "empty", None, None)
     h = equivariant_under
     orbit = None if h is None else poset.orbits(h)
     invariant = None if h is None else orbit is not None
     core = core_reduction(poset, orbit)
     if isinstance(core, CoreReduction):
-        return Verdict(CONTRACTIBLE, "core", core, invariant,
-                       {"point": core.point})
+        return Verdict(CONTRACTIBLE, "core", core, invariant)
 
     # the core has the poset's homology and fundamental group
     complex_ = order_complex(GPoset(poset.order, core, poset.lattice,
                                     poset.name), max_simplices)
     profile = homology(complex_)
-    connected = _reduced_b0(profile) == 0
-    if not connected:
+    if _reduced_b0(profile):
         return Verdict(NOT_CONTRACTIBLE, "disconnected",
-                       HomologyWitness(profile, False), None,
-                       {"components": _reduced_b0(profile) + 1})
+                       HomologyWitness(profile, False), None)
     if not profile.trivial:
         return Verdict(NOT_CONTRACTIBLE, "homology",
-                       HomologyWitness(profile, True), None,
-                       {"profile": profile.to_json()})
+                       HomologyWitness(profile, True), None)
     if fundamental_group_trivial(complex_):
         # a homology witness says nothing about equivariance itself
         return Verdict(CONTRACTIBLE, "pi1",
                        HomologyWitness(profile, True, True),
-                       None if h is None else h == poset.lattice.trivial,
-                       {"profile": profile.to_json()})
-    return Verdict(UNKNOWN, "undetermined", None, None,
-                   {"profile": profile.to_json(), "pi1_trivial": None})
+                       None if h is None else h == poset.lattice.trivial)
+    return Verdict(UNKNOWN, "undetermined", HomologyWitness(profile, True),
+                   None)
 
 
 def verify_certificate(poset: GPoset, verdict: Verdict,
@@ -238,7 +233,7 @@ def verify_certificate(poset: GPoset, verdict: Verdict,
     """Replay the evidence behind a verdict. CONTRACTIBLE certificates are
     re-verified step by step, orbit-wise under the subgroup equivariant_under
     when the verdict claims equivariance; NOT_CONTRACTIBLE witnesses are
-    recomputed. UNKNOWN carries nothing to check and verifies vacuously."""
+    recomputed. UNKNOWN claims nothing and verifies vacuously."""
     if verdict.status == UNKNOWN:
         return True
     cert = verdict.certificate

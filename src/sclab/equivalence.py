@@ -19,7 +19,7 @@ from .group import positions
 from .homology import homology
 from .poset import DEFAULT_SIMPLEX_CAP, GPoset, order_complex
 
-MODES = ("fibers", "upper", "lower", "upper-equivariant")
+MODES = ("fibers", "upper", "lower")
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -28,13 +28,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 CERTIFIED = "CERTIFIED"
 HOMOLOGY_CONSISTENT = "HOMOLOGY-CONSISTENT"
 MISMATCH = "MISMATCH"
-
-_CLAIMS = {
-    "fibers": "inclusion induces an equivariant homotopy equivalence",
-    "upper": "inclusion induces an equivalence of subgroup-restriction functors",
-    "lower": "inclusion induces an equivalence of centralizer-restriction functors",
-    "upper-equivariant": "inclusion induces an equivariant homotopy equivalence",
-}
 
 
 def _check_subposet(sub: GPoset, ambient: GPoset) -> None:
@@ -63,47 +56,55 @@ class InclusionResult(NamedTuple):
     outcome: str                # PASS | FAIL | INCONCLUSIVE
     per_element: tuple          # ((position, stabilizer_index | None, Verdict), ...)
     witnesses: tuple            # positions whose hypothesis check did not certify
-    claim: str
 
     def to_json(self):
-        return {"mode": self.mode, "outcome": self.outcome, "claim": self.claim,
+        return {"mode": self.mode, "outcome": self.outcome,
                 "witnesses": list(self.witnesses),
                 "per_element": [[y, s, v.to_json()]
                                 for y, s, v in self.per_element]}
 
 
+def inclusion_outcome(per_element, equivariant: bool) -> tuple:
+    """(outcome, witnesses) of the verdicts of an inclusion check: FAIL with
+    the positions whose hypothesis poset is NOT_CONTRACTIBLE, else
+    INCONCLUSIVE with those left UNKNOWN, or (when equivariant) certified
+    without equivariance, else PASS."""
+    failing = tuple(y for y, _, v in per_element
+                    if v.status == NOT_CONTRACTIBLE)
+    if failing:
+        return FAIL, failing
+    undecided = tuple(y for y, _, v in per_element if v.status == UNKNOWN
+                      or equivariant and not v.equivariant)
+    return (INCONCLUSIVE, undecided) if undecided else (PASS, ())
+
+
 def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
-                                 equivariant: bool | None = None,
+                                 equivariant: bool,
                                  max_simplices: int = DEFAULT_SIMPLEX_CAP
                                  ) -> InclusionResult:
     """Certify that sub -> ambient induces a homotopy equivalence.
 
-    mode picks the hypothesis: "fibers" checks the fibers sub_{<=y}
-    (stabilizer-equivariantly), "upper" / "lower" the punctured intervals
-    ambient_{>y} / ambient_{<y} (plainly), and "upper-equivariant" is the
-    upper check with stabilizer equivariance demanded. Every mode checks
-    y in ambient outside sub only: for y in sub the fiber sub_{<=y} has the
-    N_G(y)-fixed maximum y, so it is an equivariant cone, and Quillen's
-    fiber lemma (Adv. Math. 28, 1978, Prop. 1.6) asks nothing more of it.
-    equivariant overrides the mode default. An equivariant verdict comes
-    only from an orbit-wise core reduction, so a pi1 certificate leaves a
-    demanded element undecided.
+    mode picks the hypothesis: "fibers" checks the fibers sub_{<=y},
+    "upper" / "lower" the punctured intervals ambient_{>y} / ambient_{<y}.
+    Every mode checks y in ambient outside sub only: for y in sub the fiber
+    sub_{<=y} has the N_G(y)-fixed maximum y, so it is an equivariant cone,
+    and Quillen's fiber lemma (Adv. Math. 28, 1978, Prop. 1.6) asks nothing
+    more of it. equivariant demands each verdict be equivariant under the
+    stabilizer N_G(y). An equivariant verdict comes only from an orbit-wise
+    core reduction, which is also a plain one (Stong, Discrete Math. 49,
+    1984), so the statuses of a demanding check settle the plain claim too;
+    a pi1 certificate leaves a demanded element undecided.
 
-    Aggregation: PASS when every element certifies, FAIL when some hypothesis
-    poset is NOT_CONTRACTIBLE (witnesses listed), else INCONCLUSIVE.
+    Aggregation as in inclusion_outcome.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     _check_subposet(sub, ambient)
-    demand = (mode in ("fibers", "upper-equivariant")
-              if equivariant is None else equivariant)
     lat = ambient.lattice
-    if demand and lat is None:
-        raise ValueError("equivariant modes need a lattice-backed poset")
+    if equivariant and lat is None:
+        raise ValueError("an equivariant check needs a lattice-backed poset")
 
     per = []
-    failing = []
-    undecided = []
     for y in _pool(ambient, sub):
         if mode == "fibers":
             interval = sub.below(y)
@@ -111,22 +112,11 @@ def verify_inclusion_equivalence(sub: GPoset, ambient: GPoset, mode: str, *,
             interval = ambient.below(y, strict=True)
         else:
             interval = ambient.above(y, strict=True)
-        stab = lat.normalizer(y) if demand else None
-        verdict = contractibility_verdict(interval, equivariant_under=stab,
-                                          max_simplices=max_simplices)
-        per.append((y, stab, verdict))
-        if verdict.status == NOT_CONTRACTIBLE:
-            failing.append(y)
-        elif verdict.status == UNKNOWN or (demand and not verdict.equivariant):
-            undecided.append(y)
-
-    if failing:
-        outcome, witnesses = FAIL, tuple(failing)
-    elif undecided:
-        outcome, witnesses = INCONCLUSIVE, tuple(undecided)
-    else:
-        outcome, witnesses = PASS, ()
-    return InclusionResult(mode, outcome, tuple(per), witnesses, _CLAIMS[mode])
+        stab = lat.normalizer(y) if equivariant else None
+        per.append((y, stab, contractibility_verdict(
+            interval, equivariant_under=stab, max_simplices=max_simplices)))
+    outcome, witnesses = inclusion_outcome(per, equivariant)
+    return InclusionResult(mode, outcome, tuple(per), witnesses)
 
 
 # --------------------------------------------------------------------------

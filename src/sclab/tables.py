@@ -3,11 +3,12 @@
 Each table is a 3 x k grid of collections: rows EO (subgroup-restriction
 functor), C (the bare nerve), EA (centralizer-restriction functor); columns
 are collections ordered by inclusion. Edges carry a claim strength: solid
-(equivariant equivalence, certified by fiber or pruning hypotheses), dashed
-(equivalence after restricting to subgroups of a Sylow group, certified per
-subgroup), dotted (plain homotopy equivalence; checked as homology agreement
-at the trivial subgroup, and known to be non-upgradable by documented
-counterexamples on the dihedral group of order 8, which are reproduced).
+(an equivalence of the row's functors, equivariant on the C row, certified
+by fiber or pruning hypotheses), dashed (equivalence after restricting to
+subgroups of a Sylow group, certified per subgroup), dotted (plain homotopy
+equivalence; checked as homology agreement at the trivial subgroup, and
+known to be non-upgradable by documented counterexamples on the dihedral
+group of order 8, which are reproduced).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .collections import collection_context
 from .contract import CONTRACTIBLE, beat_core, contractibility_verdict
 from .equivalence import (CERTIFIED, FAIL, HOMOLOGY_CONSISTENT, INCONCLUSIVE,
                           MISMATCH, PASS, fixed_point_equivalence_scan,
-                          verify_inclusion_equivalence)
+                          inclusion_outcome, verify_inclusion_equivalence)
 from .errors import InternalInconsistency
 from .group import positions
 from .homology import homology
@@ -67,7 +68,7 @@ TABLE31_EDGES = (
     EdgeSpec(TABLE31, "EO", ("tilde-S", "tilde-B"), "solid", "prune"),
     EdgeSpec(TABLE31, "C", ("E", "tilde-A"), "solid", "fibers"),
     EdgeSpec(TABLE31, "C", ("tilde-A", "tilde-S"), "solid", "fibers"),
-    EdgeSpec(TABLE31, "C", ("tilde-S", "tilde-B"), "solid", "prune-equivariant"),
+    EdgeSpec(TABLE31, "C", ("tilde-S", "tilde-B"), "solid", "prune"),
     EdgeSpec(TABLE31, "EA", ("E", "tilde-A"), "solid", "lower"),
     EdgeSpec(TABLE31, "EA", ("tilde-A", "tilde-S"), "solid", "fibers-by-centralizer"),
     EdgeSpec(TABLE31, "EA", ("tilde-S", "tilde-B"), "dotted", "h1",
@@ -88,7 +89,7 @@ TABLE44_EDGES = (
     EdgeSpec(TABLE44, "EO", ("hat-S", "hat-B"), "solid", "prune",
              conditions=("Cl", "Ch", "M")),
     EdgeSpec(TABLE44, "C", ("hat-A", "hat-S"), "solid", "fibers"),
-    EdgeSpec(TABLE44, "C", ("hat-S", "hat-B"), "solid", "prune-equivariant",
+    EdgeSpec(TABLE44, "C", ("hat-S", "hat-B"), "solid", "prune",
              conditions=("Cl", "Ch", "M")),
     EdgeSpec(TABLE44, "EA", ("hat-A", "hat-S"), "solid", "fibers-by-centralizer"),
     EdgeSpec(TABLE44, "EA", ("hat-S", "hat-B"), "dotted", "h1",
@@ -219,7 +220,7 @@ def _cited(ctx, key, compute):
     return result, _once(ctx, ("json", key), result.to_json)
 
 
-def _inclusion(sub, ambient, mode, max_simplices, equivariant=None):
+def _inclusion(sub, ambient, mode, equivariant, max_simplices):
     """The memo key and the computation of one inclusion check."""
     return ((sub.mask, ambient.mask, mode, equivariant, max_simplices),
             lambda: verify_inclusion_equivalence(
@@ -239,22 +240,24 @@ def _compare_nerves(ctx, left: GPoset, right: GPoset, max_simplices) -> dict:
     return {"left": left_json, "right": right_json, "agree": pl == pr}
 
 
-# inclusion checker -> (mode, reads right-to-left); the pruning edges keep
-# the smaller collection, which stands on the right
+# inclusion checker -> (mode, reads right-to-left, equivariance demanded);
+# the pruning edges keep the smaller collection, which stands on the right
 _INCLUSIONS = {
-    "fibers": ("fibers", False),
-    "lower": ("lower", False),
-    "prune": ("upper", True),
-    "prune-equivariant": ("upper-equivariant", True),
+    "fibers": ("fibers", False, True),
+    "lower": ("lower", False, False),
+    "prune": ("upper", True, True),
 }
 
 
 def _by_inclusion(ctx, spec, max_simplices, detail) -> str:
-    mode, backwards = _INCLUSIONS[spec.checker]
+    """The C row claims an equivariant equivalence and grades the check's
+    verdicts with equivariance; the EO and EA rows ignore it, so the EO
+    pruning edge cites the one check its C edge runs."""
+    mode, backwards, equivariant = _INCLUSIONS[spec.checker]
     sub, ambient = map(ctx.collection, spec.kinds[::-1 if backwards else 1])
     res, detail["inclusion"] = _cited(
-        ctx, *_inclusion(sub, ambient, mode, max_simplices))
-    return _squash(res.outcome)
+        ctx, *_inclusion(sub, ambient, mode, equivariant, max_simplices))
+    return _squash(inclusion_outcome(res.per_element, spec.row == "C")[0])
 
 
 def _by_centralizer(ctx, spec, max_simplices, detail) -> str:
@@ -265,8 +268,8 @@ def _by_centralizer(ctx, spec, max_simplices, detail) -> str:
         rows = []
         for h in ctx.lattice.class_representatives():
             left, right = _avatars(ctx, spec, h)
-            res = _once(ctx, *_inclusion(left, right, "fibers", max_simplices,
-                                         equivariant=False))
+            res = _once(ctx, *_inclusion(left, right, "fibers", False,
+                                         max_simplices))
             rows.append({"subgroup": h, "order": ctx.lattice.sizes[h],
                          "outcome": res.outcome,
                          "witnesses": list(res.witnesses)})
@@ -297,19 +300,19 @@ def _by_scan(ctx, spec, max_simplices, detail) -> str:
 
     sylows = lat.sylow(ctx.p)
     scan, detail["scan"] = _cited(ctx, *scan_of(sylows[0]))
-    status = scan.status
     if len(sylows) > 1:
         # the restriction to a Sylow group is independent of the choice by
-        # conjugacy; spot-check that on a second one
+        # conjugacy; spot-check that on a second one, where rows that
+        # differ are a fault in the engine
         other = _once(ctx, *scan_of(sylows[1]))
-        agrees = (other.status == scan.status
-                  and sorted((c.order, c.status) for c in other.per_subgroup)
-                  == sorted((c.order, c.status) for c in scan.per_subgroup))
+        if (sorted((c.order, c.status) for c in other.per_subgroup)
+                != sorted((c.order, c.status) for c in scan.per_subgroup)):
+            raise InternalInconsistency(
+                f"edge {spec.edge_id}: the scans of two conjugate Sylow "
+                "groups disagree")
         detail["second_sylow"] = {"subgroup": sylows[1],
-                                  "status": other.status, "agrees": agrees}
-        if not agrees:
-            status = MISMATCH
-    return status
+                                  "status": other.status}
+    return scan.status
 
 
 def _by_h1(ctx, spec, max_simplices, detail) -> str:

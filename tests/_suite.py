@@ -44,9 +44,10 @@ def nontrivial_p_subgroups(lat, p: int):
 
 
 def inline_evidence(report: dict) -> dict:
-    """report, an sclab-report/5 document, rewritten in place as the
-    sclab-report/4 document of the same run: each evidence entry back in
-    every edge detail that cites it by number, and no evidence list."""
+    """report, whose edges cite evidence by number, rewritten in place with
+    each evidence entry back in every edge detail that cites it, no
+    evidence list, and the format sclab-report/4: for a /5 report, the /4
+    document of the same run."""
     evidence = report.pop("evidence")
     for section in report["suites"].values():
         for edge in section.get("edges", ()):

@@ -11,8 +11,8 @@ pin covers it. Pytest does not collect this file; run it by hand:
 
 NAME is a group file in tests/data without its suffix; the default runs
 all five. With --check the script exits 1 unless every report's SHA-256
-equals its pin in PINS, the bytes of the sclab-report/5 format. The pins
-were made by docs/report_4_to_5.py from the sclab-report/4 bytes pinned
+equals its pin in PINS, the bytes of the sclab-report/6 format. The pins
+were made by docs/report_5_to_6.py from the sclab-report/5 bytes pinned
 before, and the engine writes exactly those bytes.
 """
 
@@ -32,11 +32,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 GROUPS = ("s4xs4", "d8xd8", "z2_5", "z2_6", "s6xz2")
 PRIME = 2
 PINS = {
-    "s4xs4": "d981ced677c5f09513ce6962349d65970080e396328328e709b260c03762edf4",
-    "d8xd8": "5ed1de8c3276c1beb276e8696045ae3b90ce94d91a57f4135115d9d820eae09b",
-    "z2_5": "9579811c95a92cf04d416a34e7303a70d23ea2502d7838f679e8d54fd2b1db8e",
-    "z2_6": "c0e2c1ea7b788113b4cae68b65da0866067255a3c27ccf1b1f8541f5ed4ad074",
-    "s6xz2": "6ae52fd96296a27f367f1675c827c064cfee3e7035d9f7e21d5b013d614b3b34",
+    "s4xs4": "1d82c40dea52ee1e37b631388cbaa04ae5b1ef04324f619978ed2719d6214a12",
+    "d8xd8": "5190f118aa7065560b02dd9aef54aa602882b604ac4168c39b7892db8e41dc4f",
+    "z2_5": "40fcf887e2c59238eaf16d776679c630b45cffbdaa2adcb6bd74a33089bd4e6d",
+    "z2_6": "718635f9932444a69cb414ac3afd62613f21a6436c3c48225339a7307d78a722",
+    "s6xz2": "243db1443d5cdb0e5deb184739be995cbe1e61764c7a034a2faeeee744079ee2",
 }
 
 

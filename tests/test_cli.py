@@ -2,13 +2,13 @@
 
 The golden file pins the exact bytes of a small JSON report; any change
 to report content or serialization order must be deliberate enough to
-regenerate it. It, the SHA-256 pins below but A4WRZ2_P2_SHA256, and the
-frontier pins were last replaced by `docs/report_4_to_5.py` applied to the
-sclab-report/4 bytes they pinned before, which moves each edge's cited
-evidence into the top-level `evidence` list; the new code writes exactly
-those bytes. The /4 digests stay in REPORT_4_SHA256: each pinned report,
-with its evidence inlined again, must give them back, so the rewrite lost
-nothing.
+regenerate it. It, the SHA-256 pins below and the frontier pins were last
+replaced by `docs/report_5_to_6.py` applied to the sclab-report/5 bytes
+they pinned before, which cites one upper check from both edges of each
+pruning pair and drops each verdict's `detail`; the new code writes exactly
+those bytes. The markdown pins were replaced by the markdown of those
+rewritten reports. The /5 golden file is kept beside the /6 one, and its
+evidence inlined again gives the /4 bytes in GOLDEN_REPORT_4_SHA256.
 """
 
 import ast
@@ -49,54 +49,43 @@ DATA = Path(__file__).parent / "data"
 
 # SHA-256 of the report of `sclab verify --group tests/data/z2_4.grp
 # --prime 2`, recorded while order queries were still pairwise, then
-# carried to sclab-report/3, /4 and /5 by the converters of each format
+# carried to sclab-report/3, /4, /5 and /6 by the converters of each format
 # change. Its core certificates list every beat point in removal order, so
 # any change in which beat point is removed first changes these bytes.
 Z2_4_P2_SHA256 = (
-    "55996948b46355ebb612ac01966665fe24ccca903d23501136ceba46b366fdf1")
+    "e0009088ac9aa1050d09eb63cc7884941a89a16524f6cc1ac97644f6af1bf1ed")
 
 # SHA-256 of the report of `sclab verify --group tests/data/psl27.grp
 # --prime 2`, recorded while normalizers and centralizers were still found
-# by conjugating with every element, then carried to sclab-report/3, /4
-# and /5 by the converters of each format change. PSL(2,7) is non-abelian
+# by conjugating with every element, then carried to sclab-report/3, /4,
+# /5 and /6 by the converters of each format change. PSL(2,7) is non-abelian
 # with six element classes and fifteen subgroup classes, so its
 # normalizers and centralizers differ from subgroup to subgroup, unlike
 # those of Z2^4.
 PSL27_P2_SHA256 = (
-    "3a2ee385a54bfe60e90b3e13f9ca59826e1e6eeb36a1e03605c42afa57e62f50")
+    "bee3f6ff7bc2e018e266c1df2c09a2a8b474dd214d8f4b5e0644d4288ba6f725")
 
 # SHA-256 of the report of `sclab verify --group tests/data/a4wrz2.grp
 # --prime 2`, recorded as sclab-report/5 while E0 and E1 were still sets
-# of element indices closed by re-scanning every pair. A4 wr Z2 is the
+# of element indices closed by re-scanning every pair, then carried to /6
+# by docs/report_5_to_6.py. A4 wr Z2 is the
 # first input here on which E1 is larger than E0 and the Cl condition
 # fails, so its tilde and hat collections differ.
 A4WRZ2_P2_SHA256 = (
-    "adf1cce4531d60b0547b8e32371347d174ce86eb74c767f5a81bbb5e573a4787")
+    "6348a84eb1e014765986d5d5a0d5d7fe1934d3e78f81900a6063751a835f1a7e")
 
 # SHA-256 of the report of `sclab verify --group tests/data/d8xz2.grp
 # --prime 2`, recorded while retractions were still checked position by
 # position as explicit maps, then carried to sclab-report/3, which
-# checked each recorded pair against q v H or q ^ C_G(H), and to /4 and /5
-# by the converters of each format change. It carries 188 retraction
-# certificates.
+# checked each recorded pair against q v H or q ^ C_G(H), and to /4, /5
+# and /6 by the converters of each format change. It carries 188
+# retraction certificates.
 D8XZ2_P2_SHA256 = (
-    "1f16f80f6d07df03ef6ea9aeae225ef2f6ae8cc732ece245a8a8f438645abb8e")
+    "0890790fa4ba81ec1a86053b56ab7f48e7b7e655bb2f6bc46efa041d535cbcfd")
 
-# the sclab-report/4 bytes of the golden file and of each pinned report
-REPORT_4_SHA256 = {
-    "d8_table31":
-        "3e0009114108409daff829464d43ea65f139545d2ffb7467b0314c6c87668948",
-    "z2_4": "8ae9e9c207bce8fb410c24c301fe7de887d17b02eabe96eee918d8350d00624f",
-    "psl27":
-        "9482334c93e05c42de17bb1e82afdddf626c1b132d703b268d7131afbbee0572",
-    "a4wrz2":
-        "dfb011f0d3a8168292c96ac177128df3fdaf8c70f2cb551c5b193c180beb7771",
-    "d8xz2":
-        "1626562190522f93d8e596382b9a3804b15d121da1539e51b15d8f5252a01d68",
-    "d8xd8":
-        "91da6137c7cd9254e2578547b2f670b47d773f386ff8b3b6f5e3b655a54b3dd5",
-    "z2_5": "4c0b1c0fc08f9cc800ae45b76951f4e0214c52eff672400381367cba545553bd",
-}
+# the sclab-report/4 bytes of the golden file
+GOLDEN_REPORT_4_SHA256 = (
+    "3e0009114108409daff829464d43ea65f139545d2ffb7467b0314c6c87668948")
 
 
 def verify(*extra):
@@ -114,11 +103,6 @@ def as_report_4(payload: bytes) -> bytes:
             + "\n").encode()
 
 
-def assert_pinned(payload: bytes, name: str, digest: str) -> None:
-    assert sha256(payload) == digest
-    assert sha256(as_report_4(payload)) == REPORT_4_SHA256[name]
-
-
 def assert_golden(actual: bytes) -> None:
     """Compare parsed first, so a failure shows a structural diff of the
     one-line report; then the bytes themselves."""
@@ -133,7 +117,7 @@ def test_clean_run_writes_json_to_stdout(capfdbinary):
     out = capfdbinary.readouterr().out
     assert out.endswith(b"\n")
     report = json.loads(out)
-    assert report["format"] == "sclab-report/5"
+    assert report["format"] == "sclab-report/6"
     assert report["group"]["name"] == "D8"
 
 
@@ -150,12 +134,13 @@ def test_markdown_format(capfdbinary):
 
 # SHA-256 of `sclab verify --group builtin:<name> --prime 2 --format
 # markdown` (suite `all`), recorded while the writer still wrote each table
-# line by line. The reports have every section: D8 its reproduced
-# counterexamples, S4 no counterexamples but dashed edges citing a second
-# Sylow group.
+# line by line, and replaced by the markdown of the sclab-report/6 reports
+# that docs/report_5_to_6.py made. The reports have every section: D8 its
+# reproduced counterexamples, S4 no counterexamples but dashed edges citing
+# a second Sylow group.
 MARKDOWN_SHA256 = {
-    "D8": "7dedf4357462f3533c31370a11745dd2f7c0f1cc3f91add24e2030df83c5afb3",
-    "S4": "e19b25beba4d982a8d41db7052b50b05c8cbd436b172be02f02a56324748d21a",
+    "D8": "1175d7581f20a2c8d4b5e97079de68632c79b3d9a6e78869c8368c9357921880",
+    "S4": "869ef41ddd6ca16c3dbbe337ba4be2c66642fd49aa5284c5c679e5dc4c5f319f",
 }
 
 
@@ -168,9 +153,10 @@ def test_markdown_bytes_are_pinned(name, capfdbinary):
 
 # SHA-256 of `sclab verify --group tests/data/a4wrz2.grp --prime 2 --format
 # markdown`, the one pinned input whose Cl condition fails: its conditions
-# table writes the element witness as the product it exhibits.
+# table writes the element witness as the product it exhibits. Replaced as
+# MARKDOWN_SHA256 was.
 A4WRZ2_P2_MARKDOWN_SHA256 = (
-    "e2a372b9ba2d80e1c5433201da3866ddbee1f5dffdeea853aabcd12d71ac82ec")
+    "d4c565c3d1d5d780b6da7c71448e24d50e94e73889d89c8023beddc8f14e9dc5")
 
 
 def test_markdown_writes_an_element_witness_as_its_product(capfdbinary):
@@ -204,8 +190,8 @@ def test_json_output_is_byte_deterministic(tmp_path):
 
 
 def test_golden_d8_table31_inlines_to_its_report_4_bytes():
-    golden = (GOLDEN / "d8_table31.json").read_bytes()
-    assert sha256(as_report_4(golden)) == REPORT_4_SHA256["d8_table31"]
+    golden = (GOLDEN / "d8_table31_report5.json").read_bytes()
+    assert sha256(as_report_4(golden)) == GOLDEN_REPORT_4_SHA256
 
 
 def test_golden_d8_table31(tmp_path, capfd):
@@ -465,38 +451,38 @@ def test_z2_4_report_is_pinned(tmp_path):
     report = tmp_path / "z2_4.json"
     assert verify("--group", str(DATA / "z2_4.grp"), "--prime", "2",
                   "--report", str(report)) == 0
-    assert_pinned(report.read_bytes(), "z2_4", Z2_4_P2_SHA256)
+    assert sha256(report.read_bytes()) == Z2_4_P2_SHA256
 
 
 def test_psl27_report_is_pinned(tmp_path):
     report = tmp_path / "psl27.json"
     assert verify("--group", str(DATA / "psl27.grp"), "--prime", "2",
                   "--report", str(report)) == 0
-    assert_pinned(report.read_bytes(), "psl27", PSL27_P2_SHA256)
+    assert sha256(report.read_bytes()) == PSL27_P2_SHA256
 
 
 def test_a4wrz2_report_is_pinned(tmp_path):
     report = tmp_path / "a4wrz2.json"
     assert verify("--group", str(DATA / "a4wrz2.grp"), "--prime", "2",
                   "--report", str(report)) == 0
-    assert_pinned(report.read_bytes(), "a4wrz2", A4WRZ2_P2_SHA256)
+    assert sha256(report.read_bytes()) == A4WRZ2_P2_SHA256
 
 
 def test_d8xz2_report_is_pinned(tmp_path):
     report = tmp_path / "d8xz2.json"
     assert verify("--group", str(DATA / "d8xz2.grp"), "--prime", "2",
                   "--report", str(report)) == 0
-    assert_pinned(report.read_bytes(), "d8xz2", D8XZ2_P2_SHA256)
+    assert sha256(report.read_bytes()) == D8XZ2_P2_SHA256
 
 
 @pytest.mark.parametrize("name", ["d8xd8", "z2_5"])
 def test_large_reports_match_the_frontier_pins(tmp_path, name):
-    # 0.34-0.41 MB reports, 0.75 MB as sclab-report/4, where edges share
+    # 0.24-0.36 MB reports, 0.75 MB as sclab-report/4, where edges share
     # the most evidence; the pins are the ones tests/frontier.py checks
     report = tmp_path / f"{name}.json"
     assert verify("--group", str(DATA / f"{name}.grp"), "--prime", "2",
                   "--report", str(report)) == 0
-    assert_pinned(report.read_bytes(), name, PINS[name])
+    assert sha256(report.read_bytes()) == PINS[name]
 
 
 def _raises_assertion_error(node):

@@ -12,6 +12,7 @@ from sclab.contract import (
     NOT_CONTRACTIBLE,
     UNKNOWN,
     CoreReduction,
+    HomologyWitness,
     Verdict,
     beat_core,
     contractibility_verdict,
@@ -68,7 +69,7 @@ def relabel(f, at):
 
 def core_verdict(steps, point, equivariant=None):
     return Verdict(CONTRACTIBLE, "core", CoreReduction(steps, point),
-                   equivariant, {})
+                   equivariant)
 
 
 # ------------------------------------------------ the map-checker oracle
@@ -233,7 +234,6 @@ def test_verdict_cone_from_unique_maximum():
     # are gone and 6 is the least element above it
     assert v.certificate == CoreReduction(
         tuple((div(d),) for d in (2, 3, 4, 1, 6)), div(12))
-    assert v.detail == {"point": div(12)}
     assert verify_certificate(DIVISORS_OF_12, v)
 
 
@@ -267,7 +267,9 @@ def test_verdict_disconnected():
     v = contractibility_verdict(two)
     assert v.status == NOT_CONTRACTIBLE
     assert v.method == "disconnected"
-    assert v.detail["components"] == 2
+    # two points: reduced H_0 of rank 1, that is, two components
+    assert v.certificate.profile.reduced_betti == (1,)
+    assert not v.certificate.connected
     assert verify_certificate(two, v)
 
 
@@ -293,8 +295,10 @@ def test_verdict_unknown_with_zero_pi1_budget(monkeypatch):
     poset = face_poset(DUNCE_FACETS)
     v = contractibility_verdict(poset)
     assert v.status == UNKNOWN
-    assert v.certificate is None
-    # UNKNOWN carries nothing and verifies vacuously
+    # the profile it found, trivial, and no trivial fundamental group
+    assert v.certificate == HomologyWitness(
+        homology(order_complex(poset)), True, None)
+    # UNKNOWN claims nothing and verifies vacuously
     assert verify_certificate(poset, v)
 
 
@@ -304,7 +308,7 @@ def test_verdict_to_json_shapes():
     assert js["status"] == CONTRACTIBLE
     assert js["method"] == "core"
     # the positions of 12 and of 2, 3, 4, 1, 6
-    assert js["detail"] == {"point": 5}
+    assert set(js) == {"status", "method", "equivariant", "certificate"}
     assert js["certificate"] == {"kind": "core", "point": 5,
                                  "steps": [[1], [2], [3], [0], [4]]}
 

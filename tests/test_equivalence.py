@@ -21,6 +21,7 @@ from sclab.equivalence import (
     FixedPointComparison,
     FixedPointScan,
     fixed_point_equivalence_scan,
+    inclusion_outcome,
     verify_inclusion_equivalence,
 )
 from sclab.errors import NotASubposet
@@ -56,10 +57,10 @@ def test_fiber_mode_certifies_nested_collections(d8):
     lat, ctx = d8
     sub = poset_of(lat, ctx, "E")
     ambient = poset_of(lat, ctx, "tilde-A")
-    res = verify_inclusion_equivalence(sub, ambient, "fibers")
+    res = verify_inclusion_equivalence(sub, ambient, "fibers",
+                                       equivariant=True)
     assert res.outcome == PASS
     assert res.witnesses == ()
-    assert "equivariant" in res.claim
     # fiber checks run under the stabilizer of each ambient element
     assert all(stab is not None for _, stab, _ in res.per_element)
 
@@ -74,7 +75,8 @@ def test_fiber_pool_is_the_classes_outside_sub():
     outside = set(ambient.members) - set(sub.members)
     classes = {frozenset(lat.conjugate(y, g)
                          for g in range(lat.group.order)) for y in outside}
-    res = verify_inclusion_equivalence(sub, ambient, "fibers")
+    res = verify_inclusion_equivalence(sub, ambient, "fibers",
+                                       equivariant=True)
     assert [y for y, _, _ in res.per_element] == sorted(map(min, classes))
     assert len(classes) < len(outside)
     sylow = lat.sylow(2)[0]
@@ -117,7 +119,8 @@ def test_lower_mode_certifies_plainly(d8):
     lat, ctx = d8
     sub = poset_of(lat, ctx, "E")
     ambient = poset_of(lat, ctx, "tilde-A")
-    res = verify_inclusion_equivalence(sub, ambient, "lower")
+    res = verify_inclusion_equivalence(sub, ambient, "lower",
+                                       equivariant=False)
     assert res.outcome == PASS
     assert all(stab is None for _, stab, _ in res.per_element)
 
@@ -126,7 +129,8 @@ def test_upper_mode_certificates_replay(d8):
     lat, ctx = d8
     sub = poset_of(lat, ctx, "tilde-B")
     ambient = poset_of(lat, ctx, "tilde-S")
-    res = verify_inclusion_equivalence(sub, ambient, "upper")
+    res = verify_inclusion_equivalence(sub, ambient, "upper",
+                                       equivariant=False)
     assert res.outcome == PASS
     # every stored certificate must replay against its own interval
     for y, _, verdict in res.per_element:
@@ -139,7 +143,7 @@ def test_upper_equivariant_mode(d8):
     lat, ctx = d8
     sub = poset_of(lat, ctx, "tilde-B")
     ambient = poset_of(lat, ctx, "tilde-S")
-    res = verify_inclusion_equivalence(sub, ambient, "upper-equivariant")
+    res = verify_inclusion_equivalence(sub, ambient, "upper", equivariant=True)
     assert res.outcome == PASS
     assert all(v.equivariant for _, _, v in res.per_element)
     for y, stab, verdict in res.per_element:
@@ -157,21 +161,27 @@ def test_a_pi1_certificate_leaves_a_demanded_element_undecided(
                         lambda poset, orbit=None: poset.mask)
     sub = poset_of(lat, ctx, "tilde-B")
     ambient = poset_of(lat, ctx, "tilde-S")
-    plain = verify_inclusion_equivalence(sub, ambient, "upper")
+    plain = verify_inclusion_equivalence(sub, ambient, "upper",
+                                         equivariant=False)
     assert plain.outcome == PASS
     assert {v.method for _, _, v in plain.per_element} == {"pi1"}
-    demanded = verify_inclusion_equivalence(sub, ambient, "upper-equivariant")
+    demanded = verify_inclusion_equivalence(sub, ambient, "upper",
+                                            equivariant=True)
     assert demanded.outcome == INCONCLUSIVE
     assert demanded.per_element
     assert demanded.witnesses == tuple(y for y, _, _ in demanded.per_element)
     assert all(v.status == "CONTRACTIBLE" and v.equivariant is False
                for _, _, v in demanded.per_element)
+    # graded without equivariance, as the EO pruning edge grades the check
+    # its C edge runs, the same verdicts settle the plain claim
+    assert inclusion_outcome(demanded.per_element, False) == (PASS, ())
 
     # a verdict left UNKNOWN is undecided whether or not equivariance is
     # demanded
     monkeypatch.setattr("sclab.contract.fundamental_group_trivial",
                         lambda complex_: None)
-    unknown = verify_inclusion_equivalence(sub, ambient, "upper")
+    unknown = verify_inclusion_equivalence(sub, ambient, "upper",
+                                           equivariant=False)
     assert unknown.outcome == INCONCLUSIVE
     assert unknown.witnesses == demanded.witnesses
     assert {v.status for _, _, v in unknown.per_element} == {"UNKNOWN"}
@@ -181,7 +191,8 @@ def test_lower_mode_detects_failing_hypothesis(d8):
     lat, ctx = d8
     sub = poset_of(lat, ctx, "tilde-B")
     ambient = poset_of(lat, ctx, "S")
-    res = verify_inclusion_equivalence(sub, ambient, "lower")
+    res = verify_inclusion_equivalence(sub, ambient, "lower",
+                                       equivariant=False)
     # minimal members of S have empty strict lower intervals
     assert res.outcome == FAIL
     center = lat.center(lat.full)
@@ -196,16 +207,19 @@ def test_inclusion_mode_validation(d8):
     sub = poset_of(lat, ctx, "E")
     ambient = poset_of(lat, ctx, "tilde-A")
     with pytest.raises(ValueError):
-        verify_inclusion_equivalence(sub, ambient, "sideways")
+        verify_inclusion_equivalence(sub, ambient, "sideways",
+                                     equivariant=False)
 
 
 def test_equivariant_demand_needs_a_lattice():
     ambient = relation_poset(("a", "b"), lambda x, y: x == y or x == "a")
     sub = restrict(ambient, (0,))  # "a"
     with pytest.raises(ValueError):
-        verify_inclusion_equivalence(sub, ambient, "fibers")
+        verify_inclusion_equivalence(sub, ambient, "fibers",
+                                     equivariant=True)
     # the plain modes are fine on abstract posets
-    res = verify_inclusion_equivalence(sub, ambient, "upper")
+    res = verify_inclusion_equivalence(sub, ambient, "upper",
+                                       equivariant=False)
     assert res.outcome == FAIL  # above(b) is empty
 
 
@@ -214,18 +228,21 @@ def test_not_a_subposet_is_rejected(d8):
     ambient = poset_of(lat, ctx, "tilde-A")
     stray = relation_poset(("zz",), lambda x, y: True)
     with pytest.raises(NotASubposet):
-        verify_inclusion_equivalence(stray, ambient, "upper")
+        verify_inclusion_equivalence(stray, ambient, "upper",
+                                     equivariant=False)
     # same positions, different order
     flat = relation_poset((1, 2), lambda a, b: a == b)
     chain = relation_poset((1, 2), lambda a, b: a <= b)
     with pytest.raises(NotASubposet):
-        verify_inclusion_equivalence(flat, chain, "upper")
+        verify_inclusion_equivalence(flat, chain, "upper",
+                                     equivariant=False)
     # on one order, the error names the positions outside the ambient poset
     outside = [i for i in range(len(lat)) if i not in ambient]
     wider = GPoset(lat.order, (1 << len(lat)) - 1, lat)
     with pytest.raises(NotASubposet, match=re.escape(
             f"positions {outside[:5]!r} are not in the ambient poset")):
-        verify_inclusion_equivalence(wider, ambient, "upper")
+        verify_inclusion_equivalence(wider, ambient, "upper",
+                                     equivariant=False)
 
 
 def test_subposet_orders_are_compared_unless_one_lattice_fixes_them(d8):
@@ -235,7 +252,8 @@ def test_subposet_orders_are_compared_unless_one_lattice_fixes_them(d8):
     chain = from_relation((0, 1), [(0, 1)])
     for left, right in ((antichain, chain), (chain, antichain)):
         with pytest.raises(NotASubposet):
-            verify_inclusion_equivalence(left, right, "upper")
+            verify_inclusion_equivalence(left, right, "upper",
+                                         equivariant=False)
         with pytest.raises(NotASubposet):
             fixed_point_equivalence_scan(lat, [lat.trivial], lambda h: left,
                                          lambda h: right)
@@ -245,11 +263,12 @@ def test_subposet_orders_are_compared_unless_one_lattice_fixes_them(d8):
     on_d8 = GPoset(lat.order, mask, lat)
     on_q8 = GPoset(q8.order, mask, q8)
     with pytest.raises(NotASubposet, match="order disagrees"):
-        verify_inclusion_equivalence(on_q8, on_d8, "upper")
+        verify_inclusion_equivalence(on_q8, on_d8, "upper",
+                                     equivariant=False)
     # posets on one lattice are both ordered by inclusion
     sub = poset_of(lat, ctx, "tilde-A")
     res = verify_inclusion_equivalence(sub, poset_of(lat, ctx, "tilde-S"),
-                                       "fibers")
+                                       "fibers", equivariant=True)
     assert res.outcome == PASS
 
 
@@ -257,7 +276,8 @@ def test_inclusion_result_to_json(d8):
     lat, ctx = d8
     sub = poset_of(lat, ctx, "E")
     ambient = poset_of(lat, ctx, "tilde-A")
-    js = verify_inclusion_equivalence(sub, ambient, "fibers").to_json()
+    js = verify_inclusion_equivalence(sub, ambient, "fibers",
+                                      equivariant=True).to_json()
     assert js["mode"] == "fibers"
     assert js["outcome"] == PASS
     assert js["witnesses"] == []

@@ -1,8 +1,8 @@
 """The JSON report writer against the format it defines:
 json.dumps(report, sort_keys=True, separators=(",", ":")) plus a trailing
-newline; the evidence list of sclab-report/5; and the converters
-docs/report_3_to_4.py and docs/report_4_to_5.py, which carry an
-sclab-report/3 document to /4 and a /4 document to /5."""
+newline; the evidence list of the report; and the converters
+docs/report_4_to_5.py and docs/report_5_to_6.py, which carry an
+sclab-report/4 document to /5 and a /5 document to /6."""
 
 import copy
 import importlib.util
@@ -13,11 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sclab.collections import collection_context
-from sclab.contract import contractibility_verdict
-from sclab.group import builtin_group, positions
-from sclab.lattice import enumerate_subgroups
-from sclab.report import CITED, report_to_json_bytes, report_to_markdown
+from sclab.report import (CITED, cite_evidence, report_to_json_bytes,
+                          report_to_markdown)
 from sclab.runner import VerificationPlan, run
 
 from _suite import SUITE, inline_evidence
@@ -230,7 +227,7 @@ none documented
 """
 
 
-# --------------------------------------------------- the sclab-report/5 layout
+# ------------------------------------------- the evidence list and converters
 
 
 def _load(name: str):
@@ -241,20 +238,23 @@ def _load(name: str):
     return module
 
 
-report_3_to_4 = _load("report_3_to_4")
 report_4_to_5 = _load("report_4_to_5")
+report_5_to_6 = _load("report_5_to_6")
 GOLDEN = Path(__file__).parent / "golden" / "d8_table31.json"
+# the golden file as sclab-report/5 wrote it
+GOLDEN_5 = Path(__file__).parent / "golden" / "d8_table31_report5.json"
 
 
 @pytest.mark.parametrize("name,p", SUITE)
 def test_each_piece_of_evidence_is_listed_once(name, p):
     """Every citation is the number of an entry; no two entries are equal;
-    the entries stand in the order the report first cites them; and
-    inlining them gives a /4 report that the converter carries back to
-    the same bytes."""
+    the entries stand in the order the report first cites them; inlining
+    them and citing them again gives the same bytes; and each pruning pair
+    has one upper entry, which its EO and C edges both cite."""
     report = run(VerificationPlan(group=f"builtin:{name}", prime=p))
     evidence = report["evidence"]
     firsts = []
+    pruning = {}
     for suite in sorted(report["suites"]):
         for edge in report["suites"][suite].get("edges", ()):
             for key in CITED:
@@ -264,21 +264,30 @@ def test_each_piece_of_evidence_is_listed_once(name, p):
                 assert type(n) is int and 0 <= n < len(evidence)
                 if n not in firsts:
                     firsts.append(n)
+                if key == "inclusion" and evidence[n]["mode"] == "upper":
+                    pruning.setdefault(n, set()).add(edge["row"])
     assert firsts == list(range(len(evidence)))
     assert all(a != b for i, a in enumerate(evidence)
                for b in evidence[i + 1:])
+    assert pruning and all(rows == {"EO", "C"} for rows in pruning.values())
     old = inline_evidence(json.loads(report_to_json_bytes(report)))
-    assert (report_to_json_bytes(report_4_to_5.upgrade(old))
-            == report_to_json_bytes(report))
+    old["evidence"] = cite_evidence(old["suites"])
+    old["format"] = report["format"]
+    assert report_to_json_bytes(old) == report_to_json_bytes(report)
 
 
 def test_converter_carries_the_report_4_golden_file_to_the_engine_bytes():
-    # the /4 golden file, rebuilt by inlining the current one's evidence;
-    # test_cli checks it against the digest of the /4 bytes
-    old = inline_evidence(json.loads(GOLDEN.read_bytes()))
+    # the /4 golden file, rebuilt by inlining the stored /5 one's evidence
+    # (test_cli checks it against the digest of the /4 bytes), goes to the
+    # stored /5 bytes, and those go to the bytes the engine writes
+    stored = GOLDEN_5.read_bytes()
+    old = inline_evidence(json.loads(stored))
+    assert report_to_json_bytes(report_4_to_5.upgrade(old)) == stored
     engine = report_to_json_bytes(run(VerificationPlan(
         group="builtin:D8", prime=2, suite="table31")))
-    assert report_to_json_bytes(report_4_to_5.upgrade(old)) == engine
+    assert report_to_json_bytes(
+        report_5_to_6.upgrade(json.loads(stored))) == engine
+    assert engine == GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["sclab-report/3", "sclab-report/5", None])
@@ -289,53 +298,63 @@ def test_converter_refuses_a_document_not_in_report_4(fmt):
         report_4_to_5.upgrade(report)
 
 
-# ------------------------------------------------------ the /3 -> /4 converter
+@pytest.mark.parametrize("fmt", ["sclab-report/4", "sclab-report/6", None])
+def test_converter_refuses_a_document_not_in_report_5(fmt):
+    report = json.loads(GOLDEN_5.read_bytes())
+    report["format"] = fmt
+    with pytest.raises(SystemExit):
+        report_5_to_6.upgrade(report)
 
 
-@pytest.fixture(scope="module")
-def d8_as_report_3():
-    """A D8 report in the sclab-report/4 form, the same report as /3 wrote
-    it, where every fibers-mode inclusion also lists one certified cone
-    fiber per class of members of the smaller collection, and those /3
-    rows."""
-    report = inline_evidence(run(VerificationPlan(group="builtin:D8",
-                                                  prime=2)))
-    lat = enumerate_subgroups(builtin_group("D8"))
-    ctx = collection_context(lat, 2)
-    old = copy.deepcopy(report)
-    old["format"] = "sclab-report/3"
-    cones = []
-    for section in old["suites"].values():
-        for edge in section.get("edges", ()):
-            inclusion = edge["detail"].get("inclusion")
-            if inclusion is None or inclusion["mode"] != "fibers":
-                continue
-            sub = ctx.collection(edge["kinds"][0])
-            for y in positions(lat.first_of_each_class(sub.mask)):
-                stab = lat.normalizer(y)
-                verdict = contractibility_verdict(sub.below(y),
-                                                  equivariant_under=stab)
-                cones.append([y, stab, verdict.to_json()])
-                inclusion["per_element"].append(cones[-1])
-    assert cones
-    return report, old, cones
+def _report_5() -> dict:
+    """The sclab-report/5 form of the table31 report of S4 at 2, whose
+    dashed edges cite a second Sylow group: the /6 report with a plain
+    upper check cited by each EO pruning edge, and the /5 keys back."""
+    report = inline_evidence(run(VerificationPlan(
+        group="builtin:S4", prime=2, suite="table31")))
+    report["format"] = "sclab-report/5"
+    for edge in report["suites"]["table31"]["edges"]:
+        detail = edge["detail"]
+        if "second_sylow" in detail:
+            detail["second_sylow"]["agrees"] = True
+        inclusion = detail.get("inclusion")
+        if inclusion is None:
+            continue
+        inclusion = detail["inclusion"] = copy.deepcopy(inclusion)
+        inclusion["claim"] = "..."
+        for row in inclusion["per_element"]:
+            row[2]["detail"] = {}
+        if inclusion["mode"] == "upper":
+            if edge["row"] == "C":
+                inclusion["mode"] = "upper-equivariant"
+            else:
+                for row in inclusion["per_element"]:
+                    row[1] = row[2]["equivariant"] = None
+    report["evidence"] = cite_evidence(report["suites"])
+    return report
 
 
-def test_converter_drops_only_the_cone_fibers(d8_as_report_3):
-    new, old, _ = d8_as_report_3
-    upgraded = report_3_to_4.upgrade(copy.deepcopy(old))
-    assert report_to_json_bytes(upgraded) == report_to_json_bytes(new)
+def test_converter_carries_a_plain_pruning_check_to_its_equivariant_twin():
+    engine = report_to_json_bytes(run(VerificationPlan(
+        group="builtin:S4", prime=2, suite="table31")))
+    old = _report_5()
+    assert len(old["evidence"]) == len(json.loads(engine)["evidence"]) + 1
+    assert report_to_json_bytes(report_5_to_6.upgrade(old)) == engine
 
 
-@pytest.mark.parametrize("flaw", [{"status": "UNKNOWN"},
-                                  {"equivariant": False}])
-def test_converter_refuses_an_uncertified_cone_fiber(d8_as_report_3, flaw):
-    _, old, cones = d8_as_report_3
-    verdict = cones[-1][2]
-    saved = dict(verdict)
-    verdict.update(flaw)
-    try:
-        with pytest.raises(SystemExit):
-            report_3_to_4.upgrade(copy.deepcopy(old))
-    finally:
-        verdict.update(saved)
+def test_converter_refuses_what_report_6_cannot_hold():
+    # a second Sylow that disagrees stops a /6 run as an internal fault
+    report = _report_5()
+    edge = next(e for e in report["suites"]["table31"]["edges"]
+                if "second_sylow" in e["detail"])
+    edge["detail"]["second_sylow"]["agrees"] = False
+    with pytest.raises(SystemExit, match="second Sylow"):
+        report_5_to_6.upgrade(report)
+    # the EO pruning edge grades from its C edge's statuses
+    report = _report_5()
+    edge = next(e for e in report["suites"]["table31"]["edges"]
+                if e["edge"] == "table31:EO:tilde-S--tilde-B")
+    plain = report["evidence"][edge["detail"]["inclusion"]]
+    plain["per_element"][0][2]["status"] = "UNKNOWN"
+    with pytest.raises(SystemExit, match="same statuses"):
+        report_5_to_6.upgrade(report)

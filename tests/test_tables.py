@@ -6,6 +6,7 @@ the second-Sylow consistency check on dashed edges.
 """
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ from sclab.equivalence import (
     verify_inclusion_equivalence,
 )
 from sclab.errors import InternalInconsistency, SizeCap
-from sclab.group import builtin_group
+from sclab.group import builtin_group, load_group
 from sclab.homology import HomologyProfile, homology
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import DEFAULT_SIMPLEX_CAP
@@ -41,6 +42,7 @@ from sclab.tables import (
     _d8_subgroup,
     _keep,
     _expectation_holds,
+    _squash,
     counterexample_edges,
     is_dihedral8,
     table_edges,
@@ -50,6 +52,8 @@ from sclab.tables import (
 )
 
 from _suite import SUITE, lattice_of, relation_poset
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +260,8 @@ def test_second_sylow_spot_check_fires(s4):
     assert dashed
     for r in dashed:
         spot = r.detail["second_sylow"]
-        assert spot["agrees"]
-        assert spot["status"] == r.detail["scan"]["status"]
+        assert spot == {"subgroup": s4.sylow(2)[1],
+                        "status": r.detail["scan"]["status"]}
 
 
 def test_single_sylow_groups_skip_the_spot_check(d8):
@@ -277,21 +281,37 @@ def test_edge_result_to_json(d8):
     assert isinstance(js["conditions"], list)
 
 
-def test_a_second_sylow_that_disagrees_is_a_mismatch(s4):
-    """No real input has Sylow groups whose scans disagree; a context that
-    remembers an empty scan for the second one must grade the edge
-    MISMATCH and say so."""
+def test_a_second_sylow_that_disagrees_is_an_engine_fault(s4):
+    """Conjugate Sylow groups give the same rows, so a context that
+    remembers an empty scan for the second one must stop the edge as an
+    internal inconsistency, not grade it MISMATCH."""
     ctx = CollectionContext(s4, 2)
     spec = next(s for s in TABLE31_EDGES if s.checker == "eo-scan")
     second = s4.sylow(2)[1]
     poset = ctx.collection(spec.kinds[0])
     ctx.memo[spec.checker, poset.mask, second, DEFAULT_SIMPLEX_CAP] = (
         FixedPointScan(()))
-    result = _check_edge(ctx, spec, DEFAULT_SIMPLEX_CAP)
-    assert result.status == MISMATCH
-    assert result.detail["scan"]["status"] == CERTIFIED
-    assert result.detail["second_sylow"] == {
-        "subgroup": second, "status": CERTIFIED, "agrees": False}
+    with pytest.raises(InternalInconsistency, match="two conjugate Sylow"):
+        _check_edge(ctx, spec, DEFAULT_SIMPLEX_CAP)
+
+
+def test_a_run_whose_second_sylow_disagrees_exits_internal(monkeypatch,
+                                                           tmp_path, capfd):
+    # the scan of every Sylow group but the first comes back empty
+    def disagreeing(lattice, subgroups, left_of, right_of, **kw):
+        sylow = max(subgroups, key=lattice.sizes.__getitem__)
+        if sylow != lattice.sylow(2)[0]:
+            return FixedPointScan(())
+        return fixed_point_equivalence_scan(lattice, subgroups, left_of,
+                                            right_of, **kw)
+
+    monkeypatch.setattr("sclab.tables.fixed_point_equivalence_scan",
+                        disagreeing)
+    target = tmp_path / "s4.json"
+    assert main(["verify", "--group", "builtin:S4", "--prime", "2",
+                 "--report", str(target)]) == EXIT_INTERNAL
+    assert "internal error" in capfd.readouterr().err
+    assert not target.exists()
 
 
 def test_a_counterexample_not_reproduced_is_a_mismatch(d8):
@@ -377,20 +397,55 @@ def test_only_hypothesis_tagged_edges_can_skip(d8):
 
 def test_pruning_certifies_without_local_characteristic():
     """The hat pruning hypothesis certifies without any paper-shaped map,
-    also where local characteristic fails (D12, S4), in both upper modes
-    and with core certificates that replay."""
+    also where local characteristic fails (D12, S4), with and without
+    equivariance and with core certificates that replay."""
     for name in ("D8", "D12", "S4"):
         lat = enumerate_subgroups(builtin_group(name))
         ctx = collection_context(lat, 2)
         sub = ctx.collection("hat-B")
         ambient = ctx.collection("hat-S")
-        for mode in ("upper", "upper-equivariant"):
-            res = verify_inclusion_equivalence(sub, ambient, mode)
-            assert res.outcome == PASS, (name, mode)
+        for equivariant in (False, True):
+            res = verify_inclusion_equivalence(sub, ambient, "upper",
+                                               equivariant=equivariant)
+            assert res.outcome == PASS, (name, equivariant)
             for y, stab, verdict in res.per_element:
-                assert verdict.method == "core", (name, mode, y)
+                assert verdict.method == "core", (name, equivariant, y)
                 assert verify_certificate(ambient.above(y, strict=True),
                                           verdict, equivariant_under=stab)
+
+
+# the test-data inputs whose full runs tier-1 already makes at p = 2
+DATA_PLANS = ("d8xz2", "a4wrz2", "z2_4", "psl27", "d8xd8", "z2_5")
+
+
+@pytest.mark.parametrize("name,p", [*SUITE, *((n, 2) for n in DATA_PLANS)])
+def test_each_pruning_pair_runs_one_upper_check(name, p):
+    """The EO and C pruning edges of a pair cite one upper check, run with
+    equivariance demanded. The EO edge claims no equivariance, and grades
+    as the plain check of that pair would: the same elements with the
+    same statuses, and the squashed outcome of the plain check."""
+    lat = (lattice_of(name) if name not in DATA_PLANS else
+           enumerate_subgroups(load_group(str(DATA / f"{name}.grp"))))
+    ctx = collection_context(lat, p)
+    prunes = [_check_edge(ctx, spec, DEFAULT_SIMPLEX_CAP)
+              for spec in TABLE31_EDGES + TABLE44_EDGES
+              if spec.checker == "prune"]
+    assert [r.spec.row for r in prunes] == ["EO", "C"] * 2
+    for eo, c in zip(prunes[::2], prunes[1::2]):
+        assert eo.spec.kinds == c.spec.kinds
+        if eo.status == SKIPPED:
+            assert c.status == SKIPPED
+            continue
+        shared = eo.detail["inclusion"]
+        assert c.detail["inclusion"] is shared
+        assert shared["mode"] == "upper"
+        assert all(stab is not None for _, stab, _ in shared["per_element"])
+        sub, ambient = map(ctx.collection, eo.spec.kinds[::-1])
+        plain = verify_inclusion_equivalence(sub, ambient, "upper",
+                                             equivariant=False)
+        assert eo.status == _squash(plain.outcome), (name, eo.spec.edge_id)
+        assert [(y, v.status) for y, _, v in plain.per_element] == [
+            (y, v["status"]) for y, _, v in shared["per_element"]]
 
 
 # ----------------------------------------------------------- small helpers
@@ -451,8 +506,9 @@ def test_chain_rows_name_their_pairs(d8):
 
 def test_each_edge_check_runs_once_per_run(monkeypatch):
     """A full S5 run at 2 checks each inclusion and scans each (checker,
-    poset, Sylow) once: Table 4.4 has Table 3.1's collections, and the
-    second-Sylow spot checks repeat scans as well."""
+    poset, Sylow) once: Table 4.4 has Table 3.1's collections, the EO and C
+    pruning edges of a pair share one upper check, and the second-Sylow
+    spot checks repeat scans as well."""
     inclusions, scans = [], []
 
     def counting_inclusion(sub, ambient, mode, **kw):
@@ -477,7 +533,7 @@ def test_each_edge_check_runs_once_per_run(monkeypatch):
                         counting_scan)
     report = run(VerificationPlan("builtin:S5", 2))
     assert report["summary"]["by_status"]["MISMATCH"] == 0
-    assert len(inclusions) == len(set(inclusions)) == 13
+    assert len(inclusions) == len(set(inclusions)) == 12
     assert len(scans) == len(set(scans)) == 10
 
 
