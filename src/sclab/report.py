@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
+from .collections import CONDITIONS, KINDS
+
 
 def _not_json(token: str):
     raise TypeError(f"report value {token} is not JSON serializable")
@@ -140,8 +142,11 @@ def _edge_row(edge: dict, evidence: list) -> tuple:
 
 
 def report_to_markdown(report: dict) -> bytes:
+    """The markdown of report; a report read back from its JSON, whose keys
+    are sorted, renders to the same bytes as the run's own."""
     group, plan, summary = report["group"], report["plan"], report["summary"]
     by = summary["by_status"]
+    sizes = sorted(report["collections"], key=KINDS.index)
     lines = [
         "# Collection comparison report", "",
         f"Group **{group['name']}** of order {group['order']} "
@@ -156,7 +161,7 @@ def report_to_markdown(report: dict) -> bytes:
                          "INCONCLUSIVE", "SKIPPED") if by.get(status)),
         f"- inclusion chain violations: {summary['chain_violations']}", "",
         "## Collection sizes", "",
-        *_table(report["collections"], [report["collections"].values()]),
+        *_table(sizes, [[report["collections"][kind] for kind in sizes]]),
     ]
     suites = report["suites"]
     for name in ("table31", "table44", "counterexamples"):
@@ -176,10 +181,12 @@ def report_to_markdown(report: dict) -> bytes:
              for row in suites["inclusions"]["chains"]])]
     if "conditions" in suites:
         section = suites["conditions"]
+        reports = section["reports"]
         lines += ["## conditions", "", *_table(
             ("condition", "holds", "witnesses"),
-            [(name, rep["holds"], "; ".join(map(_witness, rep["witnesses"]))
-              or "—") for name, rep in section["reports"].items()])]
+            [(name, reports[name]["holds"],
+              "; ".join(map(_witness, reports[name]["witnesses"])) or "—")
+             for name in sorted(reports, key=CONDITIONS.index)])]
         coincide = section.get("radical_collections_coincide")
         if coincide is not None:
             lines += [f"- radical collections coincide: {coincide['equal']}",

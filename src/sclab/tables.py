@@ -148,10 +148,6 @@ def _avatars(ctx, spec, h):
     return _keep(poset, *cut), poset.fixed_points(h)
 
 
-def _subgroups_of(lat, s):
-    return list(positions(lat.order.down[s] | 1 << s))
-
-
 def is_dihedral8(group) -> bool:
     return (group.order == 8
             and sum(1 for o in group.element_orders if o == 2) == 5)
@@ -284,9 +280,11 @@ def _by_centralizer(ctx, spec, max_simplices, detail) -> str:
 
 
 def _by_scan(ctx, spec, max_simplices, detail) -> str:
-    """The cut avatar against the h-fixed poset at every subgroup h of a
+    """The cut avatar against the h-fixed poset over the subgroups h of a
     Sylow group, each certified by the retraction onto the cut's side when
-    it lands in the avatar."""
+    it lands in the avatar. The collection is a union of classes and both
+    posets at gHg^-1 are g times those at H, so the row at the lowest
+    subgroup of each class decides every member of it."""
     lat = ctx.lattice
     poset = ctx.collection(spec.kinds[0])
     cut = lambda h: _cut(lat, spec.row, h)
@@ -294,7 +292,8 @@ def _by_scan(ctx, spec, max_simplices, detail) -> str:
     def scan_of(sylow):
         return ((spec.checker, poset.mask, sylow, max_simplices),
                 lambda: fixed_point_equivalence_scan(
-                    lat, _subgroups_of(lat, sylow),
+                    lat, list(positions(lat.first_of_each_class(
+                        lat.order.down[sylow] | 1 << sylow))),
                     lambda h: _keep(poset, *cut(h)), poset.fixed_points,
                     retraction=cut, max_simplices=max_simplices))
 

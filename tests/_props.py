@@ -18,8 +18,7 @@ from sclab.group import builtin_group, positions
 from sclab.homology import homology, smith_normal_form
 from sclab.lattice import p_part
 from sclab.poset import GPoset, order_complex
-from sclab.tables import (TABLE31_EDGES, TABLE44_EDGES, _cut, _keep,
-                          _subgroups_of)
+from sclab.tables import TABLE31_EDGES, TABLE44_EDGES, _cut, _keep
 
 import _naive
 from _naive import boundary_matrix, rank_mod, rank_over_rationals
@@ -491,7 +490,8 @@ def check_retraction_matches_oracle(b: Budget) -> None:
     for name, p in SUITE:
         lat = lattice_of(name)
         ctx = collection_context(lat, p)
-        scanned = {h for s in lat.sylow(p)[:2] for h in _subgroups_of(lat, s)}
+        scanned = {h for s in lat.sylow(p)[:2]
+                   for h in positions(lat.order.down[s] | 1 << s)}
         for spec in TABLE31_EDGES + TABLE44_EDGES:
             if spec.style != "dashed":
                 continue

@@ -3,7 +3,8 @@
 Runs `python -m sclab.cli verify --group tests/data/NAME.grp --prime 2`
 for S4 x S4, D8 x D8, Z2^5, Z2^6 and S6 x Z2, one child process each, and
 prints the wall time, the exit code, the child's peak resident set size,
-and the size and SHA-256 of the report. A first "startup" row times a
+the size of the report, the number of scan rows in its evidence and the
+report's SHA-256. A first "startup" row times a
 child that only runs `import sclab.cli`, the floor under every run; no
 pin covers it. Pytest does not collect this file; run it by hand:
 
@@ -11,15 +12,14 @@ pin covers it. Pytest does not collect this file; run it by hand:
 
 NAME is a group file in tests/data without its suffix; the default runs
 all five. With --check the script exits 1 unless every report's SHA-256
-equals its pin in PINS, the bytes of the sclab-report/6 format. The pins
-were made by docs/report_5_to_6.py from the sclab-report/5 bytes pinned
-before, and the engine writes exactly those bytes.
+equals its pin in PINS.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -31,12 +31,14 @@ DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
 GROUPS = ("s4xs4", "d8xd8", "z2_5", "z2_6", "s6xz2")
 PRIME = 2
+# the bytes of the sclab-report/7 format, made by docs/report_6_to_7.py from
+# the sclab-report/6 bytes pinned before; the engine writes exactly those
 PINS = {
-    "s4xs4": "1d82c40dea52ee1e37b631388cbaa04ae5b1ef04324f619978ed2719d6214a12",
-    "d8xd8": "5190f118aa7065560b02dd9aef54aa602882b604ac4168c39b7892db8e41dc4f",
-    "z2_5": "40fcf887e2c59238eaf16d776679c630b45cffbdaa2adcb6bd74a33089bd4e6d",
-    "z2_6": "718635f9932444a69cb414ac3afd62613f21a6436c3c48225339a7307d78a722",
-    "s6xz2": "243db1443d5cdb0e5deb184739be995cbe1e61764c7a034a2faeeee744079ee2",
+    "s4xs4": "0861e21a3d685d5882666318b6839737e419320c8026a5969f1e578279f86504",
+    "d8xd8": "5f6f9c928f2dffc2a9d2e8e5381f865482fd00f65f15b9b076817899e4b61d75",
+    "z2_5": "96cc6d58d89fb41d401d32ca724e5db7d9b47ac5f79242eb0ab3c53c7cd7e29f",
+    "z2_6": "231a8dc33b1f28bed39826e01e2ff8882031fe5eec1a7619f45ef590beb9a2ff",
+    "s6xz2": "070e811398452dd86d66a100063b0d93d27c5517e2c2184f9b93859f57fdfbb7",
 }
 
 
@@ -68,6 +70,13 @@ def run_one(name: str, workdir: Path) -> tuple[float, int, float, bytes]:
     return wall, code, rss, payload
 
 
+def scan_rows(payload: bytes) -> int:
+    """The per-subgroup rows of every scan in the report's evidence."""
+    return sum(len(entry["per_subgroup"])
+               for entry in json.loads(payload)["evidence"]
+               if isinstance(entry, dict) and "per_subgroup" in entry)
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description="Time the frontier inputs.")
     parser.add_argument("names", nargs="*", default=GROUPS, metavar="NAME")
@@ -75,17 +84,18 @@ def main(argv) -> int:
                         help="exit 1 unless each report's sha256 is its pin")
     args = parser.parse_args(argv)
     print(f"{'input':<8} {'p':>2} {'wall_s':>8} {'exit':>4} {'rss_mb':>7} "
-          f"{'bytes':>10}  sha256")
+          f"{'bytes':>10} {'rows':>6}  sha256")
     wall, code, rss = run_child(["-c", "import sclab.cli"])
     print(f"{'startup':<8} {'-':>2} {wall:>8.2f} {code:>4} {rss:>7.0f} "
-          f"{'-':>10}  -", flush=True)
+          f"{'-':>10} {'-':>6}  -", flush=True)
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.names:
             wall, code, rss, payload = run_one(name, Path(tmp))
             digest = hashlib.sha256(payload).hexdigest() if payload else "-"
+            rows = scan_rows(payload) if payload else "-"
             print(f"{name:<8} {PRIME:>2} {wall:>8.2f} {code:>4} {rss:>7.0f} "
-                  f"{len(payload):>10}  {digest}", flush=True)
+                  f"{len(payload):>10} {rows:>6}  {digest}", flush=True)
             if digest != PINS.get(name):
                 differ.append(name)
     if args.check and differ:

@@ -3,12 +3,12 @@
 The golden file pins the exact bytes of a small JSON report; any change
 to report content or serialization order must be deliberate enough to
 regenerate it. It, the SHA-256 pins below and the frontier pins were last
-replaced by `docs/report_5_to_6.py` applied to the sclab-report/5 bytes
-they pinned before, which cites one upper check from both edges of each
-pruning pair and drops each verdict's `detail`; the new code writes exactly
-those bytes. The markdown pins were replaced by the markdown of those
-rewritten reports. The /5 golden file is kept beside the /6 one, and its
-evidence inlined again gives the /4 bytes in GOLDEN_REPORT_4_SHA256.
+replaced by `docs/report_6_to_7.py` applied to the sclab-report/6 bytes
+they pinned before, which keeps one scan row per conjugacy class; the new
+code writes exactly those bytes. The markdown pins were replaced by the
+markdown of those rewritten reports, rendered from their JSON. The /5 and
+/6 golden files are kept beside the /7 one, and the /5 file's evidence
+inlined again gives the /4 bytes in GOLDEN_REPORT_4_SHA256.
 """
 
 import ast
@@ -49,39 +49,39 @@ DATA = Path(__file__).parent / "data"
 
 # SHA-256 of the report of `sclab verify --group tests/data/z2_4.grp
 # --prime 2`, recorded while order queries were still pairwise, then
-# carried to sclab-report/3, /4, /5 and /6 by the converters of each format
-# change. Its core certificates list every beat point in removal order, so
+# carried to sclab-report/3, /4, /5, /6 and /7 by the converters of each
+# format change. Its core certificates list every beat point in removal order, so
 # any change in which beat point is removed first changes these bytes.
 Z2_4_P2_SHA256 = (
-    "e0009088ac9aa1050d09eb63cc7884941a89a16524f6cc1ac97644f6af1bf1ed")
+    "7e897986718bf2bf62fa5d85c0b00ae85be36cbe63d30430eeeac924ce18f9fe")
 
 # SHA-256 of the report of `sclab verify --group tests/data/psl27.grp
 # --prime 2`, recorded while normalizers and centralizers were still found
 # by conjugating with every element, then carried to sclab-report/3, /4,
-# /5 and /6 by the converters of each format change. PSL(2,7) is non-abelian
+# /5, /6 and /7 by the converters of each format change. PSL(2,7) is non-abelian
 # with six element classes and fifteen subgroup classes, so its
 # normalizers and centralizers differ from subgroup to subgroup, unlike
 # those of Z2^4.
 PSL27_P2_SHA256 = (
-    "bee3f6ff7bc2e018e266c1df2c09a2a8b474dd214d8f4b5e0644d4288ba6f725")
+    "5296daa2963d8c07cb10ee174ddabc11bc16aa98af06dbd8221e8f5303ac0a99")
 
 # SHA-256 of the report of `sclab verify --group tests/data/a4wrz2.grp
 # --prime 2`, recorded as sclab-report/5 while E0 and E1 were still sets
 # of element indices closed by re-scanning every pair, then carried to /6
-# by docs/report_5_to_6.py. A4 wr Z2 is the
-# first input here on which E1 is larger than E0 and the Cl condition
+# and /7 by docs/report_5_to_6.py and docs/report_6_to_7.py. A4 wr Z2 is
+# the first input here on which E1 is larger than E0 and the Cl condition
 # fails, so its tilde and hat collections differ.
 A4WRZ2_P2_SHA256 = (
-    "6348a84eb1e014765986d5d5a0d5d7fe1934d3e78f81900a6063751a835f1a7e")
+    "dcb97896fbd7805b8f346ce5d831aa5042ef3fc21b2156cb9646cfd05a0aca57")
 
 # SHA-256 of the report of `sclab verify --group tests/data/d8xz2.grp
 # --prime 2`, recorded while retractions were still checked position by
 # position as explicit maps, then carried to sclab-report/3, which
-# checked each recorded pair against q v H or q ^ C_G(H), and to /4, /5
-# and /6 by the converters of each format change. It carries 188
-# retraction certificates.
+# checked each recorded pair against q v H or q ^ C_G(H), and to /4, /5,
+# /6 and /7 by the converters of each format change. Its scans certify
+# 70 rows by retraction, one per class (94 while every subgroup had one).
 D8XZ2_P2_SHA256 = (
-    "0890790fa4ba81ec1a86053b56ab7f48e7b7e655bb2f6bc46efa041d535cbcfd")
+    "15f10271de0b4a4f987404e87cf4110957e13af5aa2ad1f02503420296326b45")
 
 # the sclab-report/4 bytes of the golden file
 GOLDEN_REPORT_4_SHA256 = (
@@ -117,7 +117,7 @@ def test_clean_run_writes_json_to_stdout(capfdbinary):
     out = capfdbinary.readouterr().out
     assert out.endswith(b"\n")
     report = json.loads(out)
-    assert report["format"] == "sclab-report/6"
+    assert report["format"] == "sclab-report/7"
     assert report["group"]["name"] == "D8"
 
 
@@ -134,13 +134,13 @@ def test_markdown_format(capfdbinary):
 
 # SHA-256 of `sclab verify --group builtin:<name> --prime 2 --format
 # markdown` (suite `all`), recorded while the writer still wrote each table
-# line by line, and replaced by the markdown of the sclab-report/6 reports
-# that docs/report_5_to_6.py made. The reports have every section: D8 its
+# line by line, and replaced by the markdown of the sclab-report/7 reports
+# that docs/report_6_to_7.py made, read back from their JSON. The reports have every section: D8 its
 # reproduced counterexamples, S4 no counterexamples but dashed edges citing
 # a second Sylow group.
 MARKDOWN_SHA256 = {
-    "D8": "1175d7581f20a2c8d4b5e97079de68632c79b3d9a6e78869c8368c9357921880",
-    "S4": "869ef41ddd6ca16c3dbbe337ba4be2c66642fd49aa5284c5c679e5dc4c5f319f",
+    "D8": "d38e049ce9ad41e2aa99414a1b30c67d42f0cf15894980b9f159d1575817cb43",
+    "S4": "92ceccd87fb60da6d3eeb03da4520438f2d5943fd5c8c1f651b16d21d164a7fe",
 }
 
 
@@ -156,7 +156,7 @@ def test_markdown_bytes_are_pinned(name, capfdbinary):
 # table writes the element witness as the product it exhibits. Replaced as
 # MARKDOWN_SHA256 was.
 A4WRZ2_P2_MARKDOWN_SHA256 = (
-    "d4c565c3d1d5d780b6da7c71448e24d50e94e73889d89c8023beddc8f14e9dc5")
+    "20a1b486ccdb2ae38015ef86e36151a8ace7a46e1d7ad421a0987432339c8b00")
 
 
 def test_markdown_writes_an_element_witness_as_its_product(capfdbinary):

@@ -1,8 +1,9 @@
 """The JSON report writer against the format it defines:
 json.dumps(report, sort_keys=True, separators=(",", ":")) plus a trailing
-newline; the evidence list of the report; and the converters
-docs/report_4_to_5.py and docs/report_5_to_6.py, which carry an
-sclab-report/4 document to /5 and a /5 document to /6."""
+newline; the markdown writer; the evidence list of the report; and the
+converters docs/report_4_to_5.py, docs/report_5_to_6.py and
+docs/report_6_to_7.py, which carry an sclab-report/4 document to /5, a /5
+document to /6 and a /6 document to /7."""
 
 import copy
 import importlib.util
@@ -144,8 +145,10 @@ def test_the_writer_holds_little_beside_its_output():
 
 def test_markdown_renders_notes_and_sections_no_real_input_reaches():
     """A SKIPPED edge prints its note, a suite without edges prints its
-    own note, and a condition witness that is neither a subgroup nor a
-    commuting product prints as compact JSON.
+    own note, a condition witness that is neither a subgroup nor a
+    commuting product prints as compact JSON, and collection sizes and
+    conditions print in KINDS and CONDITIONS order, whatever the order of
+    their keys.
     No builtin or test-data input has a SKIPPED edge: Cl or Ch always
     holds."""
     report = {
@@ -168,9 +171,9 @@ def test_markdown_renders_notes_and_sections_no_real_input_reaches():
                  "violations": [3, 4]}]},
             "conditions": {
                 "reports": {
+                    "Ch": {"holds": True, "witnesses": []},
                     "Cl": {"holds": False, "witnesses": [
-                        {"generators": "(0 1)"}, {"x": "a"}]},
-                    "Ch": {"holds": True, "witnesses": []}},
+                        {"generators": "(0 1)"}, {"x": "a"}]}},
                 "radical_collections_coincide": {"equal": True}},
         },
         "evidence": [],
@@ -191,9 +194,9 @@ Lattice: 5 subgroups in 5 conjugacy classes.
 
 ## Collection sizes
 
-| S | A |
+| A | S |
 |---|---|
-| 4 | 3 |
+| 3 | 4 |
 
 ## table31
 
@@ -227,6 +230,14 @@ none documented
 """
 
 
+@pytest.mark.parametrize("name,p", SUITE)
+def test_markdown_of_a_report_read_back_from_its_json_is_the_same(name, p):
+    # the JSON sorts every key, so the markdown may not follow key order
+    report = run(VerificationPlan(group=f"builtin:{name}", prime=p))
+    read_back = json.loads(report_to_json_bytes(report))
+    assert report_to_markdown(read_back) == report_to_markdown(report)
+
+
 # ------------------------------------------- the evidence list and converters
 
 
@@ -240,9 +251,11 @@ def _load(name: str):
 
 report_4_to_5 = _load("report_4_to_5")
 report_5_to_6 = _load("report_5_to_6")
+report_6_to_7 = _load("report_6_to_7")
 GOLDEN = Path(__file__).parent / "golden" / "d8_table31.json"
-# the golden file as sclab-report/5 wrote it
+# the golden file as sclab-report/5 and /6 wrote it
 GOLDEN_5 = Path(__file__).parent / "golden" / "d8_table31_report5.json"
+GOLDEN_6 = Path(__file__).parent / "golden" / "d8_table31_report6.json"
 
 
 @pytest.mark.parametrize("name,p", SUITE)
@@ -279,14 +292,18 @@ def test_each_piece_of_evidence_is_listed_once(name, p):
 def test_converter_carries_the_report_4_golden_file_to_the_engine_bytes():
     # the /4 golden file, rebuilt by inlining the stored /5 one's evidence
     # (test_cli checks it against the digest of the /4 bytes), goes to the
-    # stored /5 bytes, and those go to the bytes the engine writes
+    # stored /5 bytes, those to the stored /6 bytes, and those to the bytes
+    # the engine writes
     stored = GOLDEN_5.read_bytes()
     old = inline_evidence(json.loads(stored))
     assert report_to_json_bytes(report_4_to_5.upgrade(old)) == stored
+    stored_6 = GOLDEN_6.read_bytes()
+    assert report_to_json_bytes(
+        report_5_to_6.upgrade(json.loads(stored))) == stored_6
     engine = report_to_json_bytes(run(VerificationPlan(
         group="builtin:D8", prime=2, suite="table31")))
     assert report_to_json_bytes(
-        report_5_to_6.upgrade(json.loads(stored))) == engine
+        report_6_to_7.upgrade(json.loads(stored_6))) == engine
     assert engine == GOLDEN.read_bytes()
 
 
@@ -308,8 +325,9 @@ def test_converter_refuses_a_document_not_in_report_5(fmt):
 
 def _report_5() -> dict:
     """The sclab-report/5 form of the table31 report of S4 at 2, whose
-    dashed edges cite a second Sylow group: the /6 report with a plain
-    upper check cited by each EO pruning edge, and the /5 keys back."""
+    dashed edges cite a second Sylow group: the /7 report with a plain
+    upper check cited by each EO pruning edge, and the /5 keys back. Its
+    scans keep the /7 rows, one per class, which report_6_to_7 keeps."""
     report = inline_evidence(run(VerificationPlan(
         group="builtin:S4", prime=2, suite="table31")))
     report["format"] = "sclab-report/5"
@@ -339,7 +357,8 @@ def test_converter_carries_a_plain_pruning_check_to_its_equivariant_twin():
         group="builtin:S4", prime=2, suite="table31")))
     old = _report_5()
     assert len(old["evidence"]) == len(json.loads(engine)["evidence"]) + 1
-    assert report_to_json_bytes(report_5_to_6.upgrade(old)) == engine
+    assert report_to_json_bytes(
+        report_6_to_7.upgrade(report_5_to_6.upgrade(old))) == engine
 
 
 def test_converter_refuses_what_report_6_cannot_hold():
@@ -358,3 +377,42 @@ def test_converter_refuses_what_report_6_cannot_hold():
     plain["per_element"][0][2]["status"] = "UNKNOWN"
     with pytest.raises(SystemExit, match="same statuses"):
         report_5_to_6.upgrade(report)
+
+
+@pytest.mark.parametrize("fmt", ["sclab-report/5", "sclab-report/7", None])
+def test_converter_refuses_a_document_not_in_report_6(fmt):
+    report = json.loads(GOLDEN_6.read_bytes())
+    report["format"] = fmt
+    with pytest.raises(SystemExit, match="not an sclab-report/6"):
+        report_6_to_7.upgrade(report)
+
+
+def test_converter_refuses_a_group_whose_generators_miss_its_hash():
+    report = json.loads(GOLDEN_6.read_bytes())
+    report["group"]["hash"] = "0" * 64
+    with pytest.raises(SystemExit, match="hash"):
+        report_6_to_7.upgrade(report)
+
+
+def test_converter_refuses_a_scan_whose_conjugate_rows_differ():
+    # D8 has two classes of two reflections, so its scans have rows at
+    # conjugate subgroups; tampering with the later row of such a pair
+    # leaves the two rows of one class in disagreement
+    report = json.loads(GOLDEN_6.read_bytes())
+    lat = report_6_to_7.lattice_of(report)
+    n, i = next(
+        (n, i) for n, entry in enumerate(report["evidence"])
+        if isinstance(entry, dict) and "per_subgroup" in entry
+        for i, row in enumerate(entry["per_subgroup"])
+        if any(lat.class_of[earlier["subgroup"]]
+               == lat.class_of[row["subgroup"]]
+               for earlier in entry["per_subgroup"][:i]))
+    for key, value in (("order", 0), ("status", "MISMATCH"),
+                       ("method", "homology"), ("detail", {"size": -1})):
+        tampered = copy.deepcopy(report)
+        tampered["evidence"][n]["per_subgroup"][i][key] = value
+        with pytest.raises(SystemExit, match="conjugate"):
+            report_6_to_7.upgrade(tampered)
+    # the certificate names the conjugate, so it alone may differ
+    report["evidence"][n]["per_subgroup"][i]["certificate"] = None
+    assert report_6_to_7.upgrade(report)["format"] == "sclab-report/7"

@@ -25,7 +25,7 @@ from sclab.equivalence import (
     verify_inclusion_equivalence,
 )
 from sclab.errors import InternalInconsistency, SizeCap
-from sclab.group import builtin_group, load_group
+from sclab.group import builtin_group, load_group, positions
 from sclab.homology import HomologyProfile, homology
 from sclab.lattice import enumerate_subgroups
 from sclab.poset import DEFAULT_SIMPLEX_CAP
@@ -252,6 +252,48 @@ def test_retractions_name_the_cut():
                         image = _lattice_retraction(right, left.mask, side, k)
                         assert image is None, tag
     assert sides == {">=", "<="}
+
+
+# test-data inputs at each prime the class-agreement test checks
+CLASS_PLANS = (("d8xz2", 2), ("a4wrz2", 2), ("a4wrz2", 3), ("psl27", 2),
+               ("psl27", 3))
+
+
+@pytest.mark.parametrize("name,p", [*SUITE, *CLASS_PLANS])
+def test_one_scan_row_per_class_decides_every_subgroup(name, p):
+    """A dashed scan keeps one row per conjugacy class, at the lowest
+    subgroup of the first Sylow group in it. Scanning every subgroup of
+    that Sylow group, each member of a class gives the order, status,
+    method and detail of the row kept for its class."""
+    lat = (lattice_of(name) if (name, p) in SUITE else
+           enumerate_subgroups(load_group(str(DATA / f"{name}.grp"))))
+    ctx = collection_context(lat, p)
+    sylow = lat.sylow(p)[0]
+    every = list(positions(lat.order.down[sylow] | 1 << sylow))
+    scanned = 0
+    for spec in TABLE31_EDGES + TABLE44_EDGES:
+        if spec.style != "dashed":
+            continue
+        result = _check_edge(ctx, spec, DEFAULT_SIMPLEX_CAP)
+        if result.status == SKIPPED:
+            continue
+        kept = {lat.class_of[row["subgroup"]]: row
+                for row in result.detail["scan"]["per_subgroup"]}
+        poset = ctx.collection(spec.kinds[0])
+        cut = lambda h: _cut(lat, spec.row, h)
+        full = fixed_point_equivalence_scan(
+            lat, every, lambda h: _keep(poset, *cut(h)), poset.fixed_points,
+            retraction=cut)
+        assert len(kept) == len(result.detail["scan"]["per_subgroup"])
+        assert set(kept) == {lat.class_of[h] for h in every}
+        for c in full.per_subgroup:
+            row = kept[lat.class_of[c.subgroup]]
+            assert row["subgroup"] <= c.subgroup
+            assert (c.order, c.status, c.method, c.detail) == (
+                row["order"], row["status"], row["method"], row["detail"]), (
+                name, p, spec.edge_id, c.subgroup)
+        scanned += len(full.per_subgroup)
+    assert scanned
 
 
 def test_second_sylow_spot_check_fires(s4):
